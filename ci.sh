@@ -6,6 +6,13 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
+
+# Benchmark self-test: every workload for one second, untraced and
+# traced — every metric BENCHMARK.json names must be emitted, finite and
+# in its unit, and every compile and serve decision must check out
+# against its oracle (BruteSearch, in-process optimize_costed).
+python3 perfbench/steady.py --self-test
+
 cargo fmt --all -- --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -1,9 +1,10 @@
 //! Micro-benchmarks for the design choices DESIGN.md §5 calls out:
 //!
-//! * region algorithm vs the exact per-offset `Sum` tabulation for
-//!   group-spatial tables (the fallback costs more — measure how much);
+//! * region algorithm vs the exact `Sum` tabulation (one sweep over the
+//!   unroll box) for group-spatial tables (the fallback costs more —
+//!   measure how much);
 //! * signature-based vs greedy stream partitioning in the analytic
-//!   evaluator (the register table evaluates it at every offset);
+//!   evaluator (the per-offset oracle the tables are tested against);
 //! * the dependence graph with vs without input-dependence pairs (the
 //!   processing-time half of the Table 1 claim).
 //!
@@ -25,7 +26,7 @@ fn main() {
 
 /// jacobi's A set never touches the contiguous row with an unrolled loop:
 /// the region algorithm applies.  A row-indexed variant forces the exact
-/// per-offset fallback.
+/// fallback.
 fn gss_construction() {
     println!("gss_table_construction");
     let region_nest = kernel("jacobi").expect("known kernel").nest();

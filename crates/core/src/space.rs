@@ -435,20 +435,21 @@ impl Table {
         }
     }
 
-    /// Builds an already-finalized table whose [`Table::prefix_sum`]
-    /// equals `sum_at` for every offset — the exact-tabulation path for
-    /// set shapes the closed-form region construction cannot express.
+    /// Builds an already-finalized table from its `Sum` values in flat
+    /// (row-major) order — `sums[space.index(u)]` becomes
+    /// [`Table::prefix_sum`]`(u)`.  This is the exact-tabulation path for
+    /// set shapes the closed-form region construction cannot express,
+    /// fed by the one-sweep evaluators of [`crate::streams`].
     ///
-    /// The seed realized this via Möbius inversion back into the density
-    /// domain followed by an O(N) box enumeration per query; storing the
-    /// `Sum` values directly is both simpler and O(1) per query.
-    pub fn from_sums(space: UnrollSpace, mut sum_at: impl FnMut(&[u32]) -> i64) -> Table {
-        let mut data = Vec::with_capacity(space.len());
-        space.for_each_offset(|u| data.push(sum_at(u)));
+    /// # Panics
+    ///
+    /// Panics if `sums` does not hold one value per offset of `space`.
+    pub fn from_sums(space: UnrollSpace, sums: Vec<i64>) -> Table {
+        assert_eq!(sums.len(), space.len(), "one sum per offset");
         let corners = CornerMap::build(&space);
         Table {
             space,
-            data,
+            data: sums,
             pending: Vec::new(),
             finalized: true,
             corners,

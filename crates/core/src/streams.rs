@@ -8,6 +8,13 @@
 //! *semantics* the paper's prefix-sum tables approximate in O(1), and it
 //! doubles as the correctness oracle for them (property tests assert
 //! `tables == analytic == scalar_replacement(unroll_and_jam(nest))`).
+//!
+//! Two shapes of evaluator live here.  The per-offset `*_at` functions
+//! rebuild the copies of one box `[0, u]` per call; they are the test
+//! oracles.  The `*_sums` functions give the same counts at *every*
+//! offset from one sweep over the whole unroll box — that is what the
+//! exact-fallback tables of [`crate::tables`] are built from, and tests
+//! pin them to the oracles bitwise.
 
 use crate::space::UnrollSpace;
 use std::collections::BTreeMap;
@@ -141,7 +148,8 @@ fn tally_ugs(set: &UgsSet, space: &UnrollSpace, u: &[u32], depth: usize, counts:
 /// The number of group-spatial sets of one UGS after unrolling by `u`,
 /// evaluated analytically over copy vectors (greedy leader walk in
 /// lexicographic order, exactly as `ujam_reuse::group_spatial_sets` walks
-/// the unrolled nest's references).
+/// the unrolled nest's references) — the per-offset oracle of
+/// [`gss_count_sums`].
 pub fn gss_count_at(
     set: &UgsSet,
     space: &UnrollSpace,
@@ -185,13 +193,19 @@ pub fn gts_count_at(set: &UgsSet, space: &UnrollSpace, u: &[u32], depth: usize) 
 /// For the all-zero column (innermost-invariant references) the signature
 /// is `c` itself and the key is 0.
 fn stream_signature(c: &[i64], col: &[i64]) -> (Vec<i64>, i64) {
-    let Some(r) = col.iter().position(|&k| k != 0) else {
-        return (c.to_vec(), 0);
-    };
-    let k = col[r];
-    let key = c[r].div_euclid(k.abs()) * k.signum();
-    let sig: Vec<i64> = c.iter().zip(col).map(|(&ci, &ki)| ci - key * ki).collect();
+    let mut sig = Vec::with_capacity(c.len());
+    let key = stream_tag(c, col, &mut sig);
     (sig, key)
+}
+
+/// [`stream_signature`] appending the signature to `sig`; returns the key.
+fn stream_tag(c: &[i64], col: &[i64], sig: &mut Vec<i64>) -> i64 {
+    let key = match col.iter().position(|&k| k != 0) {
+        Some(r) => c[r].div_euclid(col[r].abs()) * col[r].signum(),
+        None => 0,
+    };
+    sig.extend(c.iter().zip(col).map(|(&ci, &ki)| ci - key * ki));
+    key
 }
 
 /// Instantiates every member copy of a UGS for unroll vector `u`.
@@ -311,7 +325,8 @@ fn centered_mod(v: i64, m: i64) -> i64 {
 
 /// Use-led (load-issuing) stream count of one UGS after unrolling by `u`:
 /// streams whose earliest-touching member is a use.  Innermost-invariant
-/// sets contribute nothing (their streams are hoisted).
+/// sets contribute nothing (their streams are hoisted).  The per-offset
+/// oracle of [`ugs_loads_sums`].
 pub fn ugs_loads_at(set: &UgsSet, space: &UnrollSpace, u: &[u32], depth: usize) -> usize {
     let inner_col: Vec<i64> = set.h().col(depth - 1);
     if inner_col.iter().all(|&x| x == 0) {
@@ -337,11 +352,282 @@ pub fn ugs_loads_at(set: &UgsSet, space: &UnrollSpace, u: &[u32], depth: usize) 
 
 /// Registers one UGS consumes after unrolling by `u`, evaluated
 /// analytically (the per-UGS slice of
-/// [`replacement_counts_at`]`.registers`).
+/// [`replacement_counts_at`]`.registers`) — the per-offset oracle of
+/// [`ugs_registers_sums`].
 pub fn ugs_registers_at(set: &UgsSet, space: &UnrollSpace, u: &[u32], depth: usize) -> usize {
     let mut counts = CopyCounts::default();
     tally_ugs(set, space, u, depth, &mut counts);
     counts.registers
+}
+
+/// [`ugs_registers_at`] at every offset of `space`, in flat (row-major)
+/// order, from one sweep over the unroll box — the exact-fallback
+/// register table's sums.
+pub fn ugs_registers_sums(set: &UgsSet, space: &UnrollSpace) -> Vec<i64> {
+    let col = set.h().col(space.depth() - 1);
+    let invariant = col.iter().all(|&x| x == 0);
+    let sweep = Sweep::new(set, space, Order::Touch, |c, sig| stream_tag(c, &col, sig));
+    // Per box: the closed registers, the open stream, and its open
+    // register-reuse set (leader key, last key, size).
+    #[derive(Clone, Default)]
+    struct Open {
+        total: i64,
+        stream: Option<u32>,
+        lead: i64,
+        last: i64,
+        len: u32,
+    }
+    let span = |o: &Open| if o.len >= 2 { o.lead - o.last + 1 } else { 0 };
+    sweep.fold(
+        Open::default(),
+        |o, copy| {
+            if invariant {
+                // One hoisted register per stream.
+                if o.stream != Some(copy.group) {
+                    o.stream = Some(copy.group);
+                    o.total += 1;
+                }
+            } else if o.stream != Some(copy.group) || copy.is_def {
+                // A new stream or a def closes the open set.
+                o.total += span(o);
+                o.stream = Some(copy.group);
+                (o.lead, o.last, o.len) = (copy.key, copy.key, 1);
+            } else {
+                o.last = copy.key;
+                o.len += 1;
+            }
+        },
+        |o| o.total + span(&o),
+    )
+}
+
+/// [`ugs_loads_at`] at every offset of `space`, in flat order, from one
+/// sweep over the unroll box — the exact-fallback use-led table's sums.
+pub fn ugs_loads_sums(set: &UgsSet, space: &UnrollSpace) -> Vec<i64> {
+    let col = set.h().col(space.depth() - 1);
+    if col.iter().all(|&x| x == 0) {
+        return vec![0; space.len()];
+    }
+    let sweep = Sweep::new(set, space, Order::Touch, |c, sig| stream_tag(c, &col, sig));
+    sweep.fold(
+        (None, 0i64),
+        |(stream, loads), copy| {
+            // The first copy of a stream is its earliest toucher.
+            if *stream != Some(copy.group) {
+                *stream = Some(copy.group);
+                *loads += i64::from(!copy.is_def);
+            }
+        },
+        |(_, loads)| loads,
+    )
+}
+
+/// [`gss_count_at`] at every offset of `space`, in flat order, from one
+/// sweep over the unroll box — the exact-fallback (line-chain) GSS
+/// table's sums.
+///
+/// Spatially related copies agree, below the first subscript row, up
+/// to a multiple `d` of the innermost column: the copies fall into
+/// classes by the stream signature of their lower rows, and within a
+/// class the first-row residue is a difference of one scalar position
+/// `c₀ − a₀·key` (or of `c₀` itself, modulo `|a₀|`, when no lower row
+/// pins `d`).  The greedy leader walk then compares positions only.
+pub fn gss_count_sums(set: &UgsSet, space: &UnrollSpace, line_elems: i64) -> Vec<i64> {
+    let col = set.h().col(space.depth() - 1);
+    let (a0, lower) = col.split_first().map_or((0, &[][..]), |(&a0, l)| (a0, l));
+    let free_mod = (a0 != 0 && lower.iter().all(|&k| k == 0)).then_some(a0.abs());
+    let sweep = Sweep::new(set, space, Order::Spatial, |c, sig| {
+        let Some((&c0, rest)) = c.split_first() else {
+            return 0;
+        };
+        let key = stream_tag(rest, lower, sig);
+        c0 - a0 * key
+    });
+    let related = |residual: i64| {
+        let residual = free_mod.map_or(residual, |m| centered_mod(residual, m));
+        residual.abs() < line_elems
+    };
+    // Per box: the leader count, the open class, and its leader positions.
+    sweep.fold(
+        (0i64, None, Vec::new()),
+        |(count, class, leaders), copy| {
+            if *class != Some(copy.group) {
+                *class = Some(copy.group);
+                leaders.clear();
+            }
+            if !leaders.iter().rev().any(|&l| related(copy.key - l)) {
+                leaders.push(copy.key);
+                *count += 1;
+            }
+        },
+        |(count, _, _)| count,
+    )
+}
+
+/// One copy `c + H·o` of a UGS member in a [`Sweep`].
+#[derive(Clone, Copy, Debug)]
+struct SweepCopy {
+    /// Flat row-major (= lexicographic) index of the copy's offset.
+    offset: usize,
+    /// Stream ([`Order::Touch`]) or spatial class ([`Order::Spatial`])
+    /// id, numbered along the sorted order.
+    group: u32,
+    /// Stream key, or position within the spatial class.
+    key: i64,
+    is_def: bool,
+}
+
+/// The walk order of a [`Sweep`], after its group.
+#[derive(Clone, Copy)]
+enum Order {
+    /// Key descending — earliest toucher first, the order [`tally_ugs`]
+    /// and [`ugs_loads_at`] visit a stream in.
+    Touch,
+    /// `c` lexicographically — the greedy leader walk of
+    /// [`gss_count_at`].
+    Spatial,
+}
+
+/// Every copy of one UGS over the *whole* unroll space, sorted once.
+///
+/// The per-offset evaluators above rebuild the `(u+1)`-box of copies for
+/// each `u`.  A sweep materialises `c + H·o` once for every offset `o` of
+/// the space and every member, tags each with its group signature and
+/// key once, and sorts all copies once: by group, then the [`Order`],
+/// then the offset's lexicographic rank, then the member.  The rank of an
+/// offset inside any box `[0, u]` preserves its rank in the full space,
+/// so one order serves every box: [`Sweep::fold`] derives each `Sum(u)`
+/// from exactly the copies with `o ≤ u`, in that order.
+struct Sweep<'s> {
+    space: &'s UnrollSpace,
+    /// Offset coordinates, `dims` per flat offset index.
+    coords: Vec<u32>,
+    copies: Vec<SweepCopy>,
+}
+
+impl<'s> Sweep<'s> {
+    /// Materialises and sorts the copies.  `tag` appends a copy's group
+    /// signature (of one fixed width) to the buffer it is handed and
+    /// returns the copy's key.
+    fn new(
+        set: &UgsSet,
+        space: &'s UnrollSpace,
+        order: Order,
+        mut tag: impl FnMut(&[i64], &mut Vec<i64>) -> i64,
+    ) -> Sweep<'s> {
+        let h = set.h();
+        let rows = h.rows();
+        let members = set.members();
+        let mut coords = Vec::with_capacity(space.len() * space.dims());
+        // Per copy, in generation order — offset rank, then member: the
+        // copy itself, and (flat) its group signature and, for the
+        // spatial order only, its constant vector.
+        let mut copies = Vec::with_capacity(space.len() * members.len());
+        let (mut sigs, mut cs) = (Vec::new(), Vec::new());
+        let (mut shift, mut c) = (vec![0i64; rows], vec![0i64; rows]);
+        let mut offset = 0usize;
+        space.for_each_offset(|o| {
+            coords.extend_from_slice(o);
+            for (r, s) in shift.iter_mut().enumerate() {
+                *s = space
+                    .loops()
+                    .iter()
+                    .zip(o)
+                    .map(|(&l, &od)| h[(r, l)] * od as i64)
+                    .sum();
+            }
+            for m in members {
+                for ((cr, &mr), &s) in c.iter_mut().zip(&m.c).zip(&shift) {
+                    *cr = mr + s;
+                }
+                let key = tag(&c, &mut sigs);
+                copies.push(SweepCopy {
+                    offset,
+                    group: 0,
+                    key,
+                    is_def: m.is_def,
+                });
+                if let Order::Spatial = order {
+                    cs.extend_from_slice(&c);
+                }
+            }
+            offset += 1;
+        });
+        let width = sigs.len() / copies.len().max(1);
+        let sig = |i: usize| &sigs[i * width..][..width];
+        let mut perm: Vec<usize> = (0..copies.len()).collect();
+        perm.sort_unstable_by(|&a, &b| {
+            let within = match order {
+                Order::Touch => copies[b].key.cmp(&copies[a].key),
+                Order::Spatial => cs[a * rows..][..rows].cmp(&cs[b * rows..][..rows]),
+            };
+            sig(a).cmp(sig(b)).then(within).then(a.cmp(&b))
+        });
+        // Number the groups along the sorted order.
+        let mut group = 0;
+        let copies = perm
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                if i > 0 && sig(p) != sig(perm[i - 1]) {
+                    group += 1;
+                }
+                SweepCopy { group, ..copies[p] }
+            })
+            .collect();
+        Sweep {
+            space,
+            coords,
+            copies,
+        }
+    }
+
+    /// `Sum(u)` for every offset, in flat order, from one state per box.
+    /// The loop runs copy-major: each copy, in sweep order, `step`s the
+    /// state of every box containing it — the boxes `[0, u]` with
+    /// `u ≥ o`, visited as contiguous runs along the innermost dimension
+    /// — so every box sees exactly its own copies, in sweep order, and no
+    /// copy outside a box is ever looked at.
+    fn fold<S: Clone>(
+        &self,
+        init: S,
+        mut step: impl FnMut(&mut S, &SweepCopy),
+        finish: impl FnMut(S) -> i64,
+    ) -> Vec<i64> {
+        let mut states = vec![init; self.space.len()];
+        let (bounds, strides) = (self.space.bounds(), self.space.strides());
+        let Some(inner) = bounds.len().checked_sub(1) else {
+            // The zero-dimensional space: one box, holding every copy.
+            self.copies.iter().for_each(|c| step(&mut states[0], c));
+            return states.into_iter().map(finish).collect();
+        };
+        let run = bounds[inner] as usize + 1;
+        let mut u = vec![0u32; inner];
+        for copy in &self.copies {
+            let o = &self.coords[copy.offset * bounds.len()..][..bounds.len()];
+            u.copy_from_slice(&o[..inner]);
+            // Odometer over the outer dimensions of the up-set `[o, bounds]`;
+            // `start` is the flat index of `(u, o_inner)`.
+            let mut start = copy.offset;
+            'runs: loop {
+                let row = start - o[inner] as usize;
+                for state in &mut states[start..row + run] {
+                    step(state, copy);
+                }
+                for d in (0..inner).rev() {
+                    if u[d] < bounds[d] {
+                        u[d] += 1;
+                        start += strides[d];
+                        continue 'runs;
+                    }
+                    start -= (u[d] - o[d]) as usize * strides[d];
+                    u[d] = o[d];
+                }
+                break;
+            }
+        }
+        states.into_iter().map(finish).collect()
+    }
 }
 
 /// Shared helper for table construction: the map from each UGS member to

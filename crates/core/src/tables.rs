@@ -15,8 +15,10 @@
 //! targets **separable SIV** references; [`CostTables::siv`] reports
 //! whether a nest qualifies.  Where the up-set region structure breaks
 //! (line chains, reverse providers, provider switches), construction
-//! falls back to exact tabulation of the analytic evaluator, storing
-//! the `Sum` values directly ([`Table::from_sums`]) — see DESIGN.md §5.
+//! falls back to exact tabulation: one sweep per set over the whole
+//! unroll box ([`streams::ugs_registers_sums`] and its siblings) yields
+//! every `Sum` value, stored directly ([`Table::from_sums`]) — see
+//! DESIGN.md §5.
 //!
 //! Every table this module returns is **finalized** (a summed-area
 //! table), so each `prefix_sum` query downstream is a single lookup;
@@ -102,6 +104,40 @@ fn self_merge_points(h: &Mat, space: &UnrollSpace) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// Whether an unrolled loop drives the first (contiguous) subscript: its
+/// copies walk along cache lines in *chains*.
+fn chained(h: &Mat, space: &UnrollSpace) -> bool {
+    space.loops().iter().any(|&l| h[(0, l)] != 0)
+}
+
+/// Which construction path the RRS and register tables take for one UGS
+/// over one space — classified once per set by
+/// [`CostTables::build_with_sets`] and shared by both builders, so the
+/// reverse-provider solves run once.
+struct SetPaths {
+    /// Innermost-invariant: every stream is hoisted.
+    invariant: bool,
+    /// See [`chained`].
+    chained: bool,
+    /// See [`has_reverse_provider`]; `false` for invariant sets.
+    reverse_provider: bool,
+    /// See [`self_merge_points`].
+    self_points: Vec<Vec<u32>>,
+}
+
+impl SetPaths {
+    fn classify(set: &UgsSet, space: &UnrollSpace) -> SetPaths {
+        let h = set.h();
+        let invariant = (0..h.rows()).all(|r| h[(r, space.depth() - 1)] == 0);
+        SetPaths {
+            invariant,
+            chained: chained(h, space),
+            reverse_provider: !invariant && has_reverse_provider(set, space),
+            self_points: self_merge_points(h, space),
+        }
+    }
+}
+
 /// Figure 2: the table of new group-temporal sets per copy offset for one
 /// uniformly generated set, under innermost localization (the localized
 /// space of an unrolled loop's body).
@@ -171,14 +207,14 @@ pub fn gss_table(set: &UgsSet, space: &UnrollSpace, line_elems: i64) -> Table {
     // Line *chains*: an unrolled loop that drives the first (contiguous)
     // subscript walks copies along cache lines, and the greedy leader walk
     // over the combined value stream does not decompose into up-sets.
-    // Tabulate such sets exactly by direct counting, storing the counts
-    // as already-finalized sums so the prefix-sum interface (and its O(1)
-    // query cost) is preserved.
-    let chained = space.loops().iter().any(|&lp| h[(0, lp)] != 0);
-    if chained {
-        return Table::from_sums(space.clone(), |u| {
-            streams::gss_count_at(set, space, u, depth, line_elems) as i64
-        });
+    // Tabulate such sets exactly with one sweep over the unroll box,
+    // storing the counts as already-finalized sums so the prefix-sum
+    // interface (and its O(1) query cost) is preserved.
+    if chained(h, space) {
+        return Table::from_sums(
+            space.clone(),
+            streams::gss_count_sums(set, space, line_elems),
+        );
     }
 
     let l = Localized::innermost(depth);
@@ -333,13 +369,23 @@ pub fn rrs_tables(nest: &LoopNest, space: &UnrollSpace) -> RrsTables {
 /// [`rrs_tables`] over an already-computed UGS partition (the analysis
 /// context caches one partition per nest and shares it across passes).
 pub fn rrs_tables_from(sets: &[UgsSet], depth: usize, space: &UnrollSpace) -> RrsTables {
+    debug_assert_eq!(depth, space.depth(), "space built for another nest");
+    let paths: Vec<SetPaths> = sets
+        .iter()
+        .map(|set| SetPaths::classify(set, space))
+        .collect();
+    rrs_tables_in(sets, &paths, space)
+}
+
+/// [`rrs_tables_from`] over per-set classifications (parallel to `sets`).
+fn rrs_tables_in(sets: &[UgsSet], paths: &[SetPaths], space: &UnrollSpace) -> RrsTables {
+    let depth = space.depth();
     let mut use_led = Table::filled(space.clone(), 0);
     use_led.finalize(); // zeros; per-set contributions accumulate as sums
     let mut stores_per_copy = 0i64;
 
-    for set in sets {
-        let inner_col: Vec<i64> = set.h().col(depth - 1);
-        if inner_col.iter().all(|&x| x == 0) {
+    for (set, path) in sets.iter().zip(paths) {
+        if path.invariant {
             // Invariant UGS: every stream is hoisted.
             continue;
         }
@@ -351,10 +397,11 @@ pub fn rrs_tables_from(sets: &[UgsSet], depth: usize, space: &UnrollSpace) -> Rr
         // on the query box, not just the copy offset, so the up-set region
         // algorithm cannot express it (the merge comes "from above").
         // Tabulate such sets exactly, directly in the `Sum` domain.
-        if has_reverse_provider(set, space, depth) {
-            use_led.accumulate(&Table::from_sums(space.clone(), |u| {
-                streams::ugs_loads_at(set, space, u, depth) as i64
-            }));
+        if path.reverse_provider {
+            use_led.accumulate(&Table::from_sums(
+                space.clone(),
+                streams::ugs_loads_sums(set, space),
+            ));
             continue;
         }
 
@@ -370,7 +417,7 @@ pub fn rrs_tables_from(sets: &[UgsSet], depth: usize, space: &UnrollSpace) -> Rr
                 } else if pos == 0 {
                     // A use-led stream: one load per copy until absorbed.
                     let cj = &set.members()[idx].c;
-                    let mut points = self_merge_points(set.h(), space);
+                    let mut points = path.self_points.clone();
                     for (i, gi) in groups.iter().enumerate() {
                         if i == g_idx {
                             continue;
@@ -438,8 +485,8 @@ fn merge_point_raw(h: &Mat, delta: &[i64], space: &UnrollSpace) -> Option<(Vec<i
 ///   and below in another).
 ///
 /// Either makes the absorbed-copy set depend on the query box, so the UGS
-/// is tabulated exactly by Möbius inversion instead (see DESIGN.md §5).
-fn has_reverse_provider(set: &UgsSet, space: &UnrollSpace, _depth: usize) -> bool {
+/// is tabulated exactly in the `Sum` domain instead (see DESIGN.md §5).
+fn has_reverse_provider(set: &UgsSet, space: &UnrollSpace) -> bool {
     let members = set.members();
     let mut memo: HashMap<Vec<i64>, Option<(Vec<i64>, i64)>> = HashMap::new();
     for j in members {
@@ -479,25 +526,28 @@ fn has_reverse_provider(set: &UgsSet, space: &UnrollSpace, _depth: usize) -> boo
 /// pressure.  Everything else — defs re-splitting streams, invariant
 /// sets, line chains, reverse providers, provider switches (the paper's
 /// Figure 6) — falls back to exact tabulation of the analytic count in
-/// the `Sum` domain, preserving the prefix-sum interface.
+/// the `Sum` domain, from one sweep over the unroll box
+/// ([`streams::ugs_registers_sums`]), preserving the prefix-sum
+/// interface.
 pub fn reg_table(set: &UgsSet, space: &UnrollSpace) -> Table {
+    reg_table_in(set, space, &SetPaths::classify(set, space))
+}
+
+/// [`reg_table`] over the set's classification.
+fn reg_table_in(set: &UgsSet, space: &UnrollSpace, path: &SetPaths) -> Table {
     let depth = space.depth();
     let h = set.h();
-    let inner_col: Vec<i64> = h.col(depth - 1);
 
-    let analytic_fallback = || {
-        Table::from_sums(space.clone(), |u| {
-            streams::ugs_registers_at(set, space, u, depth) as i64
-        })
-    };
+    let analytic_fallback =
+        || Table::from_sums(space.clone(), streams::ugs_registers_sums(set, space));
 
-    // Invariant sets, sets with defs, row-0 unrolled loops (chains), or
-    // reverse providers: fall back.
-    if inner_col.iter().all(|&x| x == 0)
+    // Invariant sets, sets with defs, row-0 unrolled loops (chains),
+    // reverse providers, or self-merging sets: fall back.
+    if path.invariant
         || set.members().iter().any(|m| m.is_def)
-        || space.loops().iter().any(|&l| h[(0, l)] != 0)
-        || has_reverse_provider(set, space, depth)
-        || !self_merge_points(h, space).is_empty()
+        || path.chained
+        || path.reverse_provider
+        || !path.self_points.is_empty()
     {
         return analytic_fallback();
     }
@@ -647,8 +697,16 @@ impl CostTables {
                 (f, t)
             })
             .collect();
-        let rrs = rrs_tables_from(sets, nest.depth(), space);
-        let registers: Vec<Table> = sets.iter().map(|set| reg_table(set, space)).collect();
+        let paths: Vec<SetPaths> = sets
+            .iter()
+            .map(|set| SetPaths::classify(set, space))
+            .collect();
+        let rrs = rrs_tables_in(sets, &paths, space);
+        let registers: Vec<Table> = sets
+            .iter()
+            .zip(&paths)
+            .map(|(set, path)| reg_table_in(set, space, path))
+            .collect();
         let registers_monotone = registers.iter().all(Table::is_monotone);
         CostTables {
             space: space.clone(),

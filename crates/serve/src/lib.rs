@@ -41,7 +41,10 @@
 //! ```
 //! use ujam_serve::{ServeConfig, Server};
 //!
-//! let server = Server::new(ServeConfig::default(), ujam_trace::null_sink());
+//! // One worker: a batch's lines are then answered in order, so the
+//! // duplicate deterministically finds the first reply in the cache.
+//! let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+//! let server = Server::new(cfg, ujam_trace::null_sink());
 //! let mut out = Vec::new();
 //! let requests = "{\"id\":\"1\",\"kernel\":\"dmxpy1\"}\n{\"id\":\"2\",\"kernel\":\"dmxpy1\"}\n";
 //! server.run(std::io::Cursor::new(requests), &mut out).unwrap();
