@@ -75,6 +75,16 @@ impl TimelineState {
         self.timeline.enqueued = Some(self.now());
     }
 
+    /// Stamps `enqueued` and `dequeued` with one clock reading: the
+    /// start of the front stage on the reactor thread.  A request the
+    /// front stage answers never leaves it, so its queue wait is zero;
+    /// a miss is re-stamped at queue push and worker pickup.
+    pub fn stamp_front(&mut self) {
+        let now = Some(self.now());
+        self.timeline.enqueued = now;
+        self.timeline.dequeued = now;
+    }
+
     /// Stamps the worker-pickup edge.
     pub fn stamp_dequeued(&mut self) {
         self.timeline.dequeued = Some(self.now());

@@ -29,11 +29,13 @@
 //!   snapshot;
 //! * **an event-loop front end** ([`reactor`]) — TCP and Unix-socket
 //!   listeners multiplexed by one `poll(2)` thread over nonblocking
-//!   sockets with incremental NDJSON framing ([`frame`]), a fixed
-//!   worker pool fed by a bounded queue, an N-way content-hash-sharded
-//!   decision cache ([`shard`]), and admission control (load-shedding
-//!   `overloaded` replies, per-connection in-flight caps, idle/slow-
-//!   loris read timeouts).  TCP clients open with a versioned
+//!   sockets with incremental NDJSON framing ([`frame`]), cache hits
+//!   answered on the reactor thread itself and only misses handed to
+//!   a fixed worker pool through a bounded queue, an N-way
+//!   content-hash-sharded decision cache ([`shard`]), and admission
+//!   control (load-shedding `overloaded` replies, per-connection
+//!   in-flight and unflushed-output caps, idle/slow-loris read
+//!   timeouts).  TCP clients open with a versioned
 //!   `{"cmd":"hello"}` handshake ([`proto::PROTOCOL_VERSION`]).
 //!
 //! # Example

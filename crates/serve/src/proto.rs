@@ -29,9 +29,13 @@
 //! reply — with `"id":null` when no id could be recovered — so a client
 //! that pipelines `n` lines always reads exactly `n` replies.
 
+use std::fmt::Write as _;
+
 use ujam_core::{BalanceModel, CostModelKind};
 use ujam_machine::MachineModel;
 use ujam_trace::json::{self, Value};
+
+use crate::cache::Decision;
 
 /// The wire-protocol version the TCP handshake negotiates.
 ///
@@ -176,37 +180,86 @@ pub enum Reply {
     Error(ErrorReply),
 }
 
+/// The borrowed fields of an ok reply: one renderer for an owned
+/// [`OkReply`] and for a cache hit rendered straight from the shared
+/// [`Decision`], which is never copied into an `OkReply`.
+struct OkFields<'a> {
+    id: &'a str,
+    nest: &'a str,
+    unroll: &'a [u32],
+    balance: f64,
+    original_balance: f64,
+    registers: i64,
+    cached: bool,
+    trace_id: Option<u64>,
+}
+
+impl OkFields<'_> {
+    fn write(&self, out: &mut String) {
+        out.push_str("{\"id\":");
+        json::write_escaped(out, self.id);
+        out.push_str(",\"ok\":true,\"nest\":");
+        json::write_escaped(out, self.nest);
+        out.push_str(",\"unroll\":[");
+        for (i, u) in self.unroll.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{u}");
+        }
+        out.push_str("],\"balance\":");
+        json::write_f64(out, self.balance);
+        out.push_str(",\"original_balance\":");
+        json::write_f64(out, self.original_balance);
+        let _ = write!(out, ",\"registers\":{}", self.registers);
+        out.push_str(",\"cached\":");
+        out.push_str(if self.cached { "true" } else { "false" });
+        if let Some(t) = self.trace_id {
+            let _ = write!(out, ",\"trace_id\":{t}");
+        }
+        out.push('}');
+    }
+}
+
+/// Renders the ok reply for `decision` — byte-identical to rendering
+/// the equivalent [`OkReply`].
+pub(crate) fn render_decision(
+    id: &str,
+    decision: &Decision,
+    cached: bool,
+    trace_id: Option<u64>,
+) -> String {
+    let mut out = String::with_capacity(256);
+    OkFields {
+        id,
+        nest: &decision.nest,
+        unroll: &decision.unroll,
+        balance: decision.balance,
+        original_balance: decision.original_balance,
+        registers: decision.registers,
+        cached,
+        trace_id,
+    }
+    .write(&mut out);
+    out
+}
+
 impl Reply {
     /// Renders the reply as a single JSON line (no trailing newline).
     pub fn render(&self) -> String {
         let mut out = String::new();
         match self {
-            Reply::Ok(r) => {
-                out.push_str("{\"id\":");
-                json::write_escaped(&mut out, &r.id);
-                out.push_str(",\"ok\":true,\"nest\":");
-                json::write_escaped(&mut out, &r.nest);
-                out.push_str(",\"unroll\":[");
-                for (i, u) in r.unroll.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&u.to_string());
-                }
-                out.push_str("],\"balance\":");
-                json::write_f64(&mut out, r.balance);
-                out.push_str(",\"original_balance\":");
-                json::write_f64(&mut out, r.original_balance);
-                out.push_str(",\"registers\":");
-                out.push_str(&r.registers.to_string());
-                out.push_str(",\"cached\":");
-                out.push_str(if r.cached { "true" } else { "false" });
-                if let Some(t) = r.trace_id {
-                    out.push_str(",\"trace_id\":");
-                    out.push_str(&t.to_string());
-                }
-                out.push('}');
+            Reply::Ok(r) => OkFields {
+                id: &r.id,
+                nest: &r.nest,
+                unroll: &r.unroll,
+                balance: r.balance,
+                original_balance: r.original_balance,
+                registers: r.registers,
+                cached: r.cached,
+                trace_id: r.trace_id,
             }
+            .write(&mut out),
             Reply::Error(e) => {
                 out.push_str("{\"id\":");
                 match &e.id {
@@ -302,12 +355,13 @@ impl Incoming {
     /// failure is a structured [`Reply::Error`] carrying whatever id
     /// could be recovered.
     pub fn parse(line: &str) -> Result<Incoming, Reply> {
-        if let Ok(Value::Object(obj)) = json::parse(line) {
+        let doc = parse_json(line)?;
+        if let Value::Object(obj) = &doc {
             if obj.contains_key("cmd") {
-                return AdminRequest::from_object(&obj).map(Incoming::Admin);
+                return AdminRequest::from_object(obj).map(Incoming::Admin);
             }
         }
-        Request::parse(line).map(Incoming::Optimize)
+        Request::from_doc(&doc).map(Incoming::Optimize)
     }
 }
 
@@ -499,14 +553,23 @@ pub fn recover_id(line: &str) -> Option<String> {
     }
 }
 
+/// Parses one line as JSON, or the `bad_request` reply saying why not.
+fn parse_json(line: &str) -> Result<Value, Reply> {
+    json::parse(line)
+        .map_err(|e| error_reply(None, ErrorKind::BadRequest, format!("invalid JSON: {e}")))
+}
+
 impl Request {
     /// Parses one request line.  Every failure is a structured
     /// [`Reply::Error`] carrying whatever id could be recovered, so the
     /// caller can always answer the line.
     pub fn parse(line: &str) -> Result<Request, Reply> {
-        let doc = json::parse(line)
-            .map_err(|e| error_reply(None, ErrorKind::BadRequest, format!("invalid JSON: {e}")))?;
-        let obj = match &doc {
+        Request::from_doc(&parse_json(line)?)
+    }
+
+    /// Validates an already-parsed request document.
+    fn from_doc(doc: &Value) -> Result<Request, Reply> {
+        let obj = match doc {
             Value::Object(m) => m,
             _ => {
                 return Err(error_reply(
@@ -640,6 +703,33 @@ impl Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decisions_render_byte_identically_to_ok_replies() {
+        let d = Decision {
+            nest: "mm\"jki".into(),
+            unroll: vec![3, 0, 12],
+            balance: 0.1 + 0.2,
+            original_balance: 1.0,
+            registers: -4,
+        };
+        for (cached, trace_id) in [(false, None), (true, Some(42))] {
+            let owned = Reply::Ok(OkReply {
+                id: "r\u{1}".into(),
+                nest: d.nest.clone(),
+                unroll: d.unroll.clone(),
+                balance: d.balance,
+                original_balance: d.original_balance,
+                registers: d.registers,
+                cached,
+                trace_id,
+            });
+            assert_eq!(
+                render_decision("r\u{1}", &d, cached, trace_id),
+                owned.render()
+            );
+        }
+    }
 
     #[test]
     fn parses_a_minimal_kernel_request() {

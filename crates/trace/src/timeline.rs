@@ -17,6 +17,14 @@
 //!          → analysis_start → analysis_end → flushed
 //! ```
 //!
+//! The daemon answers a cache hit on its reactor thread without
+//! queueing it: `enqueued` and `dequeued` then carry one shared stamp,
+//! the start of that front stage, so the hit's queue wait is zero.  A
+//! miss is stamped `enqueued` at queue push and `dequeued` at worker
+//! pickup, and its counted cache probe happens on the worker; the
+//! front-stage work before the push (parse, resolve, key) lies between
+//! `framed` and `enqueued`.
+//!
 //! From the stamps fall the per-edge durations operators actually read:
 //! queue wait, cache probe, analysis, and flush.  Anomalous requests
 //! (over the slow threshold, shed, deadline-exceeded, frame errors)

@@ -10,6 +10,11 @@
 //! * the flight document is versioned and its recent ring holds the
 //!   workload's timelines, each with a total duration and per-edge
 //!   breakdown;
+//! * every timeline's stamped edges are non-decreasing in the
+//!   documented order (framed ≤ enqueued ≤ dequeued ≤ cache_probe ≤
+//!   cache_done ≤ analysis_start ≤ analysis_end ≤ flushed; unstamped
+//!   edges are skipped) — whichever thread stamped them, a cache hit
+//!   answered on the reactor and a miss answered by a worker alike;
 //! * the anomaly ring retains the forced deadline miss with a
 //!   structured reason;
 //! * the series document is versioned, has at least one window, and
@@ -78,7 +83,7 @@ fn run() -> Result<String, String> {
             .ok_or("timeline: trace_id is not a number")?;
         trace_ids.push(id as u64);
         field(t, "outcome")?;
-        field(t, "edges")?;
+        check_edge_order(id as u64, field(t, "edges")?)?;
         let durations = field(t, "durations")?;
         let total = field(durations, "total_ns")?
             .as_f64()
@@ -160,6 +165,42 @@ fn run() -> Result<String, String> {
         anomalies.len(),
         windows.len()
     ))
+}
+
+/// The lifecycle edges in their documented order.
+const EDGE_ORDER: [&str; 8] = [
+    "framed",
+    "enqueued",
+    "dequeued",
+    "cache_probe",
+    "cache_done",
+    "analysis_start",
+    "analysis_end",
+    "flushed",
+];
+
+/// Rejects a timeline whose stamped edges go backwards in
+/// [`EDGE_ORDER`].  Every edge must be present; `null` (unstamped) ones
+/// are skipped.
+fn check_edge_order(id: u64, edges: &Value) -> Result<(), String> {
+    let mut last: Option<(&str, f64)> = None;
+    for name in EDGE_ORDER {
+        let stamp = match field(edges, name)? {
+            Value::Null => continue,
+            v => v
+                .as_f64()
+                .ok_or_else(|| format!("timeline #{id}: edge {name} is not a number"))?,
+        };
+        if let Some((prev, at)) = last {
+            if stamp < at {
+                return Err(format!(
+                    "timeline #{id}: edge {name} ({stamp} ns) precedes {prev} ({at} ns)"
+                ));
+            }
+        }
+        last = Some((name, stamp));
+    }
+    Ok(())
 }
 
 fn name_present(ex: &std::collections::BTreeMap<String, Value>, name: &str) -> bool {
