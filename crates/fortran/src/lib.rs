@@ -26,7 +26,13 @@
 //! `<label> CONTINUE` terminators, `ENDDO`/`END DO`, integer loop bounds,
 //! and the expression grammar of `ujam_ir::parse_expr`.  Not supported
 //! (rejected with a clear error): symbolic bounds, imperfect nests,
-//! non-unit steps, control flow, and statement continuation lines.
+//! non-unit steps, empty loops, nests deeper than [`MAX_NEST_DEPTH`],
+//! control flow, and statement continuation lines.
+//!
+//! [`parse`] takes text from outside (the `ujam serve` daemon parses
+//! request sources on its event-loop thread), so it is linear in the
+//! source length and answers every malformed input with an error, never
+//! a panic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +41,6 @@ mod emit;
 mod parse;
 
 pub use emit::emit;
-pub use parse::{parse, ParseError};
+pub use parse::{parse, ParseError, MAX_NEST_DEPTH};
 
 pub use ujam_ir::LoopNest;

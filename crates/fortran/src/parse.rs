@@ -20,6 +20,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest `DO` nest the front end accepts.  A nest renders with one
+/// indentation step per level on every body line, so without a bound a
+/// source of `n` loop headers would render (and key) in `O(n²)` bytes.
+/// The paper's kernels are 2–5 deep.
+pub const MAX_NEST_DEPTH: usize = 16;
+
 /// One meaningful source line.
 #[derive(Debug)]
 enum Line {
@@ -90,6 +96,15 @@ pub fn parse(source: &str) -> Result<LoopNest, ParseError> {
             } => {
                 if step != 1 {
                     return Err(err(lineno, "only unit-step DO loops are supported"));
+                }
+                if hi < lo {
+                    return Err(err(lineno, format!("empty DO loop {var} = {lo}, {hi}")));
+                }
+                if open.len() == MAX_NEST_DEPTH {
+                    return Err(err(
+                        lineno,
+                        format!("DO nest deeper than {MAX_NEST_DEPTH} loops"),
+                    ));
                 }
                 if !body.is_empty() || closed > 0 {
                     return Err(err(
@@ -255,14 +270,21 @@ fn parse_dimension(rest: &str, lineno: usize) -> Result<Vec<(String, Vec<i64>)>,
         if name.is_empty() {
             return Err(err(lineno, "DIMENSION entry missing a name"));
         }
-        let close = s
+        let close = s[open..]
             .find(')')
+            .map(|c| open + c)
             .ok_or_else(|| err(lineno, "DIMENSION entry missing ')'"))?;
         let dims: Result<Vec<i64>, _> = s[open + 1..close]
             .split(',')
             .map(|d| d.trim().parse::<i64>())
             .collect();
         let dims = dims.map_err(|_| err(lineno, "array extents must be integer constants"))?;
+        if dims.iter().any(|&d| d <= 0) {
+            return Err(err(
+                lineno,
+                format!("array {name} has a non-positive extent"),
+            ));
+        }
         out.push((name.to_string(), dims));
         s = s[close + 1..].trim().trim_start_matches(',').trim();
     }
@@ -397,6 +419,45 @@ C fixed comment
     fn rejects_undeclared_arrays_via_validation() {
         let e = parse("      DO I = 1, 4\n      A(I) = 1.0\n      ENDDO\n      END").unwrap_err();
         assert!(e.message.contains("undeclared"), "{e}");
+    }
+
+    #[test]
+    fn inputs_the_ir_would_refuse_are_parse_errors() {
+        // Each of these used to reach a panicking IR constructor or slice.
+        for (src, expect) in [
+            (
+                "      DIMENSION A(8)\n      DO I = 5, 1\n      A(I) = 1.0\n      ENDDO\n      END",
+                "empty DO loop",
+            ),
+            (
+                "      DIMENSION A(0)\n      DO I = 1, 4\n      A(I) = 1.0\n      ENDDO\n      END",
+                "non-positive extent",
+            ),
+            ("      DIMENSION A)(4\n      END", "missing ')'"),
+        ] {
+            let e = parse(src).unwrap_err();
+            assert!(e.message.contains(expect), "{src:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn nest_depth_is_bounded() {
+        let nest = |depth: usize| {
+            let mut src = "      DIMENSION A(4)\n".to_string();
+            for k in 0..depth {
+                src += &format!("      DO I{k} = 1, 4\n");
+            }
+            src += "      A(I0) = 1.0\n";
+            src += &"      ENDDO\n".repeat(depth);
+            src + "      END"
+        };
+        assert_eq!(
+            parse(&nest(MAX_NEST_DEPTH)).unwrap().depth(),
+            MAX_NEST_DEPTH
+        );
+        let e = parse(&nest(MAX_NEST_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.line, MAX_NEST_DEPTH + 2, "{e}");
+        assert!(e.message.contains("deeper"), "{e}");
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl NestBuilder {
 /// ```
 pub fn parse_expr(text: &str) -> Result<Expr, String> {
     let mut p = Parser::new(text);
-    let e = p.expr()?;
+    let (e, _) = p.expr()?;
     p.skip_ws();
     if !p.at_end() {
         return Err(format!("trailing input at byte {}", p.pos));
@@ -184,14 +184,44 @@ pub(crate) fn parse_stmt(text: &str) -> Result<Stmt, String> {
     }
 }
 
+/// Deepest expression the parser accepts: an operator node, a unary
+/// minus and a parenthesis each count one level.  Everything downstream
+/// (rendering, reference collection, drop) walks expressions
+/// recursively, so text from outside must not nest without bound.
+const MAX_EXPR_DEPTH: usize = 256;
+
+fn too_deep() -> String {
+    format!("expression nested deeper than {MAX_EXPR_DEPTH} levels")
+}
+
+/// Joins two parsed operands (each with its tree depth) under `op`.
+fn join(
+    op: BinOp,
+    (l, dl): (Expr, usize),
+    (r, dr): (Expr, usize),
+) -> Result<(Expr, usize), String> {
+    let depth = 1 + dl.max(dr);
+    if depth > MAX_EXPR_DEPTH {
+        return Err(too_deep());
+    }
+    Ok((Expr::bin(op, l, r), depth))
+}
+
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Open parentheses and unary minuses around the current factor:
+    /// the parser's own recursion depth.
+    nesting: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
-        Parser { text, pos: 0 }
+        Parser {
+            text,
+            pos: 0,
+            nesting: 0,
+        }
     }
 
     fn peek(&self) -> Option<char> {
@@ -247,7 +277,8 @@ impl<'a> Parser<'a> {
         self.text[start..self.pos].parse().ok()
     }
 
-    fn expr(&mut self) -> Result<Expr, String> {
+    /// An expression and the depth of its tree.
+    fn expr(&mut self) -> Result<(Expr, usize), String> {
         let mut lhs = self.term()?;
         loop {
             self.skip_ws();
@@ -258,11 +289,11 @@ impl<'a> Parser<'a> {
             };
             self.bump();
             let rhs = self.term()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = join(op, lhs, rhs)?;
         }
     }
 
-    fn term(&mut self) -> Result<Expr, String> {
+    fn term(&mut self) -> Result<(Expr, usize), String> {
         let mut lhs = self.factor()?;
         loop {
             self.skip_ws();
@@ -273,20 +304,24 @@ impl<'a> Parser<'a> {
             };
             self.bump();
             let rhs = self.factor()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = join(op, lhs, rhs)?;
         }
     }
 
-    fn factor(&mut self) -> Result<Expr, String> {
+    fn factor(&mut self) -> Result<(Expr, usize), String> {
         self.skip_ws();
         match self.peek() {
             Some('-') => {
                 self.bump();
-                Ok(Expr::Neg(Box::new(self.factor()?)))
+                let (e, depth) = self.nested(Parser::factor)?;
+                if depth + 1 > MAX_EXPR_DEPTH {
+                    return Err(too_deep());
+                }
+                Ok((Expr::Neg(Box::new(e)), depth + 1))
             }
             Some('(') => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Parser::expr)?;
                 self.skip_ws();
                 if self.bump() != Some(')') {
                     return Err("expected ')'".into());
@@ -295,20 +330,35 @@ impl<'a> Parser<'a> {
             }
             Some(c) if c.is_ascii_digit() || c == '.' => self
                 .number()
-                .map(Expr::Const)
+                .map(|k| (Expr::Const(k), 1))
                 .ok_or_else(|| "bad number".into()),
             Some(c) if c.is_ascii_alphabetic() || c == '_' => {
                 let name = self.ident().ok_or("bad identifier")?;
                 self.skip_ws();
                 if self.peek() == Some('(') {
                     let dims = self.subscripts()?;
-                    Ok(Expr::Ref(ArrayRef::new(&name, dims)))
+                    Ok((Expr::Ref(ArrayRef::new(&name, dims)), 1))
                 } else {
-                    Ok(Expr::Scalar(name))
+                    Ok((Expr::Scalar(name), 1))
                 }
             }
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Runs `inner` one parenthesis or unary minus deeper, refusing to
+    /// recurse past `MAX_EXPR_DEPTH`.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Parser<'a>) -> Result<(Expr, usize), String>,
+    ) -> Result<(Expr, usize), String> {
+        if self.nesting == MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        self.nesting += 1;
+        let e = inner(self);
+        self.nesting -= 1;
+        e
     }
 
     /// Parses `(dim, dim, ...)` where each dim is an affine combination.
@@ -445,6 +495,32 @@ mod tests {
         assert!(parse_expr("(A(I)").is_err());
         assert!(parse_expr("A(I) B(J)").is_err());
         assert!(parse_stmt("A(I,J)").is_err());
+    }
+
+    #[test]
+    fn depth_is_bounded() {
+        let n = MAX_EXPR_DEPTH;
+        // Exactly at the limit: a chain of n leaves has depth n ...
+        let chain = |k: usize| vec!["X"; k].join(" + ");
+        assert!(parse_expr(&chain(n)).is_ok());
+        assert!(parse_expr(&chain(n + 1)).unwrap_err().contains("deeper"));
+        // ... while parentheses and unary minus bound the recursion
+        // itself, so a long run of either is refused, not overflowed.
+        let parens = |k: usize| format!("{}X{}", "(".repeat(k), ")".repeat(k));
+        assert!(parse_expr(&parens(n)).is_ok());
+        assert!(parse_expr(&parens(n + 1)).unwrap_err().contains("deeper"));
+        assert!(parse_expr(&parens(1 << 20)).unwrap_err().contains("deeper"));
+        assert!(parse_expr(&format!("{}X", "-".repeat(n - 1))).is_ok());
+        assert!(parse_expr(&format!("{}X", "-".repeat(1 << 20)))
+            .unwrap_err()
+            .contains("deeper"));
+        // Depth is per tree, not per operator count: a balanced sum of
+        // many more than n leaves still parses.
+        let mut balanced = "X".to_string();
+        for _ in 0..10 {
+            balanced = format!("({balanced} + {balanced})");
+        }
+        assert_eq!(parse_expr(&balanced).unwrap().flops(), 1023);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::expr::Expr;
 use crate::subscript::{resolve, AffineSub};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use ujam_linalg::Mat;
 
@@ -436,29 +436,41 @@ impl LoopNest {
     ///
     /// Reports unbound subscript variables, references to undeclared
     /// arrays, rank mismatches, and duplicate loop variables.
+    ///
+    /// Linear in the size of the nest (hashed lookups throughout): the
+    /// Fortran front end validates untrusted text through this, so a
+    /// source with tens of thousands of declarations and references
+    /// must not cost their product.
     pub fn validate(&self) -> Result<(), String> {
-        let vars = self.loop_vars();
-        for (i, v) in vars.iter().enumerate() {
-            if vars[i + 1..].contains(v) {
-                return Err(format!("duplicate loop variable {v}"));
+        let mut vars = HashSet::with_capacity(self.loops.len());
+        for l in &self.loops {
+            if !vars.insert(l.var()) {
+                return Err(format!("duplicate loop variable {}", l.var()));
             }
         }
-        for r in self.refs() {
-            let Some(decl) = self.array(r.aref.array()) else {
-                return Err(format!("reference to undeclared array {}", r.aref.array()));
-            };
-            if decl.dims().len() != r.aref.dims().len() {
-                return Err(format!(
-                    "rank mismatch on {}: declared {}, referenced {}",
-                    r.aref.array(),
-                    decl.dims().len(),
-                    r.aref.dims().len()
-                ));
-            }
-            for d in r.aref.dims() {
-                for (var, _) in d.terms() {
-                    if !vars.contains(&var) {
-                        return Err(format!("unbound subscript variable {var} in {}", r.aref));
+        // The first declaration of a name wins, as in `LoopNest::array`.
+        let mut decls: HashMap<&str, &ArrayDecl> = HashMap::with_capacity(self.arrays.len());
+        for a in &self.arrays {
+            decls.entry(a.name()).or_insert(a);
+        }
+        for stmt in &self.body {
+            for (aref, _) in stmt.refs() {
+                let Some(decl) = decls.get(aref.array()) else {
+                    return Err(format!("reference to undeclared array {}", aref.array()));
+                };
+                if decl.dims().len() != aref.dims().len() {
+                    return Err(format!(
+                        "rank mismatch on {}: declared {}, referenced {}",
+                        aref.array(),
+                        decl.dims().len(),
+                        aref.dims().len()
+                    ));
+                }
+                for d in aref.dims() {
+                    for (var, _) in d.terms() {
+                        if !vars.contains(var) {
+                            return Err(format!("unbound subscript variable {var} in {aref}"));
+                        }
                     }
                 }
             }

@@ -25,5 +25,25 @@ mod suite;
 mod synth;
 
 pub use deep::{deep_kernel, deep_kernels, DeepKernel};
-pub use suite::{kernel, kernels, optimize_suite, Kernel};
+pub use suite::{kernel, kernels, optimize_suite, Kernel, KERNEL_ALIASES};
 pub use synth::{corpus, corpus_deep, corpus_routine, corpus_subroutine, corpus_subroutines};
+
+use ujam_ir::LoopNest;
+
+/// Resolves a kernel name to its nest the way `ujam optimize` and the
+/// serve daemon do: a Table 2 kernel (or alias) first, then a deep
+/// kernel.
+pub fn named_nest(name: &str) -> Option<LoopNest> {
+    kernel(name)
+        .map(|k| k.nest())
+        .or_else(|| deep_kernel(name).map(|k| k.nest()))
+}
+
+/// Every name [`named_nest`] resolves: the Table 2 kernels, the deep
+/// kernels and the [`KERNEL_ALIASES`].
+pub fn kernel_names() -> Vec<&'static str> {
+    let suite = kernels().into_iter().map(|k| k.name);
+    let deep = deep_kernels().into_iter().map(|k| k.name);
+    let aliases = KERNEL_ALIASES.iter().map(|&(alias, _)| alias);
+    suite.chain(deep).chain(aliases).collect()
+}

@@ -450,11 +450,18 @@ pub fn kernels() -> Vec<Kernel> {
     ]
 }
 
-/// Looks a kernel up by name.  `matmul` is accepted as an alias for
-/// `mmjki` (the column-major matrix-multiply ordering), since that is
-/// what most callers mean by "the matmul kernel".
+/// Other names [`kernel`] accepts, each with the Table 2 kernel it
+/// stands for.  `matmul` is `mmjki` (the column-major matrix-multiply
+/// ordering), since that is what most callers mean by "the matmul
+/// kernel".
+pub const KERNEL_ALIASES: &[(&str, &str)] = &[("matmul", "mmjki")];
+
+/// Looks a kernel up by name or by one of its [`KERNEL_ALIASES`].
 pub fn kernel(name: &str) -> Option<Kernel> {
-    let name = if name == "matmul" { "mmjki" } else { name };
+    let name = KERNEL_ALIASES
+        .iter()
+        .find(|(alias, _)| *alias == name)
+        .map_or(name, |&(_, k)| k);
     kernels().into_iter().find(|k| k.name == name)
 }
 

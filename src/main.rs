@@ -53,7 +53,7 @@ use ujam::core::{
 use ujam::dep::{safe_unroll_bounds, DepGraph, DepKind};
 use ujam::ir::transform::scalar_replacement;
 use ujam::ir::LoopNest;
-use ujam::kernels::{deep_kernel, kernel, kernels};
+use ujam::kernels::{kernels, named_nest};
 use ujam::machine::MachineModel;
 use ujam::metrics::{MetricsHandle, MetricsRegistry};
 use ujam::sim::{profile_nest_with_geometry, simulate, CacheGeometry};
@@ -1074,10 +1074,7 @@ fn lookup(name: Option<&String>) -> Result<LoopNest, String> {
             std::fs::read_to_string(name).map_err(|e| format!("cannot read {name:?}: {e}"))?;
         return ujam::fortran::parse(&src).map_err(|e| format!("{name}: {e}"));
     }
-    kernel(name)
-        .map(|k| k.nest())
-        .or_else(|| deep_kernel(name).map(|k| k.nest()))
-        .ok_or_else(|| format!("unknown kernel {name:?} (try `ujam list`)"))
+    named_nest(name).ok_or_else(|| format!("unknown kernel {name:?} (try `ujam list`)"))
 }
 
 /// How much trace output `ujam optimize` should render.
