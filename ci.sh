@@ -78,13 +78,13 @@ cargo run --release --offline --quiet --example validate_profile -- /tmp/ujam_pr
 # Serve smoke test: three NDJSON requests through the daemon's stdin — a
 # kernel request, its exact duplicate (must be cache-served with an
 # identical decision), and one malformed line (must get a structured
-# error reply, not a dropped connection).  --batch 1 keeps the duplicate
-# strictly after the original so the cache hit is deterministic.
+# error reply, not a dropped connection).  The stdin loop answers lines
+# in order, so the duplicate's cache hit is deterministic.
 printf '%s\n' \
   '{"id":"1","kernel":"dmxpy0"}' \
   '{"id":"2","kernel":"dmxpy0"}' \
   'this is not json' \
-  | ./target/release/ujam serve --workers 2 --batch 1 > /tmp/ujam_serve_replies.ndjson
+  | ./target/release/ujam serve --workers 2 > /tmp/ujam_serve_replies.ndjson
 cargo run --release --offline --quiet --example validate_serve -- /tmp/ujam_serve_replies.ndjson
 
 # Register-tile serve round-trip: the protocol's max_unroll_loops /
@@ -104,7 +104,7 @@ printf '%s\n' \
   '{"id":"cm1","kernel":"dmxpy0","cost_model":"analytic"}' \
   '{"id":"cm2","kernel":"dmxpy0","cost_model":"profiled"}' \
   '{"id":"cm3","kernel":"dmxpy0","cost_model":"exact"}' \
-  | ./target/release/ujam serve --workers 1 --batch 1 > /tmp/ujam_serve_cost.ndjson
+  | ./target/release/ujam serve --workers 1 > /tmp/ujam_serve_cost.ndjson
 [ "$(grep -c '"ok":true' /tmp/ujam_serve_cost.ndjson)" = 2 ]
 grep -q 'unknown cost_model' /tmp/ujam_serve_cost.ndjson
 
@@ -130,7 +130,7 @@ rm -f "$UJAM_SOCK"
 # with the versioned handshake), check the sharded-cache stats
 # round-trip, then shut the daemon down over its own protocol and wait
 # for a clean exit.
-./target/release/ujam serve --tcp 127.0.0.1:0 --workers 1 --batch 1 --shards 4 2> /tmp/ujam_tcp_serve.log &
+./target/release/ujam serve --tcp 127.0.0.1:0 --workers 1 --shards 4 2> /tmp/ujam_tcp_serve.log &
 UJAM_TCP_PID=$!
 UJAM_TCP_ADDR=""
 for _ in $(seq 1 100); do
@@ -161,7 +161,7 @@ wait "$UJAM_TCP_PID"
 # recent ring holds the workload, the anomaly ring retains the deadline
 # miss with a structured reason, the series windows carry derived rates
 # and request_ns exemplars whose trace ids resolve in the recorder.
-./target/release/ujam serve --tcp 127.0.0.1:0 --workers 1 --batch 1 --slow-ms 2000 \
+./target/release/ujam serve --tcp 127.0.0.1:0 --workers 1 --slow-ms 2000 \
   2> /tmp/ujam_flight_serve.log &
 UJAM_FLIGHT_PID=$!
 UJAM_FLIGHT_ADDR=""

@@ -198,7 +198,6 @@ fn tcp_arm(quick: bool) -> String {
     let server = Server::with_metrics(
         ServeConfig {
             workers: 4,
-            batch_max: 8,
             cache_capacity: 64,
             shards: 8,
             ..ServeConfig::default()
@@ -282,7 +281,6 @@ fn shed_arm() -> String {
     let server = Server::with_metrics(
         ServeConfig {
             workers: 1,
-            batch_max: 1,
             cache_capacity: 0,
             shards: 1,
             ..ServeConfig::default()

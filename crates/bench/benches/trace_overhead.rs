@@ -9,14 +9,14 @@
 //! 1. `bare` — the pass sequence invoked via `Pass::run` directly (no
 //!    `run_traced` wrapper, no sink anywhere),
 //! 2. `null-sink` — `optimize_with`, which routes through
-//!    `optimize_traced(.., NullSink)` with metrics disabled: every
+//!    `optimize_costed(.., NullSink, ..)` with metrics disabled: every
 //!    emission site is behind one `enabled()` check (2% gate),
-//! 3. `metrics` — `optimize_observed` with a null sink but an enabled
+//! 3. `metrics` — `optimize_costed` with a null sink but an enabled
 //!    `MetricsHandle`, recording `pass.*.ns` histograms (2% gate),
-//! 4. `cost-analytic` — `optimize_costed` with the default analytic
-//!    cost backend: the profiler plumbing exists but must never run,
-//!    so this arm stays within the same 2% gate,
-//! 5. `collect` — `optimize_traced` with a `CollectingSink`, to show
+//! 4. `cost-analytic` — `optimize_costed` called directly with the
+//!    default analytic cost backend: the profiler plumbing exists but
+//!    must never run, so this arm stays within the same 2% gate,
+//! 5. `collect` — `optimize_costed` with a `CollectingSink`, to show
 //!    what full tracing costs (informational).
 //!
 //! A second pair of arms gates the serving layer's request-lifecycle
@@ -34,14 +34,14 @@ use std::sync::Arc;
 use ujam_bench::timing::bench;
 use ujam_core::pipeline::{AnalysisCtx, ApplyTransform, Pass, SearchSpace, SelectLoops};
 use ujam_core::{
-    optimize_costed, optimize_observed, optimize_traced, optimize_with, BalanceModel, CancelToken,
-    CostModelKind, Optimized, SearchConfig,
+    optimize_costed, optimize_with, BalanceModel, CancelToken, CostModelKind, Optimized,
+    SearchConfig,
 };
 use ujam_kernels::kernel;
 use ujam_machine::MachineModel;
 use ujam_metrics::{MetricsHandle, MetricsRegistry};
 use ujam_serve::{ServeConfig, Server};
-use ujam_trace::CollectingSink;
+use ujam_trace::{CollectingSink, TraceSink};
 
 /// The pipeline exactly as `optimize_with` runs it, but through the
 /// plain `Pass::run` entry points — the no-tracing-plumbing baseline.
@@ -75,38 +75,32 @@ fn main() {
     let nest = kernel("dmxpy0").expect("known kernel").nest();
     let machine = MachineModel::dec_alpha();
 
-    // Sanity first: all three arms agree on the plan.
+    let costed = |sink: &dyn TraceSink, metrics: MetricsHandle| {
+        optimize_costed(
+            &nest,
+            &machine,
+            BalanceModel::CacheAware,
+            CostModelKind::Analytic,
+            sink,
+            CancelToken::never(),
+            metrics,
+            SearchConfig::default(),
+        )
+    };
+
+    // Sanity first: every arm agrees on the plan.
     let bare = optimize_bare(&nest, &machine).expect("valid kernel");
     let null = optimize_with(&nest, &machine, BalanceModel::CacheAware).expect("valid kernel");
     let sink = CollectingSink::new();
-    let collected =
-        optimize_traced(&nest, &machine, BalanceModel::CacheAware, &sink).expect("valid kernel");
+    let collected = costed(&sink, MetricsHandle::disabled()).expect("valid kernel");
     let registry = Arc::new(MetricsRegistry::new());
     let handle = MetricsHandle::new(Arc::clone(&registry));
-    let metered = optimize_observed(
-        &nest,
-        &machine,
-        BalanceModel::CacheAware,
-        ujam_trace::null_sink(),
-        CancelToken::never(),
-        handle.clone(),
-    )
-    .expect("valid kernel");
-    let costed = optimize_costed(
-        &nest,
-        &machine,
-        BalanceModel::CacheAware,
-        CostModelKind::Analytic,
-        ujam_trace::null_sink(),
-        CancelToken::never(),
-        MetricsHandle::disabled(),
-        SearchConfig::default(),
-    )
-    .expect("valid kernel");
+    let metered = costed(ujam_trace::null_sink(), handle.clone()).expect("valid kernel");
+    let plain = costed(ujam_trace::null_sink(), MetricsHandle::disabled()).expect("valid kernel");
     assert_eq!(bare.unroll, null.unroll);
     assert_eq!(bare.unroll, collected.unroll);
     assert_eq!(bare.unroll, metered.unroll);
-    assert_eq!(bare.unroll, costed.unroll);
+    assert_eq!(bare.unroll, plain.unroll);
     assert!(!sink.take().records.is_empty(), "collector saw the run");
     assert!(
         registry
@@ -148,26 +142,10 @@ fn main() {
             optimize_with(&nest, &machine, BalanceModel::CacheAware)
         });
         let metered = bench("optimize/metrics/dmxpy0", || {
-            optimize_observed(
-                &nest,
-                &machine,
-                BalanceModel::CacheAware,
-                ujam_trace::null_sink(),
-                CancelToken::never(),
-                handle.clone(),
-            )
+            costed(ujam_trace::null_sink(), handle.clone())
         });
-        let costed = bench("optimize/cost-analytic/dmxpy0", || {
-            optimize_costed(
-                &nest,
-                &machine,
-                BalanceModel::CacheAware,
-                CostModelKind::Analytic,
-                ujam_trace::null_sink(),
-                CancelToken::never(),
-                MetricsHandle::disabled(),
-                SearchConfig::default(),
-            )
+        let analytic = bench("optimize/cost-analytic/dmxpy0", || {
+            costed(ujam_trace::null_sink(), MetricsHandle::disabled())
         });
         let serve_base = bench("serve/untimed/dmxpy0", || untimed_server.handle_line(line));
         let serve_timed = bench("serve/lifecycle/dmxpy0", || {
@@ -179,13 +157,13 @@ fn main() {
         });
         best_null = best_null.min(nulled.min_ns / base.min_ns);
         best_metered = best_metered.min(metered.min_ns / base.min_ns);
-        best_costed = best_costed.min(costed.min_ns / base.min_ns);
+        best_costed = best_costed.min(analytic.min_ns / base.min_ns);
         best_lifecycle = best_lifecycle.min(serve_timed.min_ns / serve_base.min_ns);
         println!(
             "attempt {attempt}: null-sink / bare = {:.4}, metrics / bare = {:.4}, cost-analytic / bare = {:.4}, lifecycle / untimed = {:.4} (gate {:.2})",
             nulled.min_ns / base.min_ns,
             metered.min_ns / base.min_ns,
-            costed.min_ns / base.min_ns,
+            analytic.min_ns / base.min_ns,
             serve_timed.min_ns / serve_base.min_ns,
             1.0 + MAX_OVERHEAD
         );
@@ -199,8 +177,7 @@ fn main() {
     }
     // Informational: what a fully collecting sink costs on the same path.
     bench("optimize/collecting-sink/dmxpy0", || {
-        let sink = CollectingSink::new();
-        optimize_traced(&nest, &machine, BalanceModel::CacheAware, &sink)
+        costed(&CollectingSink::new(), MetricsHandle::disabled())
     });
     assert!(
         best_null <= 1.0 + MAX_OVERHEAD,

@@ -1,6 +1,6 @@
 //! Figures 8 & 9: normalized execution time of the 19 test loops.
 
-use ujam_core::{optimize_batch_with, BalanceModel};
+use ujam_core::{optimize_batch_traced_with_workers, BalanceModel};
 use ujam_kernels::kernels;
 use ujam_machine::MachineModel;
 use ujam_sim::simulate;
@@ -46,8 +46,12 @@ pub fn figure(machine: &MachineModel) -> Vec<FigureRow> {
     let nests: Vec<_> = ks.iter().map(|k| k.nest()).collect();
     // Both experimental arms go through the batch driver: one pipeline
     // context per nest, fanned out across scoped threads.
-    let no_cache_plans = optimize_batch_with(&nests, machine, BalanceModel::AllHits);
-    let cache_plans = optimize_batch_with(&nests, machine, BalanceModel::CacheAware);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let batch = |model| {
+        optimize_batch_traced_with_workers(&nests, machine, model, workers, ujam_trace::null_sink())
+    };
+    let no_cache_plans = batch(BalanceModel::AllHits);
+    let cache_plans = batch(BalanceModel::CacheAware);
     ks.iter()
         .zip(&nests)
         .zip(no_cache_plans)

@@ -56,20 +56,7 @@ pub fn optimize_brute(
     machine: &MachineModel,
     space: &UnrollSpace,
 ) -> Result<Optimized, OptimizeError> {
-    optimize_brute_traced(nest, machine, space, ujam_trace::null_sink())
-}
-
-/// [`optimize_brute`] with a trace sink: the brute-force search emits
-/// the same span/counter/explain records as the table-driven pipeline,
-/// so the two methods' decisions can be audited candidate by candidate
-/// (the §5.3 comparison, per vector).
-pub fn optimize_brute_traced(
-    nest: &LoopNest,
-    machine: &MachineModel,
-    space: &UnrollSpace,
-    sink: &dyn ujam_trace::TraceSink,
-) -> Result<Optimized, OptimizeError> {
-    let mut ctx = AnalysisCtx::with_sink(nest, machine, sink)?;
+    let mut ctx = AnalysisCtx::new(nest, machine)?;
     let found = BruteSearch {
         space: space.clone(),
         code_budget: None,

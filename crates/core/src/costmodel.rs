@@ -4,10 +4,10 @@
 //! iteration *analytically*, from the uniformly generated sets.  The
 //! reuse-distance profiler (`ujam_sim::profile_nest`) *measures* the
 //! same quantity by running the candidate under the interpreter's
-//! memory tap.  A [`CostModel`] abstracts over the two (plus a blend),
-//! so the search can be driven by the model, by measurement, or by
-//! their average — and the divergence between them becomes a reported,
-//! first-class quantity instead of an assumption.
+//! memory tap.  A [`CostModel`] abstracts over the two, so the search
+//! can be driven by the model or by measurement — and the divergence
+//! between them becomes a reported, first-class quantity instead of an
+//! assumption.
 //!
 //! The backend only replaces the `cache_lines` input of the balance
 //! computation; flops, memory ops and registers always come from the
@@ -24,10 +24,10 @@ use ujam_sim::profile_nest;
 /// Which cache-cost backend scores candidates during the search.
 ///
 /// [`CostModelKind::Analytic`] is the default everywhere and leaves the
-/// search bitwise-identical to the classic pipeline; the other two run
-/// the reuse-distance profiler per candidate and are materially slower
-/// (full interpretation of the nest) — intended for offline studies,
-/// not the serving hot path.
+/// search bitwise-identical to the classic pipeline;
+/// [`CostModelKind::Profiled`] runs the reuse-distance profiler per
+/// candidate and is materially slower (full interpretation of the nest)
+/// — intended for offline studies, not the serving hot path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CostModelKind {
     /// The paper's Eq. 1 line counts from the precomputed tables.
@@ -36,19 +36,14 @@ pub enum CostModelKind {
     /// Measured set-associative misses per iteration from the
     /// reuse-distance profiler.
     Profiled,
-    /// The arithmetic mean of the two — a hedge when neither is
-    /// trusted alone.
-    Blended,
 }
 
 impl CostModelKind {
-    /// Parses the wire/CLI spelling (`analytic`, `profiled`,
-    /// `blended`).
+    /// Parses the wire/CLI spelling (`analytic`, `profiled`).
     pub fn parse(s: &str) -> Option<CostModelKind> {
         match s {
             "analytic" => Some(CostModelKind::Analytic),
             "profiled" => Some(CostModelKind::Profiled),
-            "blended" => Some(CostModelKind::Blended),
             _ => None,
         }
     }
@@ -58,7 +53,6 @@ impl CostModelKind {
         match self {
             CostModelKind::Analytic => "analytic",
             CostModelKind::Profiled => "profiled",
-            CostModelKind::Blended => "blended",
         }
     }
 
@@ -83,7 +77,6 @@ impl CostModelKind {
         match self {
             CostModelKind::Analytic => Box::new(Analytic),
             CostModelKind::Profiled => Box::new(Profiled::new(nest, machine, candidates)),
-            CostModelKind::Blended => Box::new(Blended(Profiled::new(nest, machine, candidates))),
         }
     }
 }
@@ -264,32 +257,6 @@ impl CostModel for Profiled {
     }
 }
 
-/// The mean of [`Profiled`] and the analytic prediction.
-struct Blended(Profiled);
-
-impl CostModel for Blended {
-    fn name(&self) -> &'static str {
-        "blended"
-    }
-
-    fn lines_per_iter(&mut self, full_u: &[u32], analytic_lines: f64) -> f64 {
-        0.5 * self.0.measure(full_u, analytic_lines) + 0.5 * analytic_lines
-    }
-
-    fn lines_per_iter_flat(
-        &mut self,
-        flat: usize,
-        full_u: &mut dyn FnMut() -> Vec<u32>,
-        analytic_lines: f64,
-    ) -> f64 {
-        0.5 * self.0.measure_flat(flat, full_u, analytic_lines) + 0.5 * analytic_lines
-    }
-
-    fn stats(&self) -> CostModelStats {
-        self.0.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,11 +274,7 @@ mod tests {
 
     #[test]
     fn kind_round_trips_through_parse() {
-        for kind in [
-            CostModelKind::Analytic,
-            CostModelKind::Profiled,
-            CostModelKind::Blended,
-        ] {
+        for kind in [CostModelKind::Analytic, CostModelKind::Profiled] {
             assert_eq!(CostModelKind::parse(kind.as_str()), Some(kind));
         }
         assert_eq!(CostModelKind::parse("exact"), None);
@@ -345,16 +308,5 @@ mod tests {
         assert_eq!(again, lines);
         assert_eq!(b.stats().profiles, 1);
         assert!(b.stats().accesses > 0);
-    }
-
-    #[test]
-    fn blended_backend_averages() {
-        let nest = stream();
-        let machine = MachineModel::dec_alpha();
-        let mut p = CostModelKind::Profiled.backend(&nest, &machine);
-        let mut b = CostModelKind::Blended.backend(&nest, &machine);
-        let measured = p.lines_per_iter(&[0, 0], 1.0);
-        let blended = b.lines_per_iter(&[0, 0], 1.0);
-        assert!((blended - 0.5 * (measured + 1.0)).abs() < 1e-12);
     }
 }

@@ -132,146 +132,18 @@ pub fn optimize_with(
     machine: &MachineModel,
     model: BalanceModel,
 ) -> Result<Optimized, OptimizeError> {
-    optimize_traced(nest, machine, model, ujam_trace::null_sink())
-}
-
-/// [`optimize_with`] with a trace sink: every pipeline pass emits a
-/// wall-time span, the analysis context streams cache hit/miss
-/// counters, and the search stage records per-candidate decision
-/// provenance ([`ujam_trace::ExplainRecord`]).
-///
-/// Tracing observes the pipeline without steering it: the returned plan
-/// is identical to [`optimize_with`]'s no matter which sink is passed
-/// (with [`ujam_trace::NullSink`] the two are literally the same call).
-///
-/// # Example
-///
-/// ```
-/// use ujam_core::{optimize_traced, BalanceModel};
-/// use ujam_ir::NestBuilder;
-/// use ujam_machine::MachineModel;
-/// use ujam_trace::{CollectingSink, Verdict};
-/// let nest = NestBuilder::new("intro")
-///     .array("A", &[242]).array("B", &[242])
-///     .loop_("J", 1, 240).loop_("I", 1, 240)
-///     .stmt("A(J) = A(J) + B(I)")
-///     .build();
-/// let sink = CollectingSink::new();
-/// let plan = optimize_traced(&nest, &MachineModel::dec_alpha(),
-///                            BalanceModel::CacheAware, &sink).expect("valid");
-/// let trace = sink.take();
-/// let winner = trace.explains().find(|e| e.verdict == Verdict::Won).expect("one wins");
-/// assert_eq!(winner.u, plan.unroll);
-/// assert!(trace.spans().any(|(_, pass, _)| pass == "search-space"));
-/// ```
-pub fn optimize_traced(
-    nest: &LoopNest,
-    machine: &MachineModel,
-    model: BalanceModel,
-    sink: &dyn TraceSink,
-) -> Result<Optimized, OptimizeError> {
-    optimize_cancellable(nest, machine, model, sink, CancelToken::never())
-}
-
-/// [`optimize_traced`] under a cooperative [`CancelToken`]: every pass
-/// checks the token at entry and the search stages poll it at candidate
-/// granularity, so a fired token (an explicit [`CancelToken::cancel`] or
-/// an elapsed deadline) surfaces as
-/// [`OptimizeError::DeadlineExceeded`] within a bounded amount of extra
-/// work.  With [`CancelToken::never`] this is exactly
-/// [`optimize_traced`].
-///
-/// Cancellation never yields a partial plan: the result is either the
-/// same `Optimized` an uncancelled run would return, or the structured
-/// error — which is what lets a serving layer cache every `Ok` without
-/// poisoning.
-///
-/// # Example
-///
-/// ```
-/// use std::time::Duration;
-/// use ujam_core::{optimize_cancellable, CancelToken, BalanceModel, OptimizeError};
-/// use ujam_ir::NestBuilder;
-/// use ujam_machine::MachineModel;
-/// let nest = NestBuilder::new("intro")
-///     .array("A", &[242]).array("B", &[242])
-///     .loop_("J", 1, 240).loop_("I", 1, 240)
-///     .stmt("A(J) = A(J) + B(I)")
-///     .build();
-/// let expired = CancelToken::with_deadline(Duration::ZERO);
-/// let err = optimize_cancellable(&nest, &MachineModel::dec_alpha(),
-///                                BalanceModel::CacheAware, ujam_trace::null_sink(), expired);
-/// assert_eq!(err.unwrap_err(), OptimizeError::DeadlineExceeded);
-/// ```
-pub fn optimize_cancellable(
-    nest: &LoopNest,
-    machine: &MachineModel,
-    model: BalanceModel,
-    sink: &dyn TraceSink,
-    cancel: CancelToken,
-) -> Result<Optimized, OptimizeError> {
-    optimize_observed(
-        nest,
-        machine,
-        model,
-        sink,
-        cancel,
-        MetricsHandle::disabled(),
-    )
-}
-
-/// [`optimize_cancellable`] with a [`MetricsHandle`]: every pipeline
-/// pass additionally records its wall time into a `pass.<name>.ns`
-/// histogram in the handle's registry.  Like tracing, metrics observe
-/// the pipeline without steering it — the returned plan is identical no
-/// matter which handle is passed, and with [`MetricsHandle::disabled`]
-/// this is exactly [`optimize_cancellable`].
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use ujam_core::{optimize_observed, CancelToken, BalanceModel};
-/// use ujam_ir::NestBuilder;
-/// use ujam_machine::MachineModel;
-/// use ujam_metrics::{MetricsHandle, MetricsRegistry};
-/// let nest = NestBuilder::new("intro")
-///     .array("A", &[242]).array("B", &[242])
-///     .loop_("J", 1, 240).loop_("I", 1, 240)
-///     .stmt("A(J) = A(J) + B(I)")
-///     .build();
-/// let registry = Arc::new(MetricsRegistry::new());
-/// optimize_observed(&nest, &MachineModel::dec_alpha(), BalanceModel::CacheAware,
-///                   ujam_trace::null_sink(), CancelToken::never(),
-///                   MetricsHandle::new(Arc::clone(&registry))).expect("valid");
-/// let snap = registry.snapshot();
-/// assert_eq!(snap.histogram("pass.select-loops.ns").unwrap().count, 1);
-/// assert_eq!(snap.histogram("pass.search-space.ns").unwrap().count, 1);
-/// ```
-pub fn optimize_observed(
-    nest: &LoopNest,
-    machine: &MachineModel,
-    model: BalanceModel,
-    sink: &dyn TraceSink,
-    cancel: CancelToken,
-    metrics: MetricsHandle,
-) -> Result<Optimized, OptimizeError> {
     optimize_configured(
         nest,
         machine,
         model,
-        sink,
-        cancel,
-        metrics,
+        ujam_trace::null_sink(),
+        CancelToken::never(),
+        MetricsHandle::disabled(),
         SearchConfig::default(),
     )
 }
 
-/// The root of the wrapper chain: [`optimize_observed`] with explicit
-/// register-tiling knobs.  `config.max_unroll_loops` parameterizes the
-/// loop-selection stage and `config.code_budget` adds the code-size
-/// constraint to the search; with [`SearchConfig::default`] this is
-/// exactly [`optimize_observed`].
+/// [`optimize_costed`] with the analytic cache-cost backend.
 ///
 /// # Example
 ///
@@ -292,7 +164,6 @@ pub fn optimize_observed(
 ///                                config).expect("valid");
 /// assert!(plan.nest.body().len() <= 64, "the code budget binds");
 /// ```
-#[allow(clippy::too_many_arguments)]
 pub fn optimize_configured(
     nest: &LoopNest,
     machine: &MachineModel,
@@ -314,32 +185,65 @@ pub fn optimize_configured(
     )
 }
 
-/// The root of the wrapper chain: [`optimize_configured`] with an
-/// explicit cache-cost backend.  [`CostModelKind::Analytic`] reproduces
-/// the classic pipeline bitwise; [`CostModelKind::Profiled`] and
-/// [`CostModelKind::Blended`] score every candidate's cache lines by
-/// reuse-distance-profiling the materialized candidate under the IR
-/// interpreter (see `ujam_sim::profile_nest`) — exact, but materially
-/// slower.
+/// The optimizer's one full front door: every other `optimize*`
+/// function is a shortcut for a call to this one.
+///
+/// * `cost` picks the cache-cost backend: [`CostModelKind::Analytic`]
+///   reproduces the classic pipeline bitwise; [`CostModelKind::Profiled`]
+///   scores every candidate's cache lines by reuse-distance-profiling
+///   the materialized candidate under the IR interpreter (see
+///   `ujam_sim::profile_nest`) — exact, but materially slower.
+/// * `sink` receives a wall-time span per pass, the analysis context's
+///   cache hit/miss counters, and per-candidate decision provenance
+///   ([`ujam_trace::ExplainRecord`]).
+/// * `cancel` is polled at every pass entry and per candidate, so a
+///   fired token (an explicit [`CancelToken::cancel`] or an elapsed
+///   deadline) surfaces as [`OptimizeError::DeadlineExceeded`] within a
+///   bounded amount of extra work — never as a partial plan, which is
+///   what lets a serving layer cache every `Ok` without poisoning.
+/// * `metrics` gets a `pass.<name>.ns` histogram per pass.
+/// * `config` caps how many loops the unroll vector spans and how large
+///   the unrolled body may grow.
+///
+/// Tracing and metrics observe the pipeline without steering it: the
+/// plan is identical whichever sink and handle are passed.
 ///
 /// # Example
 ///
 /// ```
-/// use ujam_core::{optimize_costed, BalanceModel, CancelToken, CostModelKind, SearchConfig};
+/// use std::sync::Arc;
+/// use std::time::Duration;
+/// use ujam_core::{
+///     optimize_costed, BalanceModel, CancelToken, CostModelKind, OptimizeError, SearchConfig,
+/// };
 /// use ujam_ir::NestBuilder;
 /// use ujam_machine::MachineModel;
-/// use ujam_metrics::MetricsHandle;
+/// use ujam_metrics::{MetricsHandle, MetricsRegistry};
+/// use ujam_trace::{CollectingSink, Verdict};
 /// let nest = NestBuilder::new("intro")
-///     .array("A", &[50]).array("B", &[50])
-///     .loop_("J", 1, 48).loop_("I", 1, 48)
+///     .array("A", &[242]).array("B", &[242])
+///     .loop_("J", 1, 240).loop_("I", 1, 240)
 ///     .stmt("A(J) = A(J) + B(I)")
 ///     .build();
-/// let plan = optimize_costed(&nest, &MachineModel::dec_alpha(),
-///                            BalanceModel::CacheAware, CostModelKind::Profiled,
-///                            ujam_trace::null_sink(), CancelToken::never(),
-///                            MetricsHandle::disabled(),
+/// let (machine, model) = (MachineModel::dec_alpha(), BalanceModel::CacheAware);
+/// let sink = CollectingSink::new();
+/// let registry = Arc::new(MetricsRegistry::new());
+/// let plan = optimize_costed(&nest, &machine, model, CostModelKind::Analytic, &sink,
+///                            CancelToken::never(), MetricsHandle::new(Arc::clone(&registry)),
 ///                            SearchConfig::default()).expect("valid");
-/// assert_eq!(plan.unroll.len(), 2);
+/// let trace = sink.take();
+/// let winner = trace.explains().find(|e| e.verdict == Verdict::Won).expect("one wins");
+/// assert_eq!(winner.u, plan.unroll);
+/// assert!(trace.spans().any(|(_, pass, _)| pass == "search-space"));
+/// let snap = registry.snapshot();
+/// assert_eq!(snap.histogram("pass.select-loops.ns").unwrap().count, 1);
+/// assert_eq!(snap.histogram("pass.search-space.ns").unwrap().count, 1);
+///
+/// let expired = CancelToken::with_deadline(Duration::ZERO);
+/// let err = optimize_costed(&nest, &machine, model, CostModelKind::Analytic,
+///                           ujam_trace::null_sink(), expired, MetricsHandle::disabled(),
+///                           SearchConfig::default());
+/// assert_eq!(err.unwrap_err(), OptimizeError::DeadlineExceeded);
 /// ```
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_costed(
@@ -369,18 +273,14 @@ pub fn optimize_in_space(
     machine: &MachineModel,
     space: &UnrollSpace,
 ) -> Result<Optimized, OptimizeError> {
-    optimize_in_space_with(nest, machine, space, BalanceModel::CacheAware)
-}
-
-/// [`optimize_in_space`] with an explicit cost model.
-pub fn optimize_in_space_with(
-    nest: &LoopNest,
-    machine: &MachineModel,
-    space: &UnrollSpace,
-    model: BalanceModel,
-) -> Result<Optimized, OptimizeError> {
     let mut ctx = AnalysisCtx::new(nest, machine)?;
-    finish(&mut ctx, space, model, CostModelKind::Analytic, None)
+    finish(
+        &mut ctx,
+        space,
+        BalanceModel::CacheAware,
+        CostModelKind::Analytic,
+        None,
+    )
 }
 
 /// Runs the tail of the standard pipeline — `BuildTables` (inside

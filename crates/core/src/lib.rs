@@ -35,16 +35,16 @@
 //!             locality scores, CostTables — each built ≤ once)
 //! ```
 //!
-//! [`optimize`] and friends are thin wrappers over that sequence and
-//! return `Result` — malformed nests yield a
-//! [`pipeline::OptimizeError`], never a panic.  [`optimize_batch`] fans
-//! a slice of nests out across scoped threads, one context per nest.
-//!
-//! Every entry point has a `*_traced` variant taking a
-//! [`ujam_trace::TraceSink`] that records per-pass timing spans, cache
-//! hit/miss counters, and per-candidate decision provenance (why each
-//! unroll vector won, was pruned, or was dominated) without changing
-//! the optimization result.
+//! [`optimize_costed`] runs that sequence and returns `Result` —
+//! malformed nests yield a [`pipeline::OptimizeError`], never a panic.
+//! It takes the cost backend, a cancel token, the search knobs, and a
+//! [`ujam_trace::TraceSink`] plus metrics handle that record per-pass
+//! timing spans, cache hit/miss counters, and per-candidate decision
+//! provenance (why each unroll vector won, was pruned, or was
+//! dominated) without changing the optimization result.  [`optimize`]
+//! and the other `optimize*` functions are shortcuts for it, and
+//! [`optimize_batch`] fans a slice of nests out across scoped threads,
+//! one context per nest.
 //!
 //! # Example
 //!
@@ -102,13 +102,11 @@ pub mod tables;
 pub use balance::{loop_balance, BalanceInputs};
 pub use costmodel::{CostModel, CostModelKind, CostModelStats};
 pub use driver::{
-    optimize, optimize_cancellable, optimize_configured, optimize_costed, optimize_in_space,
-    optimize_in_space_with, optimize_observed, optimize_traced, optimize_with, BalanceModel,
+    optimize, optimize_configured, optimize_costed, optimize_in_space, optimize_with, BalanceModel,
     Optimized, Prediction, SearchConfig,
 };
 pub use pipeline::{
-    optimize_batch, optimize_batch_traced, optimize_batch_traced_with_workers, optimize_batch_with,
-    optimize_batch_with_workers, parallel_map_indexed, search_tables, AnalysisCtx, CancelToken,
+    optimize_batch, optimize_batch_traced_with_workers, search_tables, AnalysisCtx, CancelToken,
     CtxStats, CtxTimings, OptimizeError,
 };
 pub use space::{OffsetIter, Table, UnrollSpace};

@@ -5,10 +5,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use crate::driver::{optimize_traced, optimize_with, BalanceModel, Optimized};
-use crate::pipeline::OptimizeError;
+use crate::costmodel::CostModelKind;
+use crate::driver::{optimize_costed, BalanceModel, Optimized, SearchConfig};
+use crate::pipeline::{CancelToken, OptimizeError};
 use ujam_ir::LoopNest;
 use ujam_machine::MachineModel;
+use ujam_metrics::MetricsHandle;
 use ujam_trace::{CollectingSink, TraceSink};
 
 /// Optimizes every nest of a batch, returning one result per input in
@@ -43,58 +45,30 @@ pub fn optimize_batch(
     nests: &[LoopNest],
     machine: &MachineModel,
 ) -> Vec<Result<Optimized, OptimizeError>> {
-    optimize_batch_with(nests, machine, BalanceModel::CacheAware)
-}
-
-/// [`optimize_batch`] with an explicit cost model.
-pub fn optimize_batch_with(
-    nests: &[LoopNest],
-    machine: &MachineModel,
-    model: BalanceModel,
-) -> Vec<Result<Optimized, OptimizeError>> {
     let workers = thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    optimize_batch_with_workers(nests, machine, model, workers)
+    optimize_batch_traced_with_workers(
+        nests,
+        machine,
+        BalanceModel::CacheAware,
+        workers,
+        ujam_trace::null_sink(),
+    )
 }
 
-/// [`optimize_batch_with`] with an explicit worker count (clamped to
-/// `1..=nests.len()`).  A worker count of 1 runs inline without
-/// spawning.
-pub fn optimize_batch_with_workers(
-    nests: &[LoopNest],
-    machine: &MachineModel,
-    model: BalanceModel,
-    workers: usize,
-) -> Vec<Result<Optimized, OptimizeError>> {
-    optimize_batch_traced_with_workers(nests, machine, model, workers, ujam_trace::null_sink())
-}
-
-/// [`optimize_batch`] with a trace sink and the default worker count.
-///
-/// See [`optimize_batch_traced_with_workers`] for the trace-ordering
-/// guarantee.
-pub fn optimize_batch_traced(
-    nests: &[LoopNest],
-    machine: &MachineModel,
-    model: BalanceModel,
-    sink: &dyn TraceSink,
-) -> Vec<Result<Optimized, OptimizeError>> {
-    let workers = thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    optimize_batch_traced_with_workers(nests, machine, model, workers, sink)
-}
-
-/// [`optimize_batch_with_workers`] with a trace sink.
+/// [`optimize_batch`] with an explicit balance model, worker count
+/// (clamped to `1..=nests.len()`; 1 runs inline without spawning) and
+/// trace sink.  Each nest runs [`optimize_costed`] with the analytic
+/// backend and the default [`SearchConfig`].
 ///
 /// Each nest's pipeline records into a private buffer; after every nest
 /// completes, the buffers are forwarded to `sink` **in input order**.
 /// The aggregate trace is therefore deterministic — identical to
-/// running [`optimize_traced`] on each nest sequentially (modulo span
-/// wall-times; compare with `Trace::without_timing`) no matter how the
-/// scheduler interleaved the workers — and the optimization results
-/// stay bitwise-identical to the untraced batch.
+/// tracing each nest sequentially (modulo span wall-times; compare with
+/// `Trace::without_timing`) no matter how the scheduler interleaved the
+/// workers — and the optimization results stay bitwise-identical to
+/// the untraced batch.
 pub fn optimize_batch_traced_with_workers(
     nests: &[LoopNest],
     machine: &MachineModel,
@@ -107,16 +81,26 @@ pub fn optimize_batch_traced_with_workers(
     }
     // One private collector per nest keeps the merged trace independent
     // of worker scheduling.  With tracing disabled the collectors stay
-    // untouched: each pipeline runs against the NullSink-equivalent
-    // fast path and the forwarding loop below sends nothing.
+    // untouched: each pipeline runs against the null sink and the
+    // forwarding loop below sends nothing.
     let tracing = sink.enabled();
     let collectors: Vec<CollectingSink> = (0..nests.len()).map(|_| CollectingSink::new()).collect();
     let results = parallel_map_indexed(nests.len(), workers, |i| {
-        if tracing {
-            optimize_traced(&nests[i], machine, model, &collectors[i])
+        let nest_sink: &dyn TraceSink = if tracing {
+            &collectors[i]
         } else {
-            optimize_with(&nests[i], machine, model)
-        }
+            ujam_trace::null_sink()
+        };
+        optimize_costed(
+            &nests[i],
+            machine,
+            model,
+            CostModelKind::Analytic,
+            nest_sink,
+            CancelToken::never(),
+            MetricsHandle::disabled(),
+            SearchConfig::default(),
+        )
     });
 
     if tracing {
@@ -136,9 +120,7 @@ pub fn optimize_batch_traced_with_workers(
 /// evaluated, never the contents of the returned vector — which is what
 /// lets both the batch driver above and the parallel
 /// [`crate::pipeline::BruteSearch`] keep bitwise-deterministic results.
-/// Exposed publicly so higher layers (e.g. a serving front end) can fan
-/// independent requests across the same deterministic worker pool.
-pub fn parallel_map_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
+pub(crate) fn parallel_map_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -180,6 +162,15 @@ mod tests {
     use super::*;
     use ujam_ir::NestBuilder;
 
+    fn batch_with_workers(
+        nests: &[LoopNest],
+        machine: &MachineModel,
+        workers: usize,
+    ) -> Vec<Result<Optimized, OptimizeError>> {
+        let null = ujam_trace::null_sink();
+        optimize_batch_traced_with_workers(nests, machine, BalanceModel::CacheAware, workers, null)
+    }
+
     fn stencil(k: usize) -> LoopNest {
         NestBuilder::new(&format!("st{k}"))
             .array("A", &[52, 52])
@@ -196,11 +187,10 @@ mod tests {
         let machine = MachineModel::dec_alpha();
         let sequential: Vec<_> = nests
             .iter()
-            .map(|n| optimize_with(n, &machine, BalanceModel::CacheAware).expect("valid"))
+            .map(|n| crate::optimize(n, &machine).expect("valid"))
             .collect();
         for workers in [1, 2, 4, 16] {
-            let batch =
-                optimize_batch_with_workers(&nests, &machine, BalanceModel::CacheAware, workers);
+            let batch = batch_with_workers(&nests, &machine, workers);
             assert_eq!(batch.len(), nests.len());
             for (b, s) in batch.iter().zip(&sequential) {
                 let b = b.as_ref().expect("valid nest");
@@ -230,7 +220,7 @@ mod tests {
         let good = stencil(0);
         let bad = crate::pipeline::ctx::bad_nest();
         let machine = MachineModel::dec_alpha();
-        let out = optimize_batch_with_workers(&[good, bad], &machine, BalanceModel::CacheAware, 2);
+        let out = batch_with_workers(&[good, bad], &machine, 2);
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(OptimizeError::InvalidNest(_))));
     }

@@ -27,17 +27,17 @@
 //! Each stage is a small struct implementing [`Pass`], so stages are
 //! independently testable and swappable — [`BruteSearch`] is a drop-in
 //! replacement for [`SearchSpace`] that materialises every candidate
-//! body instead of querying tables (the §5.3 comparison).  The public
-//! `optimize*` functions in [`crate::driver`] are thin wrappers that run
-//! the standard sequence; [`optimize_batch`] fans a slice of nests out
-//! across `std::thread::scope` workers, one context per nest.
+//! body instead of querying tables (the §5.3 comparison).
+//! [`crate::optimize_costed`] runs the standard sequence;
+//! [`optimize_batch`] fans a slice of nests out across
+//! `std::thread::scope` workers, one context per nest.
 //!
 //! Failures surface as [`OptimizeError`] instead of panics: malformed
 //! nests, depth-mismatched spaces, and untransformable winners all
 //! return `Err` from every public entry point.
 //!
-//! Every stage is observable through a [`ujam_trace::TraceSink`]: the
-//! `*_traced` entry points record per-pass wall-time spans, cache
+//! Every stage is observable through a [`ujam_trace::TraceSink`]: a
+//! traced run records per-pass wall-time spans, cache
 //! hit/miss counters (mirroring [`CtxStats`]), and per-candidate
 //! explain records that justify the chosen unroll vector.  With the
 //! default [`ujam_trace::NullSink`] every emission site is guarded by a
@@ -49,10 +49,7 @@ mod cancel;
 mod ctx;
 mod pass;
 
-pub use batch::{
-    optimize_batch, optimize_batch_traced, optimize_batch_traced_with_workers, optimize_batch_with,
-    optimize_batch_with_workers, parallel_map_indexed,
-};
+pub use batch::{optimize_batch, optimize_batch_traced_with_workers};
 pub use cancel::CancelToken;
 pub use ctx::{AnalysisCtx, CtxStats, CtxTimings};
 pub use pass::{

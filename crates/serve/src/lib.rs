@@ -1,4 +1,4 @@
-//! `ujam-serve` — a batched, deadline-aware optimization service over
+//! `ujam-serve` — a cached, deadline-aware optimization service over
 //! the `ujam-core` pipeline.
 //!
 //! The optimizer is fast, but real users ask for the same decisions over
@@ -11,10 +11,8 @@
 //!   nest's canonical text plus the machine and cost model, so identical
 //!   problems share one entry no matter how they were submitted; LRU
 //!   eviction, hit/miss/evict counters through `ujam-trace`;
-//! * **micro-batching worker pool** ([`Server::run`]) — pipelined
-//!   requests are drained into batches and fanned across the same
-//!   deterministic `parallel_map_indexed` pool the batch optimizer
-//!   uses, replies always in request order;
+//! * **a sequential stdin loop** ([`Server::run`]) — one line in, one
+//!   reply out, in request order;
 //! * **per-request deadlines** — `deadline_ms` arms a
 //!   [`CancelToken`](ujam_core::CancelToken) that the search passes poll
 //!   at candidate granularity; an elapsed deadline answers with a
@@ -31,7 +29,8 @@
 //!   listeners multiplexed by one `poll(2)` thread over nonblocking
 //!   sockets with incremental NDJSON framing ([`frame`]), cache hits
 //!   answered on the reactor thread itself and only misses handed to
-//!   a fixed worker pool through a bounded queue, an N-way
+//!   a fixed worker pool through a bounded queue — the daemon's only
+//!   parallel path — an N-way
 //!   content-hash-sharded decision cache ([`shard`]), and admission
 //!   control (load-shedding `overloaded` replies, per-connection
 //!   in-flight and unflushed-output caps, idle/slow-loris read
@@ -43,10 +42,9 @@
 //! ```
 //! use ujam_serve::{ServeConfig, Server};
 //!
-//! // One worker: a batch's lines are then answered in order, so the
-//! // duplicate deterministically finds the first reply in the cache.
-//! let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
-//! let server = Server::new(cfg, ujam_trace::null_sink());
+//! // Lines are answered in order, so the duplicate finds the first
+//! // reply in the cache.
+//! let server = Server::new(ServeConfig::default(), ujam_trace::null_sink());
 //! let mut out = Vec::new();
 //! let requests = "{\"id\":\"1\",\"kernel\":\"dmxpy1\"}\n{\"id\":\"2\",\"kernel\":\"dmxpy1\"}\n";
 //! server.run(std::io::Cursor::new(requests), &mut out).unwrap();

@@ -69,7 +69,7 @@ pub struct Request {
     /// Balance model (default cache-aware).
     pub model: BalanceModel,
     /// Cache-cost backend for the search (default analytic; `profiled`
-    /// and `blended` run the reuse-distance profiler per candidate).
+    /// runs the reuse-distance profiler per candidate).
     pub cost_model: CostModelKind,
     /// Optional deadline in milliseconds; `Some(0)` is already expired.
     pub deadline_ms: Option<u64>,
@@ -766,7 +766,6 @@ mod tests {
         for (wire, want) in [
             ("analytic", CostModelKind::Analytic),
             ("profiled", CostModelKind::Profiled),
-            ("blended", CostModelKind::Blended),
         ] {
             let r = Request::parse(&format!(
                 r#"{{"id":"a","kernel":"mmjki","cost_model":"{wire}"}}"#
@@ -776,6 +775,7 @@ mod tests {
         }
         for line in [
             r#"{"id":"x","kernel":"a","cost_model":"exact"}"#,
+            r#"{"id":"x","kernel":"a","cost_model":"blended"}"#,
             r#"{"id":"x","kernel":"a","cost_model":7}"#,
         ] {
             match Request::parse(line) {

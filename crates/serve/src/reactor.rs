@@ -19,8 +19,8 @@
 //!   a bounded job queue.  Each job carries what the front stage
 //!   learned (parsed request, nest, key), and the worker runs the
 //!   **miss stage** — the same two stages [`Server::handle_line`] runs
-//!   back to back, so replies are bitwise identical to the stdin/batch
-//!   paths.  An inline source too large for the reactor's front stage
+//!   back to back, so replies are bitwise identical to the stdin
+//!   path.  An inline source too large for the reactor's front stage
 //!   (over 8 KiB; see `Server::front_on_reactor`) is queued unparsed,
 //!   and its worker runs both stages: the event loop's work per frame
 //!   stays within a small multiple of the frame's JSON parse.
@@ -70,7 +70,7 @@ use ujam_trace::{Anomaly, AnomalyReason};
 use crate::flight::TimelineState;
 use crate::frame::{Frame, LineDecoder, MAX_LINE_BYTES};
 use crate::proto::{
-    overloaded_reply, recover_id, AdminCmd, AdminRequest, ErrorKind, ErrorReply, Incoming, Reply,
+    error_reply, overloaded_reply, recover_id, AdminCmd, AdminRequest, ErrorKind, Incoming,
     Request, PROTOCOL_VERSION,
 };
 use crate::server::{Front, Miss, Server};
@@ -378,18 +378,6 @@ fn commit_flushed(conn: &mut Conn, server: &Server<'_>) {
         t.stamp_flushed();
         server.flight().commit(t.timeline);
     }
-}
-
-fn protocol_error(id: Option<&str>, kind: ErrorKind, message: String) -> String {
-    Reply::Error(ErrorReply {
-        id: id.map(str::to_owned),
-        kind,
-        message,
-        line: None,
-        retry_ms: None,
-        trace_id: None,
-    })
-    .render()
 }
 
 /// What [`Reactor::pump`] decided to do with one frame.
@@ -798,7 +786,7 @@ impl<'a, 's> Reactor<'a, 's> {
                 state.timeline.outcome = "error:frame_too_long".to_string();
                 state.timeline.anomaly =
                     Some(Anomaly::new(AnomalyReason::FrameError, message.clone()));
-                let reply = protocol_error(None, ErrorKind::FrameTooLong, message);
+                let reply = error_reply(None, ErrorKind::FrameTooLong, message).render();
                 conn.complete(seq, reply, Some(state));
                 return Routed::Inline;
             }
@@ -809,7 +797,7 @@ impl<'a, 's> Reactor<'a, 's> {
                 state.timeline.outcome = "error:bad_request".to_string();
                 state.timeline.anomaly =
                     Some(Anomaly::new(AnomalyReason::FrameError, message.clone()));
-                let reply = protocol_error(None, ErrorKind::BadRequest, message);
+                let reply = error_reply(None, ErrorKind::BadRequest, message).render();
                 conn.complete(seq, reply, Some(state));
                 return Routed::Inline;
             }
@@ -835,14 +823,15 @@ impl<'a, 's> Reactor<'a, 's> {
                     }
                 }
                 _ => {
-                    let reply = protocol_error(
+                    let reply = error_reply(
                         recover_id(&line).as_deref(),
                         ErrorKind::HandshakeRequired,
                         format!(
                             "expected {{\"cmd\":\"hello\",\"version\":{PROTOCOL_VERSION}}} \
                              as the first line"
                         ),
-                    );
+                    )
+                    .render();
                     conn.complete(seq, reply, None);
                     conn.close_after_flush = true;
                 }

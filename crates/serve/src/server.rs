@@ -18,33 +18,26 @@
 //! misses to its workers — except for an inline source over
 //! `REACTOR_FRONT_MAX_SOURCE` bytes, whose Fortran parse would hold the
 //! event loop, so a worker runs both of its stages.  `handle_line`,
-//! `handle_line_timed`, `handle_batch` and `run` run the two stages
-//! back to back.  That is one request path, whichever thread runs
-//! which half.
+//! `handle_line_timed` and `run` run the two stages back to back.  That
+//! is one request path, whichever thread runs which half; the reactor
+//! is the only place requests run in parallel.
 //!
-//! `handle_line` answers one request string, `handle_batch` fans a
-//! slice of lines across the same deterministic worker pool the batch
-//! optimizer uses ([`parallel_map_indexed`]), and `run` is the
-//! newline-delimited stdin/stdout daemon loop with micro-batching — it
-//! blocks for the first pending line, then drains whatever else has
-//! already arrived (up to `batch_max`) into one batch, so a pipelining
-//! client gets parallelism and an interactive client gets per-line
-//! latency.
+//! `handle_line` answers one request string, and `run` is the
+//! newline-delimited stdin/stdout daemon loop: it answers one line at a
+//! time, in order, so a duplicate line is always a cache hit.
 //!
 //! Every failure mode is a structured reply: the daemon never panics on
 //! a request, and a client that writes `n` lines always reads exactly
-//! `n` replies (blank lines excepted), in order.  On EOF the loop drains
-//! everything already queued before returning, so shutdown never drops
-//! an accepted request.
+//! `n` replies (blank lines excepted), in order.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use ujam_core::{optimize_costed, parallel_map_indexed, CancelToken, OptimizeError, SearchConfig};
+use ujam_core::{optimize_costed, CancelToken, OptimizeError, SearchConfig};
 use ujam_ir::LoopNest;
 use ujam_metrics::{Counter, Gauge, Histogram, MetricsHandle, MetricsSnapshot, SeriesCollector};
 use ujam_trace::{null_sink, Anomaly, AnomalyReason, TraceRecord, TraceSink};
@@ -52,8 +45,8 @@ use ujam_trace::{null_sink, Anomaly, AnomalyReason, TraceRecord, TraceSink};
 use crate::cache::{write_decision_key, CacheStats, Decision};
 use crate::flight::{FlightRecorder, TimelineState, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_MS};
 use crate::proto::{
-    flight_reply, hello_reply, render_decision, shutdown_reply, stats_reply, stats_series_reply,
-    AdminCmd, AdminRequest, ErrorKind, ErrorReply, Incoming, Reply, Request, Source,
+    error_reply, flight_reply, hello_reply, render_decision, shutdown_reply, stats_reply,
+    stats_series_reply, AdminCmd, AdminRequest, ErrorKind, Incoming, Reply, Request, Source,
     PROTOCOL_VERSION,
 };
 use crate::shard::ShardedDecisionCache;
@@ -61,10 +54,8 @@ use crate::shard::ShardedDecisionCache;
 /// Tunables for a [`Server`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Worker threads for batch handling (clamped to at least 1).
+    /// Reactor worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Most lines folded into one micro-batch.
-    pub batch_max: usize,
     /// Decision-cache capacity in entries (0 disables storage).
     pub cache_capacity: usize,
     /// Decision-cache shard count (clamped to at least 1).  One shard
@@ -85,7 +76,6 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            batch_max: 32,
             cache_capacity: 256,
             shards: 1,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
@@ -181,13 +171,10 @@ struct ServeMetrics {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
-    batches: Arc<Counter>,
     inflight: Arc<Gauge>,
-    queue_depth: Arc<Gauge>,
     cache_entries: Arc<Gauge>,
     cache_bytes: Arc<Gauge>,
     request_ns: Arc<Histogram>,
-    batch_size: Arc<Histogram>,
     cache_lookup_ns: Arc<Histogram>,
     /// Per-shard cache counters (`serve.cache.shard{i}.hits` / `.misses`
     /// / `.evictions`), indexed by shard.  The aggregate `serve.cache.*`
@@ -200,8 +187,9 @@ struct ServeMetrics {
 
 impl ServeMetrics {
     /// Resolves the serve metric set, or `None` for a disabled handle.
-    /// Pass-duration histograms are touched eagerly too, so they appear
-    /// (empty) in snapshots taken before the first uncached request.
+    /// Pass-duration histograms and the reactor's queue-depth gauge are
+    /// touched eagerly too, so they appear (empty) in snapshots taken
+    /// before the first uncached request, or without a reactor.
     fn resolve(handle: &MetricsHandle, shards: usize) -> Option<ServeMetrics> {
         let reg = handle.registry()?;
         for pass in [
@@ -212,6 +200,7 @@ impl ServeMetrics {
         ] {
             reg.histogram(&format!("pass.{pass}.ns"));
         }
+        reg.gauge("serve.queue_depth");
         Some(ServeMetrics {
             handle: handle.clone(),
             requests: reg.counter("serve.requests"),
@@ -222,13 +211,10 @@ impl ServeMetrics {
             cache_hits: reg.counter("serve.cache.hits"),
             cache_misses: reg.counter("serve.cache.misses"),
             cache_evictions: reg.counter("serve.cache.evictions"),
-            batches: reg.counter("serve.batches"),
             inflight: reg.gauge("serve.inflight"),
-            queue_depth: reg.gauge("serve.queue_depth"),
             cache_entries: reg.gauge("serve.cache.entries"),
             cache_bytes: reg.gauge("serve.cache.bytes"),
             request_ns: reg.histogram("serve.request_ns"),
-            batch_size: reg.histogram("serve.batch_size"),
             cache_lookup_ns: reg.histogram("serve.cache.lookup_ns"),
             shard_hits: (0..shards.max(1))
                 .map(|i| reg.counter(&format!("serve.cache.shard{i}.hits")))
@@ -253,7 +239,7 @@ impl<'s> Server<'s> {
     }
 
     /// [`Server::new`] with a [`MetricsHandle`]: request/reply counters,
-    /// latency and batch-size histograms, cache and in-flight gauges,
+    /// latency histograms, cache and in-flight gauges,
     /// and per-pass duration histograms all record into its registry,
     /// and `{"cmd":"stats"}` (the `ujam stats` subcommand) answers with
     /// a versioned snapshot of it.
@@ -422,22 +408,17 @@ impl<'s> Server<'s> {
             }
             AdminCmd::Hello { version } => match version {
                 Some(v) if v == PROTOCOL_VERSION => hello_reply(&admin.id),
-                offered => Reply::Error(ErrorReply {
-                    id: Some(admin.id.clone()),
-                    kind: ErrorKind::BadVersion,
-                    message: match offered {
+                offered => {
+                    let message = match offered {
                         Some(v) => {
                             format!("unsupported protocol version {v} (server speaks {PROTOCOL_VERSION})")
                         }
-                        None => format!(
-                            "hello requires \"version\" (server speaks {PROTOCOL_VERSION})"
-                        ),
-                    },
-                    line: None,
-                    retry_ms: None,
-                    trace_id: None,
-                })
-                .render(),
+                        None => {
+                            format!("hello requires \"version\" (server speaks {PROTOCOL_VERSION})")
+                        }
+                    };
+                    error_reply(Some(&admin.id), ErrorKind::BadVersion, message).render()
+                }
             },
             AdminCmd::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
@@ -461,10 +442,7 @@ impl<'s> Server<'s> {
         let t0 = self.metrics.as_ref().map(|_| Instant::now());
         let req = match parsed {
             Ok(req) => req,
-            Err(Reply::Error(e)) => {
-                return Front::Answered(self.answer_error(e, None, false, t0, state))
-            }
-            Err(Reply::Ok(_)) => unreachable!("parsing never yields an ok reply"),
+            Err(e) => return Front::Answered(self.answer_error(e, None, false, t0, state)),
         };
         let nest = match self.key_request(&req, key) {
             Ok(nest) => nest,
@@ -488,7 +466,7 @@ impl<'s> Server<'s> {
     /// text comes from the kernel key table, so its nest is not built
     /// (`Ok(None)`); an inline source is parsed, and its nest returned
     /// for the miss stage.
-    fn key_request(&self, req: &Request, key: &mut String) -> Result<Option<LoopNest>, ErrorReply> {
+    fn key_request(&self, req: &Request, key: &mut String) -> Result<Option<LoopNest>, Reply> {
         let config = search_config(req);
         let (m, model, cost) = (&req.machine, req.model, req.cost_model);
         match &req.source {
@@ -501,14 +479,11 @@ impl<'s> Server<'s> {
                     write_decision_key(key, text, m, model, cost, config);
                     Ok(None)
                 }
-                None => Err(ErrorReply {
-                    id: Some(req.id.clone()),
-                    kind: ErrorKind::UnknownKernel,
-                    message: format!("unknown kernel {name:?} (try `ujam list`)"),
-                    line: None,
-                    retry_ms: None,
-                    trace_id: None,
-                }),
+                None => Err(error_reply(
+                    Some(&req.id),
+                    ErrorKind::UnknownKernel,
+                    format!("unknown kernel {name:?} (try `ujam list`)"),
+                )),
             },
             // The reactor runs this on its own thread: the Fortran
             // front end is linear in the source and reports malformed
@@ -519,22 +494,18 @@ impl<'s> Server<'s> {
                     write_decision_key(key, &nest, m, model, cost, config);
                     Ok(Some(nest))
                 }
-                Ok(Err(e)) => Err(ErrorReply {
-                    id: Some(req.id.clone()),
-                    kind: ErrorKind::Parse,
-                    message: e.message.clone(),
-                    line: Some(e.line),
-                    retry_ms: None,
-                    trace_id: None,
-                }),
-                Err(_) => Err(ErrorReply {
-                    id: Some(req.id.clone()),
-                    kind: ErrorKind::Internal,
-                    message: "Fortran front end panicked; the request was dropped".into(),
-                    line: None,
-                    retry_ms: None,
-                    trace_id: None,
-                }),
+                Ok(Err(e)) => {
+                    let mut reply = error_reply(Some(&req.id), ErrorKind::Parse, e.message);
+                    if let Reply::Error(err) = &mut reply {
+                        err.line = Some(e.line);
+                    }
+                    Err(reply)
+                }
+                Err(_) => Err(error_reply(
+                    Some(&req.id),
+                    ErrorKind::Internal,
+                    "Fortran front end panicked; the request was dropped",
+                )),
             },
         }
     }
@@ -595,14 +566,6 @@ impl<'s> Server<'s> {
         if let Some(st) = state.as_deref_mut() {
             st.stamp_analysis_end();
         }
-        let error = |kind, message| ErrorReply {
-            id: Some(req.id.clone()),
-            kind,
-            message,
-            line: None,
-            retry_ms: None,
-            trace_id: None,
-        };
         let decision = match outcome {
             Ok(Ok(plan)) => Decision::from_plan(&plan),
             Ok(Err(e)) => {
@@ -610,14 +573,12 @@ impl<'s> Server<'s> {
                     OptimizeError::DeadlineExceeded => ErrorKind::DeadlineExceeded,
                     _ => ErrorKind::InvalidNest,
                 };
-                let e = error(kind, e.to_string());
+                let e = error_reply(Some(&req.id), kind, e.to_string());
                 return self.answer_error(e, req.deadline_ms, req.trace, t0, state);
             }
             Err(_) => {
-                let e = error(
-                    ErrorKind::Internal,
-                    "optimizer panicked; the request was dropped".into(),
-                );
+                let message = "optimizer panicked; the request was dropped";
+                let e = error_reply(Some(&req.id), ErrorKind::Internal, message);
                 return self.answer_error(e, req.deadline_ms, req.trace, t0, state);
             }
         };
@@ -713,12 +674,15 @@ impl<'s> Server<'s> {
     /// the request asked).
     fn answer_error(
         &self,
-        e: ErrorReply,
+        reply: Reply,
         deadline_ms: Option<u64>,
         trace: bool,
         t0: Option<Instant>,
         state: Option<&mut TimelineState>,
     ) -> String {
+        let Reply::Error(e) = &reply else {
+            unreachable!("only error replies are answered as errors");
+        };
         let trace_id = state.as_deref().map(TimelineState::trace_id);
         let deadline = e.kind == ErrorKind::DeadlineExceeded;
         if let Some(st) = state {
@@ -743,9 +707,7 @@ impl<'s> Server<'s> {
             }
         }
         self.retire(false, t0, trace_id);
-        Reply::Error(e)
-            .with_trace_id(trace_id.filter(|_| trace))
-            .render()
+        reply.with_trace_id(trace_id.filter(|_| trace)).render()
     }
 
     /// Request accounting, once per answered request: the request and
@@ -772,72 +734,26 @@ impl<'s> Server<'s> {
         }
     }
 
-    /// Answers a batch of request lines, in order, using up to
-    /// `cfg.workers` threads.  The output is bitwise-identical to
-    /// calling [`Server::handle_line`] on each line sequentially —
-    /// scheduling changes *when* a line is answered, never the answer —
-    /// except for the `cached` flags of duplicates racing within one
-    /// batch.
-    pub fn handle_batch(&self, lines: &[String]) -> Vec<String> {
-        if let Some(m) = &self.metrics {
-            m.batches.inc();
-            m.batch_size.observe(lines.len() as u64);
-            m.queue_depth.set(lines.len() as i64);
-        }
-        let replies = parallel_map_indexed(lines.len(), self.cfg.workers.max(1), |i| {
-            self.handle_line(&lines[i])
-        });
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(0);
-        }
-        replies
-    }
-
-    /// The newline-delimited JSON daemon loop.
-    ///
-    /// A reader thread feeds lines into a queue; the main loop blocks
-    /// for the first line, drains up to `batch_max - 1` more that are
-    /// already pending, answers the batch in parallel, and writes the
-    /// replies in input order.  Blank lines are ignored.  On EOF every
-    /// line already read is still answered before the loop returns.
+    /// The newline-delimited JSON daemon loop: reads a line, answers
+    /// it, writes the reply, and repeats until EOF or a
+    /// `{"cmd":"shutdown"}` line.  Blank lines are ignored.
     pub fn run<R, W>(&self, input: R, output: &mut W) -> std::io::Result<()>
     where
-        R: BufRead + Send,
+        R: BufRead,
         W: Write,
     {
-        let (tx, rx) = mpsc::channel::<String>();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for line in input.lines() {
-                    let Ok(line) = line else { break };
-                    if tx.send(line).is_err() {
-                        break;
-                    }
-                }
-                // Dropping `tx` is the EOF signal: `recv` below keeps
-                // returning queued lines, then disconnects.
-            });
-            loop {
-                let Ok(first) = rx.recv() else { return Ok(()) };
-                let mut batch = vec![first];
-                while batch.len() < self.cfg.batch_max.max(1) {
-                    let Ok(line) = rx.try_recv() else { break };
-                    batch.push(line);
-                }
-                batch.retain(|l| !l.trim().is_empty());
-                if batch.is_empty() {
-                    continue;
-                }
-                self.count("serve.batch", 1);
-                for reply in self.handle_batch(&batch) {
-                    writeln!(output, "{reply}")?;
-                }
-                output.flush()?;
-                if self.shutdown_requested() {
-                    return Ok(());
-                }
+        for line in input.lines() {
+            let Ok(line) = line else { break };
+            if line.trim().is_empty() {
+                continue;
             }
-        })
+            writeln!(output, "{}", self.handle_line(&line))?;
+            output.flush()?;
+            if self.shutdown_requested() {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Serves connections on a Unix domain socket at `path` through the
@@ -900,7 +816,6 @@ mod tests {
         Server::new(
             ServeConfig {
                 workers: 2,
-                batch_max: 8,
                 cache_capacity: 16,
                 shards: 1,
                 ..ServeConfig::default()
@@ -1035,11 +950,7 @@ mod tests {
         for (name, nest) in &named {
             for machine in &machines {
                 for model in [BalanceModel::CacheAware, BalanceModel::AllHits] {
-                    for cost_model in [
-                        CostModelKind::Analytic,
-                        CostModelKind::Profiled,
-                        CostModelKind::Blended,
-                    ] {
+                    for cost_model in [CostModelKind::Analytic, CostModelKind::Profiled] {
                         for (max_unroll_loops, code_budget) in configs {
                             let req = Request {
                                 id: "k".into(),
@@ -1071,7 +982,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(checked, (19 + 6 + 1) * 3 * 2 * 3 * 2);
+        assert_eq!(checked, (19 + 6 + 1) * 3 * 2 * 2 * 2);
     }
 
     fn metric_server(
@@ -1081,7 +992,6 @@ mod tests {
         let server = Server::with_metrics(
             ServeConfig {
                 workers: 2,
-                batch_max: 8,
                 cache_capacity: 16,
                 shards: 1,
                 ..ServeConfig::default()
@@ -1162,22 +1072,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_metrics_record_size_and_settle_the_queue_gauge() {
-        let (_, s) = metric_server(null_sink());
-        let lines: Vec<String> = (0..3)
-            .map(|i| format!(r#"{{"id":"r{i}","kernel":"dmxpy1"}}"#))
-            .collect();
-        s.handle_batch(&lines);
-        let snap = s.metrics_snapshot();
-        assert_eq!(snap.counter("serve.batches"), 1);
-        assert_eq!(snap.gauge("serve.queue_depth"), 0);
-        let sizes = snap.histogram("serve.batch_size").expect("present");
-        assert_eq!(sizes.count, 1);
-        assert_eq!(sizes.sum, 3);
-        assert_eq!(snap.counter("serve.requests"), 3);
-    }
-
-    #[test]
     fn metricless_servers_answer_stats_with_an_empty_snapshot() {
         let s = server(null_sink());
         let reply = s.handle_line(r#"{"id":"s","cmd":"stats"}"#);
@@ -1190,10 +1084,8 @@ mod tests {
         assert_eq!(counters, &json::Value::Object(Default::default()));
     }
 
-    /// Replay determinism: serving the same batch to two servers yields
+    /// Replay determinism: serving the same lines to two servers yields
     /// identical snapshots once timing-valued fields are projected out.
-    /// One worker, because duplicate requests racing within a batch make
-    /// the cache hit/miss split scheduling-dependent by design.
     #[test]
     fn replayed_batches_produce_identical_snapshots_modulo_timing() {
         let run = || {
@@ -1201,7 +1093,6 @@ mod tests {
             let s = Server::with_metrics(
                 ServeConfig {
                     workers: 1,
-                    batch_max: 8,
                     cache_capacity: 16,
                     shards: 1,
                     ..ServeConfig::default()
@@ -1209,16 +1100,14 @@ mod tests {
                 null_sink(),
                 MetricsHandle::new(std::sync::Arc::clone(&registry)),
             );
-            let lines: Vec<String> = [
+            for line in [
                 r#"{"id":"1","kernel":"dmxpy1"}"#,
                 r#"{"id":"2","kernel":"dmxpy1"}"#,
                 r#"{"id":"3","kernel":"nope"}"#,
                 r#"not json"#,
-            ]
-            .iter()
-            .map(|l| l.to_string())
-            .collect();
-            s.handle_batch(&lines);
+            ] {
+                s.handle_line(line);
+            }
             s.metrics_snapshot()
         };
         let (a, b) = (run(), run());
@@ -1377,5 +1266,21 @@ mod tests {
         assert!(lines[0].contains("\"id\":\"1\""));
         assert!(lines[1].contains("unknown_kernel"));
         assert!(lines[2].contains("\"id\":null"));
+        // Stdin is answered in order even with idle workers to spare, so
+        // an exact duplicate always finds its original's entry.
+        let s = Server::new(
+            ServeConfig {
+                workers: 4,
+                ..ServeConfig::default()
+            },
+            null_sink(),
+        );
+        let line = "{\"id\":\"d\",\"kernel\":\"dmxpy1\"}\n";
+        let mut out = Vec::new();
+        s.run(line.repeat(2).as_bytes(), &mut out).expect("io ok");
+        let text = String::from_utf8(out).expect("utf8");
+        let replies: Vec<&str> = text.lines().collect();
+        assert!(replies[0].contains("\"cached\":false"), "{text}");
+        assert!(replies[1].contains("\"cached\":true"), "{text}");
     }
 }

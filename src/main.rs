@@ -23,7 +23,7 @@
 //! source file (`.f`, `.f77`, `.for`) holding one DO nest.
 //!
 //! Options: `--machine alpha|parisc|prefetch`, `--model cache|allhits`.
-//! `optimize` additionally takes `--cost-model analytic|profiled|blended`
+//! `optimize` additionally takes `--cost-model analytic|profiled`
 //! (which cache-cost backend scores candidates), `--explain`
 //! (per-candidate decision provenance) and
 //! `--trace`/`--trace=json`/`--trace=chrome` (pass spans, cache
@@ -79,7 +79,7 @@ const USAGE: &str = "usage:
   ujam deps <loop>
   ujam tables <loop> [bound]
   ujam optimize <loop> [--machine alpha|parisc|prefetch] [--model cache|allhits]
-                       [--cost-model analytic|profiled|blended]
+                       [--cost-model analytic|profiled]
                        [--explain] [--trace[=json|chrome]]
                        [--max-unroll-loops K] [--code-budget B]
   ujam simulate <loop> [--machine alpha|parisc|prefetch] [--model cache|allhits]
@@ -87,7 +87,7 @@ const USAGE: &str = "usage:
                        [--cache-geometry CAPACITY:LINE:WAYS] [--profile-out PATH]
   ujam emit <loop>
   ujam schedule <loop> [--machine alpha|parisc|prefetch] [--model cache|allhits]
-  ujam serve [--workers N] [--batch N] [--cache N] [--shards N]
+  ujam serve [--workers N] [--cache N] [--shards N]
              [--socket PATH] [--tcp ADDR] [--max-queue N] [--max-conns N]
              [--max-inflight N] [--read-timeout-ms MS]
              [--flight-capacity N] [--slow-ms MS] [--trace-chrome PATH]
@@ -103,9 +103,9 @@ Fortran file (.f/.f77/.for) holding one DO nest.
 `optimize` searches unroll vectors over up to K outer loops
 (--max-unroll-loops, default 2 as in the paper; 0 = unbounded) and can
 cap unrolled body size at B statements (--code-budget).  With
---cost-model profiled (or blended) each candidate's cache-line figure is
-measured by the reuse-distance profiler instead of (or averaged with)
-the paper's Eq. 1 prediction — materially slower, intended for studies.
+--cost-model profiled each candidate's cache-line figure is measured by
+the reuse-distance profiler instead of the paper's Eq. 1 prediction —
+materially slower, intended for studies.
 
 `profile` interprets the nest with a memory-access tap and prints a
 versioned JSON reuse-distance report (stack-distance histograms per
@@ -114,10 +114,11 @@ stdout, or to PATH with --profile-out.  The cache geometry defaults to
 the machine's; override it with --cache-geometry, e.g. 8192:32:1.
 
 `serve` reads one JSON request per line from stdin and writes one JSON
-reply per line to stdout; see the ujam-serve crate docs for the
-protocol.  With --socket and/or --tcp it instead serves connections on
-those listeners through a poll(2) event loop: nonblocking sockets, a
-bounded worker queue (--max-queue; full = structured `overloaded`
+reply per line to stdout, answering each line before reading the next;
+see the ujam-serve crate docs for the protocol.  With --socket and/or
+--tcp it instead serves connections on those listeners through a
+poll(2) event loop: nonblocking sockets, --workers analysis threads
+behind a bounded queue (--max-queue; full = structured `overloaded`
 replies with retry_ms), per-connection in-flight caps (--max-inflight),
 a connection cap (--max-conns), idle/slow-loris read timeouts
 (--read-timeout-ms, default 30000), and an N-way content-hash-sharded
@@ -608,7 +609,6 @@ fn serve_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<ServeOption
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--workers" => cfg.workers = number("--workers", it.next())?,
-            "--batch" => cfg.batch_max = number("--batch", it.next())?,
             "--cache" => {
                 // 0 is meaningful here: it disables the decision cache.
                 cfg.cache_capacity = it
@@ -1139,7 +1139,7 @@ fn optimize_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<Optimize
                 cost = v.as_deref().and_then(CostModelKind::parse).ok_or_else(|| {
                     format!(
                         "bad --cost-model value {v:?} \
-                             (expected analytic, profiled, or blended)"
+                             (expected analytic or profiled)"
                     )
                 })?;
             }

@@ -3,13 +3,15 @@
 
 use ujam::core::brute::{optimize_brute, optimize_depbased};
 use ujam::core::{
-    optimize, optimize_batch, optimize_batch_traced_with_workers, optimize_batch_with_workers,
-    optimize_in_space, optimize_traced, BalanceModel, OptimizeError, UnrollSpace,
+    optimize, optimize_batch, optimize_batch_traced_with_workers, optimize_costed,
+    optimize_in_space, BalanceModel, CancelToken, CostModelKind, OptimizeError, SearchConfig,
+    UnrollSpace,
 };
 use ujam::ir::{parse_expr, sub, subs, ArrayDecl, ArrayRef, Loop, LoopNest, Stmt};
 use ujam::kernels::{kernels, optimize_suite};
 use ujam::machine::MachineModel;
-use ujam::trace::CollectingSink;
+use ujam::metrics::MetricsHandle;
+use ujam::trace::{null_sink, CollectingSink};
 
 /// The headline batch property: `optimize_batch` over the full Table 2
 /// suite is bitwise-identical to sequential `optimize` — same unroll
@@ -24,8 +26,9 @@ fn batch_equals_sequential_on_the_kernel_suite() {
             .map(|n| optimize(n, &machine).expect("Table 2 kernels are valid"))
             .collect();
         for workers in [1usize, 3, 8] {
+            let model = BalanceModel::CacheAware;
             let batch =
-                optimize_batch_with_workers(&nests, &machine, BalanceModel::CacheAware, workers);
+                optimize_batch_traced_with_workers(&nests, &machine, model, workers, null_sink());
             assert_eq!(batch.len(), sequential.len());
             for ((k, b), s) in kernels().iter().zip(&batch).zip(&sequential) {
                 let b = b.as_ref().expect("Table 2 kernels are valid");
@@ -52,8 +55,17 @@ fn batch_trace_is_the_sequential_concatenation() {
     let sequential: Vec<_> = nests
         .iter()
         .map(|n| {
-            optimize_traced(n, &machine, BalanceModel::CacheAware, &sequential_sink)
-                .expect("Table 2 kernels are valid")
+            optimize_costed(
+                n,
+                &machine,
+                BalanceModel::CacheAware,
+                CostModelKind::Analytic,
+                &sequential_sink,
+                CancelToken::never(),
+                MetricsHandle::disabled(),
+                SearchConfig::default(),
+            )
+            .expect("Table 2 kernels are valid")
         })
         .collect();
     let expected = sequential_sink.take().without_timing();
@@ -166,7 +178,13 @@ fn batch_isolates_per_nest_failures() {
         undeclared_array_nest(),
         kernels()[1].nest(),
     ];
-    let out = optimize_batch_with_workers(&nests, &machine, BalanceModel::CacheAware, 2);
+    let out = optimize_batch_traced_with_workers(
+        &nests,
+        &machine,
+        BalanceModel::CacheAware,
+        2,
+        null_sink(),
+    );
     assert!(out[0].is_ok());
     assert!(matches!(out[1], Err(OptimizeError::InvalidNest(_))));
     assert!(out[2].is_ok());

@@ -10,14 +10,13 @@ use ujam::serve::{ServeConfig, Server};
 use ujam::trace::json::{self, Value};
 use ujam::trace::{ChromeTraceRenderer, CollectingSink};
 
-/// `workers: 1, batch_max: 1` serializes the workload, so every counter
-/// (including the cache hit/miss split and anything a trailing stats
-/// line observes) is exact replay ground truth.
+/// The stdin loop answers lines in order, so every counter (including
+/// the cache hit/miss split and anything a trailing stats line
+/// observes) is exact replay ground truth.
 fn replay(workload: &str) -> (Server<'static>, String) {
     let server = Server::with_metrics(
         ServeConfig {
             workers: 1,
-            batch_max: 1,
             cache_capacity: 64,
             shards: 1,
             ..ServeConfig::default()
@@ -100,12 +99,6 @@ fn replayed_workloads_snapshot_identically_modulo_timing() {
             .collect::<Vec<_>>()
     };
     assert_eq!(shape(&a), shape(&b));
-    // Batch sizes are not timing-valued, so those histograms match
-    // bucket-for-bucket.
-    assert_eq!(
-        a.histogram("serve.batch_size").expect("recorded").buckets,
-        b.histogram("serve.batch_size").expect("recorded").buckets
-    );
 }
 
 #[test]
@@ -113,11 +106,15 @@ fn chrome_export_accounts_for_every_real_optimizer_span() {
     let sink = CollectingSink::new();
     for kernel in ["dmxpy1", "mmjki"] {
         let nest = ujam::kernels::kernel(kernel).expect("known kernel").nest();
-        ujam::core::optimize_traced(
+        ujam::core::optimize_costed(
             &nest,
             &ujam::machine::MachineModel::dec_alpha(),
             ujam::core::BalanceModel::CacheAware,
+            ujam::core::CostModelKind::Analytic,
             &sink,
+            ujam::core::CancelToken::never(),
+            MetricsHandle::disabled(),
+            ujam::core::SearchConfig::default(),
         )
         .expect("valid kernel");
     }

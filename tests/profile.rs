@@ -112,26 +112,6 @@ fn profiled_backend_flips_the_winner_on_a_conflict_nest() {
     );
 }
 
-/// Blended sits between the two: it must still produce a valid plan,
-/// and its measured stats show the profiler actually ran.
-#[test]
-fn blended_backend_produces_a_plan() {
-    let machine = MachineModel::builder("tiny-dm")
-        .registers(32)
-        .cache(1024, 32, 1)
-        .miss(25.0, 1.0)
-        .build();
-    let nest = NestBuilder::new("blend")
-        .array("A", &[128])
-        .array("B", &[128])
-        .loop_("J", 1, 8)
-        .loop_("I", 1, 128)
-        .stmt("A(I) = A(I) + B(I)")
-        .build();
-    let plan = costed(&nest, &machine, CostModelKind::Blended);
-    assert!(!plan.unroll.is_empty());
-}
-
 /// Observability surface: a profiled search records `profile.*`
 /// metrics, and an analytic one records none — the profiler must be
 /// invisible when it is not selected.

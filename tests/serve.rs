@@ -13,7 +13,6 @@ use ujam::trace::{json, CollectingSink};
 fn test_config() -> ServeConfig {
     ServeConfig {
         workers: 4,
-        batch_max: 8,
         cache_capacity: 64,
         shards: 1,
         ..ServeConfig::default()
@@ -151,14 +150,12 @@ fn soak_eight_concurrent_clients_with_hostile_traffic() {
     const DOOMED: &str = "vpenta.7";
 
     let sink = CollectingSink::new();
-    // batch_max 1 keeps each client's lines strictly sequential, so the
-    // intra-client duplicate is a *deterministic* cache hit (inside one
-    // micro-batch, duplicates race and either may compute).  Concurrency
-    // comes from the eight client threads sharing the server.
+    // Each client's lines are answered in order, so the intra-client
+    // duplicate is a deterministic cache hit.  Concurrency comes from
+    // the eight client threads sharing the server.
     let server = Server::new(
         ServeConfig {
             workers: 4,
-            batch_max: 1,
             cache_capacity: 64,
             shards: 1,
             ..ServeConfig::default()

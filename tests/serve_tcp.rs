@@ -227,7 +227,6 @@ fn hostile_soak_100_concurrent_tcp_clients() {
     with_tcp_daemon(
         ServeConfig {
             workers: 4,
-            batch_max: 8,
             cache_capacity: 64,
             shards: 8,
             ..ServeConfig::default()
@@ -364,7 +363,6 @@ fn overload_sheds_structured_errors_and_recovers() {
     with_tcp_daemon(
         ServeConfig {
             workers: 1,
-            batch_max: 1,
             cache_capacity: 0, // every request computes: the queue backs up
             shards: 1,
             ..ServeConfig::default()
@@ -428,7 +426,6 @@ fn idle_and_slow_loris_connections_are_reaped() {
     with_tcp_daemon(
         ServeConfig {
             workers: 1,
-            batch_max: 1,
             cache_capacity: 16,
             shards: 1,
             ..ServeConfig::default()
@@ -486,7 +483,6 @@ fn full_suite_over_tcp_is_bitwise_identical_to_optimize_batch() {
     with_tcp_daemon(
         ServeConfig {
             workers: 4,
-            batch_max: 8,
             cache_capacity: 64,
             shards: 4,
             ..ServeConfig::default()
@@ -532,7 +528,6 @@ fn admin_probes_interleaved_with_requests_do_not_perturb_replies() {
     with_tcp_daemon(
         ServeConfig {
             workers: 2,
-            batch_max: 4,
             cache_capacity: 16,
             shards: 2,
             ..ServeConfig::default()
@@ -653,7 +648,6 @@ fn unix_socket_keeps_the_legacy_protocol_through_the_reactor() {
     let server = Server::new(
         ServeConfig {
             workers: 2,
-            batch_max: 4,
             cache_capacity: 16,
             shards: 2,
             ..ServeConfig::default()
@@ -795,7 +789,6 @@ fn hits_and_misses_interleaved_under_a_full_queue() {
     let registry = Arc::new(MetricsRegistry::new());
     let cfg = ServeConfig {
         workers: 2,
-        batch_max: 1,
         cache_capacity: 256,
         shards: 2,
         ..ServeConfig::default()
