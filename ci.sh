@@ -189,6 +189,37 @@ cargo run --release --offline --quiet --example validate_flight -- /tmp/ujam_fli
   | grep -q '"shutdown":true'
 wait "$UJAM_FLIGHT_PID"
 
+# Accept-error backoff: a daemon out of file descriptors (ulimit -n 24)
+# with 40 clients held in its listen backlog must idle, not spin on a
+# listener it cannot accept from.  The daemon's CPU time (utime + stime
+# from /proc) after a 2 s hold must stay under 0.2 s; then the clients
+# leave and the daemon is shut down over its own protocol.
+python3 - <<'EOF'
+import os, re, socket, subprocess, sys, time
+
+daemon = subprocess.Popen(
+    ["bash", "-c", "ulimit -n 24 && exec ./target/release/ujam serve --tcp 127.0.0.1:0 --workers 1"],
+    stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+try:
+    host, port = re.match(r"serve: tcp listening on (.+):(\d+)", daemon.stderr.readline()).groups()
+    clients = [socket.create_connection((host, int(port))) for _ in range(40)]
+    time.sleep(2)
+    with open(f"/proc/{daemon.pid}/stat") as f:
+        fields = f.read().rsplit(")", 1)[1].split()
+    cpu = (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+    print(f"daemon CPU with 40 clients at EMFILE for 2 s: {cpu:.2f} s")
+    for c in clients:
+        c.close()
+    bye = socket.create_connection((host, int(port)))
+    bye.sendall(b'{"id":"h","cmd":"hello","version":1}\n{"id":"bye","cmd":"shutdown"}\n')
+    daemon.wait(timeout=30)
+    if cpu > 0.2:
+        sys.exit(f"daemon spun at EMFILE: {cpu:.2f} s of CPU in 2 s")
+finally:
+    if daemon.poll() is None:
+        daemon.kill()
+EOF
+
 # TCP soak: the hostile-client suite — 100 concurrent handshaking
 # clients, pipelined duplicates, oversized and half-written frames,
 # bad-version and no-handshake rejections, admission-control sheds,

@@ -30,12 +30,10 @@
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Cursor, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ujam_core::optimize_batch;
 use ujam_kernels::kernels;
 use ujam_machine::MachineModel;
-use ujam_metrics::{MetricsHandle, MetricsRegistry};
 use ujam_serve::{ReactorConfig, ServeConfig, Server, Transports, PROTOCOL_VERSION};
 use ujam_trace::json::{self, Value};
 
@@ -56,14 +54,12 @@ fn main() {
         });
     let rounds: u64 = if quick { 3 } else { 40 };
 
-    let registry = Arc::new(MetricsRegistry::new());
-    let server = Server::with_metrics(
+    let server = Server::new(
         ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         },
         ujam_trace::null_sink(),
-        MetricsHandle::new(Arc::clone(&registry)),
     );
 
     let mut workload = String::new();
@@ -195,7 +191,7 @@ fn tcp_arm(quick: bool) -> String {
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let server = Server::with_metrics(
+    let server = Server::new(
         ServeConfig {
             workers: 4,
             cache_capacity: 64,
@@ -203,7 +199,6 @@ fn tcp_arm(quick: bool) -> String {
             ..ServeConfig::default()
         },
         ujam_trace::null_sink(),
-        MetricsHandle::disabled(),
     );
 
     let mut latencies: Vec<u64> = Vec::with_capacity(clients * per_client);
@@ -278,7 +273,7 @@ fn shed_arm() -> String {
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let server = Server::with_metrics(
+    let server = Server::new(
         ServeConfig {
             workers: 1,
             cache_capacity: 0,
@@ -286,7 +281,6 @@ fn shed_arm() -> String {
             ..ServeConfig::default()
         },
         ujam_trace::null_sink(),
-        MetricsHandle::disabled(),
     );
 
     let mut shed = 0u64;

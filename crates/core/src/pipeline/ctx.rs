@@ -151,30 +151,26 @@ impl<'a> AnalysisCtx<'a> {
         machine: &'a MachineModel,
         sink: &'a dyn TraceSink,
     ) -> Result<AnalysisCtx<'a>, OptimizeError> {
-        AnalysisCtx::with_sink_and_cancel(nest, machine, sink, CancelToken::never())
+        AnalysisCtx::with_observability(
+            nest,
+            machine,
+            sink,
+            MetricsHandle::disabled(),
+            CancelToken::never(),
+        )
     }
 
-    /// [`AnalysisCtx::with_sink`] with a cancellation token: every pass
-    /// checks it at entry, and the search stages additionally check it
-    /// at candidate granularity, so a fired token surfaces as
+    /// [`AnalysisCtx::with_sink`] with a metrics handle and a
+    /// cancellation token.  Passes run through
+    /// [`super::Pass::run_traced`] additionally record their wall time
+    /// into a `pass.<name>.ns` histogram; with
+    /// [`MetricsHandle::disabled`] they record nothing — metrics, like
+    /// tracing, observe the pipeline without steering it.  Every pass
+    /// checks `cancel` at entry, and the search stages additionally
+    /// check it at candidate granularity, so a fired token surfaces as
     /// [`OptimizeError::DeadlineExceeded`] within a bounded amount of
     /// work.  A token that is already fired fails here, before any
     /// analysis runs.
-    pub fn with_sink_and_cancel(
-        nest: &'a LoopNest,
-        machine: &'a MachineModel,
-        sink: &'a dyn TraceSink,
-        cancel: CancelToken,
-    ) -> Result<AnalysisCtx<'a>, OptimizeError> {
-        AnalysisCtx::with_observability(nest, machine, sink, MetricsHandle::disabled(), cancel)
-    }
-
-    /// [`AnalysisCtx::with_sink_and_cancel`] with a metrics handle:
-    /// passes run through [`super::Pass::run_traced`] additionally
-    /// record their wall time into a `pass.<name>.ns` histogram.  With
-    /// [`MetricsHandle::disabled`] this is exactly
-    /// [`AnalysisCtx::with_sink_and_cancel`] — metrics, like tracing,
-    /// observe the pipeline without steering it.
     pub fn with_observability(
         nest: &'a LoopNest,
         machine: &'a MachineModel,

@@ -12,8 +12,8 @@
 //!   optimizer next to the `TraceSink`.  A disabled handle makes every
 //!   operation a no-op, so un-instrumented runs pay only a branch.
 //! * [`MetricsSnapshot`] — a point-in-time copy of everything the
-//!   registry holds, renderable as versioned JSON (the `ujam stats`
-//!   wire format) or as human-readable tables.
+//!   registry holds, rendered as versioned JSON (the `ujam stats`
+//!   wire format; the CLI renders that for humans).
 //!
 //! Everything here is in-tree and `std`-only; recording never blocks
 //! behind another recorder (shards + relaxed atomics), and snapshots

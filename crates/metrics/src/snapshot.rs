@@ -101,44 +101,6 @@ impl MetricsSnapshot {
         out.push_str("}}");
         out
     }
-
-    /// Renders the snapshot as aligned human-readable tables (the
-    /// default `ujam stats` view).  Sections with no entries are
-    /// omitted.
-    pub fn render_human(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("== metrics: counters ==\n");
-            for (name, value) in &self.counters {
-                let _ = writeln!(out, "{name:32} {value:>12}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("== metrics: gauges ==\n");
-            for (name, value) in &self.gauges {
-                let _ = writeln!(out, "{name:32} {value:>12}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("== metrics: histograms ==\n");
-            let _ = writeln!(
-                out,
-                "{:32} {:>10} {:>12} {:>12} {:>12}",
-                "histogram", "count", "p50", "p90", "p99"
-            );
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "{name:32} {:>10} {:>12} {:>12} {:>12}",
-                    h.count,
-                    h.p50(),
-                    h.p90(),
-                    h.p99()
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -186,13 +148,5 @@ mod tests {
     #[test]
     fn equal_snapshots_render_identically() {
         assert_eq!(sample().render_json(), sample().render_json());
-    }
-
-    #[test]
-    fn human_rendering_mentions_every_metric() {
-        let text = sample().render_human();
-        assert!(text.contains("serve.requests"));
-        assert!(text.contains("serve.inflight"));
-        assert!(text.contains("serve.request_ns"));
     }
 }

@@ -10,7 +10,7 @@
 //! * **content-addressed decision cache** ([`cache`]) — keyed by the
 //!   nest's canonical text plus the machine and cost model, so identical
 //!   problems share one entry no matter how they were submitted; LRU
-//!   eviction, hit/miss/evict counters through `ujam-trace`;
+//!   eviction, hit/miss/eviction counters in the metrics registry;
 //! * **a sequential stdin loop** ([`Server::run`]) — one line in, one
 //!   reply out, in request order;
 //! * **per-request deadlines** — `deadline_ms` arms a
@@ -20,11 +20,11 @@
 //! * **total error discipline** — malformed JSON, unknown kernels,
 //!   unparsable Fortran, invalid nests, and even optimizer panics each
 //!   produce a structured error reply; the daemon never dies on input;
-//! * **runtime metrics and an admin channel** — a server built with
-//!   [`Server::with_metrics`] records request/latency/cache metrics
-//!   into a `ujam-metrics` registry and answers `{"cmd":"stats"}` admin
-//!   lines (the `ujam stats` subcommand) with a versioned JSON
-//!   snapshot;
+//! * **runtime metrics and an admin channel** — every server records
+//!   request/latency/cache/connection metrics into its own
+//!   `ujam-metrics` registry, its only counter channel, and answers
+//!   `{"cmd":"stats"}` admin lines (the `ujam stats` subcommand) with a
+//!   versioned JSON snapshot;
 //! * **an event-loop front end** ([`reactor`]) — TCP and Unix-socket
 //!   listeners multiplexed by one `poll(2)` thread over nonblocking
 //!   sockets with incremental NDJSON framing ([`frame`]), cache hits

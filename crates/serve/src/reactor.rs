@@ -339,10 +339,10 @@ impl Conn {
     }
 }
 
-/// Reactor-level metrics, resolved once (all `None` when the server
-/// has no registry).
+/// Reactor-level metrics, resolved once from the server's registry.
 struct ReactorMetrics {
     accepted: Arc<Counter>,
+    accept_errors: Arc<Counter>,
     open: Arc<Gauge>,
     timeouts: Arc<Counter>,
     shed: Arc<Counter>,
@@ -352,25 +352,25 @@ struct ReactorMetrics {
 }
 
 impl ReactorMetrics {
-    fn resolve(server: &Server<'_>) -> Option<ReactorMetrics> {
-        let handle = server.metrics_handle();
-        let reg = handle.registry()?;
-        Some(ReactorMetrics {
+    fn resolve(server: &Server) -> ReactorMetrics {
+        let reg = server.registry();
+        ReactorMetrics {
             accepted: reg.counter("serve.conn.accepted"),
+            accept_errors: reg.counter("serve.conn.accept_errors"),
             open: reg.gauge("serve.conn.open"),
             timeouts: reg.counter("serve.conn.timeout"),
             shed: reg.counter("serve.shed"),
             oversized: reg.counter("serve.frame.oversized"),
             queue_depth: reg.gauge("serve.queue_depth"),
             queue_peak: reg.gauge("serve.queue_depth.peak"),
-        })
+        }
     }
 }
 
 /// Stamps and commits every timeline whose reply bytes have fully
 /// reached the socket.  A no-op while output is still pending — the
 /// flushed edge means the kernel accepted the last byte of the reply.
-fn commit_flushed(conn: &mut Conn, server: &Server<'_>) {
+fn commit_flushed(conn: &mut Conn, server: &Server) {
     if conn.has_pending_out() {
         return;
     }
@@ -394,10 +394,10 @@ enum Routed {
 
 /// The event loop.  Borrows the server; worker threads are scoped
 /// inside [`run`](Reactor::run), so the reactor cannot outlive it.
-pub(crate) struct Reactor<'a, 's> {
-    server: &'a Server<'s>,
+pub(crate) struct Reactor<'a> {
+    server: &'a Server,
     rcfg: ReactorConfig,
-    metrics: Option<ReactorMetrics>,
+    metrics: ReactorMetrics,
     conns: HashMap<u64, Conn>,
     next_conn_id: u64,
     /// Jobs pushed and not yet drained from the results list —
@@ -405,13 +405,18 @@ pub(crate) struct Reactor<'a, 's> {
     depth: usize,
     stopping: bool,
     stop_deadline: Option<Instant>,
+    /// Set when `accept` failed with anything but `WouldBlock` (say
+    /// `EMFILE`): the listeners stay out of the poll set until then.  A
+    /// level-triggered listener with a pending connection it cannot
+    /// accept would otherwise wake `poll` at once, forever.
+    accept_resume: Option<Instant>,
     /// The front stage's key buffer, reused from hit to hit (a miss
     /// takes it along to the worker).
     key: String,
 }
 
-impl<'a, 's> Reactor<'a, 's> {
-    pub(crate) fn new(server: &'a Server<'s>, rcfg: ReactorConfig) -> Reactor<'a, 's> {
+impl<'a> Reactor<'a> {
+    pub(crate) fn new(server: &'a Server, rcfg: ReactorConfig) -> Reactor<'a> {
         Reactor {
             server,
             rcfg,
@@ -421,6 +426,7 @@ impl<'a, 's> Reactor<'a, 's> {
             depth: 0,
             stopping: false,
             stop_deadline: None,
+            accept_resume: None,
             key: String::new(),
         }
     }
@@ -482,21 +488,29 @@ impl<'a, 's> Reactor<'a, 's> {
     ) -> std::io::Result<()> {
         use crate::sys::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 
-        let tick_ms = (self.rcfg.read_timeout.as_millis() / 2)
+        let tick_ms: i32 = (self.rcfg.read_timeout.as_millis() / 2)
             .clamp(10, 100)
             .try_into()
-            .unwrap_or(100i32);
+            .unwrap_or(100);
+        let tick = Duration::from_millis(tick_ms as u64);
         let series_period = Duration::from_secs(1);
         let mut next_series = Instant::now() + series_period;
 
         loop {
             // 1. Build this iteration's poll set.  Slot 0 is the wake
-            //    pipe; listeners follow (only while accepting); then one
-            //    slot per connection with interest derived from state.
+            //    pipe; listeners follow (only while accepting, and not
+            //    within a tick of a failed accept); then one slot per
+            //    connection with interest derived from state.
             let mut fds = vec![PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
             let mut tcp_slot = None;
             let mut unix_slot = None;
-            if !self.stopping {
+            if self
+                .accept_resume
+                .is_some_and(|resume| Instant::now() >= resume)
+            {
+                self.accept_resume = None;
+            }
+            if !self.stopping && self.accept_resume.is_none() {
                 if let Some(l) = &transports.tcp {
                     tcp_slot = Some(fds.len());
                     fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
@@ -527,7 +541,7 @@ impl<'a, 's> Reactor<'a, 's> {
 
             // Close one time-series window roughly every second (the
             // poll tick is ≤ 100 ms, so the cadence holds even when the
-            // daemon is idle).  No-op without a metrics registry.
+            // daemon is idle).
             if now >= next_series {
                 self.server.collect_series_window();
                 next_series = now + series_period;
@@ -558,19 +572,17 @@ impl<'a, 's> Reactor<'a, 's> {
                     }
                 }
             }
-            if let Some(m) = &self.metrics {
-                m.queue_depth.set(self.depth as i64);
-            }
+            self.metrics.queue_depth.set(self.depth as i64);
 
             // 3. Accept.
             if let (Some(slot), Some(l)) = (tcp_slot, &transports.tcp) {
                 if fds[slot].revents != 0 {
-                    self.accept_tcp(l, now);
+                    self.accept_tcp(l, now, tick);
                 }
             }
             if let (Some(slot), Some(l)) = (unix_slot, &transports.unix) {
                 if fds[slot].revents != 0 {
-                    self.accept_unix(l, now);
+                    self.accept_unix(l, now, tick);
                 }
             }
 
@@ -638,7 +650,7 @@ impl<'a, 's> Reactor<'a, 's> {
         }
     }
 
-    fn accept_tcp(&mut self, listener: &TcpListener, now: Instant) {
+    fn accept_tcp(&mut self, listener: &TcpListener, now: Instant, tick: Duration) {
         loop {
             match listener.accept() {
                 Ok((stream, _addr)) => {
@@ -649,12 +661,12 @@ impl<'a, 's> Reactor<'a, 's> {
                 }
                 Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == IoErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(_) => return self.accept_failed(now, tick),
             }
         }
     }
 
-    fn accept_unix(&mut self, listener: &UnixListener, now: Instant) {
+    fn accept_unix(&mut self, listener: &UnixListener, now: Instant, tick: Duration) {
         loop {
             match listener.accept() {
                 Ok((stream, _addr)) => {
@@ -665,9 +677,16 @@ impl<'a, 's> Reactor<'a, 's> {
                 }
                 Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == IoErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(_) => return self.accept_failed(now, tick),
             }
         }
+    }
+
+    /// An accept error other than `WouldBlock` (`EMFILE`, `ENFILE`,
+    /// `ENOBUFS`, ...): counted, and the listeners sit out one tick.
+    fn accept_failed(&mut self, now: Instant, tick: Duration) {
+        self.metrics.accept_errors.inc();
+        self.accept_resume = Some(now + tick);
     }
 
     fn admit(&mut self, mut stream: ConnStream, needs_hello: bool, now: Instant) {
@@ -678,17 +697,14 @@ impl<'a, 's> Reactor<'a, 's> {
             let mut line = overloaded_reply(None, self.rcfg.retry_ms).render();
             line.push('\n');
             let _ = stream.write(line.as_bytes());
-            self.count_shed(1);
+            self.metrics.shed.inc();
             return;
         }
         let id = self.next_conn_id;
         self.next_conn_id += 1;
         self.conns.insert(id, Conn::new(stream, needs_hello, now));
-        self.server.count("serve.conn.accepted", 1);
-        if let Some(m) = &self.metrics {
-            m.accepted.inc();
-            m.open.set(self.conns.len() as i64);
-        }
+        self.metrics.accepted.inc();
+        self.metrics.open.set(self.conns.len() as i64);
     }
 
     /// Reads what the kernel has for `conn`, up to `MAX_LINE_BYTES` per
@@ -734,28 +750,17 @@ impl<'a, 's> Reactor<'a, 's> {
             let Some(frame) = conn.decoder.next_frame() else {
                 return;
             };
-            let mut shed = 0;
-            let mut oversized = 0;
-            match self.route(id, frame, &mut shed, &mut oversized) {
+            match self.route(id, frame) {
                 Routed::Inline => {}
                 Routed::Queued(job) => {
                     self.depth += 1;
-                    if let Some(m) = &self.metrics {
-                        m.queue_depth.set(self.depth as i64);
-                        m.queue_peak.set_max(self.depth as i64);
-                    }
+                    self.metrics.queue_depth.set(self.depth as i64);
+                    self.metrics.queue_peak.set_max(self.depth as i64);
                     queue.push(*job);
                 }
                 Routed::InlineShutdown => {
                     self.stopping = true;
                     self.stop_deadline = Some(Instant::now() + Duration::from_millis(500));
-                }
-            }
-            self.count_shed(shed);
-            if oversized > 0 {
-                self.server.count("serve.frame.oversized", oversized);
-                if let Some(m) = &self.metrics {
-                    m.oversized.add(oversized);
                 }
             }
         }
@@ -764,7 +769,7 @@ impl<'a, 's> Reactor<'a, 's> {
     /// Decides one frame's fate: an inline reply (handshake, admin,
     /// framing errors, cache hits, front-stage errors, shed misses) or
     /// a queued miss.
-    fn route(&mut self, id: u64, frame: Frame, shed: &mut u64, oversized: &mut u64) -> Routed {
+    fn route(&mut self, id: u64, frame: Frame) -> Routed {
         let rcfg = self.rcfg;
         let at_capacity = self.depth >= rcfg.max_queue;
         let conn = self.conns.get_mut(&id).expect("routed conn exists");
@@ -778,7 +783,7 @@ impl<'a, 's> Reactor<'a, 's> {
         let line = match frame {
             Frame::Empty => unreachable!("handled above"),
             Frame::Oversized { len } => {
-                *oversized += 1;
+                self.metrics.oversized.inc();
                 let message =
                     format!("line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte frame limit");
                 let mut state = self.server.flight().begin(conn.last_read);
@@ -880,7 +885,7 @@ impl<'a, 's> Reactor<'a, 's> {
 
         // Shed at the queue cap, otherwise enqueue.
         if at_capacity {
-            *shed += 1;
+            self.metrics.shed.inc();
             // Never queued: drop the front stage's edges, keep `framed`.
             let t = &mut state.timeline;
             (t.enqueued, t.dequeued, t.cache_probe, t.cache_done) = (None, None, None, None);
@@ -907,16 +912,6 @@ impl<'a, 's> Reactor<'a, 's> {
         }))
     }
 
-    fn count_shed(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.server.count("serve.shed", n);
-        if let Some(m) = &self.metrics {
-            m.shed.add(n);
-        }
-    }
-
     fn drop_conn(&mut self, id: u64) {
         if let Some(mut conn) = self.conns.remove(&id) {
             // Peer gone before its replies drained: the timelines are
@@ -929,9 +924,7 @@ impl<'a, 's> Reactor<'a, 's> {
                     self.server.flight().commit(t.timeline);
                 }
             }
-            if let Some(m) = &self.metrics {
-                m.open.set(self.conns.len() as i64);
-            }
+            self.metrics.open.set(self.conns.len() as i64);
         }
     }
 
@@ -967,10 +960,7 @@ impl<'a, 's> Reactor<'a, 's> {
         // Count before closing: a reaped client observes EOF the moment
         // its fd drops, and may read the stats counter immediately.
         if timed_out > 0 {
-            self.server.count("serve.conn.timeout", timed_out);
-            if let Some(m) = &self.metrics {
-                m.timeouts.add(timed_out);
-            }
+            self.metrics.timeouts.add(timed_out);
         }
         for id in reapable {
             self.drop_conn(id);
@@ -978,7 +968,7 @@ impl<'a, 's> Reactor<'a, 's> {
     }
 }
 
-impl<'s> Server<'s> {
+impl Server {
     /// Runs the event-loop daemon over the given transports until a
     /// `{"cmd":"shutdown"}` admin line arrives (or a listener error).
     ///

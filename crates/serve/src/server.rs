@@ -39,8 +39,10 @@ use std::time::{Duration, Instant};
 
 use ujam_core::{optimize_costed, CancelToken, OptimizeError, SearchConfig};
 use ujam_ir::LoopNest;
-use ujam_metrics::{Counter, Gauge, Histogram, MetricsHandle, MetricsSnapshot, SeriesCollector};
-use ujam_trace::{null_sink, Anomaly, AnomalyReason, TraceRecord, TraceSink};
+use ujam_metrics::{
+    Counter, Gauge, Histogram, MetricsHandle, MetricsRegistry, MetricsSnapshot, SeriesCollector,
+};
+use ujam_trace::{null_sink, Anomaly, AnomalyReason, TraceSink};
 
 use crate::cache::{write_decision_key, CacheStats, Decision};
 use crate::flight::{FlightRecorder, TimelineState, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_MS};
@@ -98,12 +100,10 @@ impl Default for ServeConfig {
 /// let again = server.handle_line(r#"{"id":"r2","kernel":"dmxpy1"}"#);
 /// assert!(again.contains("\"cached\":true"));
 /// ```
-pub struct Server<'s> {
+pub struct Server {
     cfg: ServeConfig,
     cache: ShardedDecisionCache,
-    sink: &'s dyn TraceSink,
-    metrics: Option<ServeMetrics>,
-    metrics_handle: MetricsHandle,
+    metrics: ServeMetrics,
     shutdown: AtomicBool,
     flight: FlightRecorder,
     series: Mutex<SeriesCollector>,
@@ -142,7 +142,7 @@ pub(crate) struct Miss {
     req: Request,
     nest: Option<LoopNest>,
     key: String,
-    t0: Option<Instant>,
+    t0: Instant,
 }
 
 impl Miss {
@@ -162,7 +162,7 @@ impl Miss {
 /// the request counter a stats query returns exactly equal to the
 /// replayed batch's ground truth.
 struct ServeMetrics {
-    handle: MetricsHandle,
+    registry: Arc<MetricsRegistry>,
     requests: Arc<Counter>,
     admin_requests: Arc<Counter>,
     replies_ok: Arc<Counter>,
@@ -186,12 +186,12 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Resolves the serve metric set, or `None` for a disabled handle.
+    /// Resolves the serve metric set in a fresh registry.
     /// Pass-duration histograms and the reactor's queue-depth gauge are
     /// touched eagerly too, so they appear (empty) in snapshots taken
     /// before the first uncached request, or without a reactor.
-    fn resolve(handle: &MetricsHandle, shards: usize) -> Option<ServeMetrics> {
-        let reg = handle.registry()?;
+    fn resolve(shards: usize) -> ServeMetrics {
+        let reg = MetricsRegistry::new();
         for pass in [
             "select-loops",
             "build-tables",
@@ -201,8 +201,7 @@ impl ServeMetrics {
             reg.histogram(&format!("pass.{pass}.ns"));
         }
         reg.gauge("serve.queue_depth");
-        Some(ServeMetrics {
-            handle: handle.clone(),
+        ServeMetrics {
             requests: reg.counter("serve.requests"),
             admin_requests: reg.counter("serve.admin_requests"),
             replies_ok: reg.counter("serve.replies_ok"),
@@ -225,35 +224,25 @@ impl ServeMetrics {
             shard_evictions: (0..shards.max(1))
                 .map(|i| reg.counter(&format!("serve.cache.shard{i}.evictions")))
                 .collect(),
-        })
+            registry: Arc::new(reg),
+        }
     }
 }
 
-impl<'s> Server<'s> {
-    /// A server with the given tunables, reporting its counters
-    /// (`serve.request`, `serve.cache.hit`/`miss`/`evict`,
-    /// `serve.deadline_exceeded`, ...) to `sink`, with metrics
-    /// disabled (`{"cmd":"stats"}` answers with an empty snapshot).
-    pub fn new(cfg: ServeConfig, sink: &'s dyn TraceSink) -> Server<'s> {
-        Server::with_metrics(cfg, sink, MetricsHandle::disabled())
-    }
-
-    /// [`Server::new`] with a [`MetricsHandle`]: request/reply counters,
-    /// latency histograms, cache and in-flight gauges,
-    /// and per-pass duration histograms all record into its registry,
-    /// and `{"cmd":"stats"}` (the `ujam stats` subcommand) answers with
-    /// a versioned snapshot of it.
-    pub fn with_metrics(
-        cfg: ServeConfig,
-        sink: &'s dyn TraceSink,
-        metrics: MetricsHandle,
-    ) -> Server<'s> {
+impl Server {
+    /// A server with the given tunables and its own metrics registry:
+    /// request/reply counters, latency histograms, cache and in-flight
+    /// gauges, and per-pass duration histograms all record into it, and
+    /// `{"cmd":"stats"}` (the `ujam stats` subcommand) answers with a
+    /// versioned snapshot of it.
+    ///
+    /// The registry is the server's only counter channel: `_sink` is
+    /// accepted for source compatibility and never written.
+    pub fn new(cfg: ServeConfig, _sink: &dyn TraceSink) -> Server {
         Server {
             cfg,
             cache: ShardedDecisionCache::new(cfg.cache_capacity, cfg.shards),
-            sink,
-            metrics: ServeMetrics::resolve(&metrics, cfg.shards),
-            metrics_handle: metrics,
+            metrics: ServeMetrics::resolve(cfg.shards),
             shutdown: AtomicBool::new(false),
             flight: FlightRecorder::new(cfg.flight_capacity, cfg.slow_ms),
             series: Mutex::new(SeriesCollector::with_default_capacity()),
@@ -267,11 +256,10 @@ impl<'s> Server<'s> {
         self.cfg
     }
 
-    /// The handle the server records into (disabled when built without
-    /// metrics); the reactor resolves its connection/queue metrics from
-    /// the same registry.
-    pub(crate) fn metrics_handle(&self) -> MetricsHandle {
-        self.metrics_handle.clone()
+    /// The server's registry; the reactor resolves its connection and
+    /// queue metrics from it.
+    pub(crate) fn registry(&self) -> &MetricsRegistry {
+        &self.metrics.registry
     }
 
     /// Whether a `{"cmd":"shutdown"}` admin line has been answered.
@@ -290,13 +278,9 @@ impl<'s> Server<'s> {
     /// Closes one time-series window now (the reactor's ~1 s tick calls
     /// this, and a `{"cmd":"stats","series":true}` line calls it
     /// on-demand so the reply always carries at least one window).
-    /// A no-op when the server has no metrics registry.
     pub fn collect_series_window(&self) {
-        let Some(reg) = self.metrics_handle.registry() else {
-            return;
-        };
         let at_ms = self.started.elapsed().as_millis() as u64;
-        self.series_lock().collect(reg, at_ms);
+        self.series_lock().collect(&self.metrics.registry, at_ms);
     }
 
     /// The series ring rendered as versioned JSON.
@@ -310,19 +294,9 @@ impl<'s> Server<'s> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// A point-in-time snapshot of the server's metrics registry (empty
-    /// when the server was built without one).
+    /// A point-in-time snapshot of the server's metrics registry.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match &self.metrics {
-            Some(m) => m.handle.snapshot(),
-            None => MetricsHandle::disabled().snapshot(),
-        }
-    }
-
-    pub(crate) fn count(&self, name: &str, value: u64) {
-        if self.sink.enabled() && value > 0 {
-            self.sink.record(TraceRecord::counter("serve", name, value));
-        }
+        self.metrics.registry.snapshot()
     }
 
     /// Current decision-cache counters, summed over every shard.
@@ -390,9 +364,7 @@ impl<'s> Server<'s> {
     /// Answers an admin request (never counted as an optimize request,
     /// so stats snapshots match replay ground truth exactly).
     pub(crate) fn handle_admin(&self, admin: &AdminRequest) -> String {
-        if let Some(m) = &self.metrics {
-            m.admin_requests.inc();
-        }
+        self.metrics.admin_requests.inc();
         match admin.cmd {
             AdminCmd::Stats { series } => {
                 let snapshot = self.metrics_snapshot().render_json();
@@ -439,7 +411,7 @@ impl<'s> Server<'s> {
         mut state: Option<&mut TimelineState>,
         key: &mut String,
     ) -> Front {
-        let t0 = self.metrics.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         let req = match parsed {
             Ok(req) => req,
             Err(e) => return Front::Answered(self.answer_error(e, None, false, t0, state)),
@@ -516,13 +488,9 @@ impl<'s> Server<'s> {
     /// caches the decision and answers.  `serve.inflight` counts the
     /// requests inside this stage.
     pub(crate) fn miss(&self, miss: Miss, state: Option<&mut TimelineState>) -> String {
-        if let Some(m) = &self.metrics {
-            m.inflight.add(1);
-        }
+        self.metrics.inflight.add(1);
         let reply = self.answer_miss(miss, state);
-        if let Some(m) = &self.metrics {
-            m.inflight.add(-1);
-        }
+        self.metrics.inflight.add(-1);
         reply
     }
 
@@ -543,11 +511,6 @@ impl<'s> Server<'s> {
         // input; `catch_unwind` is the last line of defence so that even
         // a bug in the pipeline answers this one request with an
         // `internal` error instead of killing the daemon.
-        let pass_metrics = self
-            .metrics
-            .as_ref()
-            .map(|m| m.handle.clone())
-            .unwrap_or_default();
         if let Some(st) = state.as_deref_mut() {
             st.stamp_analysis_start();
         }
@@ -559,7 +522,7 @@ impl<'s> Server<'s> {
                 req.cost_model,
                 null_sink(),
                 cancel,
-                pass_metrics,
+                MetricsHandle::new(Arc::clone(&self.metrics.registry)),
                 search_config(&req),
             )
         }));
@@ -586,13 +549,11 @@ impl<'s> Server<'s> {
         // already returned, so a cancelled attempt can never poison the
         // cache for a caller with a looser deadline.
         let outcome = self.cache.insert(key, decision.clone());
-        self.count("serve.cache.evict", outcome.evicted);
-        if let Some(m) = &self.metrics {
-            m.cache_evictions.add(outcome.evicted);
-            m.shard_evictions[outcome.shard].add(outcome.evicted);
-            m.cache_entries.set(self.cache.len() as i64);
-            m.cache_bytes.set(self.cache.approx_bytes() as i64);
-        }
+        let m = &self.metrics;
+        m.cache_evictions.add(outcome.evicted);
+        m.shard_evictions[outcome.shard].add(outcome.evicted);
+        m.cache_entries.set(self.cache.len() as i64);
+        m.cache_bytes.set(self.cache.approx_bytes() as i64);
         self.answer_ok(&req, &decision, false, t0, state)
     }
 
@@ -613,7 +574,7 @@ impl<'s> Server<'s> {
         count_miss: bool,
         mut state: Option<&mut TimelineState>,
     ) -> Option<Arc<Decision>> {
-        let t0 = self.metrics.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         if let Some(st) = state.as_deref_mut() {
             st.stamp_cache_probe();
         }
@@ -624,25 +585,15 @@ impl<'s> Server<'s> {
         if hit.is_none() && !count_miss {
             return None;
         }
-        let found = hit.is_some();
-        self.count(
-            if found {
-                "serve.cache.hit"
-            } else {
-                "serve.cache.miss"
-            },
-            1,
-        );
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            let (total, per_shard) = if found {
-                (&m.cache_hits, &m.shard_hits)
-            } else {
-                (&m.cache_misses, &m.shard_misses)
-            };
-            total.inc();
-            per_shard[shard].inc();
-            m.cache_lookup_ns.observe(t0.elapsed().as_nanos() as u64);
-        }
+        let m = &self.metrics;
+        let (total, per_shard) = if hit.is_some() {
+            (&m.cache_hits, &m.shard_hits)
+        } else {
+            (&m.cache_misses, &m.shard_misses)
+        };
+        total.inc();
+        per_shard[shard].inc();
+        m.cache_lookup_ns.observe(t0.elapsed().as_nanos() as u64);
         hit
     }
 
@@ -653,7 +604,7 @@ impl<'s> Server<'s> {
         req: &Request,
         decision: &Decision,
         cached: bool,
-        t0: Option<Instant>,
+        t0: Instant,
         state: Option<&mut TimelineState>,
     ) -> String {
         let trace_id = state.as_deref().map(TimelineState::trace_id);
@@ -665,7 +616,6 @@ impl<'s> Server<'s> {
             t.cached = cached;
             t.unroll = Some(decision.unroll.clone());
         }
-        self.count("serve.ok", 1);
         self.retire(true, t0, trace_id);
         render_decision(&req.id, decision, cached, trace_id.filter(|_| req.trace))
     }
@@ -677,7 +627,7 @@ impl<'s> Server<'s> {
         reply: Reply,
         deadline_ms: Option<u64>,
         trace: bool,
-        t0: Option<Instant>,
+        t0: Instant,
         state: Option<&mut TimelineState>,
     ) -> String {
         let Reply::Error(e) = &reply else {
@@ -699,12 +649,8 @@ impl<'s> Server<'s> {
                 t.anomaly = Some(Anomaly::new(AnomalyReason::Deadline, detail));
             }
         }
-        self.count("serve.error", 1);
         if deadline {
-            self.count("serve.deadline_exceeded", 1);
-            if let Some(m) = &self.metrics {
-                m.deadline_exceeded.inc();
-            }
+            self.metrics.deadline_exceeded.inc();
         }
         self.retire(false, t0, trace_id);
         reply.with_trace_id(trace_id.filter(|_| trace)).render()
@@ -716,11 +662,8 @@ impl<'s> Server<'s> {
     /// trace id when timed so series windows can carry an exemplar
     /// pointing back into the flight recorder.  A miss shed at the
     /// queue is never answered here, so it is never counted.
-    fn retire(&self, ok: bool, t0: Option<Instant>, trace_id: Option<u64>) {
-        self.count("serve.request", 1);
-        let (Some(m), Some(t0)) = (&self.metrics, t0) else {
-            return;
-        };
+    fn retire(&self, ok: bool, t0: Instant, trace_id: Option<u64>) {
+        let m = &self.metrics;
         m.requests.inc();
         if ok {
             m.replies_ok.inc();
@@ -810,9 +753,9 @@ fn kernel_key_table() -> HashMap<&'static str, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ujam_trace::{json, CollectingSink};
+    use ujam_trace::json;
 
-    fn server(sink: &dyn TraceSink) -> Server<'_> {
+    fn server() -> Server {
         Server::new(
             ServeConfig {
                 workers: 2,
@@ -820,14 +763,13 @@ mod tests {
                 shards: 1,
                 ..ServeConfig::default()
             },
-            sink,
+            null_sink(),
         )
     }
 
     #[test]
     fn kernel_request_round_trips_and_caches() {
-        let sink = CollectingSink::new();
-        let s = server(&sink);
+        let s = server();
         let first = s.handle_line(r#"{"id":"a","kernel":"dmxpy1"}"#);
         let doc = json::parse(&first).expect("valid JSON");
         assert_eq!(doc.get("ok"), Some(&json::Value::Bool(true)));
@@ -837,23 +779,16 @@ mod tests {
         assert_eq!(doc.get("cached"), Some(&json::Value::Bool(true)));
         let stats = s.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        let totals = sink.trace().counter_totals();
-        let total = |name: &str| {
-            totals
-                .iter()
-                .find(|(_, n, _)| n == name)
-                .map(|(_, _, v)| *v)
-                .unwrap_or(0)
-        };
-        assert_eq!(total("serve.request"), 2);
-        assert_eq!(total("serve.cache.hit"), 1);
-        assert_eq!(total("serve.cache.miss"), 1);
-        assert_eq!(total("serve.ok"), 2);
+        let snap = s.metrics_snapshot();
+        assert_eq!(snap.counter("serve.requests"), 2);
+        assert_eq!(snap.counter("serve.cache.hits"), 1);
+        assert_eq!(snap.counter("serve.cache.misses"), 1);
+        assert_eq!(snap.counter("serve.replies_ok"), 2);
     }
 
     #[test]
     fn unknown_kernel_and_parse_errors_are_structured() {
-        let s = server(null_sink());
+        let s = server();
         let reply = s.handle_line(r#"{"id":"a","kernel":"nope"}"#);
         let doc = json::parse(&reply).expect("valid JSON");
         assert_eq!(doc.get("ok"), Some(&json::Value::Bool(false)));
@@ -873,8 +808,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_is_rejected_and_not_cached() {
-        let sink = CollectingSink::new();
-        let s = server(&sink);
+        let s = server();
         let reply = s.handle_line(r#"{"id":"a","kernel":"dmxpy1","deadline_ms":0}"#);
         let doc = json::parse(&reply).expect("valid JSON");
         assert_eq!(
@@ -889,15 +823,12 @@ mod tests {
         let doc = json::parse(&reply).expect("valid JSON");
         assert_eq!(doc.get("ok"), Some(&json::Value::Bool(true)));
         assert_eq!(doc.get("cached"), Some(&json::Value::Bool(false)));
-        let totals = sink.trace().counter_totals();
-        assert!(totals
-            .iter()
-            .any(|(_, n, v)| n == "serve.deadline_exceeded" && *v == 1));
+        assert_eq!(s.metrics_snapshot().counter("serve.deadline_exceeded"), 1);
     }
 
     #[test]
     fn inline_source_shares_cache_with_kernel_requests() {
-        let s = server(null_sink());
+        let s = server();
         let emitted = ujam_fortran::emit(&ujam_kernels::kernel("dmxpy1").expect("exists").nest());
         let mut line = String::from(r#"{"id":"a","source":"#);
         ujam_trace::json::write_escaped(&mut line, &emitted);
@@ -922,7 +853,7 @@ mod tests {
     fn kernel_key_table_matches_decision_key() {
         use ujam_core::{BalanceModel, CostModelKind};
         use ujam_machine::MachineModel;
-        let s = server(null_sink());
+        let s = server();
         let mut named: Vec<(&str, LoopNest)> = ujam_kernels::kernels()
             .into_iter()
             .map(|k| (k.name, k.nest()))
@@ -985,26 +916,9 @@ mod tests {
         assert_eq!(checked, (19 + 6 + 1) * 3 * 2 * 2 * 2);
     }
 
-    fn metric_server(
-        sink: &dyn TraceSink,
-    ) -> (std::sync::Arc<ujam_metrics::MetricsRegistry>, Server<'_>) {
-        let registry = std::sync::Arc::new(ujam_metrics::MetricsRegistry::new());
-        let server = Server::with_metrics(
-            ServeConfig {
-                workers: 2,
-                cache_capacity: 16,
-                shards: 1,
-                ..ServeConfig::default()
-            },
-            sink,
-            MetricsHandle::new(std::sync::Arc::clone(&registry)),
-        );
-        (registry, server)
-    }
-
     #[test]
     fn metrics_mirror_request_and_cache_accounting() {
-        let (_, s) = metric_server(null_sink());
+        let s = server();
         s.handle_line(r#"{"id":"a","kernel":"dmxpy1"}"#);
         s.handle_line(r#"{"id":"b","kernel":"dmxpy1"}"#);
         s.handle_line(r#"{"id":"c","kernel":"nope"}"#);
@@ -1044,7 +958,7 @@ mod tests {
 
     #[test]
     fn stats_requests_answer_from_the_registry_without_counting_as_requests() {
-        let (_, s) = metric_server(null_sink());
+        let s = server();
         s.handle_line(r#"{"id":"a","kernel":"dmxpy1"}"#);
         let reply = s.handle_line(r#"{"id":"s1","cmd":"stats"}"#);
         let doc = json::parse(&reply).expect("valid JSON");
@@ -1071,26 +985,12 @@ mod tests {
         assert_eq!(snap.counter("serve.admin_requests"), 1);
     }
 
-    #[test]
-    fn metricless_servers_answer_stats_with_an_empty_snapshot() {
-        let s = server(null_sink());
-        let reply = s.handle_line(r#"{"id":"s","cmd":"stats"}"#);
-        let doc = json::parse(&reply).expect("valid JSON");
-        assert_eq!(doc.get("ok"), Some(&json::Value::Bool(true)));
-        let counters = doc
-            .get("stats")
-            .and_then(|s| s.get("counters"))
-            .expect("counters object");
-        assert_eq!(counters, &json::Value::Object(Default::default()));
-    }
-
     /// Replay determinism: serving the same lines to two servers yields
     /// identical snapshots once timing-valued fields are projected out.
     #[test]
     fn replayed_batches_produce_identical_snapshots_modulo_timing() {
         let run = || {
-            let registry = std::sync::Arc::new(ujam_metrics::MetricsRegistry::new());
-            let s = Server::with_metrics(
+            let s = Server::new(
                 ServeConfig {
                     workers: 1,
                     cache_capacity: 16,
@@ -1098,7 +998,6 @@ mod tests {
                     ..ServeConfig::default()
                 },
                 null_sink(),
-                MetricsHandle::new(std::sync::Arc::clone(&registry)),
             );
             for line in [
                 r#"{"id":"1","kernel":"dmxpy1"}"#,
@@ -1124,13 +1023,13 @@ mod tests {
 
     #[test]
     fn timed_handling_stamps_edges_and_replies_identically() {
-        let (_, s) = metric_server(null_sink());
+        let s = server();
         let line = r#"{"id":"a","kernel":"dmxpy1"}"#;
         let mut state = s.flight().begin(Instant::now());
         let timed = s.handle_line_timed(line, &mut state);
         // A fresh identical server answers the untimed way: bitwise
         // equal output, tracing on or off.
-        let (_, bare) = metric_server(null_sink());
+        let bare = server();
         assert_eq!(
             timed,
             bare.handle_line(line),
@@ -1156,7 +1055,7 @@ mod tests {
 
     #[test]
     fn trace_opt_in_echoes_the_assigned_trace_id() {
-        let (_, s) = metric_server(null_sink());
+        let s = server();
         let mut state = s.flight().begin(Instant::now());
         let reply = s.handle_line_timed(r#"{"id":"a","kernel":"dmxpy1","trace":true}"#, &mut state);
         assert!(reply.ends_with(",\"trace_id\":1}"), "{reply}");
@@ -1169,7 +1068,7 @@ mod tests {
 
     #[test]
     fn deadline_errors_carry_a_structured_anomaly() {
-        let (_, s) = metric_server(null_sink());
+        let s = server();
         let mut state = s.flight().begin(Instant::now());
         s.handle_line_timed(
             r#"{"id":"a","kernel":"dmxpy1","deadline_ms":0}"#,
@@ -1183,7 +1082,7 @@ mod tests {
 
     #[test]
     fn flight_admin_lines_answer_from_the_recorder_as_admin_traffic() {
-        let (_, s) = metric_server(null_sink());
+        let s = server();
         let mut state = s.flight().begin(Instant::now());
         s.handle_line_timed(r#"{"id":"a","kernel":"dmxpy1"}"#, &mut state);
         s.flight().commit(state.timeline);
@@ -1213,7 +1112,7 @@ mod tests {
 
     #[test]
     fn stats_series_replies_carry_windows_with_exemplars() {
-        let (_, s) = metric_server(null_sink());
+        let s = server();
         let mut state = s.flight().begin(Instant::now());
         s.handle_line_timed(r#"{"id":"a","kernel":"dmxpy1"}"#, &mut state);
         let reply = s.handle_line(r#"{"id":"s1","cmd":"stats","series":true}"#);
@@ -1252,7 +1151,7 @@ mod tests {
 
     #[test]
     fn run_answers_every_line_and_drains_on_eof() {
-        let s = server(null_sink());
+        let s = server();
         let input = b"{\"id\":\"1\",\"kernel\":\"dmxpy\"}\n\n{\"id\":\"2\",\"kernel\":\"nope\"}\nnot json\n"
             .to_vec();
         let mut out = Vec::new();

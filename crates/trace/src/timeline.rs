@@ -268,61 +268,6 @@ impl RequestTimeline {
         out
     }
 
-    /// Renders one operator-facing line plus an edge breakdown, e.g.
-    ///
-    /// ```text
-    /// #3 id=r3 nest=mm ok (cached) total=1.2ms
-    ///    queue=0.1ms cache=0.0ms analysis=-- flush=0.1ms
-    /// ```
-    pub fn render_human(&self) -> String {
-        fn ms(v: Option<u64>) -> String {
-            match v {
-                Some(v) => format!("{:.2}ms", v as f64 / 1e6),
-                None => "--".to_string(),
-            }
-        }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "#{} id={} nest={} {}",
-            self.trace_id,
-            if self.id.is_empty() { "?" } else { &self.id },
-            if self.nest.is_empty() {
-                "?"
-            } else {
-                &self.nest
-            },
-            if self.outcome.is_empty() {
-                "?"
-            } else {
-                &self.outcome
-            },
-        );
-        if self.cached {
-            out.push_str(" (cached)");
-        }
-        if let Some(u) = &self.unroll {
-            let parts: Vec<String> = u.iter().map(u32::to_string).collect();
-            let _ = write!(out, " u=[{}]", parts.join(","));
-        }
-        let _ = write!(out, " total={}", ms(Some(self.total_ns())));
-        if let Some(a) = &self.anomaly {
-            let _ = write!(out, " !{}", a.reason.as_str());
-            if !a.detail.is_empty() {
-                let _ = write!(out, " ({})", a.detail);
-            }
-        }
-        let _ = write!(
-            out,
-            "\n   queue={} cache={} analysis={} flush={}",
-            ms(self.queue_ns()),
-            ms(self.cache_ns()),
-            ms(self.analysis_ns()),
-            ms(self.flush_ns()),
-        );
-        out
-    }
-
     /// The timeline as span records — one span per stamped phase, under
     /// nest `req-<trace_id>` — so flight-recorder contents feed the
     /// existing [`ChromeTraceRenderer`](crate::ChromeTraceRenderer)
@@ -425,8 +370,6 @@ mod tests {
         t.anomaly = Some(Anomaly::new(AnomalyReason::Deadline, "deadline_ms=1"));
         let doc = t.render_json();
         assert!(doc.contains("\"anomaly\":{\"reason\":\"deadline\",\"detail\":\"deadline_ms=1\"}"));
-        let human = t.render_human();
-        assert!(human.contains("!deadline (deadline_ms=1)"));
         json::parse(&doc).expect("strict JSON");
     }
 

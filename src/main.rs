@@ -39,13 +39,15 @@
 //!
 //! `serve` always records runtime metrics (counters, gauges, latency
 //! histograms) into a `ujam-metrics` registry; `{"cmd":"stats"}` admin
-//! lines — or the `ujam stats` subcommand — return a snapshot, and
-//! `--metrics-interval SECS` additionally prints one JSON snapshot per
-//! interval to stderr.
+//! lines — or the `ujam stats` subcommand — return a snapshot.
+//!
+//! Every command writes stdout through `out!`/`outln!`.  When the
+//! reader closes the pipe (`ujam list | head -1`), the command stops
+//! and `ujam` exits 0 with nothing on stderr: the reader has all the
+//! output it asked for.
 
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
-use std::sync::Arc;
 use ujam::core::{
     optimize_costed, optimize_with, tables::CostTables, BalanceModel, CancelToken, CostModelKind,
     SearchConfig, UnrollSpace,
@@ -55,7 +57,7 @@ use ujam::ir::transform::scalar_replacement;
 use ujam::ir::LoopNest;
 use ujam::kernels::{kernels, named_nest};
 use ujam::machine::MachineModel;
-use ujam::metrics::{MetricsHandle, MetricsRegistry};
+use ujam::metrics::MetricsHandle;
 use ujam::sim::{profile_nest_with_geometry, simulate, CacheGeometry};
 use ujam::trace::json::{self, Value};
 use ujam::trace::{ChromeTraceRenderer, CollectingSink};
@@ -63,14 +65,60 @@ use ujam::trace::{ChromeTraceRenderer, CollectingSink};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Ok(()) | Err(Failure::Closed) => ExitCode::SUCCESS,
+        Err(Failure::Error(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Why [`run`] stopped early.
+enum Failure {
+    /// A usage, input or I/O error: reported with the usage text, exit 1.
+    Error(String),
+    /// Stdout's reader went away: the rest of the output has nowhere to
+    /// go, so `ujam` stops quietly with exit 0.
+    Closed,
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Error(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Failure {
+        Failure::Error(msg.to_string())
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Failure {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Failure::Closed,
+            _ => Failure::Error(format!("cannot write to stdout: {e}")),
+        }
+    }
+}
+
+/// `print!` that returns a [`Failure`] from [`run`] instead of
+/// panicking when stdout fails.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(Failure::from)?
+    };
+}
+
+/// `println!` that returns a [`Failure`] from [`run`] instead of
+/// panicking when stdout fails.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(Failure::from)?
+    };
 }
 
 const USAGE: &str = "usage:
@@ -91,7 +139,6 @@ const USAGE: &str = "usage:
              [--socket PATH] [--tcp ADDR] [--max-queue N] [--max-conns N]
              [--max-inflight N] [--read-timeout-ms MS]
              [--flight-capacity N] [--slow-ms MS] [--trace-chrome PATH]
-             [--trace[=json]] [--metrics-interval SECS]
   ujam request (--socket PATH | --tcp ADDR) [--show-hello] <json-line>...
   ujam stats (--socket PATH | --tcp ADDR) [--json] [--series] [--verbose]
   ujam flight (--socket PATH | --tcp ADDR) [--slow-only] [--json]
@@ -126,9 +173,8 @@ decision cache (--shards).  TCP clients must open with the versioned
 handshake {\"cmd\":\"hello\",\"version\":1}.  `--tcp 127.0.0.1:0`
 picks a free port; the bound address is announced on stderr as
 `serve: tcp listening on ADDR`.  A {\"cmd\":\"shutdown\"} admin line
-stops the daemon cleanly.  With --trace, service counters are printed
-to stderr on shutdown.  Runtime metrics are always recorded;
---metrics-interval prints one JSON snapshot per interval to stderr.
+stops the daemon cleanly.  Runtime metrics are always recorded; read
+them live with `ujam stats` or a {\"cmd\":\"stats\"} line on stdin.
 
 Every reactor request gets a lifecycle timeline (trace id, per-edge
 monotonic stamps: framed, enqueued, dequeued, cache probe, analysis,
@@ -155,47 +201,47 @@ rendered as a table, or as the raw series document with --json.
 each retained timeline with per-edge durations; --slow-only limits the
 dump to the anomaly ring, --json prints the versioned document.";
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     let mut it = args.iter();
     let cmd = it.next().ok_or("missing command")?;
     match cmd.as_str() {
         "list" => {
-            println!("{:>3} {:10} description", "#", "name");
+            outln!("{:>3} {:10} description", "#", "name");
             for k in kernels() {
-                println!("{:>3} {:10} {}", k.num, k.name, k.description);
+                outln!("{:>3} {:10} {}", k.num, k.name, k.description);
             }
             Ok(())
         }
         "show" => {
             let nest = lookup(it.next())?;
-            print!("{nest}");
+            out!("{nest}");
             Ok(())
         }
         "emit" => {
             let nest = lookup(it.next())?;
-            print!("{}", ujam::fortran::emit(&nest));
+            out!("{}", ujam::fortran::emit(&nest));
             Ok(())
         }
         "deps" => {
             let nest = lookup(it.next())?;
             let g = DepGraph::build(&nest);
-            println!("dependences of {}:", nest.name());
+            outln!("dependences of {}:", nest.name());
             for kind in [
                 DepKind::True,
                 DepKind::Anti,
                 DepKind::Output,
                 DepKind::Input,
             ] {
-                println!("  {kind}: {}", g.count(kind));
+                outln!("  {kind}: {}", g.count(kind));
             }
             let s = g.stats();
-            println!(
+            outln!(
                 "  storage: {} bytes with input deps, {} without ({}% saved)",
                 s.bytes_all,
                 s.bytes_no_input,
                 (100.0 * (1.0 - s.bytes_no_input as f64 / s.bytes_all.max(1) as f64)).round()
             );
-            println!("  safe unroll bounds: {:?}", safe_unroll_bounds(&nest, &g));
+            outln!("  safe unroll bounds: {:?}", safe_unroll_bounds(&nest, &g));
             Ok(())
         }
         "tables" => {
@@ -212,17 +258,22 @@ fn run(args: &[String]) -> Result<(), String> {
                 .ok_or("no loop of this kernel can be jammed")?;
             let space = UnrollSpace::new(nest.depth(), &[loop_idx], bound);
             let ct = CostTables::build(&nest, &space, 4);
-            println!(
+            outln!(
                 "tables for {} over loop {} (bound {bound}, line = 4 elements):",
                 nest.name(),
                 nest.loops()[loop_idx].var()
             );
-            println!(
+            outln!(
                 "{:>3} {:>7} {:>7} {:>7} {:>9} {:>9}",
-                "u", "flops", "loads", "stores", "lines/it", "registers"
+                "u",
+                "flops",
+                "loads",
+                "stores",
+                "lines/it",
+                "registers"
             );
             for u in space.offsets() {
-                println!(
+                outln!(
                     "{:>3} {:>7} {:>7} {:>7} {:>9.3} {:>9}",
                     u[0],
                     ct.flops(&u),
@@ -258,22 +309,22 @@ fn run(args: &[String]) -> Result<(), String> {
             if opts.trace == TraceMode::Json {
                 // Machine-readable mode: the JSON document is the whole
                 // output, so downstream tools can parse stdout as-is.
-                println!("{}", trace.render_json());
+                outln!("{}", trace.render_json());
                 return Ok(());
             }
             if opts.trace == TraceMode::Chrome {
-                println!("{}", ChromeTraceRenderer::render(&trace));
+                outln!("{}", ChromeTraceRenderer::render(&trace));
                 return Ok(());
             }
-            println!(
+            outln!(
                 "machine {} (balance {}), model {:?}, cost model {}",
                 machine.name(),
                 machine.balance(),
                 model,
                 opts.cost.as_str()
             );
-            println!("chosen unroll vector: {:?}", plan.unroll);
-            println!(
+            outln!("chosen unroll vector: {:?}", plan.unroll);
+            outln!(
                 "balance {:.3} -> {:.3}; memory ops {} -> {}; flops {} -> {}; registers {}",
                 plan.original.balance,
                 plan.predicted.balance,
@@ -286,16 +337,16 @@ fn run(args: &[String]) -> Result<(), String> {
             // `render_human` already includes the explain tables, so
             // only render them separately when --trace is off.
             if opts.explain && opts.trace != TraceMode::Human {
-                println!();
-                print!("{}", trace.render_explain_human());
+                outln!();
+                out!("{}", trace.render_explain_human());
             }
             if opts.trace == TraceMode::Human {
-                println!();
-                print!("{}", trace.render_human());
+                outln!();
+                out!("{}", trace.render_human());
             }
-            println!("\ntransformed loop:\n{}", plan.nest);
+            outln!("\ntransformed loop:\n{}", plan.nest);
             let replaced = scalar_replacement(&plan.nest);
-            println!("after scalar replacement:\n{}", replaced.nest);
+            outln!("after scalar replacement:\n{}", replaced.nest);
             Ok(())
         }
         "profile" => {
@@ -318,7 +369,7 @@ fn run(args: &[String]) -> Result<(), String> {
                         100.0 * report.sa_miss_rate()
                     );
                 }
-                None => println!("{rendered}"),
+                None => outln!("{rendered}"),
             }
             Ok(())
         }
@@ -328,7 +379,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let plan = optimize_with(&nest, &machine, model).map_err(|e| e.to_string())?;
             let replaced = scalar_replacement(&plan.nest);
             let sched = ujam::sim::listsched::schedule_body(&replaced.nest, &machine);
-            println!(
+            outln!(
                 "{} on {}: unroll {:?}, body of {} ops",
                 nest.name(),
                 machine.name(),
@@ -336,7 +387,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 sched.ops.len()
             );
             use ujam::sim::listsched::OpKind;
-            println!(
+            outln!(
                 "loads {}  stores {}  flops {}  makespan {} cycles",
                 sched.count(OpKind::Load),
                 sched.count(OpKind::Store),
@@ -344,7 +395,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 sched.makespan
             );
             let copies = plan.unroll.iter().map(|&u| u as u64 + 1).product::<u64>();
-            println!(
+            outln!(
                 "per original iteration: {:.2} cycles (list-scheduled body; software pipelining reaches the II bound)",
                 sched.makespan as f64 / copies as f64
             );
@@ -356,76 +407,45 @@ fn run(args: &[String]) -> Result<(), String> {
             let plan = optimize_with(&nest, &machine, model).map_err(|e| e.to_string())?;
             let before = simulate(&nest, &machine);
             let after = simulate(&plan.nest, &machine);
-            println!(
+            outln!(
                 "{} on {} ({:?} model): unroll {:?}",
                 nest.name(),
                 machine.name(),
                 model,
                 plan.unroll
             );
-            println!(
+            outln!(
                 "original:  {:>12.0} cycles  II {:>5.2}  miss rate {:>5.1}%",
                 before.cycles,
                 before.ii,
                 100.0 * before.miss_rate()
             );
-            println!(
+            outln!(
                 "optimized: {:>12.0} cycles  II {:>5.2}  miss rate {:>5.1}%",
                 after.cycles,
                 after.ii,
                 100.0 * after.miss_rate()
             );
-            println!("speedup:   {:.2}x", before.cycles / after.cycles);
+            outln!("speedup:   {:.2}x", before.cycles / after.cycles);
             Ok(())
         }
         "serve" => {
             let opts = serve_options(it)?;
-            let sink = CollectingSink::new();
-            let tracing = opts.trace != TraceMode::Off;
-            // Metrics are always on: the registry is cheap when idle and
-            // `{"cmd":"stats"}` should answer without a restart.
-            let registry = Arc::new(MetricsRegistry::new());
-            if let Some(secs) = opts.metrics_interval {
-                let registry = Arc::clone(&registry);
-                // Detached: dies with the process.  Replies own stdout,
-                // so periodic snapshots go to stderr, one line each.
-                std::thread::spawn(move || loop {
-                    std::thread::sleep(std::time::Duration::from_secs(secs));
-                    eprintln!("{}", registry.snapshot().render_json());
-                });
-            }
-            let server = ujam::serve::Server::with_metrics(
-                opts.cfg,
-                if tracing {
-                    &sink as &dyn ujam::trace::TraceSink
-                } else {
-                    ujam::trace::null_sink()
-                },
-                MetricsHandle::new(Arc::clone(&registry)),
-            );
+            let server = ujam::serve::Server::new(opts.cfg, ujam::trace::null_sink());
             let result = if opts.tcp.is_some() || opts.socket.is_some() {
-                bind_transports(&opts).and_then(|transports| {
-                    server
-                        .run_reactor(transports, opts.rcfg)
-                        .map_err(|e| format!("serve: {e}"))
-                })
+                bind_transports(&opts)
+                    .and_then(|transports| {
+                        server
+                            .run_reactor(transports, opts.rcfg)
+                            .map_err(|e| format!("serve: {e}"))
+                    })
+                    .map_err(Failure::from)
             } else {
                 let input = std::io::BufReader::new(std::io::stdin());
                 server
                     .run(input, &mut std::io::stdout().lock())
-                    .map_err(|e| format!("serve: {e}"))
+                    .map_err(Failure::from)
             };
-            // Replies own stdout, so shutdown telemetry goes to stderr.
-            if tracing {
-                let trace = sink.take();
-                match opts.trace {
-                    TraceMode::Json => eprintln!("{}", trace.render_json()),
-                    _ => eprint!("{}", trace.render_human()),
-                }
-            }
-            if opts.metrics_interval.is_some() {
-                eprintln!("{}", registry.snapshot().render_json());
-            }
             if let Some(path) = &opts.trace_chrome {
                 // Every retained timeline becomes a span group under
                 // nest `req-<trace_id>` — the same renderer the
@@ -464,11 +484,11 @@ fn run(args: &[String]) -> Result<(), String> {
             let exchange = daemon_exchange(&endpoint, &lines)?;
             if show_hello {
                 if let Some(hello) = &exchange.hello {
-                    println!("{hello}");
+                    outln!("{hello}");
                 }
             }
             for reply in &exchange.replies {
-                println!("{reply}");
+                outln!("{reply}");
             }
             Ok(())
         }
@@ -504,7 +524,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let parsed =
                 json::parse(&reply).map_err(|e| format!("daemon sent unparsable reply: {e}"))?;
             if parsed.get("ok") != Some(&Value::Bool(true)) {
-                return Err(format!("daemon refused the stats query: {reply}"));
+                return Err(format!("daemon refused the stats query: {reply}").into());
             }
             let stats = parsed
                 .get("stats")
@@ -515,21 +535,21 @@ fn run(args: &[String]) -> Result<(), String> {
                 // balanced scan rather than a suffix slice).
                 let doc = extract_field_object(&reply, "series")
                     .ok_or_else(|| format!("reply has no series field: {reply}"))?;
-                println!("{doc}");
+                outln!("{doc}");
             } else if json_out {
                 // The reply embeds the snapshot verbatim as its last
                 // field, so the raw document is everything from
                 // `"stats":` to the closing brace.
                 let at = reply.find("\"stats\":").expect("field located above");
-                println!("{}", &reply[at + "\"stats\":".len()..reply.len() - 1]);
+                outln!("{}", &reply[at + "\"stats\":".len()..reply.len() - 1]);
             } else {
                 if series {
                     let doc = parsed
                         .get("series")
                         .ok_or_else(|| format!("reply has no series field: {reply}"))?;
-                    print!("{}", render_series_human(doc));
+                    out!("{}", render_series_human(doc));
                 }
-                print!("{}", render_stats_human(stats, verbose));
+                out!("{}", render_stats_human(stats, verbose));
             }
             Ok(())
         }
@@ -562,7 +582,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let parsed =
                 json::parse(&reply).map_err(|e| format!("daemon sent unparsable reply: {e}"))?;
             if parsed.get("ok") != Some(&Value::Bool(true)) {
-                return Err(format!("daemon refused the flight query: {reply}"));
+                return Err(format!("daemon refused the flight query: {reply}").into());
             }
             let flight = parsed
                 .get("flight")
@@ -571,13 +591,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 // The flight document is the reply's last field,
                 // embedded verbatim.
                 let at = reply.find("\"flight\":").expect("field located above");
-                println!("{}", &reply[at + "\"flight\":".len()..reply.len() - 1]);
+                outln!("{}", &reply[at + "\"flight\":".len()..reply.len() - 1]);
             } else {
-                print!("{}", render_flight_human(flight, slow_only));
+                out!("{}", render_flight_human(flight, slow_only));
             }
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(format!("unknown command {other:?}").into()),
     }
 }
 
@@ -586,8 +606,6 @@ struct ServeOptions {
     rcfg: ujam::serve::ReactorConfig,
     socket: Option<String>,
     tcp: Option<String>,
-    trace: TraceMode,
-    metrics_interval: Option<u64>,
     /// Dump the flight recorder as a Chrome trace file on shutdown.
     trace_chrome: Option<String>,
 }
@@ -597,8 +615,6 @@ fn serve_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<ServeOption
     let mut rcfg = ujam::serve::ReactorConfig::default();
     let mut socket = None;
     let mut tcp = None;
-    let mut trace = TraceMode::Off;
-    let mut metrics_interval = None;
     let mut trace_chrome = None;
     let mut it = it.peekable();
     let number = |flag: &str, v: Option<&String>| -> Result<usize, String> {
@@ -626,9 +642,6 @@ fn serve_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<ServeOption
                 rcfg.read_timeout =
                     std::time::Duration::from_millis(number("--read-timeout-ms", it.next())? as u64)
             }
-            "--metrics-interval" => {
-                metrics_interval = Some(number("--metrics-interval", it.next()).map(|n| n as u64)?)
-            }
             "--flight-capacity" => cfg.flight_capacity = number("--flight-capacity", it.next())?,
             "--slow-ms" => cfg.slow_ms = number("--slow-ms", it.next())? as u64,
             "--trace-chrome" => {
@@ -641,15 +654,6 @@ fn serve_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<ServeOption
                 }
                 trace_chrome = Some(path.to_string());
             }
-            "--trace" => trace = TraceMode::Human,
-            "--trace=json" => trace = TraceMode::Json,
-            "--trace=human" => trace = TraceMode::Human,
-            other if other.starts_with("--trace=") => {
-                return Err(format!(
-                    "bad --trace value {:?} (expected json or human)",
-                    &other["--trace=".len()..]
-                ))
-            }
             other => return Err(format!("unknown option {other:?}")),
         }
     }
@@ -658,8 +662,6 @@ fn serve_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<ServeOption
         rcfg,
         socket,
         tcp,
-        trace,
-        metrics_interval,
         trace_chrome,
     })
 }
@@ -885,9 +887,8 @@ fn render_series_human(series: &Value) -> String {
     out
 }
 
-/// Renders one parsed flight-recorder timeline the way
-/// `RequestTimeline::render_human` does on the daemon side: a summary
-/// line plus an edge-duration breakdown.
+/// Renders one parsed flight-recorder timeline: a summary line plus an
+/// edge-duration breakdown.
 fn render_timeline_human(t: &Value) -> String {
     use std::fmt::Write as _;
     let ms = |v: Option<&Value>| match v.and_then(Value::as_f64) {

@@ -248,21 +248,21 @@ fn malformed_trace_flag_exits_nonzero_with_error_on_stderr_only() {
     for (args, expected) in [
         (
             &["optimize", "jacobi", "--trace=bogus"][..],
-            "expected json, human, or chrome",
+            &["bad --trace value", "expected json, human, or chrome"][..],
         ),
         (
             &["optimize", "jacobi", "--trace="][..],
-            "expected json, human, or chrome",
+            &["bad --trace value", "expected json, human, or chrome"][..],
         ),
-        // The daemon's trace output is shutdown telemetry, not a
-        // per-run document, so it has no chrome mode.
-        (&["serve", "--trace=bogus"][..], "expected json or human"),
+        // The daemon has no --trace: its counters are read live with
+        // `ujam stats`.
+        (&["serve", "--trace=bogus"][..], &["unknown option"][..]),
     ] {
         let out = ujam(args);
         assert!(!out.status.success(), "{args:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("bad --trace value") && err.contains(expected),
+            expected.iter().all(|needle| err.contains(needle)),
             "{args:?}: {err}"
         );
         assert!(
@@ -270,6 +270,29 @@ fn malformed_trace_flag_exits_nonzero_with_error_on_stderr_only() {
             "{args:?}: stdout must stay clean, got {:?}",
             stdout(&out)
         );
+    }
+}
+
+/// A reader that closes stdout early (`ujam list | head -1`) ends the
+/// command quietly: exit 0, no panic, no error line.
+#[test]
+fn closed_stdout_ends_commands_without_a_panic() {
+    for args in [
+        &["list"][..],
+        &["show", "mmjki"][..],
+        &["tables", "dmxpy0", "200"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_ujam"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: stderr must stay clean: {err}");
+        assert!(out.status.success(), "{args:?}: {:?}", out.status);
     }
 }
 

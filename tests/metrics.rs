@@ -4,8 +4,7 @@
 //! export must account for every span the real optimizer emits.
 
 use std::io::Cursor;
-use std::sync::Arc;
-use ujam::metrics::{MetricsHandle, MetricsRegistry, MetricsSnapshot};
+use ujam::metrics::{MetricsHandle, MetricsSnapshot};
 use ujam::serve::{ServeConfig, Server};
 use ujam::trace::json::{self, Value};
 use ujam::trace::{ChromeTraceRenderer, CollectingSink};
@@ -13,8 +12,8 @@ use ujam::trace::{ChromeTraceRenderer, CollectingSink};
 /// The stdin loop answers lines in order, so every counter (including
 /// the cache hit/miss split and anything a trailing stats line
 /// observes) is exact replay ground truth.
-fn replay(workload: &str) -> (Server<'static>, String) {
-    let server = Server::with_metrics(
+fn replay(workload: &str) -> (Server, String) {
+    let server = Server::new(
         ServeConfig {
             workers: 1,
             cache_capacity: 64,
@@ -22,7 +21,6 @@ fn replay(workload: &str) -> (Server<'static>, String) {
             ..ServeConfig::default()
         },
         ujam::trace::null_sink(),
-        MetricsHandle::new(Arc::new(MetricsRegistry::new())),
     );
     let mut out = Vec::new();
     server
@@ -85,7 +83,7 @@ fn stats_snapshot_matches_replay_ground_truth() {
 
 #[test]
 fn replayed_workloads_snapshot_identically_modulo_timing() {
-    let snap = |(server, _): (Server<'static>, String)| server.metrics_snapshot();
+    let snap = |(server, _): (Server, String)| server.metrics_snapshot();
     let a: MetricsSnapshot = snap(replay(WORKLOAD));
     let b: MetricsSnapshot = snap(replay(WORKLOAD));
     assert_eq!(a.counters, b.counters);

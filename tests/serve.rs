@@ -8,7 +8,7 @@ use ujam::core::optimize_batch;
 use ujam::kernels::kernels;
 use ujam::machine::MachineModel;
 use ujam::serve::{ServeConfig, Server};
-use ujam::trace::{json, CollectingSink};
+use ujam::trace::{json, null_sink};
 
 fn test_config() -> ServeConfig {
     ServeConfig {
@@ -17,15 +17,6 @@ fn test_config() -> ServeConfig {
         shards: 1,
         ..ServeConfig::default()
     }
-}
-
-fn counter_total(sink: &CollectingSink, name: &str) -> u64 {
-    sink.trace()
-        .counter_totals()
-        .iter()
-        .find(|(_, n, _)| n == name)
-        .map(|(_, _, v)| *v)
-        .unwrap_or(0)
 }
 
 /// One reply line, parsed, with the fields the replay comparison needs.
@@ -74,8 +65,7 @@ fn suite_replay_matches_sequential_batch_and_second_pass_hits_cache() {
     let nests: Vec<_> = suite.iter().map(|k| k.nest()).collect();
     let expected = optimize_batch(&nests, &MachineModel::dec_alpha());
 
-    let sink = CollectingSink::new();
-    let server = Server::new(test_config(), &sink);
+    let server = Server::new(test_config(), null_sink());
     let mut input = String::new();
     for k in &suite {
         input.push_str(&format!(
@@ -114,8 +104,7 @@ fn suite_replay_matches_sequential_batch_and_second_pass_hits_cache() {
     }
 
     // Second replay: identical payloads, now ≥ 90 % cache-served.
-    let requests_before = counter_total(&sink, "serve.request");
-    let hits_before = counter_total(&sink, "serve.cache.hit");
+    let before = server.metrics_snapshot();
     let mut out = Vec::new();
     server.run(Cursor::new(input), &mut out).expect("io ok");
     let text = String::from_utf8(out).expect("utf8");
@@ -128,8 +117,9 @@ fn suite_replay_matches_sequential_batch_and_second_pass_hits_cache() {
             kernel.name
         );
     }
-    let requests = counter_total(&sink, "serve.request") - requests_before;
-    let hits = counter_total(&sink, "serve.cache.hit") - hits_before;
+    let after = server.metrics_snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    let (requests, hits) = (delta("serve.requests"), delta("serve.cache.hits"));
     assert_eq!(requests, suite.len() as u64);
     assert!(
         hits * 10 >= requests * 9,
@@ -149,7 +139,6 @@ fn soak_eight_concurrent_clients_with_hostile_traffic() {
     // be absent from the cache.
     const DOOMED: &str = "vpenta.7";
 
-    let sink = CollectingSink::new();
     // Each client's lines are answered in order, so the intra-client
     // duplicate is a deterministic cache hit.  Concurrency comes from
     // the eight client threads sharing the server.
@@ -160,7 +149,7 @@ fn soak_eight_concurrent_clients_with_hostile_traffic() {
             shards: 1,
             ..ServeConfig::default()
         },
-        &sink,
+        null_sink(),
     );
     let valid = ["dmxpy0", "dmxpy1", "jacobi", "sor"];
 
@@ -231,14 +220,11 @@ fn soak_eight_concurrent_clients_with_hostile_traffic() {
 
     // Aggregate accounting: every line of every client was counted, and
     // at least the duplicate requests hit the cache.
-    let requests = counter_total(&sink, "serve.request");
-    assert_eq!(requests, (CLIENTS * 5) as u64 + 1);
-    assert_eq!(
-        counter_total(&sink, "serve.deadline_exceeded"),
-        CLIENTS as u64
-    );
+    let snap = server.metrics_snapshot();
+    assert_eq!(snap.counter("serve.requests"), (CLIENTS * 5) as u64 + 1);
+    assert_eq!(snap.counter("serve.deadline_exceeded"), CLIENTS as u64);
     assert!(
-        counter_total(&sink, "serve.cache.hit") >= CLIENTS as u64,
+        snap.counter("serve.cache.hits") >= CLIENTS as u64,
         "every intra-client duplicate is cache-served"
     );
 }

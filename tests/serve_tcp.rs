@@ -6,20 +6,19 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
 
 use ujam::core::optimize_batch;
 use ujam::kernels::kernels;
 use ujam::machine::MachineModel;
-use ujam::metrics::{MetricsHandle, MetricsRegistry};
 use ujam::serve::{ReactorConfig, ServeConfig, Server, Transports, PROTOCOL_VERSION};
 use ujam::trace::json;
 
 const HELLO: &str = "{\"id\":\"h\",\"cmd\":\"hello\",\"version\":1}";
 
 /// Runs `body` against a daemon serving TCP on a fresh loopback port,
-/// then shuts the daemon down cleanly over its own protocol.
+/// then shuts the daemon down cleanly over its own protocol and returns
+/// the server, so its metrics can be read after the shutdown too.
 ///
 /// A panic in `body` must not strand the daemon: `thread::scope` joins
 /// every spawned thread before propagating a panic, so an unshut-down
@@ -30,16 +29,11 @@ const HELLO: &str = "{\"id\":\"h\",\"cmd\":\"hello\",\"version\":1}";
 fn with_tcp_daemon(
     cfg: ServeConfig,
     rcfg: ReactorConfig,
-    registry: Option<Arc<MetricsRegistry>>,
-    body: impl FnOnce(SocketAddr),
-) {
+    body: impl FnOnce(SocketAddr, &Server),
+) -> Server {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let handle = match &registry {
-        Some(reg) => MetricsHandle::new(Arc::clone(reg)),
-        None => MetricsHandle::disabled(),
-    };
-    let server = Server::with_metrics(cfg, ujam::trace::null_sink(), handle);
+    let server = Server::new(cfg, ujam::trace::null_sink());
     std::thread::scope(|scope| {
         let daemon = scope.spawn(|| {
             server
@@ -52,13 +46,15 @@ fn with_tcp_daemon(
                 )
                 .expect("reactor runs until shutdown");
         });
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(addr)));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(addr, &server)));
         shutdown_daemon(addr);
         daemon.join().expect("daemon thread exits cleanly");
         if let Err(panic) = outcome {
             std::panic::resume_unwind(panic);
         }
     });
+    server
 }
 
 /// Shuts the daemon down over the wire, like any client would.
@@ -232,8 +228,7 @@ fn hostile_soak_100_concurrent_tcp_clients() {
             ..ServeConfig::default()
         },
         ReactorConfig::default(),
-        None,
-        |addr| {
+        |addr, _| {
             std::thread::scope(|scope| {
                 let mut handles = Vec::new();
                 for c in 0..CLIENTS {
@@ -358,7 +353,6 @@ fn hostile_soak_100_concurrent_tcp_clients() {
 fn overload_sheds_structured_errors_and_recovers() {
     const BURST: usize = 40;
     let reference = reference();
-    let registry = Arc::new(MetricsRegistry::new());
 
     with_tcp_daemon(
         ServeConfig {
@@ -371,8 +365,7 @@ fn overload_sheds_structured_errors_and_recovers() {
             max_queue: 2,
             ..ReactorConfig::default()
         },
-        Some(Arc::clone(&registry)),
-        |addr| {
+        |addr, server| {
             let mut conn = greet(addr);
             let mut payload = String::new();
             for i in 0..BURST {
@@ -405,7 +398,7 @@ fn overload_sheds_structured_errors_and_recovers() {
             assert!(served >= 1, "admitted work must still be answered");
             assert_eq!(shed + served, BURST);
             assert_eq!(
-                registry.snapshot().counter("serve.shed"),
+                server.metrics_snapshot().counter("serve.shed"),
                 shed as u64,
                 "every shed is counted"
             );
@@ -422,7 +415,6 @@ fn overload_sheds_structured_errors_and_recovers() {
 /// forever on a silent client.
 #[test]
 fn idle_and_slow_loris_connections_are_reaped() {
-    let registry = Arc::new(MetricsRegistry::new());
     with_tcp_daemon(
         ServeConfig {
             workers: 1,
@@ -434,8 +426,7 @@ fn idle_and_slow_loris_connections_are_reaped() {
             read_timeout: Duration::from_millis(150),
             ..ReactorConfig::default()
         },
-        Some(Arc::clone(&registry)),
-        |addr| {
+        |addr, server| {
             // One connection greets then goes silent; one trickles half
             // a line and stalls (the slow-loris shape).
             let mut idle = greet(addr);
@@ -454,7 +445,7 @@ fn idle_and_slow_loris_connections_are_reaped() {
             assert!(buf.is_empty(), "reap sends nothing: {buf:?}");
 
             assert_eq!(
-                registry.snapshot().counter("serve.conn.timeout"),
+                server.metrics_snapshot().counter("serve.conn.timeout"),
                 2,
                 "both reaps are counted"
             );
@@ -488,8 +479,7 @@ fn full_suite_over_tcp_is_bitwise_identical_to_optimize_batch() {
             ..ServeConfig::default()
         },
         ReactorConfig::default(),
-        None,
-        |addr| {
+        |addr, _| {
             let mut conn = greet(addr);
             let mut payload = String::new();
             for k in &suite {
@@ -522,7 +512,6 @@ fn full_suite_over_tcp_is_bitwise_identical_to_optimize_batch() {
 #[test]
 fn admin_probes_interleaved_with_requests_do_not_perturb_replies() {
     let reference = reference();
-    let registry = Arc::new(MetricsRegistry::new());
     let work = ["dmxpy1", "sor", "jacobi", "dmxpy0", "dmxpy1", "sor"];
 
     with_tcp_daemon(
@@ -533,8 +522,7 @@ fn admin_probes_interleaved_with_requests_do_not_perturb_replies() {
             ..ServeConfig::default()
         },
         ReactorConfig::default(),
-        Some(Arc::clone(&registry)),
-        |addr| {
+        |addr, server| {
             let mut conn = greet(addr);
             for (i, kernel) in work.iter().enumerate() {
                 // Pipeline a request and a probe together, so the probe
@@ -587,7 +575,7 @@ fn admin_probes_interleaved_with_requests_do_not_perturb_replies() {
             // Ground truth: only optimization requests count as
             // requests and reach the flight recorder; probes are admin
             // traffic.
-            let snap = registry.snapshot();
+            let snap = server.metrics_snapshot();
             assert_eq!(
                 snap.counter("serve.requests"),
                 work.len() as u64,
@@ -717,8 +705,7 @@ fn unread_hit_replies_stall_the_writer_then_all_arrive_in_order() {
             ..ServeConfig::default()
         },
         ReactorConfig::default(),
-        None,
-        |addr| {
+        |addr, _| {
             let mut conn = greet(addr);
             send(&mut conn, "{\"id\":\"warm\",\"kernel\":\"dmxpy1\"}");
             assert!(read_line(&mut conn).contains("\"ok\":true"));
@@ -786,7 +773,6 @@ fn unread_hit_replies_stall_the_writer_then_all_arrive_in_order() {
 /// same line, up to its `cached` flag.
 #[test]
 fn hits_and_misses_interleaved_under_a_full_queue() {
-    let registry = Arc::new(MetricsRegistry::new());
     let cfg = ServeConfig {
         workers: 2,
         cache_capacity: 256,
@@ -811,14 +797,13 @@ fn hits_and_misses_interleaved_under_a_full_queue() {
     }
 
     let mut replies = Vec::new();
-    with_tcp_daemon(
+    let server = with_tcp_daemon(
         cfg,
         ReactorConfig {
             max_queue: 1,
             ..ReactorConfig::default()
         },
-        Some(Arc::clone(&registry)),
-        |addr| {
+        |addr, _| {
             let mut conn = greet(addr);
             for (i, kernel) in warm.iter().enumerate() {
                 send(
@@ -877,7 +862,7 @@ fn hits_and_misses_interleaved_under_a_full_queue() {
     );
     assert!(misses_served >= 1, "admitted misses must still be answered");
 
-    let snap = registry.snapshot();
+    let snap = server.metrics_snapshot();
     assert_eq!(snap.counter("serve.shed"), shed, "every shed is counted");
     let requests = snap.counter("serve.requests");
     assert_eq!(
@@ -963,8 +948,7 @@ fn adversarial_inline_sources_do_not_stall_other_connections() {
         }
     }
 
-    let registry = Arc::new(MetricsRegistry::new());
-    with_tcp_daemon(
+    let server = with_tcp_daemon(
         ServeConfig {
             workers: 1,
             cache_capacity: 16,
@@ -972,8 +956,7 @@ fn adversarial_inline_sources_do_not_stall_other_connections() {
             ..ServeConfig::default()
         },
         ReactorConfig::default(),
-        Some(Arc::clone(&registry)),
-        |addr| {
+        |addr, _| {
             let mut quick = greet(addr);
             send(&mut quick, "{\"id\":\"warm\",\"kernel\":\"dmxpy1\"}");
             assert!(read_line(&mut quick).contains("\"ok\":true"));
@@ -1050,7 +1033,7 @@ fn adversarial_inline_sources_do_not_stall_other_connections() {
             });
         },
     );
-    let snap = registry.snapshot();
+    let snap = server.metrics_snapshot();
     assert_eq!(
         snap.counter("serve.requests"),
         snap.counter("serve.replies_ok") + snap.counter("serve.replies_error")
