@@ -16,15 +16,6 @@ python3 perfbench/steady.py --self-test
 cargo fmt --all -- --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Feature matrix: the same gates with the explicit SIMD kernels
-# compiled in.  The default build must stay portable (and free of
-# unsafe code); the simd build must stay green and clippy-clean, and
-# the SIMD ≡ scalar property tests then run against the real vector
-# paths instead of passing vacuously.
-cargo build --release --offline --workspace --all-targets --features simd
-cargo test -q --offline --workspace --features simd
-cargo clippy --offline --workspace --all-targets --features simd -- -D warnings
-
 # Observability smoke test: --trace=json must emit exactly one JSON
 # document on stdout, accepted by the in-tree strict parser, with a
 # provenance table behind it (std-only check, no external tools).
@@ -38,24 +29,19 @@ cargo run --release --offline --quiet --example validate_trace -- --chrome /tmp/
 
 # Bench smoke test: every bench harness must build, and a quick run of
 # the search-scaling bench must emit a schema-valid BENCH_search.json
-# (winner agreement across the naive / summed-area / pruned engines —
-# and across SIMD dispatch levels — is checked inside the bench and
-# again by the validator).  Runs at both feature sets: the default
-# document must report simd level "scalar", the simd one whatever the
-# host detects.
+# (winner agreement across the naive / summed-area / pruned engines is
+# checked inside the bench and again by the validator, which also
+# requires the per-family build columns).
 cargo bench --offline --workspace --no-run
 cargo bench --offline -p ujam-bench --bench search_scaling -- --quick --out /tmp/ujam_bench_search.json
 cargo run --release --offline --quiet --example validate_search_bench -- /tmp/ujam_bench_search.json
-grep -q '"simd_level":"scalar"' /tmp/ujam_bench_search.json
-cargo bench --offline -p ujam-bench --features simd --bench search_scaling -- --quick --out /tmp/ujam_bench_search_simd.json
-cargo run --release --offline --quiet --example validate_search_bench -- /tmp/ujam_bench_search_simd.json
 
-# target-cpu=native smoke: the simd build must also hold up when the
-# compiler itself is free to autovectorise everything (a separate
-# target dir keeps the differently-flagged artifacts from thrashing
-# the shared cache).
+# target-cpu=native smoke: the engines must still agree on every winner
+# when the compiler is free to autovectorise the table kernels for the
+# host (a separate target dir keeps the differently-flagged artifacts
+# from thrashing the shared cache).
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
-  cargo bench --offline -p ujam-bench --features simd --bench search_scaling -- --quick --out /tmp/ujam_bench_search_native.json
+  cargo bench --offline -p ujam-bench --bench search_scaling -- --quick --out /tmp/ujam_bench_search_native.json
 cargo run --release --offline --quiet --example validate_search_bench -- /tmp/ujam_bench_search_native.json
 
 # Register-tile smoke: a k = 3 search over a deep (4-loop) kernel with a

@@ -10,33 +10,34 @@
 //! * `pruned` — finalized tables plus monotone up-set pruning of
 //!   over-budget candidates.
 //!
-//! Every arm is measured twice: once forced to the scalar kernels
-//! (`*_scalar_ns`) and once at the runtime-detected SIMD level (the
-//! plain column; identical to scalar when the `simd` feature is off or
-//! the host lacks the instructions — the `simd_level` field records
-//! which).  A `build` arm times `CostTables::build` itself, where the
-//! axis scans dominate.  Winners must agree across engines *and*
-//! levels, and in the full sweep the SIMD totals must not lose to the
-//! scalar totals.
+//! A `build` arm times `CostTables::build` itself, and the
+//! `build_{gts,gss,rrs,reg}` arms time each table family alone with its
+//! public call (`gts_table`, `gss_table`, `rrs_tables_from`,
+//! `reg_table`) over every uniformly generated set of the nest.  They
+//! need not sum to `build`: it builds no GTS table and classifies each
+//! set once for the RRS and register tables.
 //!
 //! Emits the measurements as machine-readable JSON (default
 //! `BENCH_search.json` at the repository root, override with
 //! `-- --out PATH`) alongside the
 //! human report; `-- --quick` shrinks the sweep for CI smoke runs,
 //! where `examples/validate_search_bench.rs` checks the schema.  In the
-//! full sweep the largest space must show the ≥10× naive→summed-area
+//! full sweep the largest space must show the ≥7× naive→summed-area
 //! speedup the O(N²)→O(N) rework promises, and all three engines must
 //! agree on the winner everywhere — violations abort the run.
 //!
-//! Run with `cargo bench -p ujam-bench --bench search_scaling`
-//! (add `--features simd` for the vector arms to differ).
+//! Run with `cargo bench -p ujam-bench --bench search_scaling`.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use ujam_bench::timing::bench;
-use ujam_core::simd::{active_level, with_forced_level, Level};
-use ujam_core::{search_tables, tables::CostTables, BalanceModel, UnrollSpace};
+use ujam_core::tables::{reg_table, rrs_tables_from};
+use ujam_core::{
+    gss_table, gts_table, search_tables, tables::CostTables, BalanceModel, UnrollSpace,
+};
 use ujam_kernels::kernel;
 use ujam_machine::MachineModel;
+use ujam_reuse::UgsSet;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -55,86 +56,62 @@ fn main() {
     let machine = MachineModel::dec_alpha();
     let model = BalanceModel::CacheAware;
     let nest = kernel("mmjki").expect("known kernel").nest();
-    let simd_level = active_level();
-    // Σ median ns per level over the summed-area, pruned and build arms
-    // (naive stays out: its box re-enumeration is deliberately the
-    // seed's scalar behaviour).  The full sweep asserts on the totals —
-    // per-row timer noise must not fail a run the aggregate clearly
-    // wins.
-    let mut scalar_total = 0.0f64;
-    let mut simd_total = 0.0f64;
+    let sets = UgsSet::partition(&nest);
+    let line = machine.line_elems();
     // Two unrolled loops: the space grows quadratically in the bound.
     let bounds: &[u32] = if quick { &[2, 4] } else { &[4, 8, 16, 24] };
 
-    println!(
-        "search_scaling ({} on {}, simd level {})",
-        nest.name(),
-        machine.name(),
-        simd_level.as_str()
-    );
+    println!("search_scaling ({} on {})", nest.name(), machine.name());
     let mut rows = String::new();
     for (i, &bound) in bounds.iter().enumerate() {
         let space = UnrollSpace::new(nest.depth(), &[0, 1], bound);
-        let sat = CostTables::build(&nest, &space, machine.line_elems());
+        let sat = CostTables::build(&nest, &space, line);
         let raw = sat.definalized();
+        let n = space.len();
 
-        let build_scalar = with_forced_level(Level::Scalar, || {
-            bench(&format!("build/scalar/{}", space.len()), || {
-                CostTables::build(&nest, &space, machine.line_elems())
-            })
+        let build = bench(&format!("build/{n}"), || {
+            CostTables::build(&nest, &space, line)
         });
-        let build = bench(&format!("build/{}", space.len()), || {
-            CostTables::build(&nest, &space, machine.line_elems())
+        let build_gts = bench(&format!("build/gts/{n}"), || {
+            for set in &sets {
+                black_box(gts_table(set, &space));
+            }
         });
-        let naive = bench(&format!("naive/{}", space.len()), || {
+        let build_gss = bench(&format!("build/gss/{n}"), || {
+            for set in &sets {
+                black_box(gss_table(set, &space, line));
+            }
+        });
+        let build_rrs = bench(&format!("build/rrs/{n}"), || {
+            rrs_tables_from(&sets, nest.depth(), &space)
+        });
+        let build_reg = bench(&format!("build/reg/{n}"), || {
+            for set in &sets {
+                black_box(reg_table(set, &space));
+            }
+        });
+        let naive = bench(&format!("naive/{n}"), || {
             search_tables(&nest, &machine, &space, &raw, model, false, None)
         });
-        let summed_scalar = with_forced_level(Level::Scalar, || {
-            bench(&format!("summed_area/scalar/{}", space.len()), || {
-                search_tables(&nest, &machine, &space, &sat, model, false, None)
-            })
-        });
-        let summed = bench(&format!("summed_area/{}", space.len()), || {
+        let summed = bench(&format!("summed_area/{n}"), || {
             search_tables(&nest, &machine, &space, &sat, model, false, None)
         });
-        let pruned_scalar = with_forced_level(Level::Scalar, || {
-            bench(&format!("pruned/scalar/{}", space.len()), || {
-                search_tables(&nest, &machine, &space, &sat, model, true, None)
-            })
-        });
-        let pruned = bench(&format!("pruned/{}", space.len()), || {
+        let pruned = bench(&format!("pruned/{n}"), || {
             search_tables(&nest, &machine, &space, &sat, model, true, None)
         });
-        scalar_total += build_scalar.median_ns + summed_scalar.median_ns + pruned_scalar.median_ns;
-        simd_total += build.median_ns + summed.median_ns + pruned.median_ns;
 
         let (naive_win, _) = search_tables(&nest, &machine, &space, &raw, model, false, None);
         let (sat_win, _) = search_tables(&nest, &machine, &space, &sat, model, false, None);
         let (pruned_win, pruned_upset) =
             search_tables(&nest, &machine, &space, &sat, model, true, None);
-        // The SIMD kernels may not move the decision: rebuild and
-        // re-search everything forced scalar and demand the identical
-        // winner (bitwise — these are integer vectors).
-        let scalar_win = with_forced_level(Level::Scalar, || {
-            let sat = CostTables::build(&nest, &space, machine.line_elems());
-            search_tables(&nest, &machine, &space, &sat, model, false, None).0
-        });
-        let agree = naive_win == sat_win && sat_win == pruned_win && sat_win == scalar_win;
+        let agree = naive_win == sat_win && sat_win == pruned_win;
         assert!(
             agree,
             "engines disagree at bound {bound}: naive {naive_win:?}, \
-             summed-area {sat_win:?}, pruned {pruned_win:?}, scalar {scalar_win:?}"
+             summed-area {sat_win:?}, pruned {pruned_win:?}"
         );
         let speedup = naive.median_ns / summed.median_ns.max(1e-9);
-        println!(
-            "  space {:>4}: naive/summed_area speedup {:.1}x, \
-             scalar/simd build {:.2}x search {:.2}x, {} pruned",
-            space.len(),
-            speedup,
-            build_scalar.median_ns / build.median_ns.max(1e-9),
-            summed_scalar.median_ns / summed.median_ns.max(1e-9),
-            pruned_upset
-        );
+        println!("  space {n:>4}: naive/summed_area speedup {speedup:.1}x, {pruned_upset} pruned");
         if !quick && i == bounds.len() - 1 {
             // Was >=10x when the naive arm still allocated per query;
             // the flat rebuild sped the naive walk itself up ~1.7x
@@ -152,20 +129,20 @@ fn main() {
         let winner: Vec<String> = sat_win.iter().map(|x| x.to_string()).collect();
         let _ = write!(
             rows,
-            "{{\"space\":{},\"bound\":{bound},\"naive_ns\":{:.1},\
-             \"summed_area_ns\":{:.1},\"summed_area_scalar_ns\":{:.1},\
-             \"pruned_ns\":{:.1},\"pruned_scalar_ns\":{:.1},\
-             \"build_ns\":{:.1},\"build_scalar_ns\":{:.1},\"pruned_upset\":{},\
+            "{{\"space\":{n},\"bound\":{bound},\"naive_ns\":{:.1},\
+             \"summed_area_ns\":{:.1},\"pruned_ns\":{:.1},\"build_ns\":{:.1},\
+             \"build_gts_ns\":{:.1},\"build_gss_ns\":{:.1},\
+             \"build_rrs_ns\":{:.1},\"build_reg_ns\":{:.1},\"pruned_upset\":{},\
              \"winner\":[{}],\"winners_agree\":{agree},\
              \"speedup_naive_over_summed\":{:.3}}}",
-            space.len(),
             naive.median_ns,
             summed.median_ns,
-            summed_scalar.median_ns,
             pruned.median_ns,
-            pruned_scalar.median_ns,
             build.median_ns,
-            build_scalar.median_ns,
+            build_gts.median_ns,
+            build_gss.median_ns,
+            build_rrs.median_ns,
+            build_reg.median_ns,
             pruned_upset,
             winner.join(","),
             speedup
@@ -184,40 +161,22 @@ fn main() {
     for k in 1..=3usize {
         let loops: Vec<usize> = (0..k).collect();
         let space = UnrollSpace::new(deep.depth(), &loops, deep_bound);
-        let sat = CostTables::build(&deep, &space, machine.line_elems());
+        let sat = CostTables::build(&deep, &space, line);
 
-        let summed_scalar = with_forced_level(Level::Scalar, || {
-            bench(
-                &format!("depth{k}/summed_area/scalar/{}", space.len()),
-                || search_tables(&deep, &machine, &space, &sat, model, false, None),
-            )
-        });
         let summed = bench(&format!("depth{k}/summed_area/{}", space.len()), || {
             search_tables(&deep, &machine, &space, &sat, model, false, None)
-        });
-        let pruned_scalar = with_forced_level(Level::Scalar, || {
-            bench(&format!("depth{k}/pruned/scalar/{}", space.len()), || {
-                search_tables(&deep, &machine, &space, &sat, model, true, None)
-            })
         });
         let pruned_t = bench(&format!("depth{k}/pruned/{}", space.len()), || {
             search_tables(&deep, &machine, &space, &sat, model, true, None)
         });
-        scalar_total += summed_scalar.median_ns + pruned_scalar.median_ns;
-        simd_total += summed.median_ns + pruned_t.median_ns;
 
         let (sat_win, _) = search_tables(&deep, &machine, &space, &sat, model, false, None);
         let (pruned_win, pruned_upset) =
             search_tables(&deep, &machine, &space, &sat, model, true, None);
-        let scalar_win = with_forced_level(Level::Scalar, || {
-            let sat = CostTables::build(&deep, &space, machine.line_elems());
-            search_tables(&deep, &machine, &space, &sat, model, false, None).0
-        });
-        let agree = sat_win == pruned_win && sat_win == scalar_win;
+        let agree = sat_win == pruned_win;
         assert!(
             agree,
-            "engines disagree at depth {k}: summed-area {sat_win:?}, \
-             pruned {pruned_win:?}, scalar {scalar_win:?}"
+            "engines disagree at depth {k}: summed-area {sat_win:?}, pruned {pruned_win:?}"
         );
         println!(
             "  k={k} space {:>4}: winner {:?}, {} pruned",
@@ -232,48 +191,22 @@ fn main() {
         let winner: Vec<String> = sat_win.iter().map(|x| x.to_string()).collect();
         let _ = write!(
             depth_rows,
-            "{{\"k\":{k},\"space\":{},\"summed_area_ns\":{:.1},\
-             \"summed_area_scalar_ns\":{:.1},\"pruned_ns\":{:.1},\
-             \"pruned_scalar_ns\":{:.1},\
+            "{{\"k\":{k},\"space\":{},\"summed_area_ns\":{:.1},\"pruned_ns\":{:.1},\
              \"pruned_upset\":{},\"winner\":[{}],\"winners_agree\":{agree}}}",
             space.len(),
             summed.median_ns,
-            summed_scalar.median_ns,
             pruned_t.median_ns,
-            pruned_scalar.median_ns,
             pruned_upset,
             winner.join(",")
         );
     }
 
-    println!(
-        "totals (summed_area + pruned + build arms): scalar {:.0} ns, \
-         {} {:.0} ns",
-        scalar_total,
-        simd_level.as_str(),
-        simd_total
-    );
-    // The whole point of the vector kernels: with real SIMD active, the
-    // full sweep may not be slower than the forced-scalar sweep.  Quick
-    // mode skips the assert (tiny spaces, timer noise), same as the
-    // 10x gate above.
-    if !quick && simd_level != Level::Scalar {
-        // 2% headroom absorbs timer noise on arms where the vector and
-        // scalar kernels are equally memory-bound; a real regression
-        // shows up far above it.
-        assert!(
-            simd_total <= scalar_total * 1.02,
-            "SIMD arms lost to scalar overall: {simd_total:.0} ns vs {scalar_total:.0} ns"
-        );
-    }
-
     let doc = format!(
         "{{\"bench\":\"search_scaling\",\"kernel\":\"{}\",\"machine\":\"{}\",\
-         \"model\":\"cache\",\"simd_level\":\"{}\",\"quick\":{quick},\"rows\":[{rows}],\
+         \"model\":\"cache\",\"quick\":{quick},\"rows\":[{rows}],\
          \"depth_kernel\":\"{}\",\"depth_rows\":[{depth_rows}]}}\n",
         nest.name(),
         machine.name(),
-        simd_level.as_str(),
         deep.name()
     );
     std::fs::write(&out, &doc).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));

@@ -83,10 +83,7 @@
 //! assert!(plans.iter().all(|p| p.is_ok()));
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module (and only it) opts
-// back in with a scoped `#[allow(unsafe_code)]` for its
-// `core::arch::x86_64` kernels.  Everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balance;
@@ -94,7 +91,6 @@ pub mod brute;
 mod costmodel;
 mod driver;
 pub mod pipeline;
-pub mod simd;
 mod space;
 pub mod streams;
 pub mod tables;

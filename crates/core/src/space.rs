@@ -21,9 +21,9 @@
 //! elements, and a scan along that axis is either a stride-1 prefix
 //! scan per row (`stride_d == 1`, the innermost dimension) or
 //! `extent_d − 1` vertical `row += previous_row` adds over contiguous
-//! `stride_d`-element runs.  Both shapes are the lane kernels of
-//! [`crate::simd`], which dispatches to SSE2/AVX2 at runtime under the
-//! `simd` feature and stays on the canonical scalar loop otherwise.
+//! `stride_d`-element runs.  Both shapes are plain stride-1 loops (the
+//! row kernels at the bottom of this module), which the compiler is free
+//! to autovectorise.
 //!
 //! The 2^dims corner inclusion–exclusion of [`Table::get`] is likewise
 //! precomputed at [`Table::finalize`] into a flat *(index delta, sign
@@ -32,8 +32,6 @@
 //! are allocation-free.
 
 use std::fmt;
-
-use crate::simd;
 
 /// Dimension count the query scratch arrays are sized for; real unroll
 /// spaces are far below this (the paper uses ≤ 2, register tiling ≤ 6).
@@ -345,7 +343,7 @@ const UPSET_IE_MAX_POINTS: usize = 12;
 /// Corner `i` contributes `sign_i · Sum(o − 1_{S_i})` where `S_i` is the
 /// i-th subset of the dimensions:
 /// * `deltas[i]` — the flat-index delta `Σ_{d ∈ S_i} stride_d` (stored as
-///   `i64` so the SIMD gather can subtract it lane-wise),
+///   `i64`, the element type of the table it indexes),
 /// * `negmask[i]` — the sign as a 0/−1 mask (`(v ^ m) − m` applies it
 ///   branch-free),
 /// * `need[i]` — the bitmask of dimensions that must be nonzero in the
@@ -479,7 +477,7 @@ impl Table {
             // density(o) = Σ_{S ⊆ dims, o_d > 0 ∀ d∈S} (−1)^|S| Sum(o − 1_S)
             let (base, zero_mask) = self.space.index_and_zero_mask(offset);
             if zero_mask == 0 {
-                return simd::gather_signed(
+                return gather_signed(
                     &self.data,
                     base,
                     &self.corners.deltas,
@@ -615,7 +613,7 @@ impl Table {
             covered[self.space.index(p)] = true;
         }
         or_scan_axes(&mut covered, self.space.extents(), self.space.strides());
-        simd::add_masked(&mut self.data, &covered, delta);
+        add_masked(&mut self.data, &covered, delta);
     }
 
     /// Integrates any pending difference-domain writes into the density
@@ -635,7 +633,7 @@ impl Table {
             self.space.strides(),
             false,
         );
-        simd::add_rows(&mut self.data, &scratch);
+        add_rows(&mut self.data, &scratch);
     }
 
     /// Turns the density table into a summed-area table: pending up-set
@@ -721,7 +719,7 @@ impl Table {
             "accumulate operates in the Sum domain"
         );
         assert_eq!(self.space, other.space, "accumulate needs matching spaces");
-        simd::add_rows(&mut self.data, &other.data);
+        add_rows(&mut self.data, &other.data);
     }
 
     /// The paper's `Sum`: total over the box `[0, u]` — the value of the
@@ -810,7 +808,7 @@ impl Table {
 /// elements.  The innermost axis (`stride == 1`) is a contiguous prefix
 /// scan per `extent`-element row; every other axis is `extent − 1`
 /// vertical `row ±= previous_row` sweeps over contiguous
-/// `stride`-element runs — both dispatch through [`crate::simd`].
+/// `stride`-element runs — the row kernels below.
 fn scan_axes(data: &mut [i64], extents: &[usize], strides: &[usize], inverse: bool) {
     for (d, &stride) in strides.iter().enumerate() {
         let extent = extents[d];
@@ -820,9 +818,9 @@ fn scan_axes(data: &mut [i64], extents: &[usize], strides: &[usize], inverse: bo
         if stride == 1 {
             for row in data.chunks_exact_mut(extent) {
                 if inverse {
-                    simd::inverse_scan(row);
+                    inverse_scan(row);
                 } else {
-                    simd::prefix_scan(row);
+                    prefix_scan(row);
                 }
             }
             continue;
@@ -832,12 +830,12 @@ fn scan_axes(data: &mut [i64], extents: &[usize], strides: &[usize], inverse: bo
             if inverse {
                 for e in (1..extent).rev() {
                     let (lo, hi) = data.split_at_mut(base + e * stride);
-                    simd::sub_rows(&mut hi[..stride], &lo[base + (e - 1) * stride..]);
+                    sub_rows(&mut hi[..stride], &lo[base + (e - 1) * stride..]);
                 }
             } else {
                 for e in 1..extent {
                     let (lo, hi) = data.split_at_mut(base + e * stride);
-                    simd::add_rows(&mut hi[..stride], &lo[base + (e - 1) * stride..]);
+                    add_rows(&mut hi[..stride], &lo[base + (e - 1) * stride..]);
                 }
             }
         }
@@ -868,10 +866,77 @@ fn or_scan_axes(covered: &mut [bool], extents: &[usize], strides: &[usize]) {
         for base in (0..covered.len()).step_by(block) {
             for e in 1..extent {
                 let (lo, hi) = covered.split_at_mut(base + e * stride);
-                simd::or_rows(&mut hi[..stride], &lo[base + (e - 1) * stride..]);
+                or_rows(&mut hi[..stride], &lo[base + (e - 1) * stride..]);
             }
         }
     }
+}
+
+/// `dst[i] += src[i]` — the vertical step of an axis scan.  Panics if
+/// the lengths differ.
+fn add_rows(dst: &mut [i64], src: &[i64]) {
+    assert_eq!(dst.len(), src.len(), "row length mismatch");
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// `dst[i] -= src[i]` — the vertical step of an inverse scan.  Panics if
+/// the lengths differ.
+fn sub_rows(dst: &mut [i64], src: &[i64]) {
+    assert_eq!(dst.len(), src.len(), "row length mismatch");
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d -= s;
+    }
+}
+
+/// In-place inclusive prefix sum of one contiguous row.
+fn prefix_scan(row: &mut [i64]) {
+    let mut acc = 0i64;
+    for v in row {
+        acc += *v;
+        *v = acc;
+    }
+}
+
+/// The inverse of [`prefix_scan`]: adjacent differences, in place.
+fn inverse_scan(row: &mut [i64]) {
+    for i in (1..row.len()).rev() {
+        row[i] -= row[i - 1];
+    }
+}
+
+/// `dst[i] |= src[i]` — the vertical step of the up-set closure.  Panics
+/// if the lengths differ.
+fn or_rows(dst: &mut [bool], src: &[bool]) {
+    assert_eq!(dst.len(), src.len(), "row length mismatch");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// `data[i] += delta` wherever `covered[i]` — the frontier add.  Panics
+/// if the lengths differ.
+fn add_masked(data: &mut [i64], covered: &[bool], delta: i64) {
+    assert_eq!(data.len(), covered.len(), "row length mismatch");
+    for (d, &c) in data.iter_mut().zip(covered) {
+        // Branchless: `-(c as i64)` is an all-ones mask when covered.
+        *d += delta & -(c as i64);
+    }
+}
+
+/// Signed corner gather: `Σ ±data[base − deltas[i]]`, the negation
+/// chosen by `negmask[i]` (0 keeps, −1 negates: `(v ^ m) − m`).  The
+/// caller guarantees every `base − deltas[i]` indexes into `data` (the
+/// corner map is built from the table's own strides).
+fn gather_signed(data: &[i64], base: usize, deltas: &[i64], negmask: &[i64]) -> i64 {
+    assert_eq!(deltas.len(), negmask.len(), "corner map length mismatch");
+    let mut total = 0i64;
+    for (&d, &m) in deltas.iter().zip(negmask) {
+        let v = data[base - d as usize];
+        total += (v ^ m) - m;
+    }
+    total
 }
 
 impl fmt::Debug for Table {
@@ -889,6 +954,63 @@ impl fmt::Debug for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn row_kernels_match_closed_forms() {
+        let sizes = [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 33, 64, 100];
+        for &n in &sizes {
+            let src: Vec<i64> = (0..n as i64).map(|i| i * i - 7 * i + 3).collect();
+            let base: Vec<i64> = (0..n as i64).map(|i| 11 * i - 5).collect();
+            let cov: Vec<bool> = (0..n).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+
+            let mut a = base.clone();
+            add_rows(&mut a, &src);
+            let expect: Vec<i64> = base.iter().zip(&src).map(|(b, s)| b + s).collect();
+            assert_eq!(a, expect, "add_rows n={n}");
+
+            let mut s = base.clone();
+            sub_rows(&mut s, &src);
+            let expect: Vec<i64> = base.iter().zip(&src).map(|(b, s)| b - s).collect();
+            assert_eq!(s, expect, "sub_rows n={n}");
+
+            let mut p = base.clone();
+            prefix_scan(&mut p);
+            let expect: Vec<i64> = (0..n).map(|i| base[..=i].iter().sum()).collect();
+            assert_eq!(p, expect, "prefix_scan n={n}");
+
+            // Inverse round-trips the scan exactly.
+            inverse_scan(&mut p);
+            assert_eq!(p, base, "inverse_scan n={n}");
+
+            let mut o = cov.clone();
+            let flip: Vec<bool> = cov.iter().map(|&c| !c).collect();
+            or_rows(&mut o, &flip);
+            assert!(o.iter().all(|&c| c), "or_rows n={n}");
+
+            let mut m = base.clone();
+            add_masked(&mut m, &cov, 13);
+            let expect: Vec<i64> = base
+                .iter()
+                .zip(&cov)
+                .map(|(b, &c)| b + if c { 13 } else { 0 })
+                .collect();
+            assert_eq!(m, expect, "add_masked n={n}");
+
+            if n > 0 {
+                // Corner i reads base[n − 1 − i], negated at odd i.
+                let deltas: Vec<i64> = (0..n as i64).collect();
+                let negmask: Vec<i64> = (0..n).map(|i| if i % 2 == 0 { 0 } else { -1 }).collect();
+                let expect: i64 = (0..n)
+                    .map(|i| (1 - 2 * (i % 2) as i64) * base[n - 1 - i])
+                    .sum();
+                assert_eq!(
+                    gather_signed(&base, n - 1, &deltas, &negmask),
+                    expect,
+                    "gather_signed n={n}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn offsets_enumerate_lexicographically() {

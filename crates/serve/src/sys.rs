@@ -3,9 +3,10 @@
 //! The workspace builds against an offline registry, so the usual
 //! `libc`/`mio` route is unavailable; this module declares the single
 //! foreign function and the `pollfd` layout itself.  It is the only
-//! place in the crate allowed to use `unsafe` (the crate is otherwise
-//! `deny(unsafe_code)`), and the surface is one safe function:
-//! [`poll_fds`].
+//! `unsafe` code in the workspace: every other library crate and the
+//! `ujam` binary are `forbid(unsafe_code)`, and this crate is
+//! `deny(unsafe_code)` with this one module allowed.  The surface is
+//! one safe function: [`poll_fds`].
 //!
 //! Level-triggered readiness is all the reactor wants: it rebuilds the
 //! fd set each iteration anyway (connections come and go, interest

@@ -4,11 +4,11 @@
 //! Reads the file named by the first argument (or stdin when absent),
 //! parses it with the in-tree strict JSON parser, and checks the schema
 //! the bench promises: a `rows` array over strictly growing spaces, the
-//! engine timings per row — the scalar *and* SIMD column of every
-//! summed-area, pruned and build arm — agreement of all winners across
-//! engines and dispatch levels, and a self-consistent speedup ratio.
-//! Exits non-zero with a message on any violation — `ci.sh` runs this
-//! against a fresh quick-mode run at both feature sets.
+//! engine timings per row, the table build split by family
+//! (`build_{gts,gss,rrs,reg}_ns`), agreement of all winners across
+//! engines, and a self-consistent speedup ratio.  Exits non-zero with a
+//! message on any violation — `ci.sh` runs this against a fresh
+//! quick-mode run.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -50,13 +50,6 @@ fn run() -> Result<String, String> {
             return Err(format!("missing string field {field:?}"));
         }
     }
-    let simd_level = doc
-        .get("simd_level")
-        .and_then(Value::as_str)
-        .ok_or("missing string field \"simd_level\"")?;
-    if !matches!(simd_level, "scalar" | "sse2" | "avx2") {
-        return Err(format!("unknown simd_level {simd_level:?}"));
-    }
     if !matches!(doc.get("quick"), Some(Value::Bool(_))) {
         return Err("missing boolean field \"quick\"".to_string());
     }
@@ -85,13 +78,14 @@ fn run() -> Result<String, String> {
         let summed = num("summed_area_ns")?;
         let pruned_ns = num("pruned_ns")?;
         let pruned = num("pruned_upset")?;
-        // Every vectorisable arm carries its forced-scalar twin, so the
-        // scalar-vs-SIMD gap is a first-class measured quantity.
+        // The build arm and its per-family split, so a change to one
+        // table family shows in its own column.
         for arm in [
-            "summed_area_scalar_ns",
-            "pruned_scalar_ns",
             "build_ns",
-            "build_scalar_ns",
+            "build_gts_ns",
+            "build_gss_ns",
+            "build_rrs_ns",
+            "build_reg_ns",
         ] {
             if num(arm)? <= 0.0 {
                 return Err(format!("row {i}: {arm} must be positive"));
@@ -149,11 +143,6 @@ fn run() -> Result<String, String> {
         if summed <= 0.0 || pruned_ns <= 0.0 {
             return Err(format!("depth row {i}: timings must be positive"));
         }
-        for arm in ["summed_area_scalar_ns", "pruned_scalar_ns"] {
-            if num(arm)? <= 0.0 {
-                return Err(format!("depth row {i}: {arm} must be positive"));
-            }
-        }
         let pruned = num("pruned_upset")?;
         if pruned < 0.0 || pruned >= space {
             return Err(format!("depth row {i}: pruned_upset out of range"));
@@ -167,7 +156,7 @@ fn run() -> Result<String, String> {
     }
     Ok(format!(
         "{} rows, largest space {last_space:.0}; {} depth rows up to k = {last_k:.0} \
-         (space {last_depth_space:.0}); simd level {simd_level}",
+         (space {last_depth_space:.0})",
         rows.len(),
         depth_rows.len()
     ))

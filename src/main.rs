@@ -46,6 +46,8 @@
 //! and `ujam` exits 0 with nothing on stderr: the reader has all the
 //! output it asked for.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use ujam::core::{
