@@ -73,6 +73,17 @@ printf '%s\n' \
   | ./target/release/ujam serve --workers 2 > /tmp/ujam_serve_replies.ndjson
 cargo run --release --offline --quiet --example validate_serve -- /tmp/ujam_serve_replies.ndjson
 
+# Stdin framing: a line that is not UTF-8 gets a bad_request reply like
+# on a socket, and the request after it is still answered — three
+# lines in, three replies out.
+printf '%s\n\377\n%s\n' \
+  '{"id":"u1","kernel":"dmxpy1"}' \
+  '{"id":"u2","kernel":"dmxpy1"}' \
+  | ./target/release/ujam serve --workers 1 > /tmp/ujam_serve_utf8.ndjson
+[ "$(wc -l < /tmp/ujam_serve_utf8.ndjson)" = 3 ]
+sed -n 2p /tmp/ujam_serve_utf8.ndjson | grep -q '"kind":"bad_request"'
+sed -n 3p /tmp/ujam_serve_utf8.ndjson | grep -q '"id":"u2"'
+
 # Register-tile serve round-trip: the protocol's max_unroll_loops /
 # code_budget knobs reach the search — a deep kernel served at k = 3
 # answers ok with a full-depth (4-component) unroll vector.

@@ -13,9 +13,9 @@
 //!    emission site is behind one `enabled()` check (2% gate),
 //! 3. `metrics` — `optimize_costed` with a null sink but an enabled
 //!    `MetricsHandle`, recording `pass.*.ns` histograms (2% gate),
-//! 4. `cost-analytic` — `optimize_costed` called directly with the
-//!    default analytic cost backend: the profiler plumbing exists but
-//!    must never run, so this arm stays within the same 2% gate,
+//! 4. `cost-analytic` — `optimize_costed` called directly with
+//!    `CostModelKind::Analytic`: the search scorer runs with no
+//!    profiler, so this arm stays within the same 2% gate,
 //! 5. `collect` — `optimize_costed` with a `CollectingSink`, to show
 //!    what full tracing costs (informational).
 //!

@@ -96,14 +96,14 @@ pub mod streams;
 pub mod tables;
 
 pub use balance::{loop_balance, BalanceInputs};
-pub use costmodel::{CostModel, CostModelKind, CostModelStats};
+pub use costmodel::CostModelKind;
 pub use driver::{
     optimize, optimize_configured, optimize_costed, optimize_in_space, optimize_with, BalanceModel,
     Optimized, Prediction, SearchConfig,
 };
 pub use pipeline::{
     optimize_batch, optimize_batch_traced_with_workers, search_tables, AnalysisCtx, CancelToken,
-    CtxStats, CtxTimings, OptimizeError,
+    OptimizeError,
 };
 pub use space::{OffsetIter, Table, UnrollSpace};
 pub use tables::{gss_table, gts_table, rrs_tables, CostTables, RrsTables};

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::time::Instant;
 
 use crate::pipeline::{CancelToken, OptimizeError};
 use crate::space::UnrollSpace;
@@ -17,58 +16,6 @@ use ujam_trace::{null_sink, TraceRecord, TraceSink};
 /// Cache key for [`CostTables`]: the unrolled loop positions, their
 /// per-dimension bounds, and the cache line size in elements.
 type TableKey = (Vec<usize>, Vec<u32>, i64);
-
-/// How many times each analysis has actually been computed (`*_builds`)
-/// versus served from cache (`*_hits`).  Exposed so tests can prove both
-/// halves of the amortization claim: every analysis runs at most once,
-/// and repeated queries really are cache hits.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CtxStats {
-    /// Dependence-graph constructions.
-    pub dep_graph_builds: usize,
-    /// Safety-bound derivations.
-    pub bounds_builds: usize,
-    /// UGS partitionings of the nest.
-    pub ugs_builds: usize,
-    /// Locality-score evaluations (one per `(loop, line)` pair).
-    pub locality_builds: usize,
-    /// Cost-table constructions (one per `(loops, bounds, line)` key).
-    pub cost_table_builds: usize,
-    /// Dependence-graph queries served from cache.
-    pub dep_graph_hits: usize,
-    /// Safety-bound queries served from cache.
-    pub bounds_hits: usize,
-    /// UGS-partition queries served from cache.
-    pub ugs_hits: usize,
-    /// Locality-score queries served from cache.
-    pub locality_hits: usize,
-    /// Cost-table queries served from cache.
-    pub cost_table_hits: usize,
-}
-
-/// Wall time spent *building* each cached analysis, in nanoseconds.
-/// Cache hits add nothing here — the gap between a hit and its build
-/// time is exactly the amortization the paper claims.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CtxTimings {
-    /// Nanoseconds constructing the dependence graph.
-    pub dep_graph_ns: u128,
-    /// Nanoseconds deriving the safety bounds.
-    pub bounds_ns: u128,
-    /// Nanoseconds partitioning into uniformly generated sets.
-    pub ugs_ns: u128,
-    /// Nanoseconds evaluating locality scores.
-    pub locality_ns: u128,
-    /// Nanoseconds building cost tables.
-    pub cost_table_ns: u128,
-}
-
-impl CtxTimings {
-    /// Total build time across every analysis, nanoseconds.
-    pub fn total_ns(&self) -> u128 {
-        self.dep_graph_ns + self.bounds_ns + self.ugs_ns + self.locality_ns + self.cost_table_ns
-    }
-}
 
 /// Lazily computes and caches every per-nest analysis the optimizer
 /// needs: the dependence graph, dependence-derived safety bounds, the
@@ -97,10 +44,12 @@ impl CtxTimings {
 ///     .stmt("A(J) = A(J) + B(I)")
 ///     .build();
 /// let machine = MachineModel::dec_alpha();
-/// let mut ctx = AnalysisCtx::new(&nest, &machine).expect("valid nest");
+/// let sink = ujam_trace::CollectingSink::new();
+/// let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid nest");
 /// let space = SelectLoops::default().run(&mut ctx).expect("selection succeeds");
 /// assert_eq!(space.loops(), &[0]);
-/// assert_eq!(ctx.stats().dep_graph_builds, 1);
+/// let totals = sink.trace().counter_totals();
+/// assert!(totals.contains(&("intro".into(), "dep_graph.build".into(), 1)));
 /// ```
 pub struct AnalysisCtx<'a> {
     nest: &'a LoopNest,
@@ -113,8 +62,6 @@ pub struct AnalysisCtx<'a> {
     ugs: Option<Vec<UgsSet>>,
     locality: HashMap<(usize, i64), f64>,
     tables: HashMap<TableKey, Rc<CostTables>>,
-    stats: CtxStats,
-    timings: CtxTimings,
 }
 
 impl std::fmt::Debug for AnalysisCtx<'_> {
@@ -123,8 +70,6 @@ impl std::fmt::Debug for AnalysisCtx<'_> {
             .field("nest", &self.nest.name())
             .field("machine", &self.machine.name())
             .field("tracing", &self.sink.enabled())
-            .field("stats", &self.stats)
-            .field("timings", &self.timings)
             .finish_non_exhaustive()
     }
 }
@@ -196,8 +141,6 @@ impl<'a> AnalysisCtx<'a> {
             ugs: None,
             locality: HashMap::new(),
             tables: HashMap::new(),
-            stats: CtxStats::default(),
-            timings: CtxTimings::default(),
         })
     }
 
@@ -244,16 +187,6 @@ impl<'a> AnalysisCtx<'a> {
         }
     }
 
-    /// Build/hit counters proving each analysis runs at most once.
-    pub fn stats(&self) -> CtxStats {
-        self.stats
-    }
-
-    /// Wall time spent building each cached analysis.
-    pub fn timings(&self) -> CtxTimings {
-        self.timings
-    }
-
     /// Emits a cache-event counter increment when tracing is enabled.
     fn count(&self, name: &str) {
         if self.sink.enabled() {
@@ -265,13 +198,9 @@ impl<'a> AnalysisCtx<'a> {
     /// The dependence graph, built on first use.
     pub fn dep_graph(&mut self) -> &DepGraph {
         if self.dep_graph.is_none() {
-            self.stats.dep_graph_builds += 1;
             self.count("dep_graph.build");
-            let t0 = Instant::now();
             self.dep_graph = Some(DepGraph::build(self.nest));
-            self.timings.dep_graph_ns += t0.elapsed().as_nanos();
         } else {
-            self.stats.dep_graph_hits += 1;
             self.count("dep_graph.hit");
         }
         self.dep_graph.as_ref().expect("just computed")
@@ -281,14 +210,10 @@ impl<'a> AnalysisCtx<'a> {
     pub fn safe_bounds(&mut self) -> &[u32] {
         if self.safe_bounds.is_none() {
             self.dep_graph();
-            self.stats.bounds_builds += 1;
             self.count("bounds.build");
-            let t0 = Instant::now();
             let graph = self.dep_graph.as_ref().expect("just ensured");
             self.safe_bounds = Some(safe_unroll_bounds(self.nest, graph));
-            self.timings.bounds_ns += t0.elapsed().as_nanos();
         } else {
-            self.stats.bounds_hits += 1;
             self.count("bounds.hit");
         }
         self.safe_bounds.as_deref().expect("just computed")
@@ -298,13 +223,9 @@ impl<'a> AnalysisCtx<'a> {
     /// use and shared by locality scoring and table construction.
     pub fn ugs(&mut self) -> &[UgsSet] {
         if self.ugs.is_none() {
-            self.stats.ugs_builds += 1;
             self.count("ugs.build");
-            let t0 = Instant::now();
             self.ugs = Some(UgsSet::partition(self.nest));
-            self.timings.ugs_ns += t0.elapsed().as_nanos();
         } else {
-            self.stats.ugs_hits += 1;
             self.count("ugs.hit");
         }
         self.ugs.as_deref().expect("just computed")
@@ -314,14 +235,11 @@ impl<'a> AnalysisCtx<'a> {
     /// without the loop localized), cached per `(loop, line)` pair.
     pub fn locality_score(&mut self, loop_idx: usize, line_elems: i64) -> f64 {
         if let Some(&score) = self.locality.get(&(loop_idx, line_elems)) {
-            self.stats.locality_hits += 1;
             self.count("locality.hit");
             return score;
         }
         self.ugs();
-        self.stats.locality_builds += 1;
         self.count("locality.build");
-        let t0 = Instant::now();
         let depth = self.nest.depth();
         let inner = Localized::innermost(depth);
         let with = Localized::with_unrolled(depth, &[loop_idx]);
@@ -331,7 +249,6 @@ impl<'a> AnalysisCtx<'a> {
             .map(|s| ugs_cost(s, &inner, line_elems) - ugs_cost(s, &with, line_elems))
             .sum();
         self.locality.insert((loop_idx, line_elems), score);
-        self.timings.locality_ns += t0.elapsed().as_nanos();
         score
     }
 
@@ -350,14 +267,11 @@ impl<'a> AnalysisCtx<'a> {
             self.machine.line_elems(),
         );
         if let Some(tables) = self.tables.get(&key) {
-            self.stats.cost_table_hits += 1;
             self.count("cost_tables.hit");
             return Ok(Rc::clone(tables));
         }
         self.ugs();
-        self.stats.cost_table_builds += 1;
         self.count("cost_tables.build");
-        let t0 = Instant::now();
         let sets = self.ugs.as_deref().expect("just ensured");
         let tables = Rc::new(CostTables::build_with_sets(
             self.nest,
@@ -365,7 +279,6 @@ impl<'a> AnalysisCtx<'a> {
             space,
             self.machine.line_elems(),
         ));
-        self.timings.cost_table_ns += t0.elapsed().as_nanos();
         self.tables.insert(key, Rc::clone(&tables));
         Ok(tables)
     }
@@ -405,14 +318,15 @@ mod tests {
             .build()
     }
 
-    #[test]
-    fn each_analysis_builds_at_most_once() {
+    /// Queries every cached analysis five times and returns the
+    /// sink's `(counter, total)` pairs, in first-seen order.
+    fn five_rounds_of_queries() -> Vec<(String, u64)> {
         let nest = intro();
         let machine = MachineModel::dec_alpha();
-        let mut ctx = AnalysisCtx::new(&nest, &machine).expect("valid");
+        let sink = CollectingSink::new();
+        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
         let line = machine.line_elems();
         let space = UnrollSpace::new(2, &[0], 4);
-
         for _ in 0..5 {
             ctx.dep_graph();
             ctx.safe_bounds();
@@ -420,17 +334,24 @@ mod tests {
             ctx.locality_score(0, line);
             ctx.tables(&space).expect("depth matches");
         }
-        let stats = ctx.stats();
-        assert_eq!(
-            (
-                stats.dep_graph_builds,
-                stats.bounds_builds,
-                stats.ugs_builds,
-                stats.locality_builds,
-                stats.cost_table_builds,
-            ),
-            (1, 1, 1, 1, 1)
-        );
+        counters(&sink)
+    }
+
+    fn counters(sink: &CollectingSink) -> Vec<(String, u64)> {
+        let totals = sink.trace().counter_totals();
+        totals.into_iter().map(|(_, name, n)| (name, n)).collect()
+    }
+
+    fn total(counters: &[(String, u64)], name: &str) -> u64 {
+        counters.iter().find(|(n, _)| n == name).map_or(0, |c| c.1)
+    }
+
+    #[test]
+    fn each_analysis_builds_at_most_once() {
+        let c = five_rounds_of_queries();
+        let builds = ["dep_graph", "bounds", "ugs", "locality", "cost_tables"]
+            .map(|a| total(&c, &format!("{a}.build")));
+        assert_eq!(builds, [1, 1, 1, 1, 1]);
     }
 
     /// The other half of the amortization claim: repeated queries are
@@ -440,55 +361,14 @@ mod tests {
     /// partition; later iterations hit on every direct query.)
     #[test]
     fn repeated_queries_are_cache_hits() {
-        let nest = intro();
-        let machine = MachineModel::dec_alpha();
-        let mut ctx = AnalysisCtx::new(&nest, &machine).expect("valid");
-        let line = machine.line_elems();
-        let space = UnrollSpace::new(2, &[0], 4);
-
-        for _ in 0..5 {
-            ctx.dep_graph();
-            ctx.safe_bounds();
-            ctx.ugs();
-            ctx.locality_score(0, line);
-            ctx.tables(&space).expect("depth matches");
-        }
-        assert_eq!(
-            ctx.stats(),
-            CtxStats {
-                dep_graph_builds: 1,
-                bounds_builds: 1,
-                ugs_builds: 1,
-                locality_builds: 1,
-                cost_table_builds: 1,
-                // 4 direct re-queries + 1 internal (from the first
-                // safe_bounds build).
-                dep_graph_hits: 5,
-                bounds_hits: 4,
-                // 4 direct re-queries + 2 internal (first locality and
-                // first cost-table build both ensure the partition).
-                ugs_hits: 6,
-                locality_hits: 4,
-                cost_table_hits: 4,
-            }
-        );
-    }
-
-    #[test]
-    fn build_timings_accumulate_only_on_builds() {
-        let nest = intro();
-        let machine = MachineModel::dec_alpha();
-        let mut ctx = AnalysisCtx::new(&nest, &machine).expect("valid");
-        ctx.dep_graph();
-        let after_build = ctx.timings();
-        ctx.dep_graph();
-        ctx.dep_graph();
-        assert_eq!(
-            ctx.timings().dep_graph_ns,
-            after_build.dep_graph_ns,
-            "hits must not add build time"
-        );
-        assert_eq!(ctx.timings().total_ns(), after_build.total_ns());
+        let c = five_rounds_of_queries();
+        let hits = ["dep_graph", "bounds", "ugs", "locality", "cost_tables"]
+            .map(|a| total(&c, &format!("{a}.hit")));
+        // dep_graph: 4 direct re-queries + 1 internal (from the first
+        // safe_bounds build); ugs: 4 direct re-queries + 2 internal
+        // (first locality and first cost-table build both ensure the
+        // partition).
+        assert_eq!(hits, [5, 4, 6, 4, 4]);
     }
 
     #[test]
@@ -514,16 +394,18 @@ mod tests {
     fn distinct_table_keys_build_separately() {
         let nest = intro();
         let machine = MachineModel::dec_alpha();
-        let mut ctx = AnalysisCtx::new(&nest, &machine).expect("valid");
+        let sink = CollectingSink::new();
+        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
         let a = UnrollSpace::new(2, &[0], 4);
         let b = UnrollSpace::new(2, &[0], 6);
         ctx.tables(&a).expect("a");
         ctx.tables(&b).expect("b");
         ctx.tables(&a).expect("a cached");
-        assert_eq!(ctx.stats().cost_table_builds, 2);
-        assert_eq!(ctx.stats().cost_table_hits, 1);
+        let c = counters(&sink);
+        assert_eq!(total(&c, "cost_tables.build"), 2);
+        assert_eq!(total(&c, "cost_tables.hit"), 1);
         // The partition behind both builds was still computed only once.
-        assert_eq!(ctx.stats().ugs_builds, 1);
+        assert_eq!(total(&c, "ugs.build"), 1);
     }
 
     #[test]

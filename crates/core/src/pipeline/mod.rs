@@ -38,7 +38,7 @@
 //!
 //! Every stage is observable through a [`ujam_trace::TraceSink`]: a
 //! traced run records per-pass wall-time spans, cache
-//! hit/miss counters (mirroring [`CtxStats`]), and per-candidate
+//! hit/miss counters (`<analysis>.build` / `.hit`), and per-candidate
 //! explain records that justify the chosen unroll vector.  With the
 //! default [`ujam_trace::NullSink`] every emission site is guarded by a
 //! single `enabled()` check, so the untraced path stays on the seed's
@@ -51,7 +51,7 @@ mod pass;
 
 pub use batch::{optimize_batch, optimize_batch_traced_with_workers};
 pub use cancel::CancelToken;
-pub use ctx::{AnalysisCtx, CtxStats, CtxTimings};
+pub use ctx::AnalysisCtx;
 pub use pass::{
     search_tables, ApplyTransform, BruteSearch, BuildTables, Pass, SearchOutcome, SearchSpace,
     SelectLoops,

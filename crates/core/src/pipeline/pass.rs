@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use crate::balance::{loop_balance, BalanceInputs};
 use crate::brute::measure_candidate;
-use crate::costmodel::CostModelKind;
+use crate::costmodel::{CostModelKind, Profiler};
 use crate::driver::{BalanceModel, Prediction};
 use crate::pipeline::batch::parallel_map_indexed;
 use crate::pipeline::cancel::{CancelToken, DEADLINE_CHECK_STRIDE};
@@ -547,10 +547,10 @@ pub struct SearchSpace {
     pub space: UnrollSpace,
     /// Which balance model scores candidates.
     pub model: BalanceModel,
-    /// Which cache-cost backend supplies the `cache_lines` input.
+    /// Which cache-cost source supplies the `cache_lines` input.
     /// [`CostModelKind::Analytic`] reads the Eq. 1 tables verbatim —
-    /// the classic, bitwise-identical path; the profiling backends
-    /// measure each candidate under the IR interpreter.
+    /// the classic, bitwise-identical path; [`CostModelKind::Profiled`]
+    /// measures each candidate under the IR interpreter.
     pub cost: CostModelKind,
     /// Code-size budget: the most *statements* the unrolled body may
     /// hold (`copies × original statements`, an icache proxy).  `None`
@@ -574,77 +574,19 @@ impl Pass for SearchSpace {
         let nest = ctx.nest();
         let machine = ctx.machine();
         let space = &self.space;
-        let model = self.model;
-
-        // The analytic kind bypasses the backend entirely (not even a
-        // `full_vector` allocation per candidate), keeping the classic
-        // path's flow of f64s — and its speed — exactly as before.
-        let analytic_only = self.cost == CostModelKind::Analytic;
-        let mut backend = self.cost.backend_sized(nest, machine, space.len());
-        // Tables from `BuildTables` are always finalized, so the walk's
-        // incrementally maintained flat index addresses every query
-        // directly — no per-candidate coordinate folding.  The gate is
-        // defensive: a definalized table silently falls back to the
-        // coordinate path rather than reading unfinalized sums.
-        let flat_ok = tables.flat_queryable();
-        let mut inputs_at = |u: &[u32], flat: usize| {
-            if flat_ok {
-                let copies = space.copies(u);
-                let analytic = tables.cache_lines_flat(flat);
-                BalanceInputs {
-                    flops: tables.flops_of_copies(copies) as f64,
-                    memory_ops: tables.memory_ops_flat(flat, copies) as f64,
-                    cache_lines: if analytic_only {
-                        analytic
-                    } else {
-                        backend.lines_per_iter_flat(flat, &mut || space.full_vector(u), analytic)
-                    },
-                    registers: tables.registers_flat(flat),
-                }
-            } else {
-                let analytic = tables.cache_lines(u);
-                BalanceInputs {
-                    flops: tables.flops(u) as f64,
-                    memory_ops: tables.memory_ops(u) as f64,
-                    cache_lines: if analytic_only {
-                        analytic
-                    } else {
-                        backend.lines_per_iter_flat(flat, &mut || space.full_vector(u), analytic)
-                    },
-                    registers: tables.registers(u),
-                }
-            }
-        };
-        // The factors must divide the trip counts for a clean transform.
-        let divisible = |u: &[u32]| {
-            space
-                .loops()
-                .iter()
-                .zip(u)
-                .all(|(&l, &ul)| nest.loops()[l].trip_count() % (ul as i64 + 1) == 0)
-        };
-        let beta_of = |inputs: &BalanceInputs| match model {
-            BalanceModel::AllHits => inputs.no_cache_balance(),
-            BalanceModel::CacheAware => loop_balance(inputs, machine),
-        };
-
-        let zero = vec![0u32; space.dims()];
-        let original = inputs_at(&zero, 0);
+        let mut scorer = Scorer::new(nest, machine, space, &tables, self.model);
+        if self.cost == CostModelKind::Profiled {
+            scorer.profiler = Some(Profiler::new(nest, machine, space.len()));
+        }
+        let original = scorer.inputs_at(&vec![0u32; space.dims()], 0);
         // Up-set pruning is sound exactly when every register table is
         // monotone in u; the tables checked this once at build time.
         // The code-size budget needs no such gate: copy count is
         // multiplicative in u, hence monotone by construction.
-        let prune = tables.registers_monotone();
-        let max_copies = max_copies_for(self.code_budget, nest);
         let mut fates = ctx.tracing().then(Vec::new);
-        let found = search_over(
-            machine,
-            space,
-            |u, flat| Some(inputs_at(u, flat)),
-            beta_of,
-            divisible,
-            prune,
-            max_copies,
+        let found = scorer.search(
+            tables.registers_monotone(),
+            max_copies_for(self.code_budget, nest),
             true,
             fates.as_mut(),
             ctx.cancel_token(),
@@ -652,25 +594,23 @@ impl Pass for SearchSpace {
         if found.cancelled {
             return Err(OptimizeError::DeadlineExceeded);
         }
-        let cost_stats = backend.stats();
-        if cost_stats.profiles > 0 {
+        if let Some(p) = scorer.profiler.filter(|p| p.profiles > 0) {
             if ctx.tracing() {
                 ctx.sink().record(TraceRecord::span(
                     ctx.nest().name(),
                     "profile",
-                    u128::from(cost_stats.profile_ns),
+                    u128::from(p.profile_ns),
                 ));
                 ctx.sink().record(TraceRecord::counter(
                     ctx.nest().name(),
                     "profile.candidates",
-                    cost_stats.profiles,
+                    p.profiles,
                 ));
             }
             if ctx.metrics().enabled() {
-                ctx.metrics()
-                    .count("profile.candidates", cost_stats.profiles);
-                ctx.metrics().count("profile.accesses", cost_stats.accesses);
-                ctx.metrics().observe("profile.ns", cost_stats.profile_ns);
+                ctx.metrics().count("profile.candidates", p.profiles);
+                ctx.metrics().count("profile.accesses", p.accesses);
+                ctx.metrics().observe("profile.ns", p.profile_ns);
             }
         }
         if ctx.tracing() {
@@ -690,6 +630,106 @@ impl Pass for SearchSpace {
             predicted: Prediction::from_inputs(&predicted, machine),
             original: Prediction::from_inputs(&original, machine),
         })
+    }
+}
+
+/// The table-driven candidate scorer behind both [`SearchSpace`] and
+/// [`search_tables`]: the tables (plus, for
+/// [`CostModelKind::Profiled`], a profiler supplying `cache_lines`)
+/// give a candidate's [`BalanceInputs`] at its flat index.
+struct Scorer<'a> {
+    nest: &'a LoopNest,
+    machine: &'a MachineModel,
+    space: &'a UnrollSpace,
+    tables: &'a CostTables,
+    model: BalanceModel,
+    /// Whether the tables answer O(1) flat reads.  Tables from
+    /// [`BuildTables`] always do; the search-scaling bench also drives
+    /// definalized (density-domain) tables, which only answer by
+    /// coordinates.
+    flat_ok: bool,
+    /// Measures `cache_lines` in place of Eq. 1; `None` is the analytic
+    /// path.
+    profiler: Option<Profiler<'a>>,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(
+        nest: &'a LoopNest,
+        machine: &'a MachineModel,
+        space: &'a UnrollSpace,
+        tables: &'a CostTables,
+        model: BalanceModel,
+    ) -> Scorer<'a> {
+        Scorer {
+            nest,
+            machine,
+            space,
+            tables,
+            model,
+            flat_ok: tables.flat_queryable(),
+            profiler: None,
+        }
+    }
+
+    /// The balance inputs of the candidate at offset `u`, whose flat
+    /// row-major index is `flat`.
+    fn inputs_at(&mut self, u: &[u32], flat: usize) -> BalanceInputs {
+        let t = self.tables;
+        let mut inputs = if self.flat_ok {
+            let copies = self.space.copies(u);
+            BalanceInputs {
+                flops: t.flops_of_copies(copies) as f64,
+                memory_ops: t.memory_ops_flat(flat, copies) as f64,
+                cache_lines: t.cache_lines_flat(flat),
+                registers: t.registers_flat(flat),
+            }
+        } else {
+            BalanceInputs {
+                flops: t.flops(u) as f64,
+                memory_ops: t.memory_ops(u) as f64,
+                cache_lines: t.cache_lines(u),
+                registers: t.registers(u),
+            }
+        };
+        if let Some(p) = self.profiler.as_mut() {
+            inputs.cache_lines = p.lines_at(flat, || self.space.full_vector(u), inputs.cache_lines);
+        }
+        inputs
+    }
+
+    /// Runs [`search_over`] with this scorer; the factors must divide
+    /// the trip counts for a clean transform.
+    fn search(
+        &mut self,
+        prune_upsets: bool,
+        max_copies: Option<usize>,
+        prune_code: bool,
+        explain: Option<&mut Vec<CandidateFate>>,
+        cancel: &CancelToken,
+    ) -> SearchResult {
+        let (nest, machine, space, model) = (self.nest, self.machine, self.space, self.model);
+        search_over(
+            machine,
+            space,
+            |u, flat| Some(self.inputs_at(u, flat)),
+            |inputs| match model {
+                BalanceModel::AllHits => inputs.no_cache_balance(),
+                BalanceModel::CacheAware => loop_balance(inputs, machine),
+            },
+            |u| {
+                space
+                    .loops()
+                    .iter()
+                    .zip(u)
+                    .all(|(&l, &ul)| nest.loops()[l].trip_count() % (ul as i64 + 1) == 0)
+            },
+            prune_upsets,
+            max_copies,
+            prune_code,
+            explain,
+            cancel,
+        )
     }
 }
 
@@ -718,45 +758,7 @@ pub fn search_tables(
     prune: bool,
     code_budget: Option<usize>,
 ) -> (Vec<u32>, usize) {
-    // The bench drives this kernel against definalized (density-domain)
-    // tables too, where the O(1) flat reads don't exist — hence the
-    // runtime branch, hoisted out of the closure.
-    let flat_ok = tables.flat_queryable();
-    let inputs_at = |u: &[u32], flat: usize| {
-        if flat_ok {
-            let copies = space.copies(u);
-            BalanceInputs {
-                flops: tables.flops_of_copies(copies) as f64,
-                memory_ops: tables.memory_ops_flat(flat, copies) as f64,
-                cache_lines: tables.cache_lines_flat(flat),
-                registers: tables.registers_flat(flat),
-            }
-        } else {
-            BalanceInputs {
-                flops: tables.flops(u) as f64,
-                memory_ops: tables.memory_ops(u) as f64,
-                cache_lines: tables.cache_lines(u),
-                registers: tables.registers(u),
-            }
-        }
-    };
-    let divisible = |u: &[u32]| {
-        space
-            .loops()
-            .iter()
-            .zip(u)
-            .all(|(&l, &ul)| nest.loops()[l].trip_count() % (ul as i64 + 1) == 0)
-    };
-    let beta_of = |inputs: &BalanceInputs| match model {
-        BalanceModel::AllHits => inputs.no_cache_balance(),
-        BalanceModel::CacheAware => loop_balance(inputs, machine),
-    };
-    let found = search_over(
-        machine,
-        space,
-        |u, flat| Some(inputs_at(u, flat)),
-        beta_of,
-        divisible,
+    let found = Scorer::new(nest, machine, space, tables, model).search(
         prune && tables.registers_monotone(),
         max_copies_for(code_budget, nest),
         prune,

@@ -1,8 +1,8 @@
-//! Incremental NDJSON framing for nonblocking transports.
+//! Incremental NDJSON framing for every transport.
 //!
-//! The reactor reads whatever bytes the kernel has and feeds them to a
-//! [`LineDecoder`]; the decoder buffers until a `\n` completes a frame
-//! and then yields it.  Framing never assumes anything about chunk
+//! The reactor's sockets and the stdin loop feed whatever bytes they
+//! read to a [`LineDecoder`]; the decoder buffers until a `\n`
+//! completes a frame and then yields it.  Framing never assumes anything about chunk
 //! boundaries: a frame may arrive one byte at a time, a multi-byte
 //! UTF-8 character may be split across reads, and both are reassembled
 //! before decoding.
@@ -51,8 +51,8 @@ pub enum Frame {
 /// Feed raw bytes with [`push`](LineDecoder::push) (any chunking), pull
 /// completed frames with [`next_frame`](LineDecoder::next_frame).  On
 /// EOF call [`finish`](LineDecoder::finish) so a final unterminated
-/// line is still delivered — matching the stdin loop, where
-/// `BufRead::lines` also yields a last line with no newline.
+/// line is still delivered.  The reactor and the stdin loop
+/// (`Server::run`) both frame with it.
 #[derive(Debug)]
 pub struct LineDecoder {
     buf: Vec<u8>,

@@ -346,7 +346,6 @@ struct ReactorMetrics {
     open: Arc<Gauge>,
     timeouts: Arc<Counter>,
     shed: Arc<Counter>,
-    oversized: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     queue_peak: Arc<Gauge>,
 }
@@ -360,7 +359,6 @@ impl ReactorMetrics {
             open: reg.gauge("serve.conn.open"),
             timeouts: reg.counter("serve.conn.timeout"),
             shed: reg.counter("serve.shed"),
-            oversized: reg.counter("serve.frame.oversized"),
             queue_depth: reg.gauge("serve.queue_depth"),
             queue_peak: reg.gauge("serve.queue_depth.peak"),
         }
@@ -782,27 +780,10 @@ impl<'a> Reactor<'a> {
         conn.next_seq += 1;
         let line = match frame {
             Frame::Empty => unreachable!("handled above"),
-            Frame::Oversized { len } => {
-                self.metrics.oversized.inc();
-                let message =
-                    format!("line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte frame limit");
+            bad @ (Frame::Oversized { .. } | Frame::InvalidUtf8) => {
                 let mut state = self.server.flight().begin(conn.last_read);
                 state.stamp_framed();
-                state.timeline.outcome = "error:frame_too_long".to_string();
-                state.timeline.anomaly =
-                    Some(Anomaly::new(AnomalyReason::FrameError, message.clone()));
-                let reply = error_reply(None, ErrorKind::FrameTooLong, message).render();
-                conn.complete(seq, reply, Some(state));
-                return Routed::Inline;
-            }
-            Frame::InvalidUtf8 => {
-                let message = "line is not valid UTF-8".to_string();
-                let mut state = self.server.flight().begin(conn.last_read);
-                state.stamp_framed();
-                state.timeline.outcome = "error:bad_request".to_string();
-                state.timeline.anomaly =
-                    Some(Anomaly::new(AnomalyReason::FrameError, message.clone()));
-                let reply = error_reply(None, ErrorKind::BadRequest, message).render();
+                let reply = self.server.answer_bad_frame(&bad, Some(&mut state));
                 conn.complete(seq, reply, Some(state));
                 return Routed::Inline;
             }

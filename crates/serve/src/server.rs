@@ -46,6 +46,7 @@ use ujam_trace::{null_sink, Anomaly, AnomalyReason, TraceSink};
 
 use crate::cache::{write_decision_key, CacheStats, Decision};
 use crate::flight::{FlightRecorder, TimelineState, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_MS};
+use crate::frame::{Frame, LineDecoder, MAX_LINE_BYTES};
 use crate::proto::{
     error_reply, flight_reply, hello_reply, render_decision, shutdown_reply, stats_reply,
     stats_series_reply, AdminCmd, AdminRequest, ErrorKind, Incoming, Reply, Request, Source,
@@ -168,6 +169,7 @@ struct ServeMetrics {
     replies_ok: Arc<Counter>,
     replies_error: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
+    frame_oversized: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
@@ -207,6 +209,7 @@ impl ServeMetrics {
             replies_ok: reg.counter("serve.replies_ok"),
             replies_error: reg.counter("serve.replies_error"),
             deadline_exceeded: reg.counter("serve.deadline_exceeded"),
+            frame_oversized: reg.counter("serve.frame.oversized"),
             cache_hits: reg.counter("serve.cache.hits"),
             cache_misses: reg.counter("serve.cache.misses"),
             cache_evictions: reg.counter("serve.cache.evictions"),
@@ -677,50 +680,74 @@ impl Server {
         }
     }
 
+    /// Answers a frame that carries no request line: an oversized line
+    /// with `frame_too_long` (counted in `serve.frame.oversized`), and
+    /// a line that is not UTF-8 with `bad_request`.  Every transport
+    /// calls this, so malformed frames get the same reply bytes on
+    /// stdin and on a socket.  With `state`, the outcome and a
+    /// frame-error anomaly go into the request's timeline.
+    pub(crate) fn answer_bad_frame(
+        &self,
+        frame: &Frame,
+        state: Option<&mut TimelineState>,
+    ) -> String {
+        let (kind, message) = match frame {
+            Frame::Oversized { len } => {
+                self.metrics.frame_oversized.inc();
+                let message =
+                    format!("line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte frame limit");
+                (ErrorKind::FrameTooLong, message)
+            }
+            _ => (ErrorKind::BadRequest, "line is not valid UTF-8".to_string()),
+        };
+        if let Some(st) = state {
+            st.timeline.outcome = format!("error:{}", kind.as_str());
+            st.timeline.anomaly = Some(Anomaly::new(AnomalyReason::FrameError, message.clone()));
+        }
+        error_reply(None, kind, message).render()
+    }
+
     /// The newline-delimited JSON daemon loop: reads a line, answers
-    /// it, writes the reply, and repeats until EOF or a
-    /// `{"cmd":"shutdown"}` line.  Blank lines are ignored.
-    pub fn run<R, W>(&self, input: R, output: &mut W) -> std::io::Result<()>
+    /// it, writes the reply, and repeats until EOF (or a read error)
+    /// or a `{"cmd":"shutdown"}` line.  Lines are split by the
+    /// reactor's [`LineDecoder`]: blank lines are ignored, and an
+    /// oversized or non-UTF-8 line is answered with a structured error
+    /// like every other line.
+    pub fn run<R, W>(&self, mut input: R, output: &mut W) -> std::io::Result<()>
     where
         R: BufRead,
         W: Write,
     {
-        for line in input.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
+        let mut decoder = LineDecoder::new();
+        let mut eof = false;
+        while !eof {
+            match input.fill_buf() {
+                Ok([]) => eof = true,
+                Ok(chunk) => {
+                    let n = chunk.len();
+                    decoder.push(chunk);
+                    input.consume(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => eof = true,
             }
-            writeln!(output, "{}", self.handle_line(&line))?;
-            output.flush()?;
-            if self.shutdown_requested() {
-                break;
+            if eof {
+                decoder.finish();
+            }
+            while let Some(frame) = decoder.next_frame() {
+                let reply = match frame {
+                    Frame::Empty => continue,
+                    Frame::Line(line) => self.handle_line(&line),
+                    bad => self.answer_bad_frame(&bad, None),
+                };
+                writeln!(output, "{reply}")?;
+                output.flush()?;
+                if self.shutdown_requested() {
+                    return Ok(());
+                }
             }
         }
         Ok(())
-    }
-
-    /// Serves connections on a Unix domain socket at `path` through the
-    /// event loop ([`crate::reactor`]) with default admission limits.
-    /// Pre-existing sockets at `path` are replaced.  Runs until a
-    /// `{"cmd":"shutdown"}` admin line arrives.
-    ///
-    /// Until PR 9 this spawned one blocking [`Server::run`] thread per
-    /// connection — which meant an idle client parked a thread forever.
-    /// The reactor reaps those with its read timeout instead.
-    #[cfg(unix)]
-    pub fn run_unix(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::os::unix::net::UnixListener;
-        if path.exists() {
-            std::fs::remove_file(path)?;
-        }
-        let listener = UnixListener::bind(path)?;
-        self.run_reactor(
-            crate::reactor::Transports {
-                tcp: None,
-                unix: Some(listener),
-            },
-            crate::reactor::ReactorConfig::default(),
-        )
     }
 }
 

@@ -2,11 +2,10 @@
 //! pipeline — zero external dependencies.
 //!
 //! The paper's central claim is *amortization*: the UGS tables are built
-//! once per nest and queried across the whole unroll space.  The build
-//! counters of `ujam-core`'s `CtxStats` assert that indirectly; this
-//! crate makes it observable directly — where time goes per pass, how
-//! often each cached analysis is hit, and **why** each candidate unroll
-//! vector won or was pruned.
+//! once per nest and queried across the whole unroll space.  This crate
+//! makes that observable — where time goes per pass, how often each
+//! cached analysis is hit, and **why** each candidate unroll vector won
+//! or was pruned.
 //!
 //! Three primitives flow through one [`TraceSink`]:
 //!

@@ -1,4 +1,4 @@
-//! Workspace-level guarantees for the pluggable cache-cost backends:
+//! Workspace-level guarantees for the two cache-cost models:
 //! the analytic backend is bitwise-identical to the classic pipeline on
 //! the whole Table 2 suite, and the profiled backend can legitimately
 //! disagree — on a crafted direct-mapped conflict nest it selects a

@@ -18,24 +18,19 @@ fn machines() -> Vec<MachineModel> {
     ]
 }
 
-/// Select each kernel's search space the same way the pipeline does.
-fn pipeline_space(
-    nest: &ujam::ir::LoopNest,
-    machine: &MachineModel,
-) -> Option<ujam::core::UnrollSpace> {
-    let mut ctx = AnalysisCtx::new(nest, machine).ok()?;
-    SelectLoops::default().run(&mut ctx).ok()
-}
-
 /// The satellite pin: pruned and exhaustive table walks return the
-/// same winner on every kernel × machine × model, and the exhaustive
-/// walk never reports pruned candidates.
+/// same winner on every kernel × machine × model, the exhaustive walk
+/// never reports pruned candidates, and the pipeline's analytic
+/// [`SearchSpace`] stage picks the pruned walk's winner.
 #[test]
 fn pruning_never_changes_the_winner() {
     for machine in machines() {
         for k in kernels() {
             let nest = k.nest();
-            let Some(space) = pipeline_space(&nest, &machine) else {
+            let Ok(mut ctx) = AnalysisCtx::new(&nest, &machine) else {
+                continue;
+            };
+            let Ok(space) = SelectLoops::default().run(&mut ctx) else {
                 continue;
             };
             let tables = CostTables::build(&nest, &space, machine.line_elems());
@@ -52,6 +47,21 @@ fn pruning_never_changes_the_winner() {
                     machine.name()
                 );
                 assert_eq!(skipped, 0, "exhaustive walk must not prune");
+                let staged = SearchSpace {
+                    space: space.clone(),
+                    model,
+                    cost: CostModelKind::Analytic,
+                    code_budget: None,
+                }
+                .run(&mut ctx)
+                .expect("the search stage runs on every selected space");
+                assert_eq!(
+                    staged.offset,
+                    pruned,
+                    "{} on {} ({model:?}): SearchSpace vs search_tables",
+                    k.name,
+                    machine.name()
+                );
             }
         }
     }

@@ -228,3 +228,36 @@ fn soak_eight_concurrent_clients_with_hostile_traffic() {
         "every intra-client duplicate is cache-served"
     );
 }
+
+/// The stdin loop frames lines like the socket transports: a line that
+/// is not UTF-8 gets a `bad_request` reply and an oversized line a
+/// `frame_too_long` reply (counted in `serve.frame.oversized`), and the
+/// lines after them are still answered — `n` lines in, `n` replies out.
+#[test]
+fn stdin_answers_malformed_frames_and_keeps_serving() {
+    let server = Server::new(test_config(), null_sink());
+    let mut input = b"{\"id\":\"a\",\"kernel\":\"dmxpy1\"}\n\xff\xfe\n".to_vec();
+    input.extend(std::iter::repeat_n(b'x', ujam::serve::MAX_LINE_BYTES + 1));
+    input.extend_from_slice(b"\n{\"id\":\"b\",\"kernel\":\"dmxpy1\"}\n");
+    let mut out = Vec::new();
+    server.run(Cursor::new(input), &mut out).expect("io ok");
+    let text = String::from_utf8(out).expect("utf8");
+    let replies: Vec<&str> = text.lines().collect();
+    assert_eq!(replies.len(), 4, "one reply per line: {text}");
+    assert!(replies[0].contains("\"id\":\"a\""), "{}", replies[0]);
+    assert!(
+        replies[1].contains("\"kind\":\"bad_request\""),
+        "{}",
+        replies[1]
+    );
+    assert!(replies[1].contains("not valid UTF-8"), "{}", replies[1]);
+    assert!(
+        replies[2].contains("\"kind\":\"frame_too_long\""),
+        "{}",
+        replies[2]
+    );
+    assert!(replies[3].contains("\"id\":\"b\""), "{}", replies[3]);
+    assert!(replies[3].contains("\"cached\":true"), "{}", replies[3]);
+    let snap = server.metrics_snapshot();
+    assert_eq!(snap.counter("serve.frame.oversized"), 1);
+}
