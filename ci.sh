@@ -84,6 +84,18 @@ printf '%s\n\377\n%s\n' \
 sed -n 2p /tmp/ujam_serve_utf8.ndjson | grep -q '"kind":"bad_request"'
 sed -n 3p /tmp/ujam_serve_utf8.ndjson | grep -q '"id":"u2"'
 
+# Stdin flight export: stdin requests are timed like socket requests, so
+# --trace-chrome writes one req-<trace_id> span group for each of two
+# kernel requests and a deadline_ms=0 miss.
+printf '%s\n' \
+  '{"id":"c1","kernel":"dmxpy0"}' \
+  '{"id":"c2","kernel":"sor"}' \
+  '{"id":"c3","kernel":"jacobi","deadline_ms":0}' \
+  | ./target/release/ujam serve --workers 1 --trace-chrome /tmp/ujam_stdin_chrome.json \
+    > /tmp/ujam_stdin_chrome.ndjson 2> /tmp/ujam_stdin_chrome.log
+grep -q 'wrote 3 flight timelines' /tmp/ujam_stdin_chrome.log
+for n in 1 2 3; do grep -q "\"req-$n\"" /tmp/ujam_stdin_chrome.json; done
+
 # Register-tile serve round-trip: the protocol's max_unroll_loops /
 # code_budget knobs reach the search — a deep kernel served at k = 3
 # answers ok with a full-depth (4-component) unroll vector.

@@ -20,7 +20,7 @@ use crate::space::UnrollSpace;
 use std::collections::BTreeMap;
 use ujam_ir::LoopNest;
 use ujam_linalg::Mat;
-use ujam_reuse::UgsSet;
+use ujam_reuse::{centered_mod, UgsSet};
 
 /// The per-iteration counts of an unrolled, scalar-replaced body.
 ///
@@ -313,14 +313,6 @@ fn spatially_related(h: &Mat, delta: &[i64], inner: usize, line_elems: i64) -> b
         }
     }
     residual.abs() < line_elems
-}
-
-fn centered_mod(v: i64, m: i64) -> i64 {
-    let mut r = v.rem_euclid(m);
-    if r > m / 2 {
-        r -= m;
-    }
-    r
 }
 
 /// Use-led (load-issuing) stream count of one UGS after unrolling by `u`:

@@ -30,7 +30,9 @@ use crate::streams;
 use std::collections::HashMap;
 use ujam_ir::LoopNest;
 use ujam_linalg::{solve_unique, Mat, SolveOutcome};
-use ujam_reuse::{group_spatial_sets, has_self_spatial, has_self_temporal, Localized, UgsSet};
+use ujam_reuse::{
+    centered_mod, group_spatial_sets, has_self_spatial, has_self_temporal, Localized, UgsSet,
+};
 
 /// Memoizes [`merge_point`] solves within one table construction, keyed
 /// by the leader-pair delta — `H` and the space are fixed per set, and
@@ -307,14 +309,6 @@ fn spatial_merge_point(
         residual = centered_mod(residual, a_in.abs());
     }
     (residual.abs() < line_elems).then_some(point)
-}
-
-fn centered_mod(v: i64, m: i64) -> i64 {
-    let mut r = v.rem_euclid(m);
-    if r > m / 2 {
-        r -= m;
-    }
-    r
 }
 
 /// The tables driving the memory-operation count `M(u)` (§4.3, Figures

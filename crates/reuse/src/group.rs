@@ -130,8 +130,12 @@ fn gcd(a: i64, b: i64) -> i64 {
     a
 }
 
-/// Reduces `v` modulo `m` into the centered range `(-m/2, m/2]`.
-fn centered_mod(v: i64, m: i64) -> i64 {
+/// Reduces `v` modulo `m` (`m > 0`) into the centered range
+/// `(-m/2, m/2]`: the residue of smallest magnitude, which spatial-reuse
+/// tests compare against the cache line.  Inlined across crates: the
+/// table builders call it in their innermost leader loops.
+#[inline]
+pub fn centered_mod(v: i64, m: i64) -> i64 {
     let mut r = v.rem_euclid(m);
     if r > m / 2 {
         r -= m;

@@ -51,6 +51,6 @@ pub mod permute;
 mod ugs;
 
 pub use cost::{nest_cache_cost, ugs_cost};
-pub use group::{group_spatial_sets, group_temporal_sets};
+pub use group::{centered_mod, group_spatial_sets, group_temporal_sets};
 pub use locality::{has_self_spatial, has_self_temporal, Localized};
 pub use ugs::{UgsMember, UgsSet};

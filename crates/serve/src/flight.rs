@@ -10,12 +10,13 @@
 //!   of healthy traffic cannot churn the interesting entries out of
 //!   the recorder before an operator looks.
 //!
-//! The hot path touches the recorder exactly twice per request: once
-//! to allocate a trace id ([`FlightRecorder::begin`], one relaxed
-//! atomic increment) and once to commit the finished timeline
-//! ([`FlightRecorder::commit`], one short mutex push per ring).  All
-//! edge stamping happens on a thread-local [`TimelineState`] with no
-//! shared state at all.
+//! Every optimize request has a timeline, whichever path serves it,
+//! and its stamps are the server's only request clock.  The hot path
+//! touches the recorder exactly twice per request: once to allocate a
+//! trace id ([`FlightRecorder::begin`], one relaxed atomic increment)
+//! and once to commit the finished timeline ([`FlightRecorder::commit`],
+//! one short mutex push per ring).  All edge stamping happens on a
+//! thread-local [`TimelineState`] with no shared state at all.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,15 +48,6 @@ pub struct TimelineState {
 }
 
 impl TimelineState {
-    /// A fresh state whose accepted edge is `accepted` (the socket
-    /// read that produced the frame).
-    pub fn new(trace_id: u64, accepted: Instant) -> TimelineState {
-        TimelineState {
-            base: accepted,
-            timeline: RequestTimeline::new(trace_id),
-        }
-    }
-
     /// The daemon-assigned trace id.
     pub fn trace_id(&self) -> u64 {
         self.timeline.trace_id
@@ -65,20 +57,16 @@ impl TimelineState {
         self.base.elapsed().as_nanos() as u64
     }
 
-    /// Stamps the frame-decoded edge.
-    pub fn stamp_framed(&mut self) {
-        self.timeline.framed = Some(self.now());
-    }
-
     /// Stamps the queue-push edge.
     pub fn stamp_enqueued(&mut self) {
         self.timeline.enqueued = Some(self.now());
     }
 
     /// Stamps `enqueued` and `dequeued` with one clock reading: the
-    /// start of the front stage on the reactor thread.  A request the
-    /// front stage answers never leaves it, so its queue wait is zero;
-    /// a miss is re-stamped at queue push and worker pickup.
+    /// start of the front stage on the thread that framed the request.
+    /// A request the front stage answers never leaves it, so its queue
+    /// wait is zero; a reactor miss is re-stamped at queue push and
+    /// worker pickup.
     pub fn stamp_front(&mut self) {
         let now = Some(self.now());
         self.timeline.enqueued = now;
@@ -114,6 +102,12 @@ impl TimelineState {
     pub fn stamp_flushed(&mut self) {
         self.timeline.flushed = Some(self.now());
     }
+
+    /// Nanoseconds from the `framed` edge to now.
+    pub fn since_framed(&self) -> u64 {
+        self.now()
+            .saturating_sub(self.timeline.framed.unwrap_or_default())
+    }
 }
 
 /// Bounded rings of committed request timelines plus the trace-id
@@ -140,21 +134,19 @@ impl FlightRecorder {
         }
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The slow-classification threshold in milliseconds.
-    pub fn slow_ms(&self) -> u64 {
-        self.slow_ms
-    }
-
     /// Allocates the next trace id (ids start at 1) and opens a
-    /// timeline whose accepted edge is `accepted`.
+    /// timeline whose accepted edge is `accepted` (the socket read
+    /// that delivered the frame; now, for a frame answered in-process
+    /// or from stdin), stamped `framed` now — the only way a timeline
+    /// is opened.
     pub fn begin(&self, accepted: Instant) -> TimelineState {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        TimelineState::new(id, accepted)
+        let mut state = TimelineState {
+            base: accepted,
+            timeline: RequestTimeline::new(id),
+        };
+        state.timeline.framed = Some(state.now());
+        state
     }
 
     /// The next trace id that [`FlightRecorder::begin`] would hand out.

@@ -12,7 +12,8 @@
 //!   problems share one entry no matter how they were submitted; LRU
 //!   eviction, hit/miss/eviction counters in the metrics registry;
 //! * **a sequential stdin loop** ([`Server::run`]) — one line in, one
-//!   reply out, in request order;
+//!   reply out, in request order, each request timed into the flight
+//!   recorder ([`flight`]) exactly as a socket request is;
 //! * **per-request deadlines** — `deadline_ms` arms a
 //!   [`CancelToken`](ujam_core::CancelToken) that the search passes poll
 //!   at candidate granularity; an elapsed deadline answers with a

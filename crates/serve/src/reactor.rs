@@ -199,13 +199,12 @@ impl JobQueue {
 }
 
 /// A finished reply on its way back to the reactor thread, with its
-/// timeline (when the request is lifecycle-traced) still awaiting the
-/// reply-flushed stamp.
+/// timeline still awaiting the reply-flushed stamp.
 struct Done {
     conn: u64,
     seq: u64,
     reply: String,
-    timeline: Option<TimelineState>,
+    timeline: TimelineState,
 }
 
 /// Either kind of accepted socket, unified behind `Read`/`Write`/fd.
@@ -250,7 +249,8 @@ struct Conn {
     /// Next sequence number the client is owed.
     next_emit: u64,
     /// Replies that finished out of order, waiting for their turn,
-    /// each with its timeline (if the request was lifecycle-traced).
+    /// each with its timeline (none for a reply with no request behind
+    /// it: hello, admin, handshake errors).
     done: BTreeMap<u64, (String, Option<TimelineState>)>,
     /// Timelines whose reply bytes sit in `out`: they get their
     /// reply-flushed stamp when the buffer fully drains.
@@ -453,7 +453,7 @@ impl<'a> Reactor<'a> {
                 scope.spawn(move || {
                     while let Some(mut job) = queue.pop() {
                         job.timeline.stamp_dequeued();
-                        let state = Some(&mut job.timeline);
+                        let state = &mut job.timeline;
                         let reply = match job.work {
                             Work::Miss(miss) => server.miss(*miss, state),
                             Work::Whole(req) => server.answer(Ok(*req), state),
@@ -462,7 +462,7 @@ impl<'a> Reactor<'a> {
                             conn: job.conn,
                             seq: job.seq,
                             reply,
-                            timeline: Some(job.timeline),
+                            timeline: job.timeline,
                         });
                         // A full pipe already guarantees a wake-up.
                         let mut w: &UnixStream = wake;
@@ -557,17 +557,13 @@ impl<'a> Reactor<'a> {
                 match self.conns.get_mut(&d.conn) {
                     Some(conn) => {
                         conn.inflight = conn.inflight.saturating_sub(1);
-                        conn.complete(d.seq, d.reply, d.timeline);
+                        conn.complete(d.seq, d.reply, Some(d.timeline));
                     }
                     // A reply for a connection that died mid-request is
                     // dropped (the slot it held is already freed), but
                     // its timeline is still flight history — committed
                     // without a flushed stamp.
-                    None => {
-                        if let Some(t) = d.timeline {
-                            self.server.flight().commit(t.timeline);
-                        }
-                    }
+                    None => self.server.flight().commit(d.timeline.timeline),
                 }
             }
             self.metrics.queue_depth.set(self.depth as i64);
@@ -781,9 +777,7 @@ impl<'a> Reactor<'a> {
         let line = match frame {
             Frame::Empty => unreachable!("handled above"),
             bad @ (Frame::Oversized { .. } | Frame::InvalidUtf8) => {
-                let mut state = self.server.flight().begin(conn.last_read);
-                state.stamp_framed();
-                let reply = self.server.answer_bad_frame(&bad, Some(&mut state));
+                let (reply, state) = self.server.answer_bad_frame(&bad, conn.last_read);
                 conn.complete(seq, reply, Some(state));
                 return Routed::Inline;
             }
@@ -843,7 +837,6 @@ impl<'a> Reactor<'a> {
         };
 
         let mut state = self.server.flight().begin(conn.last_read);
-        state.stamp_framed();
         let work = match parsed {
             // A large inline source: a worker runs both stages, so the
             // event loop's work per frame stays bounded.
@@ -854,7 +847,7 @@ impl<'a> Reactor<'a> {
             // their queue wait is zero.
             parsed => {
                 state.stamp_front();
-                match self.server.front(parsed, Some(&mut state), &mut self.key) {
+                match self.server.front(parsed, &mut state, &mut self.key) {
                     Front::Answered(reply) => {
                         conn.complete(seq, reply, Some(state));
                         return Routed::Inline;

@@ -17,10 +17,15 @@
 //! The reactor runs the front stage on its own thread and hands only
 //! misses to its workers — except for an inline source over
 //! `REACTOR_FRONT_MAX_SOURCE` bytes, whose Fortran parse would hold the
-//! event loop, so a worker runs both of its stages.  `handle_line`,
-//! `handle_line_timed` and `run` run the two stages back to back.  That
-//! is one request path, whichever thread runs which half; the reactor
-//! is the only place requests run in parallel.
+//! event loop, so a worker runs both of its stages.  `handle_line` and
+//! `run` run the two stages back to back.  That is one request path,
+//! whichever thread runs which half; the reactor is the only place
+//! requests run in parallel.
+//!
+//! Every optimize request, on every path, carries a [`TimelineState`]
+//! whose stamps are the only request clock: `serve.request_ns` runs
+//! from `framed` to the reply being ready, `serve.cache.lookup_ns` is
+//! `cache_done − cache_probe`.
 //!
 //! `handle_line` answers one request string, and `run` is the
 //! newline-delimited stdin/stdout daemon loop: it answers one line at a
@@ -137,13 +142,11 @@ pub(crate) enum Front {
 /// What the front stage learned about a request that missed the cache,
 /// so the miss stage repeats none of it: the parsed request, the nest
 /// when keying it needed one (an inline source — a named kernel's nest
-/// is first built by the miss stage), the finished key, and the start
-/// of the request's latency clock.
+/// is first built by the miss stage), and the finished key.
 pub(crate) struct Miss {
     req: Request,
     nest: Option<LoopNest>,
     key: String,
-    t0: Instant,
 }
 
 impl Miss {
@@ -307,36 +310,32 @@ impl Server {
         self.cache.stats()
     }
 
-    /// One shard's decision-cache counters (`shard < cfg.shards`).
-    pub fn cache_shard_stats(&self, shard: usize) -> CacheStats {
-        self.cache.shard_stats(shard)
-    }
-
     /// Answers one request line with one reply line (no newline).
     ///
     /// Admin lines (`{"cmd":"stats"}`) are answered from the metrics
     /// registry and counted under `serve.admin_requests`; everything
-    /// else — including malformed lines — counts as a request.
+    /// else — including malformed lines — counts as a request and is
+    /// committed to the flight recorder (with no `flushed` edge).
     pub fn handle_line(&self, line: &str) -> String {
-        self.handle_line_inner(line, None)
-    }
-
-    /// [`Server::handle_line`] with lifecycle tracing: stamps the
-    /// cache-probe and analysis edges into `state` and captures the
-    /// request's identity and outcome as it resolves.  The reply is
-    /// byte-identical to the untimed path unless the request opted in
-    /// with `"trace":true`, in which case the daemon-assigned trace id
-    /// is appended as a final `trace_id` field.
-    pub fn handle_line_timed(&self, line: &str, state: &mut TimelineState) -> String {
-        self.handle_line_inner(line, Some(state))
-    }
-
-    fn handle_line_inner(&self, line: &str, state: Option<&mut TimelineState>) -> String {
-        match Incoming::parse(line) {
-            Ok(Incoming::Admin(admin)) => self.handle_admin(&admin),
-            Ok(Incoming::Optimize(req)) => self.answer(Ok(req), state),
-            Err(reply) => self.answer(Err(reply), state),
+        let (reply, state) = self.answer_line(line);
+        if let Some(state) = state {
+            self.flight.commit(state.timeline);
         }
+        reply
+    }
+
+    /// Answers one line, and returns an optimize request's timeline
+    /// (opened now, so accepted and `framed` coincide) for the caller
+    /// to commit.
+    fn answer_line(&self, line: &str) -> (String, Option<TimelineState>) {
+        let parsed = match Incoming::parse(line) {
+            Ok(Incoming::Admin(admin)) => return (self.handle_admin(&admin), None),
+            Ok(Incoming::Optimize(req)) => Ok(req),
+            Err(reply) => Err(reply),
+        };
+        let mut state = self.flight.begin(Instant::now());
+        state.stamp_front();
+        (self.answer(parsed, &mut state), Some(state))
     }
 
     /// The front and miss stages back to back — the one request path,
@@ -346,9 +345,9 @@ impl Server {
     pub(crate) fn answer(
         &self,
         parsed: Result<Request, Reply>,
-        mut state: Option<&mut TimelineState>,
+        state: &mut TimelineState,
     ) -> String {
-        match self.front(parsed, state.as_deref_mut(), &mut String::new()) {
+        match self.front(parsed, state, &mut String::new()) {
             Front::Answered(reply) => reply,
             Front::Miss(miss) => self.miss(*miss, state),
         }
@@ -411,28 +410,26 @@ impl Server {
     pub(crate) fn front(
         &self,
         parsed: Result<Request, Reply>,
-        mut state: Option<&mut TimelineState>,
+        state: &mut TimelineState,
         key: &mut String,
     ) -> Front {
-        let t0 = Instant::now();
         let req = match parsed {
             Ok(req) => req,
-            Err(e) => return Front::Answered(self.answer_error(e, None, false, t0, state)),
+            Err(e) => return Front::Answered(self.answer_error(e, None, false, state)),
         };
         let nest = match self.key_request(&req, key) {
             Ok(nest) => nest,
             Err(e) => {
-                let reply = self.answer_error(e, req.deadline_ms, req.trace, t0, state);
+                let reply = self.answer_error(e, req.deadline_ms, req.trace, state);
                 return Front::Answered(reply);
             }
         };
-        match self.probe(key, false, state.as_deref_mut()) {
-            Some(decision) => Front::Answered(self.answer_ok(&req, &decision, true, t0, state)),
+        match self.probe(key, false, state) {
+            Some(decision) => Front::Answered(self.answer_ok(&req, &decision, true, state)),
             None => Front::Miss(Box::new(Miss {
                 req,
                 nest,
                 key: std::mem::take(key),
-                t0,
             })),
         }
     }
@@ -490,17 +487,17 @@ impl Server {
     /// then builds the nest if the front stage did not, analyses it,
     /// caches the decision and answers.  `serve.inflight` counts the
     /// requests inside this stage.
-    pub(crate) fn miss(&self, miss: Miss, state: Option<&mut TimelineState>) -> String {
+    pub(crate) fn miss(&self, miss: Miss, state: &mut TimelineState) -> String {
         self.metrics.inflight.add(1);
         let reply = self.answer_miss(miss, state);
         self.metrics.inflight.add(-1);
         reply
     }
 
-    fn answer_miss(&self, miss: Miss, mut state: Option<&mut TimelineState>) -> String {
-        let Miss { req, nest, key, t0 } = miss;
-        if let Some(decision) = self.probe(&key, true, state.as_deref_mut()) {
-            return self.answer_ok(&req, &decision, true, t0, state);
+    fn answer_miss(&self, miss: Miss, state: &mut TimelineState) -> String {
+        let Miss { req, nest, key } = miss;
+        if let Some(decision) = self.probe(&key, true, state) {
+            return self.answer_ok(&req, &decision, true, state);
         }
         let nest = match nest {
             Some(nest) => nest,
@@ -514,9 +511,7 @@ impl Server {
         // input; `catch_unwind` is the last line of defence so that even
         // a bug in the pipeline answers this one request with an
         // `internal` error instead of killing the daemon.
-        if let Some(st) = state.as_deref_mut() {
-            st.stamp_analysis_start();
-        }
+        state.stamp_analysis_start();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             optimize_costed(
                 &nest,
@@ -529,9 +524,7 @@ impl Server {
                 search_config(&req),
             )
         }));
-        if let Some(st) = state.as_deref_mut() {
-            st.stamp_analysis_end();
-        }
+        state.stamp_analysis_end();
         let decision = match outcome {
             Ok(Ok(plan)) => Decision::from_plan(&plan),
             Ok(Err(e)) => {
@@ -540,12 +533,12 @@ impl Server {
                     _ => ErrorKind::InvalidNest,
                 };
                 let e = error_reply(Some(&req.id), kind, e.to_string());
-                return self.answer_error(e, req.deadline_ms, req.trace, t0, state);
+                return self.answer_error(e, req.deadline_ms, req.trace, state);
             }
             Err(_) => {
                 let message = "optimizer panicked; the request was dropped";
                 let e = error_reply(Some(&req.id), ErrorKind::Internal, message);
-                return self.answer_error(e, req.deadline_ms, req.trace, t0, state);
+                return self.answer_error(e, req.deadline_ms, req.trace, state);
             }
         };
         // Only successful decisions are cached — an error (above) has
@@ -557,7 +550,7 @@ impl Server {
         m.shard_evictions[outcome.shard].add(outcome.evicted);
         m.cache_entries.set(self.cache.len() as i64);
         m.cache_bytes.set(self.cache.approx_bytes() as i64);
-        self.answer_ok(&req, &decision, false, t0, state)
+        self.answer_ok(&req, &decision, false, state)
     }
 
     /// The nest of a named kernel the front stage keyed from the table.
@@ -570,21 +563,17 @@ impl Server {
 
     /// One decision-cache probe, between the `cache_probe` and
     /// `cache_done` edges.  A hit is always counted, per shard and with
-    /// its lookup time; a miss only when `count_miss` is set.
+    /// its lookup time (the span between those edges); a miss only when
+    /// `count_miss` is set.
     fn probe(
         &self,
         key: &str,
         count_miss: bool,
-        mut state: Option<&mut TimelineState>,
+        state: &mut TimelineState,
     ) -> Option<Arc<Decision>> {
-        let t0 = Instant::now();
-        if let Some(st) = state.as_deref_mut() {
-            st.stamp_cache_probe();
-        }
+        state.stamp_cache_probe();
         let (shard, hit) = self.cache.lookup(key, count_miss);
-        if let Some(st) = state {
-            st.stamp_cache_done();
-        }
+        state.stamp_cache_done();
         if hit.is_none() && !count_miss {
             return None;
         }
@@ -596,7 +585,8 @@ impl Server {
         };
         total.inc();
         per_shard[shard].inc();
-        m.cache_lookup_ns.observe(t0.elapsed().as_nanos() as u64);
+        m.cache_lookup_ns
+            .observe(state.timeline.cache_ns().unwrap_or_default());
         hit
     }
 
@@ -607,20 +597,17 @@ impl Server {
         req: &Request,
         decision: &Decision,
         cached: bool,
-        t0: Instant,
-        state: Option<&mut TimelineState>,
+        state: &mut TimelineState,
     ) -> String {
-        let trace_id = state.as_deref().map(TimelineState::trace_id);
-        if let Some(st) = state {
-            let t = &mut st.timeline;
-            t.id.clone_from(&req.id);
-            t.nest.clone_from(&decision.nest);
-            t.outcome = "ok".to_string();
-            t.cached = cached;
-            t.unroll = Some(decision.unroll.clone());
-        }
-        self.retire(true, t0, trace_id);
-        render_decision(&req.id, decision, cached, trace_id.filter(|_| req.trace))
+        let t = &mut state.timeline;
+        t.id.clone_from(&req.id);
+        t.nest.clone_from(&decision.nest);
+        t.outcome = "ok".to_string();
+        t.cached = cached;
+        t.unroll = Some(decision.unroll.clone());
+        self.retire(true, state);
+        let trace_id = req.trace.then(|| state.trace_id());
+        render_decision(&req.id, decision, cached, trace_id)
     }
 
     /// Answers with a structured error (`trace` echoes the trace id, as
@@ -630,42 +617,35 @@ impl Server {
         reply: Reply,
         deadline_ms: Option<u64>,
         trace: bool,
-        t0: Instant,
-        state: Option<&mut TimelineState>,
+        state: &mut TimelineState,
     ) -> String {
         let Reply::Error(e) = &reply else {
             unreachable!("only error replies are answered as errors");
         };
-        let trace_id = state.as_deref().map(TimelineState::trace_id);
-        let deadline = e.kind == ErrorKind::DeadlineExceeded;
-        if let Some(st) = state {
-            let t = &mut st.timeline;
-            if let Some(id) = &e.id {
-                t.id.clone_from(id);
-            }
-            t.outcome = format!("error:{}", e.kind.as_str());
-            if deadline {
-                let detail = match deadline_ms {
-                    Some(ms) => format!("deadline_ms={ms}"),
-                    None => "deadline elapsed".to_string(),
-                };
-                t.anomaly = Some(Anomaly::new(AnomalyReason::Deadline, detail));
-            }
+        let t = &mut state.timeline;
+        if let Some(id) = &e.id {
+            t.id.clone_from(id);
         }
-        if deadline {
+        t.outcome = format!("error:{}", e.kind.as_str());
+        if e.kind == ErrorKind::DeadlineExceeded {
+            let detail = match deadline_ms {
+                Some(ms) => format!("deadline_ms={ms}"),
+                None => "deadline elapsed".to_string(),
+            };
+            t.anomaly = Some(Anomaly::new(AnomalyReason::Deadline, detail));
             self.metrics.deadline_exceeded.inc();
         }
-        self.retire(false, t0, trace_id);
-        reply.with_trace_id(trace_id.filter(|_| trace)).render()
+        self.retire(false, state);
+        let trace_id = trace.then(|| state.trace_id());
+        reply.with_trace_id(trace_id).render()
     }
 
     /// Request accounting, once per answered request: the request and
-    /// reply counters and the end-to-end latency (from the front
-    /// stage's start, so a miss's queue wait counts), tagged with the
-    /// trace id when timed so series windows can carry an exemplar
-    /// pointing back into the flight recorder.  A miss shed at the
+    /// reply counters and the latency since `framed` (so queue wait
+    /// counts), tagged with the trace id so series windows can carry an
+    /// exemplar pointing back into the flight recorder.  A miss shed at the
     /// queue is never answered here, so it is never counted.
-    fn retire(&self, ok: bool, t0: Instant, trace_id: Option<u64>) {
+    fn retire(&self, ok: bool, state: &TimelineState) {
         let m = &self.metrics;
         m.requests.inc();
         if ok {
@@ -673,24 +653,21 @@ impl Server {
         } else {
             m.replies_error.inc();
         }
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        match trace_id {
-            Some(id) => m.request_ns.observe_tagged(elapsed, id),
-            None => m.request_ns.observe(elapsed),
-        }
+        m.request_ns
+            .observe_tagged(state.since_framed(), state.trace_id());
     }
 
     /// Answers a frame that carries no request line: an oversized line
     /// with `frame_too_long` (counted in `serve.frame.oversized`), and
     /// a line that is not UTF-8 with `bad_request`.  Every transport
     /// calls this, so malformed frames get the same reply bytes on
-    /// stdin and on a socket.  With `state`, the outcome and a
-    /// frame-error anomaly go into the request's timeline.
+    /// stdin and on a socket.  The frame's timeline, with a frame-error
+    /// anomaly, is returned for the caller to commit.
     pub(crate) fn answer_bad_frame(
         &self,
         frame: &Frame,
-        state: Option<&mut TimelineState>,
-    ) -> String {
+        accepted: Instant,
+    ) -> (String, TimelineState) {
         let (kind, message) = match frame {
             Frame::Oversized { len } => {
                 self.metrics.frame_oversized.inc();
@@ -700,11 +677,10 @@ impl Server {
             }
             _ => (ErrorKind::BadRequest, "line is not valid UTF-8".to_string()),
         };
-        if let Some(st) = state {
-            st.timeline.outcome = format!("error:{}", kind.as_str());
-            st.timeline.anomaly = Some(Anomaly::new(AnomalyReason::FrameError, message.clone()));
-        }
-        error_reply(None, kind, message).render()
+        let mut state = self.flight.begin(accepted);
+        state.timeline.outcome = format!("error:{}", kind.as_str());
+        state.timeline.anomaly = Some(Anomaly::new(AnomalyReason::FrameError, message.clone()));
+        (error_reply(None, kind, message).render(), state)
     }
 
     /// The newline-delimited JSON daemon loop: reads a line, answers
@@ -713,6 +689,14 @@ impl Server {
     /// reactor's [`LineDecoder`]: blank lines are ignored, and an
     /// oversized or non-UTF-8 line is answered with a structured error
     /// like every other line.
+    ///
+    /// One read can deliver hundreds of piped lines, answered one after
+    /// another, so each frame's timeline opens when the frame is
+    /// decoded, not at the read: waiting behind earlier lines is not a
+    /// request's own latency, and would classify fast requests slow.  A
+    /// timeline is committed once its reply is flushed — or, when the
+    /// write fails, without a `flushed` edge before the error returns,
+    /// as the reactor commits a request whose client has gone.
     pub fn run<R, W>(&self, mut input: R, output: &mut W) -> std::io::Result<()>
     where
         R: BufRead,
@@ -735,13 +719,22 @@ impl Server {
                 decoder.finish();
             }
             while let Some(frame) = decoder.next_frame() {
-                let reply = match frame {
+                let (reply, state) = match frame {
                     Frame::Empty => continue,
-                    Frame::Line(line) => self.handle_line(&line),
-                    bad => self.answer_bad_frame(&bad, None),
+                    Frame::Line(line) => self.answer_line(&line),
+                    bad => {
+                        let (reply, state) = self.answer_bad_frame(&bad, Instant::now());
+                        (reply, Some(state))
+                    }
                 };
-                writeln!(output, "{reply}")?;
-                output.flush()?;
+                let written = writeln!(output, "{reply}").and_then(|()| output.flush());
+                if let Some(mut state) = state {
+                    if written.is_ok() {
+                        state.stamp_flushed();
+                    }
+                    self.flight.commit(state.timeline);
+                }
+                written?;
                 if self.shutdown_requested() {
                     return Ok(());
                 }
@@ -1052,17 +1045,17 @@ mod tests {
     fn timed_handling_stamps_edges_and_replies_identically() {
         let s = server();
         let line = r#"{"id":"a","kernel":"dmxpy1"}"#;
-        let mut state = s.flight().begin(Instant::now());
-        let timed = s.handle_line_timed(line, &mut state);
-        // A fresh identical server answers the untimed way: bitwise
-        // equal output, tracing on or off.
+        let timed = s.handle_line(line);
+        // A fresh identical server answers the same line: bitwise equal
+        // output, since the trace id is only echoed on request.
         let bare = server();
         assert_eq!(
             timed,
             bare.handle_line(line),
             "tracing never changes replies"
         );
-        let t = &state.timeline;
+        let recent = s.flight().recent();
+        let t = &recent[0];
         assert_eq!(t.id, "a");
         assert_eq!(t.outcome, "ok");
         assert!(!t.cached);
@@ -1073,46 +1066,39 @@ mod tests {
             "a miss runs analysis"
         );
         // A cache hit stamps the probe but never the analysis.
-        let mut hit = s.flight().begin(Instant::now());
-        s.handle_line_timed(r#"{"id":"b","kernel":"dmxpy1"}"#, &mut hit);
-        assert!(hit.timeline.cached);
-        assert!(hit.timeline.cache_done.is_some());
-        assert!(hit.timeline.analysis_start.is_none());
+        s.handle_line(r#"{"id":"b","kernel":"dmxpy1"}"#);
+        let hit = &s.flight().recent()[1];
+        assert!(hit.cached);
+        assert!(hit.cache_done.is_some());
+        assert!(hit.analysis_start.is_none());
     }
 
     #[test]
     fn trace_opt_in_echoes_the_assigned_trace_id() {
         let s = server();
-        let mut state = s.flight().begin(Instant::now());
-        let reply = s.handle_line_timed(r#"{"id":"a","kernel":"dmxpy1","trace":true}"#, &mut state);
+        let reply = s.handle_line(r#"{"id":"a","kernel":"dmxpy1","trace":true}"#);
         assert!(reply.ends_with(",\"trace_id\":1}"), "{reply}");
         // Without the opt-in the id is assigned but never echoed.
-        let mut state = s.flight().begin(Instant::now());
-        let reply = s.handle_line_timed(r#"{"id":"b","kernel":"dmxpy1"}"#, &mut state);
+        let reply = s.handle_line(r#"{"id":"b","kernel":"dmxpy1"}"#);
         assert!(!reply.contains("trace_id"), "{reply}");
-        assert_eq!(state.trace_id(), 2);
+        assert_eq!(s.flight().recent()[1].trace_id, 2);
     }
 
     #[test]
     fn deadline_errors_carry_a_structured_anomaly() {
         let s = server();
-        let mut state = s.flight().begin(Instant::now());
-        s.handle_line_timed(
-            r#"{"id":"a","kernel":"dmxpy1","deadline_ms":0}"#,
-            &mut state,
-        );
-        let anomaly = state.timeline.anomaly.as_ref().expect("classified");
+        s.handle_line(r#"{"id":"a","kernel":"dmxpy1","deadline_ms":0}"#);
+        let anomalies = s.flight().anomalies();
+        let anomaly = anomalies[0].anomaly.as_ref().expect("classified");
         assert_eq!(anomaly.reason, ujam_trace::AnomalyReason::Deadline);
         assert_eq!(anomaly.detail, "deadline_ms=0");
-        assert_eq!(state.timeline.outcome, "error:deadline_exceeded");
+        assert_eq!(anomalies[0].outcome, "error:deadline_exceeded");
     }
 
     #[test]
     fn flight_admin_lines_answer_from_the_recorder_as_admin_traffic() {
         let s = server();
-        let mut state = s.flight().begin(Instant::now());
-        s.handle_line_timed(r#"{"id":"a","kernel":"dmxpy1"}"#, &mut state);
-        s.flight().commit(state.timeline);
+        s.handle_line(r#"{"id":"a","kernel":"dmxpy1"}"#);
         let reply = s.handle_line(r#"{"id":"f1","cmd":"flight"}"#);
         let doc = json::parse(&reply).expect("valid JSON");
         assert_eq!(doc.get("ok"), Some(&json::Value::Bool(true)));
@@ -1140,8 +1126,7 @@ mod tests {
     #[test]
     fn stats_series_replies_carry_windows_with_exemplars() {
         let s = server();
-        let mut state = s.flight().begin(Instant::now());
-        s.handle_line_timed(r#"{"id":"a","kernel":"dmxpy1"}"#, &mut state);
+        s.handle_line(r#"{"id":"a","kernel":"dmxpy1"}"#);
         let reply = s.handle_line(r#"{"id":"s1","cmd":"stats","series":true}"#);
         let doc = json::parse(&reply).expect("valid JSON");
         let series = doc.get("series").expect("series object");

@@ -3,7 +3,8 @@
 //! A [`RequestTimeline`] is the flight-recorder record for one request:
 //! a trace id, the request's identity and outcome, and a fixed set of
 //! monotonic edge stamps — nanosecond offsets from the *accepted* edge
-//! (the socket read that produced the frame).  The daemon stamps edges
+//! (the socket read that produced the frame; on stdin and in-process,
+//! the decoding of the frame itself).  The daemon stamps edges
 //! in place as the request moves reactor → queue → worker → reply
 //! flush, so recording costs one `Instant::elapsed` per edge and zero
 //! allocation on the hot path; rendering happens only when an operator

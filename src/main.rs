@@ -178,15 +178,16 @@ picks a free port; the bound address is announced on stderr as
 stops the daemon cleanly.  Runtime metrics are always recorded; read
 them live with `ujam stats` or a {\"cmd\":\"stats\"} line on stdin.
 
-Every reactor request gets a lifecycle timeline (trace id, per-edge
-monotonic stamps: framed, enqueued, dequeued, cache probe, analysis,
-reply flushed) kept in an in-daemon flight recorder: a ring of the last
-N timelines (--flight-capacity, default 1024) plus a separate ring of
-anomalous requests (latency over --slow-ms, default 100; deadline hits;
-sheds; frame errors) with structured reasons.  Requests carrying
-\"trace\":true get their trace id echoed back as a trailing trace_id
-reply field.  --trace-chrome writes every retained timeline as a Chrome
-trace-event file on shutdown (loadable in Perfetto).
+Every request, on stdin or a socket, gets a lifecycle timeline (trace
+id, per-edge monotonic stamps: framed, enqueued, dequeued, cache probe,
+analysis, reply flushed) kept in an in-daemon flight recorder: a ring of
+the last N timelines (--flight-capacity, default 1024) plus a separate
+ring of anomalous requests (latency over --slow-ms, default 100;
+deadline hits; sheds; frame errors) with structured reasons.  Requests
+carrying \"trace\":true get their trace id echoed back as a trailing
+trace_id reply field.  --trace-chrome writes every retained timeline as
+a Chrome trace-event file when the daemon exits, at stdin EOF or on
+shutdown (loadable in Perfetto).
 
 `request` sends raw NDJSON request lines to a serving daemon (Unix
 socket or TCP; over TCP the handshake is performed first and its ack
@@ -608,7 +609,7 @@ struct ServeOptions {
     rcfg: ujam::serve::ReactorConfig,
     socket: Option<String>,
     tcp: Option<String>,
-    /// Dump the flight recorder as a Chrome trace file on shutdown.
+    /// Dump the flight recorder as a Chrome trace file on exit.
     trace_chrome: Option<String>,
 }
 

@@ -2,7 +2,8 @@
 //! against the sequential batch optimizer, cache effectiveness on
 //! replay, and a concurrent soak with hostile traffic mixed in.
 
-use std::io::Cursor;
+use std::io::{Cursor, Write};
+use std::time::Duration;
 
 use ujam::core::optimize_batch;
 use ujam::kernels::kernels;
@@ -260,4 +261,79 @@ fn stdin_answers_malformed_frames_and_keeps_serving() {
     assert!(replies[3].contains("\"cached\":true"), "{}", replies[3]);
     let snap = server.metrics_snapshot();
     assert_eq!(snap.counter("serve.frame.oversized"), 1);
+}
+
+/// The stdin loop times requests like the reactor: a `"trace":true`
+/// reply echoes its trace id, and a flight line sees every request, the
+/// bad frame and the deadline miss in the anomaly ring too.
+#[test]
+fn stdin_requests_are_timed_like_socket_requests() {
+    // A debug-build miss can itself take over the default 100 ms; the
+    // anomaly ring must hold exactly the two injected faults.
+    let config = ServeConfig {
+        slow_ms: 60_000,
+        ..test_config()
+    };
+    let server = Server::new(config, null_sink());
+    let input = b"{\"id\":\"t\",\"kernel\":\"dmxpy1\",\"trace\":true}\n\xff\n\
+        {\"id\":\"d\",\"kernel\":\"jacobi\",\"deadline_ms\":0}\n{\"id\":\"f\",\"cmd\":\"flight\"}\n";
+    let mut out = Vec::new();
+    server
+        .run(Cursor::new(input.to_vec()), &mut out)
+        .expect("io ok");
+    let text = String::from_utf8(out).expect("utf8");
+    let replies: Vec<&str> = text.lines().collect();
+    assert!(replies[0].ends_with(",\"trace_id\":1}"), "{text}");
+    let flight = json::parse(replies[3]).expect("valid JSON");
+    let ring = |name| flight.get("flight").and_then(|f| f.get(name)?.as_array());
+    assert_eq!(ring("recent").map(<[_]>::len), Some(3), "{text}");
+    let reasons: Vec<_> = ring("anomalies")
+        .expect("ring")
+        .iter()
+        .map(|t| t.get("anomaly")?.get("reason")?.as_str())
+        .collect();
+    assert_eq!(reasons, [Some("frame_error"), Some("deadline")], "{text}");
+}
+
+/// A pipe whose every flush takes 40 ms — a slow reader on the other
+/// end — and whose writes fail once six reply lines are out.
+struct SlowPipe(Vec<u8>);
+
+impl Write for SlowPipe {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.0.iter().filter(|&&b| b == b'\n').count() == 6 {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        self.0.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        std::thread::sleep(Duration::from_millis(40));
+        Ok(())
+    }
+}
+
+/// Seven piped lines arrive in one read but are answered one at a time,
+/// and a line's wait behind earlier lines is not its own latency: each
+/// hit's own service, its 40 ms flush included, stays under the default
+/// 100 ms `--slow-ms`, so no hit may crowd the anomaly ring (the last
+/// would be ~240 ms behind the read).  The seventh reply meets a closed
+/// pipe; its request is still recorded, with no `flushed` edge, as the
+/// reactor records a request whose client has gone.
+#[test]
+fn stdin_timelines_are_per_line_and_survive_a_closed_pipe() {
+    let server = Server::new(test_config(), null_sink());
+    let input = "{\"id\":\"h\",\"kernel\":\"dmxpy1\"}\n".repeat(7);
+    let err = server
+        .run(Cursor::new(input.into_bytes()), &mut SlowPipe(Vec::new()))
+        .expect_err("the seventh reply meets a closed pipe");
+    assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+    let recent = server.flight().recent();
+    assert_eq!(recent.len(), 7);
+    assert_eq!(recent.iter().filter(|t| t.cached).count(), 6);
+    assert!(recent[..6].iter().all(|t| t.flushed >= Some(40_000_000)));
+    assert_eq!(recent[6].flushed, None);
+    let anomalies = server.flight().anomalies();
+    assert!(!anomalies.iter().any(|t| t.cached), "{anomalies:?}");
 }
