@@ -17,6 +17,11 @@
 //! need not sum to `build`: it builds no GTS table and classifies each
 //! set once for the RRS and register tables.
 //!
+//! A `deep_build` row times `build` and `build_reg` once more on the
+//! deep kernel `assemble4` over the space `compile_suite` compiles it in
+//! (`SelectLoops` at `max_unroll_loops: 0`, 729 points), where most
+//! register tables leave the closed form.
+//!
 //! Emits the measurements as machine-readable JSON (default
 //! `BENCH_search.json` at the repository root, override with
 //! `-- --out PATH`) alongside the
@@ -31,6 +36,7 @@
 use std::fmt::Write as _;
 use std::hint::black_box;
 use ujam_bench::timing::bench;
+use ujam_core::pipeline::{AnalysisCtx, Pass, SelectLoops};
 use ujam_core::tables::{reg_table, rrs_tables_from};
 use ujam_core::{
     gss_table, gts_table, search_tables, tables::CostTables, BalanceModel, UnrollSpace,
@@ -201,10 +207,37 @@ fn main() {
         );
     }
 
+    // Deep build row: one deep kernel at its compile_suite space.
+    let assemble = ujam_kernels::deep_kernel("assemble4")
+        .expect("known deep kernel")
+        .nest();
+    let assemble_sets = UgsSet::partition(&assemble);
+    let mut ctx = AnalysisCtx::new(&assemble, &machine).expect("valid deep kernel");
+    let space = SelectLoops { max_loops: 0 }
+        .run(&mut ctx)
+        .expect("deep kernel selects loops");
+    let n = space.len();
+    let build = bench(&format!("deep/build/{n}"), || {
+        CostTables::build(&assemble, &space, line)
+    });
+    let build_reg = bench(&format!("deep/build/reg/{n}"), || {
+        for set in &assemble_sets {
+            black_box(reg_table(set, &space));
+        }
+    });
+    let deep_build = format!(
+        "{{\"kernel\":\"{}\",\"max_unroll_loops\":0,\"space\":{n},\
+         \"build_ns\":{:.1},\"build_reg_ns\":{:.1}}}",
+        assemble.name(),
+        build.median_ns,
+        build_reg.median_ns
+    );
+
     let doc = format!(
         "{{\"bench\":\"search_scaling\",\"kernel\":\"{}\",\"machine\":\"{}\",\
          \"model\":\"cache\",\"quick\":{quick},\"rows\":[{rows}],\
-         \"depth_kernel\":\"{}\",\"depth_rows\":[{depth_rows}]}}\n",
+         \"depth_kernel\":\"{}\",\"depth_rows\":[{depth_rows}],\
+         \"deep_build\":{deep_build}}}\n",
         nest.name(),
         machine.name(),
         deep.name()

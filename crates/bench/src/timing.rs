@@ -59,22 +59,69 @@ fn fmt_ns(ns: f64) -> String {
 /// median.  Results are passed through [`black_box`] so the work is not
 /// optimized away.
 pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
-    // Warm-up and calibration in one: time single calls until the batch
-    // size that hits the target is known.
-    let t0 = Instant::now();
-    black_box(f());
-    let once = t0.elapsed().max(Duration::from_nanos(1));
-    let iters = (BATCH_TARGET.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
+    let mut call = || {
+        black_box(f());
+    };
+    let iters = batch_size(BATCH_TARGET, &mut call);
+    let per_iter = (0..SAMPLES).map(|_| time_batch(iters, &mut call)).collect();
+    measurement(name, iters, per_iter)
+}
 
-    let mut per_iter: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            t0.elapsed().as_nanos() as f64 / iters as f64
-        })
+/// Rounds of [`bench_interleaved`].
+const ROUNDS: usize = 25;
+
+/// Target wall time per batch of [`bench_interleaved`]: short, so the
+/// rounds sample the machine's slow and fast phases finely.
+const ROUND_BATCH_TARGET: Duration = Duration::from_millis(5);
+
+/// Times several arms interleaved, for gates that compare arms with
+/// each other.
+///
+/// One warm-up call per arm calibrates its batch size as in [`bench`];
+/// then each of [`ROUNDS`] rounds times one short batch of every arm in
+/// turn (A B C … A B C …), so a slow phase of the machine lands on all
+/// the arms alike rather than on whichever arm ran through it.  Prints
+/// one report line per arm and returns the measurements in `arms`
+/// order.
+pub fn bench_interleaved(arms: &mut [(&str, &mut dyn FnMut())]) -> Vec<Measurement> {
+    let iters: Vec<u64> = arms
+        .iter_mut()
+        .map(|(_, f)| batch_size(ROUND_BATCH_TARGET, f))
         .collect();
+    let mut per_iter = vec![Vec::with_capacity(ROUNDS); arms.len()];
+    for _ in 0..ROUNDS {
+        for (((_, f), &n), samples) in arms.iter_mut().zip(&iters).zip(&mut per_iter) {
+            samples.push(time_batch(n, f));
+        }
+    }
+    arms.iter()
+        .zip(iters)
+        .zip(per_iter)
+        .map(|(((name, _), iters), samples)| measurement(name, iters, samples))
+        .collect()
+}
+
+/// Warm-up and calibration in one: times a single call and returns the
+/// batch size that runs for roughly `target`.
+fn batch_size(target: Duration, mut f: impl FnMut()) -> u64 {
+    let t0 = Instant::now();
+    f();
+    let once = t0.elapsed().max(Duration::from_nanos(1));
+    (target.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64
+}
+
+/// Nanoseconds per call over one batch of `iters` calls.
+fn time_batch(iters: u64, mut f: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    t0.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// The median and fastest of a benchmark's per-call batch times,
+/// printed as one report line.
+fn measurement(name: &str, iters: u64, mut per_iter: Vec<f64>) -> Measurement {
     per_iter.sort_by(f64::total_cmp);
     let m = Measurement {
         name: name.to_string(),
@@ -192,6 +239,19 @@ mod tests {
         assert!(m.median_ns > 0.0);
         assert!(m.min_ns <= m.median_ns);
         assert!(m.iters >= 1);
+    }
+
+    #[test]
+    fn interleaved_arms_report_in_order() {
+        let (mut a, mut b) = (0u64, 0u64);
+        let ms = bench_interleaved(&mut [
+            ("a", &mut || a += black_box(1)),
+            ("b", &mut || b += black_box(2)),
+        ]);
+        assert_eq!(ms.len(), 2);
+        assert_eq!((ms[0].name.as_str(), ms[1].name.as_str()), ("a", "b"));
+        assert!(ms.iter().all(|m| m.min_ns > 0.0 && m.min_ns <= m.median_ns));
+        assert!(a > 0 && b > 0);
     }
 
     #[test]

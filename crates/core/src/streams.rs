@@ -12,9 +12,10 @@
 //! Two shapes of evaluator live here.  The per-offset `*_at` functions
 //! rebuild the copies of one box `[0, u]` per call; they are the test
 //! oracles.  The `*_sums` functions give the same counts at *every*
-//! offset from one sweep over the whole unroll box — that is what the
-//! exact-fallback tables of [`crate::tables`] are built from, and tests
-//! pin them to the oracles bitwise.
+//! offset from one sweep over the unroll box (the register sweep skips
+//! the loops that only repeat copies, see [`ugs_registers_sums`]) — that
+//! is what the exact-fallback tables of [`crate::tables`] are built
+//! from, and tests pin them to the oracles bitwise.
 
 use crate::space::UnrollSpace;
 use std::collections::BTreeMap;
@@ -353,23 +354,89 @@ pub fn ugs_registers_at(set: &UgsSet, space: &UnrollSpace, u: &[u32], depth: usi
 }
 
 /// [`ugs_registers_at`] at every offset of `space`, in flat (row-major)
-/// order, from one sweep over the unroll box — the exact-fallback
-/// register table's sums.
+/// order — the exact-fallback register table's sums.
+///
+/// Two set shapes skip part of the sweep:
+///
+/// * **All defs** (not invariant): a def always closes the open
+///   register-reuse set, so every set holds one copy and pays nothing.
+/// * **Self-merge loops** (unrolled loops whose `H` column is zero), when
+///   the set is def-free or invariant: copies at offsets that differ only
+///   in those loops are identical, so the box `[0, u]` holds the copies
+///   of its *live*-loop box, each `Π (u_s + 1)` times over.  Spans do not
+///   change; only the `len ≥ 2` test sees the repetition.  One sweep over
+///   the live loops yields each box's total with every copy counted once
+///   and with every stream holding two or more copies, and each offset
+///   takes the second total when any self-merge coordinate is above 0.
+///
+/// Defs split streams at each copy, so a def-bearing, non-invariant set
+/// with self-merge loops sweeps the whole box.
 pub fn ugs_registers_sums(set: &UgsSet, space: &UnrollSpace) -> Vec<i64> {
+    let h = set.h();
+    let invariant = h.col(space.depth() - 1).iter().all(|&x| x == 0);
+    let defs = set.members().iter().filter(|m| m.is_def).count();
+    if !invariant && defs == set.members().len() {
+        return vec![0; space.len()];
+    }
+    let (live, repeat): (Vec<usize>, Vec<usize>) =
+        (0..space.dims()).partition(|&d| (0..h.rows()).any(|r| h[(r, space.loops()[d])] != 0));
+    if repeat.is_empty() || (defs > 0 && !invariant) {
+        return registers_fold(set, space)
+            .into_iter()
+            .map(|(once, _)| once)
+            .collect();
+    }
+    let live_space = UnrollSpace::with_bounds(
+        space.depth(),
+        &live.iter().map(|&d| space.loops()[d]).collect::<Vec<_>>(),
+        &live.iter().map(|&d| space.bounds()[d]).collect::<Vec<_>>(),
+    );
+    let totals = registers_fold(set, &live_space);
+    let mut sums = Vec::with_capacity(space.len());
+    space.for_each_offset(|u| {
+        let idx: usize = live
+            .iter()
+            .zip(live_space.strides())
+            .map(|(&d, &s)| u[d] as usize * s)
+            .sum();
+        let (once, repeated) = totals[idx];
+        sums.push(if repeat.iter().any(|&d| u[d] > 0) {
+            repeated
+        } else {
+            once
+        });
+    });
+    sums
+}
+
+/// One sweep of [`tally_ugs`]'s register count over every box of
+/// `space`: per box, the total with each copy counted once, and the
+/// total as if every stream held two or more copies.  A register-reuse
+/// set of one copy pays nothing, but once its copy repeats it pays one
+/// register (its span is 0), so the second total adds the number of
+/// single-copy sets.  It is meaningful for def-free and invariant sets
+/// only.
+fn registers_fold(set: &UgsSet, space: &UnrollSpace) -> Vec<(i64, i64)> {
     let col = set.h().col(space.depth() - 1);
     let invariant = col.iter().all(|&x| x == 0);
     let sweep = Sweep::new(set, space, Order::Touch, |c, sig| stream_tag(c, &col, sig));
-    // Per box: the closed registers, the open stream, and its open
-    // register-reuse set (leader key, last key, size).
+    // Per box: the closed registers and single-copy sets, the open
+    // stream, and its open register-reuse set (leader key, last key,
+    // size).
     #[derive(Clone, Default)]
     struct Open {
         total: i64,
+        singles: u32,
         stream: Option<u32>,
         lead: i64,
         last: i64,
         len: u32,
     }
-    let span = |o: &Open| if o.len >= 2 { o.lead - o.last + 1 } else { 0 };
+    let close = |o: &mut Open| match o.len {
+        0 => {}
+        1 => o.singles += 1,
+        _ => o.total += o.lead - o.last + 1,
+    };
     sweep.fold(
         Open::default(),
         |o, copy| {
@@ -381,7 +448,7 @@ pub fn ugs_registers_sums(set: &UgsSet, space: &UnrollSpace) -> Vec<i64> {
                 }
             } else if o.stream != Some(copy.group) || copy.is_def {
                 // A new stream or a def closes the open set.
-                o.total += span(o);
+                close(o);
                 o.stream = Some(copy.group);
                 (o.lead, o.last, o.len) = (copy.key, copy.key, 1);
             } else {
@@ -389,7 +456,10 @@ pub fn ugs_registers_sums(set: &UgsSet, space: &UnrollSpace) -> Vec<i64> {
                 o.len += 1;
             }
         },
-        |o| o.total + span(&o),
+        |mut o| {
+            close(&mut o);
+            (o.total, o.total + i64::from(o.singles))
+        },
     )
 }
 
@@ -574,18 +644,19 @@ impl<'s> Sweep<'s> {
         }
     }
 
-    /// `Sum(u)` for every offset, in flat order, from one state per box.
+    /// `finish` of every box's state (`Sum(u)` or a pair of totals), in
+    /// flat order, from one state per box.
     /// The loop runs copy-major: each copy, in sweep order, `step`s the
     /// state of every box containing it — the boxes `[0, u]` with
     /// `u ≥ o`, visited as contiguous runs along the innermost dimension
     /// — so every box sees exactly its own copies, in sweep order, and no
     /// copy outside a box is ever looked at.
-    fn fold<S: Clone>(
+    fn fold<S: Clone, T>(
         &self,
         init: S,
         mut step: impl FnMut(&mut S, &SweepCopy),
-        finish: impl FnMut(S) -> i64,
-    ) -> Vec<i64> {
+        finish: impl FnMut(S) -> T,
+    ) -> Vec<T> {
         let mut states = vec![init; self.space.len()];
         let (bounds, strides) = (self.space.bounds(), self.space.strides());
         let Some(inner) = bounds.len().checked_sub(1) else {

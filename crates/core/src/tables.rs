@@ -15,10 +15,15 @@
 //! targets **separable SIV** references; [`CostTables::siv`] reports
 //! whether a nest qualifies.  Where the up-set region structure breaks
 //! (line chains, reverse providers, provider switches), construction
-//! falls back to exact tabulation: one sweep per set over the whole
-//! unroll box ([`streams::ugs_registers_sums`] and its siblings) yields
-//! every `Sum` value, stored directly ([`Table::from_sums`]) — see
-//! DESIGN.md §5.
+//! falls back to exact tabulation: one sweep per set over the unroll box
+//! ([`streams::ugs_registers_sums`] and its siblings) yields every `Sum`
+//! value, stored directly ([`Table::from_sums`]) — see DESIGN.md §5.
+//!
+//! The register table ([`reg_table`]) has five paths: the closed form;
+//! the GTS table for invariant sets (one register per stream); and,
+//! inside the sweep, zero for all-def sets, a sweep over the live loops
+//! only for def-free sets with self-merge loops, and the full sweep for
+//! the rest.
 //!
 //! Every table this module returns is **finalized** (a summed-area
 //! table), so each `prefix_sum` query downstream is a single lookup;
@@ -121,7 +126,9 @@ struct SetPaths {
     invariant: bool,
     /// See [`chained`].
     chained: bool,
-    /// See [`has_reverse_provider`]; `false` for invariant sets.
+    /// See [`has_reverse_provider`].  Every innermost component of an
+    /// invariant set's solves is zero, so for it only a mixed-sign merge
+    /// offset can set this.
     reverse_provider: bool,
     /// See [`self_merge_points`].
     self_points: Vec<Vec<u32>>,
@@ -134,7 +141,7 @@ impl SetPaths {
         SetPaths {
             invariant,
             chained: chained(h, space),
-            reverse_provider: !invariant && has_reverse_provider(set, space),
+            reverse_provider: has_reverse_provider(set, space),
             self_points: self_merge_points(h, space),
         }
     }
@@ -471,6 +478,14 @@ fn merge_point_raw(h: &Mat, delta: &[i64], space: &UnrollSpace) -> Option<(Vec<i
     Some((unroll_parts, inner_val))
 }
 
+/// Whether distinct offsets in the live unrolled loops (those with a
+/// nonzero `H` column) always give distinct copies: those columns, with
+/// the innermost one, are linearly independent, so the zero delta has a
+/// unique solve.  Always true for separable SIV.
+fn copies_distinct(h: &Mat, space: &UnrollSpace) -> bool {
+    merge_point_raw(h, &vec![0; h.rows()], space).is_some()
+}
+
 /// Detects absorptions the up-set region algorithm cannot express:
 ///
 /// * a *reverse provider* — a reference whose copy at a strictly higher
@@ -514,15 +529,24 @@ fn has_reverse_provider(set: &UgsSet, space: &UnrollSpace) -> bool {
 /// Figure 7: the register-pressure table `RL(u)` for one UGS, built with
 /// the same per-offset region discipline as the other tables.
 ///
-/// The closed-form construction applies to def-free, non-invariant,
-/// chain-free sets whose merges are pairwise (each group has at most one
-/// provider): the common stencil-read case that actually drives register
-/// pressure.  Everything else — defs re-splitting streams, invariant
-/// sets, line chains, reverse providers, provider switches (the paper's
-/// Figure 6) — falls back to exact tabulation of the analytic count in
-/// the `Sum` domain, from one sweep over the unroll box
-/// ([`streams::ugs_registers_sums`]), preserving the prefix-sum
-/// interface.
+/// Each set takes the first of these exact paths that applies:
+///
+/// * **GTS** — an invariant set holds one register per stream, and an
+///   invariant copy's stream signature is its `c`, so its register count
+///   is its group-temporal set count: [`gts_table`], whose up-set union
+///   is exact when distinct live-loop offsets give distinct copies and
+///   no merge offset is mixed-sign.
+/// * **Closed form** — def-free, non-invariant, chain-free sets without
+///   self-merge loops whose merges are pairwise (each group has at most
+///   one provider): the common stencil-read case that actually drives
+///   register pressure.
+/// * **Sweep** — everything else (defs re-splitting streams, line
+///   chains, reverse providers, self-merge loops, provider switches, the
+///   paper's Figure 6) is tabulated exactly in the `Sum` domain by
+///   [`streams::ugs_registers_sums`], preserving the prefix-sum
+///   interface.  That sweep returns zeros for an all-def set without
+///   sweeping, and sweeps only the live-loop sub-box of a def-free set
+///   with self-merge loops.
 pub fn reg_table(set: &UgsSet, space: &UnrollSpace) -> Table {
     reg_table_in(set, space, &SetPaths::classify(set, space))
 }
@@ -531,6 +555,10 @@ pub fn reg_table(set: &UgsSet, space: &UnrollSpace) -> Table {
 fn reg_table_in(set: &UgsSet, space: &UnrollSpace, path: &SetPaths) -> Table {
     let depth = space.depth();
     let h = set.h();
+
+    if path.invariant && !path.reverse_provider && copies_distinct(h, space) {
+        return gts_table(set, space);
+    }
 
     let analytic_fallback =
         || Table::from_sums(space.clone(), streams::ugs_registers_sums(set, space));
@@ -1073,6 +1101,33 @@ mod reg_table_tests {
             .stmt("B(I,J) = 0.25 * (A(I-1,J) + A(I+1,J) + A(I,J-1) + A(I,J+1))")
             .build();
         check_registers(&jacobi, &[0], 5);
+    }
+
+    #[test]
+    fn invariant_sets_whose_gts_union_overcounts_sweep() {
+        // B(J,K) and B(J+1,K-1) merge at a mixed-sign offset: at u = (1,1)
+        // both boxes hold B(J+1,K), which neither up-set removes.
+        let skew = NestBuilder::new("skew")
+            .array("A", &[70, 70])
+            .array("B", &[70, 70])
+            .loop_("J", 2, 48)
+            .loop_("K", 2, 48)
+            .loop_("I", 2, 48)
+            .stmt("A(I,J) = A(I,J) + B(J,K) + B(J+1,K-1)")
+            .build();
+        check_registers(&skew, &[0, 1], 2);
+
+        // B(J+K): copies at (1,0) and (0,1) coincide, and no merge solve
+        // is unique.
+        let diag = NestBuilder::new("diag")
+            .array("A", &[70])
+            .array("B", &[140])
+            .loop_("J", 1, 48)
+            .loop_("K", 1, 48)
+            .loop_("I", 1, 48)
+            .stmt("A(I) = A(I) + B(J+K)")
+            .build();
+        check_registers(&diag, &[0, 1], 2);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * **runtime metrics and an admin channel** — every server records
 //!   request/latency/cache/connection metrics into its own
 //!   `ujam-metrics` registry, its only counter channel, and answers
-//!   `{"cmd":"stats"}` admin lines (the `ujam stats` subcommand) with a
-//!   versioned JSON snapshot;
+//!   `{"id":"s","cmd":"stats"}` admin lines (the `ujam stats`
+//!   subcommand) with a versioned JSON snapshot;
 //! * **an event-loop front end** ([`reactor`]) — TCP and Unix-socket
 //!   listeners multiplexed by one `poll(2)` thread over nonblocking
 //!   sockets with incremental NDJSON framing ([`frame`]), cache hits

@@ -6,7 +6,8 @@
 //! the bench promises: a `rows` array over strictly growing spaces, the
 //! engine timings per row, the table build split by family
 //! (`build_{gts,gss,rrs,reg}_ns`), agreement of all winners across
-//! engines, and a self-consistent speedup ratio.  Exits non-zero with a
+//! engines, a self-consistent speedup ratio, the depth-scaling rows, and
+//! the deep-kernel build row (`deep_build`).  Exits non-zero with a
 //! message on any violation — `ci.sh` runs this against a fresh
 //! quick-mode run.
 
@@ -154,9 +155,30 @@ fn run() -> Result<String, String> {
             return Err(format!("depth row {i}: engines must agree on the winner"));
         }
     }
+    // The deep-kernel build row: the register tables of a deep kernel
+    // at its unbounded register-tiling space.
+    let deep = doc.get("deep_build").ok_or("missing deep_build object")?;
+    let deep_kernel = deep
+        .get("kernel")
+        .and_then(Value::as_str)
+        .ok_or("deep_build: missing string field \"kernel\"")?;
+    let deep_num = |field: &str| {
+        deep.get(field)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("deep_build: missing numeric field {field:?}"))
+    };
+    if deep_num("max_unroll_loops")? != 0.0 {
+        return Err("deep_build: max_unroll_loops must be 0".to_string());
+    }
+    let deep_space = deep_num("space")?;
+    for arm in ["space", "build_ns", "build_reg_ns"] {
+        if deep_num(arm)? <= 0.0 {
+            return Err(format!("deep_build: {arm} must be positive"));
+        }
+    }
     Ok(format!(
         "{} rows, largest space {last_space:.0}; {} depth rows up to k = {last_k:.0} \
-         (space {last_depth_space:.0})",
+         (space {last_depth_space:.0}); deep build row {deep_kernel} (space {deep_space:.0})",
         rows.len(),
         depth_rows.len()
     ))

@@ -38,8 +38,10 @@
 //! (overridable with `--cache-geometry CAPACITY:LINE:WAYS`).
 //!
 //! `serve` always records runtime metrics (counters, gauges, latency
-//! histograms) into a `ujam-metrics` registry; `{"cmd":"stats"}` admin
-//! lines — or the `ujam stats` subcommand — return a snapshot.
+//! histograms) into a `ujam-metrics` registry; `{"id":"s","cmd":"stats"}`
+//! admin lines — or the `ujam stats` subcommand — return a snapshot.
+//! Every line needs an `"id"`: a bare `{"cmd":"stats"}` gets a
+//! `bad_request` reply.
 //!
 //! Every command writes stdout through `out!`/`outln!`.  When the
 //! reader closes the pipe (`ujam list | head -1`), the command stops
@@ -172,11 +174,12 @@ replies with retry_ms), per-connection in-flight caps (--max-inflight),
 a connection cap (--max-conns), idle/slow-loris read timeouts
 (--read-timeout-ms, default 30000), and an N-way content-hash-sharded
 decision cache (--shards).  TCP clients must open with the versioned
-handshake {\"cmd\":\"hello\",\"version\":1}.  `--tcp 127.0.0.1:0`
+handshake {\"id\":\"h\",\"cmd\":\"hello\",\"version\":1}.  `--tcp 127.0.0.1:0`
 picks a free port; the bound address is announced on stderr as
-`serve: tcp listening on ADDR`.  A {\"cmd\":\"shutdown\"} admin line
-stops the daemon cleanly.  Runtime metrics are always recorded; read
-them live with `ujam stats` or a {\"cmd\":\"stats\"} line on stdin.
+`serve: tcp listening on ADDR`.  A {\"id\":\"q\",\"cmd\":\"shutdown\"}
+admin line stops the daemon cleanly; every line, admin lines included,
+needs an \"id\".  Runtime metrics are always recorded; read them live
+with `ujam stats` or a {\"id\":\"s\",\"cmd\":\"stats\"} line on stdin.
 
 Every request, on stdin or a socket, gets a lifecycle timeline (trace
 id, per-edge monotonic stamps: framed, enqueued, dequeued, cache probe,
@@ -192,7 +195,7 @@ shutdown (loadable in Perfetto).
 `request` sends raw NDJSON request lines to a serving daemon (Unix
 socket or TCP; over TCP the handshake is performed first and its ack
 printed only with --show-hello) and prints one reply line per request.
-`stats` asks the daemon for its metrics snapshot ({\"cmd\":\"stats\"})
+`stats` asks the daemon for its metrics snapshot ({\"id\":...,\"cmd\":\"stats\"})
 and renders it as a table, or as the raw versioned JSON snapshot with
 --json.  Sharded-cache counters are rolled up into one
 serve.cache.total line (per-shard lines return with --verbose).  With

@@ -263,6 +263,27 @@ fn stdin_answers_malformed_frames_and_keeps_serving() {
     assert_eq!(snap.counter("serve.frame.oversized"), 1);
 }
 
+/// Every line needs an `"id"`, admin lines included: a bare
+/// `{"cmd":"shutdown"}` gets a `bad_request` reply and stops nothing,
+/// so the kernel request after it is still answered.
+#[test]
+fn admin_lines_without_an_id_are_refused_and_serving_goes_on() {
+    let server = Server::new(test_config(), null_sink());
+    let input = "{\"cmd\":\"shutdown\"}\n{\"id\":\"k\",\"kernel\":\"dmxpy1\"}\n";
+    let mut out = Vec::new();
+    server
+        .run(Cursor::new(input.as_bytes().to_vec()), &mut out)
+        .expect("io ok");
+    let text = String::from_utf8(out).expect("utf8");
+    let replies: Vec<&str> = text.lines().collect();
+    assert_eq!(replies.len(), 2, "one reply per line: {text}");
+    assert!(replies[0].contains(r#""kind":"bad_request""#), "{text}");
+    assert!(replies[0].contains(r#"missing \"id\" field"#), "{text}");
+    assert!(replies[1].contains(r#""id":"k""#), "{text}");
+    assert!(replies[1].contains(r#""ok":true"#), "{text}");
+    assert!(!server.shutdown_requested());
+}
+
 /// The stdin loop times requests like the reactor: a `"trace":true`
 /// reply echoes its trace id, and a flight line sees every request, the
 /// bad frame and the deadline miss in the anomaly ring too.
