@@ -23,13 +23,7 @@
 //! `extent_d − 1` vertical `row += previous_row` adds over contiguous
 //! `stride_d`-element runs.  Both shapes are plain stride-1 loops (the
 //! row kernels at the bottom of this module), which the compiler is free
-//! to autovectorise.
-//!
-//! The 2^dims corner inclusion–exclusion of [`Table::get`] is likewise
-//! precomputed at [`Table::finalize`] into a flat *(index delta, sign
-//! mask, zero-skip mask)* corner map — one multiply-free signed gather
-//! per query, with no per-corner coordinate vectors.  All query paths
-//! are allocation-free.
+//! to autovectorise.  All query paths are allocation-free.
 
 use std::fmt;
 
@@ -221,26 +215,6 @@ impl UnrollSpace {
         idx
     }
 
-    /// Flat index plus the bitmask of dimensions where the offset is
-    /// zero — the two inputs the corner-map query needs, computed in one
-    /// pass with no allocation.
-    fn index_and_zero_mask(&self, offset: &[u32]) -> (usize, u32) {
-        assert_eq!(offset.len(), self.dims(), "offset arity mismatch");
-        let mut idx = 0usize;
-        let mut zero = 0u32;
-        for (d, ((&o, &b), &s)) in offset
-            .iter()
-            .zip(&self.bounds)
-            .zip(&self.strides)
-            .enumerate()
-        {
-            assert!(o <= b, "offset outside the unroll space");
-            idx += o as usize * s;
-            zero |= ((o == 0) as u32) << d;
-        }
-        (idx, zero)
-    }
-
     /// Whether the offset encoded by flat index `idx` is dominated by
     /// `offset` (component-wise ≤) — the pending-write membership test,
     /// decoded arithmetically with no coordinate buffer.
@@ -335,61 +309,6 @@ impl std::iter::FusedIterator for OffsetIter {}
 /// indicator sweep (2^k − 1 corner writes vs. one O(N·dims) pass).
 const UPSET_IE_MAX_POINTS: usize = 12;
 
-/// The precomputed corner inclusion–exclusion map of a finalized table —
-/// the `GP_MAP` idiom: every `Sum`-domain corner the density query
-/// touches, flattened once per table shape into parallel arrays ordered
-/// for linear access.
-///
-/// Corner `i` contributes `sign_i · Sum(o − 1_{S_i})` where `S_i` is the
-/// i-th subset of the dimensions:
-/// * `deltas[i]` — the flat-index delta `Σ_{d ∈ S_i} stride_d` (stored as
-///   `i64`, the element type of the table it indexes),
-/// * `negmask[i]` — the sign as a 0/−1 mask (`(v ^ m) − m` applies it
-///   branch-free),
-/// * `need[i]` — the bitmask of dimensions that must be nonzero in the
-///   queried offset for this corner to exist (`S_i` itself).
-///
-/// For interior offsets (`need`-test trivially true for every corner) the
-/// query is one signed gather over the whole map; boundary offsets skip
-/// the masked-out corners scalar-wise.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct CornerMap {
-    deltas: Vec<i64>,
-    negmask: Vec<i64>,
-    need: Vec<u32>,
-}
-
-impl CornerMap {
-    fn build(space: &UnrollSpace) -> CornerMap {
-        let dims = space.dims();
-        debug_assert!(dims < 32, "corner masks are u32");
-        let strides = space.strides();
-        let n = 1usize << dims;
-        let mut map = CornerMap {
-            deltas: Vec::with_capacity(n),
-            negmask: Vec::with_capacity(n),
-            need: Vec::with_capacity(n),
-        };
-        for mask in 0..n as u32 {
-            let delta: usize = (0..dims)
-                .filter(|&d| mask & (1 << d) != 0)
-                .map(|d| strides[d])
-                .sum();
-            map.deltas.push(delta as i64);
-            map.negmask
-                .push(if mask.count_ones() % 2 == 0 { 0 } else { -1 });
-            map.need.push(mask);
-        }
-        map
-    }
-
-    fn clear(&mut self) {
-        self.deltas.clear();
-        self.negmask.clear();
-        self.need.clear();
-    }
-}
-
 /// An integer table indexed by unroll offset, with the prefix-sum query the
 /// paper's `Sum` function performs (Figure 2).
 ///
@@ -402,10 +321,8 @@ impl CornerMap {
 /// before finalization; queries work in both states.
 ///
 /// Storage is one flat row-major buffer over the space's precomputed
-/// strides; finalization additionally builds the [`CornerMap`] that
-/// makes the density query a signed gather.  Every query path —
-/// finalized or raw — is allocation-free (up to [`MAX_INLINE_DIMS`]
-/// dimensions on the raw reference path).
+/// strides.  Every query path — finalized or raw — is allocation-free
+/// (up to [`MAX_INLINE_DIMS`] dimensions on the raw reference path).
 #[derive(Clone, PartialEq, Eq)]
 pub struct Table {
     space: UnrollSpace,
@@ -415,9 +332,6 @@ pub struct Table {
     /// point".  Always empty once finalized.
     pending: Vec<(usize, i64)>,
     finalized: bool,
-    /// Corner inclusion–exclusion map; built by [`Table::finalize`],
-    /// empty (and unused) in the density domain.
-    corners: CornerMap,
 }
 
 impl Table {
@@ -429,7 +343,6 @@ impl Table {
             data: vec![fill; n],
             pending: Vec::new(),
             finalized: false,
-            corners: CornerMap::default(),
         }
     }
 
@@ -444,13 +357,11 @@ impl Table {
     /// Panics if `sums` does not hold one value per offset of `space`.
     pub fn from_sums(space: UnrollSpace, sums: Vec<i64>) -> Table {
         assert_eq!(sums.len(), space.len(), "one sum per offset");
-        let corners = CornerMap::build(&space);
         Table {
             space,
             data: sums,
             pending: Vec::new(),
             finalized: true,
-            corners,
         }
     }
 
@@ -468,32 +379,31 @@ impl Table {
     /// exactly that offset.
     ///
     /// On a finalized table the density is recovered from the stored
-    /// sums by inclusion–exclusion over the ≤ 2^dims adjacent corners,
-    /// driven by the precomputed corner map: interior offsets are one
-    /// signed gather, boundary offsets skip the corners their zero
-    /// coordinates rule out.
+    /// sums by inclusion–exclusion over the ≤ 2^dims adjacent corners
+    /// that lie in the box.
     pub fn get(&self, offset: &[u32]) -> i64 {
         if self.finalized {
-            // density(o) = Σ_{S ⊆ dims, o_d > 0 ∀ d∈S} (−1)^|S| Sum(o − 1_S)
-            let (base, zero_mask) = self.space.index_and_zero_mask(offset);
-            if zero_mask == 0 {
-                return gather_signed(
-                    &self.data,
-                    base,
-                    &self.corners.deltas,
-                    &self.corners.negmask,
-                );
-            }
-            let mut total = 0i64;
-            for (i, &need) in self.corners.need.iter().enumerate() {
-                if need & zero_mask != 0 {
-                    continue;
+            // density(o) = Σ_{S ⊆ {d : o_d > 0}} (−1)^|S| Sum(o − 1_S)
+            let base = self.space.index(offset);
+            let strides = self.space.strides();
+            debug_assert!(offset.len() < 64, "subsets are u64 masks");
+            let live = (0..offset.len())
+                .filter(|&d| offset[d] > 0)
+                .fold(0u64, |m, d| m | 1 << d);
+            // Walk every subset of `live`, down to the empty one.
+            let (mut total, mut subset) = (0i64, live);
+            loop {
+                let back: usize = (0..offset.len())
+                    .filter(|&d| subset >> d & 1 == 1)
+                    .map(|d| strides[d])
+                    .sum();
+                let v = self.data[base - back];
+                total += if subset.count_ones() % 2 == 1 { -v } else { v };
+                if subset == 0 {
+                    return total;
                 }
-                let m = self.corners.negmask[i];
-                let v = self.data[base - self.corners.deltas[i] as usize];
-                total += (v ^ m) - m;
+                subset = (subset - 1) & live;
             }
-            return total;
         }
         let mut v = self.data[self.space.index(offset)];
         for &(idx, delta) in &self.pending {
@@ -639,9 +549,7 @@ impl Table {
     /// Turns the density table into a summed-area table: pending up-set
     /// writes are integrated and one inclusive prefix scan runs per
     /// dimension, so every entry now holds the paper's `Sum` at that
-    /// offset and [`Table::prefix_sum`] is a single lookup.  The corner
-    /// map for [`Table::get`]'s inclusion–exclusion is built here, once
-    /// per table shape.
+    /// offset and [`Table::prefix_sum`] is a single lookup.
     ///
     /// Idempotent; costs O(N · dims) once.
     pub fn finalize(&mut self) {
@@ -655,7 +563,6 @@ impl Table {
             self.space.strides(),
             false,
         );
-        self.corners = CornerMap::build(&self.space);
         self.finalized = true;
     }
 
@@ -673,7 +580,6 @@ impl Table {
         let mut t = self.clone();
         scan_axes(&mut t.data, t.space.extents(), t.space.strides(), true);
         t.finalized = false;
-        t.corners.clear();
         t
     }
 
@@ -925,20 +831,6 @@ fn add_masked(data: &mut [i64], covered: &[bool], delta: i64) {
     }
 }
 
-/// Signed corner gather: `Σ ±data[base − deltas[i]]`, the negation
-/// chosen by `negmask[i]` (0 keeps, −1 negates: `(v ^ m) − m`).  The
-/// caller guarantees every `base − deltas[i]` indexes into `data` (the
-/// corner map is built from the table's own strides).
-fn gather_signed(data: &[i64], base: usize, deltas: &[i64], negmask: &[i64]) -> i64 {
-    assert_eq!(deltas.len(), negmask.len(), "corner map length mismatch");
-    let mut total = 0i64;
-    for (&d, &m) in deltas.iter().zip(negmask) {
-        let v = data[base - d as usize];
-        total += (v ^ m) - m;
-    }
-    total
-}
-
 impl fmt::Debug for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -995,20 +887,6 @@ mod tests {
                 .map(|(b, &c)| b + if c { 13 } else { 0 })
                 .collect();
             assert_eq!(m, expect, "add_masked n={n}");
-
-            if n > 0 {
-                // Corner i reads base[n − 1 − i], negated at odd i.
-                let deltas: Vec<i64> = (0..n as i64).collect();
-                let negmask: Vec<i64> = (0..n).map(|i| if i % 2 == 0 { 0 } else { -1 }).collect();
-                let expect: i64 = (0..n)
-                    .map(|i| (1 - 2 * (i % 2) as i64) * base[n - 1 - i])
-                    .sum();
-                assert_eq!(
-                    gather_signed(&base, n - 1, &deltas, &negmask),
-                    expect,
-                    "gather_signed n={n}"
-                );
-            }
         }
     }
 

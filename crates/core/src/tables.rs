@@ -14,10 +14,12 @@
 //! Scope: like the paper (§3.5, §5), the closed-form table construction
 //! targets **separable SIV** references; [`CostTables::siv`] reports
 //! whether a nest qualifies.  Where the up-set region structure breaks
-//! (line chains, reverse providers, provider switches), construction
-//! falls back to exact tabulation: one sweep per set over the unroll box
-//! ([`streams::ugs_registers_sums`] and its siblings) yields every `Sum`
-//! value, stored directly ([`Table::from_sums`]) — see DESIGN.md §5.
+//! (line chains, reverse providers, mixed-sign merges, provider
+//! switches, and distinct copy offsets that give the same copy),
+//! construction falls back to exact tabulation: one sweep per set over
+//! the unroll box ([`streams::ugs_registers_sums`] and its siblings)
+//! yields every `Sum` value, stored directly ([`Table::from_sums`]) —
+//! see DESIGN.md §5.
 //!
 //! The register table ([`reg_table`]) has five paths: the closed form;
 //! the GTS table for invariant sets (one register per stream); and,
@@ -117,10 +119,10 @@ fn chained(h: &Mat, space: &UnrollSpace) -> bool {
     space.loops().iter().any(|&l| h[(0, l)] != 0)
 }
 
-/// Which construction path the RRS and register tables take for one UGS
-/// over one space — classified once per set by
-/// [`CostTables::build_with_sets`] and shared by both builders, so the
-/// reverse-provider solves run once.
+/// Which construction path the GSS, RRS and register tables take for
+/// one UGS over one space — classified once per set by
+/// [`CostTables::build_with_sets`], before any table is built, and
+/// shared by the builders, so the reverse-provider solves run once.
 struct SetPaths {
     /// Innermost-invariant: every stream is hoisted.
     invariant: bool,
@@ -132,6 +134,9 @@ struct SetPaths {
     reverse_provider: bool,
     /// See [`self_merge_points`].
     self_points: Vec<Vec<u32>>,
+    /// See [`copies_distinct`].  When false, every up-set construction
+    /// over-counts, and each table takes its sweep.
+    copies_distinct: bool,
 }
 
 impl SetPaths {
@@ -140,6 +145,7 @@ impl SetPaths {
         let invariant = (0..h.rows()).all(|r| h[(r, space.depth() - 1)] == 0);
         SetPaths {
             invariant,
+            copies_distinct: copies_distinct(h, space),
             chained: chained(h, space),
             reverse_provider: has_reverse_provider(set, space),
             self_points: self_merge_points(h, space),
@@ -173,11 +179,28 @@ impl SetPaths {
 /// assert_eq!(t.prefix_sum(&[2]), 5); // merging begins at offset 2
 /// ```
 pub fn gts_table(set: &UgsSet, space: &UnrollSpace) -> Table {
+    if copies_distinct(set.h(), space) {
+        if let Some(t) = gts_upsets(set, space) {
+            return t;
+        }
+    }
+    let depth = space.depth();
+    let mut sums = Vec::with_capacity(space.len());
+    space.for_each_offset(|u| sums.push(streams::gts_count_at(set, space, u, depth) as i64));
+    Table::from_sums(space.clone(), sums)
+}
+
+/// [`gts_table`] by up-set unions: each group's copies stop being new
+/// once their offset dominates a merge point.  `None` when two groups
+/// merge at a mixed-sign offset (partner above in one unrolled loop and
+/// below in another): the shared stream then lies in both boxes and
+/// neither up-set removes it.
+fn gts_upsets(set: &UgsSet, space: &UnrollSpace) -> Option<Table> {
     let depth = space.depth();
     let groups = streams::original_streams(set, depth);
     let self_points = self_merge_points(set.h(), space);
     let mut t = Table::filled(space.clone(), groups.len() as i64);
-    let mut memo = MergeMemo::new();
+    let mut memo: HashMap<Vec<i64>, Option<Vec<i64>>> = HashMap::new();
 
     for (j, gj) in groups.iter().enumerate() {
         let cj = &set.members()[gj[0].0].c;
@@ -188,16 +211,20 @@ pub fn gts_table(set: &UgsSet, space: &UnrollSpace) -> Table {
             }
             let ci = &set.members()[gi[0].0].c;
             let delta: Vec<i64> = cj.iter().zip(ci).map(|(a, b)| a - b).collect();
-            if let Some((point, _)) = memo.solve(set.h(), &delta, space) {
-                if point.iter().any(|&p| p > 0) {
-                    points.push(point);
-                }
+            let solved = memo
+                .entry(delta)
+                .or_insert_with_key(|d| merge_point_raw(set.h(), d, space).map(|(x, _)| x));
+            let Some(x) = solved else { continue };
+            match (x.iter().any(|&v| v < 0), x.iter().any(|&v| v > 0)) {
+                (true, true) => return None,
+                (false, true) => points.push(x.iter().map(|&v| v as u32).collect()),
+                _ => {}
             }
         }
         t.add_upset_union(&points, -1);
     }
     t.finalize();
-    t
+    Some(t)
 }
 
 /// Figure 3: the table of new group-spatial sets per copy offset.
@@ -208,6 +235,18 @@ pub fn gts_table(set: &UgsSet, space: &UnrollSpace) -> Table {
 /// cache line.  Unrolled loops appearing in the first subscript produce
 /// line *chains*: a new leader every `ceil(line/|a|)` copies.
 pub fn gss_table(set: &UgsSet, space: &UnrollSpace, line_elems: i64) -> Table {
+    let h = set.h();
+    gss_table_in(
+        set,
+        space,
+        line_elems,
+        chained(h, space) || !copies_distinct(h, space),
+    )
+}
+
+/// [`gss_table`], tabulated by one sweep over the unroll box when
+/// `sweep` is set.
+fn gss_table_in(set: &UgsSet, space: &UnrollSpace, line_elems: i64, sweep: bool) -> Table {
     assert!(line_elems >= 1, "cache line must hold at least one element");
     let depth = space.depth();
     let h = set.h();
@@ -215,11 +254,12 @@ pub fn gss_table(set: &UgsSet, space: &UnrollSpace, line_elems: i64) -> Table {
 
     // Line *chains*: an unrolled loop that drives the first (contiguous)
     // subscript walks copies along cache lines, and the greedy leader walk
-    // over the combined value stream does not decompose into up-sets.
-    // Tabulate such sets exactly with one sweep over the unroll box,
-    // storing the counts as already-finalized sums so the prefix-sum
-    // interface (and its O(1) query cost) is preserved.
-    if chained(h, space) {
+    // over the combined value stream does not decompose into up-sets;
+    // nor do copies that distinct offsets share.  Tabulate such sets
+    // exactly with one sweep over the unroll box, storing the counts as
+    // already-finalized sums so the prefix-sum interface (and its O(1)
+    // query cost) is preserved.
+    if sweep {
         return Table::from_sums(
             space.clone(),
             streams::gss_count_sums(set, space, line_elems),
@@ -397,8 +437,9 @@ fn rrs_tables_in(sets: &[UgsSet], paths: &[SetPaths], space: &UnrollSpace) -> Rr
         // offset touches the shared cells earlier — makes absorption depend
         // on the query box, not just the copy offset, so the up-set region
         // algorithm cannot express it (the merge comes "from above").
-        // Tabulate such sets exactly, directly in the `Sum` domain.
-        if path.reverse_provider {
+        // Tabulate such sets exactly, directly in the `Sum` domain, as
+        // well as sets whose distinct offsets share copies.
+        if path.reverse_provider || !path.copies_distinct {
             use_led.accumulate(&Table::from_sums(
                 space.clone(),
                 streams::ugs_loads_sums(set, space),
@@ -481,9 +522,15 @@ fn merge_point_raw(h: &Mat, delta: &[i64], space: &UnrollSpace) -> Option<(Vec<i
 /// Whether distinct offsets in the live unrolled loops (those with a
 /// nonzero `H` column) always give distinct copies: those columns, with
 /// the innermost one, are linearly independent, so the zero delta has a
-/// unique solve.  Always true for separable SIV.
+/// unique solve.  Columns with disjoint nonzero rows — every separable
+/// SIV set — are independent without a solve.
 fn copies_distinct(h: &Mat, space: &UnrollSpace) -> bool {
-    merge_point_raw(h, &vec![0; h.rows()], space).is_some()
+    let inner = space.depth() - 1;
+    let disjoint = (0..h.rows()).all(|r| {
+        let live = space.loops().iter().chain([&inner]);
+        live.filter(|&&c| h[(r, c)] != 0).count() <= 1
+    });
+    disjoint || merge_point_raw(h, &vec![0; h.rows()], space).is_some()
 }
 
 /// Detects absorptions the up-set region algorithm cannot express:
@@ -538,11 +585,12 @@ fn has_reverse_provider(set: &UgsSet, space: &UnrollSpace) -> bool {
 ///   no merge offset is mixed-sign.
 /// * **Closed form** — def-free, non-invariant, chain-free sets without
 ///   self-merge loops whose merges are pairwise (each group has at most
-///   one provider): the common stencil-read case that actually drives
-///   register pressure.
+///   one provider) and whose distinct offsets give distinct copies: the
+///   common stencil-read case that actually drives register pressure.
 /// * **Sweep** — everything else (defs re-splitting streams, line
-///   chains, reverse providers, self-merge loops, provider switches, the
-///   paper's Figure 6) is tabulated exactly in the `Sum` domain by
+///   chains, reverse providers, self-merge loops, provider switches,
+///   offsets sharing copies, the paper's Figure 6) is tabulated exactly
+///   in the `Sum` domain by
 ///   [`streams::ugs_registers_sums`], preserving the prefix-sum
 ///   interface.  That sweep returns zeros for an all-def set without
 ///   sweeping, and sweeps only the live-loop sub-box of a def-free set
@@ -556,7 +604,7 @@ fn reg_table_in(set: &UgsSet, space: &UnrollSpace, path: &SetPaths) -> Table {
     let depth = space.depth();
     let h = set.h();
 
-    if path.invariant && !path.reverse_provider && copies_distinct(h, space) {
+    if path.invariant && !path.reverse_provider && path.copies_distinct {
         return gts_table(set, space);
     }
 
@@ -564,12 +612,14 @@ fn reg_table_in(set: &UgsSet, space: &UnrollSpace, path: &SetPaths) -> Table {
         || Table::from_sums(space.clone(), streams::ugs_registers_sums(set, space));
 
     // Invariant sets, sets with defs, row-0 unrolled loops (chains),
-    // reverse providers, or self-merging sets: fall back.
+    // reverse providers, self-merging sets, or offsets sharing copies:
+    // fall back.
     if path.invariant
         || set.members().iter().any(|m| m.is_def)
         || path.chained
         || path.reverse_provider
         || !path.self_points.is_empty()
+        || !path.copies_distinct
     {
         return analytic_fallback();
     }
@@ -705,9 +755,14 @@ impl CostTables {
     ) -> CostTables {
         let siv = nest.is_siv_separable();
         let l = Localized::innermost(nest.depth());
+        let paths: Vec<SetPaths> = sets
+            .iter()
+            .map(|set| SetPaths::classify(set, space))
+            .collect();
         let gss = sets
             .iter()
-            .map(|set| {
+            .zip(&paths)
+            .map(|(set, path)| {
                 let f = if has_self_temporal(set.h(), &l) {
                     0.0
                 } else if has_self_spatial(set.h(), &l) {
@@ -715,13 +770,9 @@ impl CostTables {
                 } else {
                     1.0
                 };
-                let t = gss_table(set, space, line_elems);
-                (f, t)
+                let sweep = path.chained || !path.copies_distinct;
+                (f, gss_table_in(set, space, line_elems, sweep))
             })
-            .collect();
-        let paths: Vec<SetPaths> = sets
-            .iter()
-            .map(|set| SetPaths::classify(set, space))
             .collect();
         let rrs = rrs_tables_in(sets, &paths, space);
         let registers: Vec<Table> = sets
@@ -999,6 +1050,52 @@ mod tests {
         check_all_tables(&nest, &[0], 4, 4);
     }
 
+    /// `A(I) = A(I) + B(K,I+J)` with `J` unrolled: `B`'s `J` and `I`
+    /// columns are parallel, so the copy at `J` offset 1 is the original
+    /// stream shifted by one `I` iteration — distinct offsets, one
+    /// stream.
+    pub(super) fn parallel_columns() -> LoopNest {
+        NestBuilder::new("par")
+            .array("A", &[70])
+            .array("B", &[70, 140])
+            .loop_("J", 1, 48)
+            .loop_("K", 1, 48)
+            .loop_("I", 1, 48)
+            .stmt("A(I) = A(I) + B(K,I+J)")
+            .build()
+    }
+
+    /// `B(J,K)` and `B(J+1,K-1)` merge at the mixed-sign offset (1,−1).
+    pub(super) fn skew() -> LoopNest {
+        NestBuilder::new("skew")
+            .array("A", &[70, 70])
+            .array("B", &[70, 70])
+            .loop_("J", 2, 48)
+            .loop_("K", 2, 48)
+            .loop_("I", 2, 48)
+            .stmt("A(I,J) = A(I,J) + B(J,K) + B(J+1,K-1)")
+            .build()
+    }
+
+    /// `B(J+K)`: the copies at (1,0) and (0,1) coincide.
+    pub(super) fn diag() -> LoopNest {
+        NestBuilder::new("diag")
+            .array("A", &[70])
+            .array("B", &[140])
+            .loop_("J", 1, 48)
+            .loop_("K", 1, 48)
+            .loop_("I", 1, 48)
+            .stmt("A(I) = A(I) + B(J+K)")
+            .build()
+    }
+
+    #[test]
+    fn sets_whose_distinct_offsets_share_copies_tabulate_exactly() {
+        check_all_tables(&parallel_columns(), &[0], 3, 4);
+        check_all_tables(&skew(), &[0, 1], 2, 4);
+        check_all_tables(&diag(), &[0, 1], 2, 4);
+    }
+
     #[test]
     fn cost_tables_queries_are_consistent() {
         let nest = NestBuilder::new("mm")
@@ -1105,29 +1202,15 @@ mod reg_table_tests {
 
     #[test]
     fn invariant_sets_whose_gts_union_overcounts_sweep() {
-        // B(J,K) and B(J+1,K-1) merge at a mixed-sign offset: at u = (1,1)
-        // both boxes hold B(J+1,K), which neither up-set removes.
-        let skew = NestBuilder::new("skew")
-            .array("A", &[70, 70])
-            .array("B", &[70, 70])
-            .loop_("J", 2, 48)
-            .loop_("K", 2, 48)
-            .loop_("I", 2, 48)
-            .stmt("A(I,J) = A(I,J) + B(J,K) + B(J+1,K-1)")
-            .build();
-        check_registers(&skew, &[0, 1], 2);
+        // skew: at u = (1,1) both boxes hold B(J+1,K), which neither
+        // up-set removes.  diag: no merge solve is unique.
+        check_registers(&super::tests::skew(), &[0, 1], 2);
+        check_registers(&super::tests::diag(), &[0, 1], 2);
+    }
 
-        // B(J+K): copies at (1,0) and (0,1) coincide, and no merge solve
-        // is unique.
-        let diag = NestBuilder::new("diag")
-            .array("A", &[70])
-            .array("B", &[140])
-            .loop_("J", 1, 48)
-            .loop_("K", 1, 48)
-            .loop_("I", 1, 48)
-            .stmt("A(I) = A(I) + B(J+K)")
-            .build();
-        check_registers(&diag, &[0, 1], 2);
+    #[test]
+    fn sets_whose_distinct_offsets_share_streams_sweep() {
+        check_registers(&super::tests::parallel_columns(), &[0], 3);
     }
 
     #[test]

@@ -91,30 +91,22 @@ pub(crate) fn write_decision_key(
     );
 }
 
-/// Hit/miss/eviction counters, readable at any time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted to stay within capacity.
-    pub evictions: u64,
-}
-
 /// A bounded LRU map from [`decision_key`] to [`Decision`].
 ///
 /// Recency is a monotonic tick per entry; the eviction side keeps a
 /// `BTreeMap<tick, key>` mirror so both lookup and eviction are
 /// `O(log n)`.  Decisions are held behind an [`Arc`] so a hit hands
 /// out a reference count, not a copy.
+///
+/// The cache keeps no counters: the server counts hits and misses off
+/// each request's timeline, and evictions off [`DecisionCache::insert`]'s
+/// return value.
 #[derive(Debug)]
 pub struct DecisionCache {
     capacity: usize,
     entries: HashMap<String, (u64, Arc<Decision>)>,
     recency: BTreeMap<u64, String>,
     tick: u64,
-    stats: CacheStats,
     bytes: usize,
 }
 
@@ -130,37 +122,27 @@ fn entry_cost(key: &str, d: &Decision) -> usize {
 
 impl DecisionCache {
     /// An empty cache holding at most `capacity` decisions.  A zero
-    /// capacity disables storage (every lookup misses, inserts are
-    /// dropped) without disabling the counters.
+    /// capacity disables storage: every lookup misses, and inserts are
+    /// dropped.
     pub fn new(capacity: usize) -> DecisionCache {
         DecisionCache {
             capacity,
             entries: HashMap::new(),
             recency: BTreeMap::new(),
             tick: 0,
-            stats: CacheStats::default(),
             bytes: 0,
         }
     }
 
     /// Looks up a decision, refreshing its recency on a hit.
     pub fn get(&mut self, key: &str) -> Option<Decision> {
-        self.lookup(key, true).map(|d| (*d).clone())
+        self.lookup(key).map(|d| (*d).clone())
     }
 
-    /// [`DecisionCache::get`] without the copy: a hit refreshes recency,
-    /// counts, and shares the stored decision.  A miss is counted only
-    /// when `count_miss` is set — the serve front stage probes without
-    /// counting misses, because the worker's probe of the same request
-    /// is the one that counts.
-    pub(crate) fn lookup(&mut self, key: &str, count_miss: bool) -> Option<Arc<Decision>> {
-        let Some((tick, decision)) = self.entries.get_mut(key) else {
-            if count_miss {
-                self.stats.misses += 1;
-            }
-            return None;
-        };
-        self.stats.hits += 1;
+    /// [`DecisionCache::get`] without the copy: a hit refreshes recency
+    /// and shares the stored decision.
+    pub(crate) fn lookup(&mut self, key: &str) -> Option<Arc<Decision>> {
+        let (tick, decision) = self.entries.get_mut(key)?;
         let owned = self.recency.remove(tick).expect("tick present");
         self.tick += 1;
         *tick = self.tick;
@@ -169,32 +151,30 @@ impl DecisionCache {
     }
 
     /// Stores a decision, evicting the least recently used entry when
-    /// full.  Re-inserting an existing key refreshes it in place.
-    pub fn insert(&mut self, key: String, decision: Decision) {
+    /// full, and returns the number of entries evicted (0 or 1).
+    /// Re-inserting an existing key refreshes it in place.
+    pub fn insert(&mut self, key: String, decision: Decision) -> u64 {
         if self.capacity == 0 {
-            return;
+            return 0;
         }
+        let mut evicted = 0;
         if let Some((old_tick, old)) = self.entries.get(&key) {
             self.bytes = self.bytes.saturating_sub(entry_cost(&key, old));
             self.recency.remove(old_tick);
         } else if self.entries.len() >= self.capacity {
             if let Some((&oldest, _)) = self.recency.iter().next() {
                 let victim = self.recency.remove(&oldest).expect("tick present");
-                if let Some((_, evicted)) = self.entries.remove(&victim) {
-                    self.bytes = self.bytes.saturating_sub(entry_cost(&victim, &evicted));
+                if let Some((_, gone)) = self.entries.remove(&victim) {
+                    self.bytes = self.bytes.saturating_sub(entry_cost(&victim, &gone));
                 }
-                self.stats.evictions += 1;
+                evicted = 1;
             }
         }
         self.tick += 1;
         self.bytes += entry_cost(&key, &decision);
         self.recency.insert(self.tick, key.clone());
         self.entries.insert(key, (self.tick, Arc::new(decision)));
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
+        evicted
     }
 
     /// Number of live entries.
@@ -229,19 +209,11 @@ mod tests {
     }
 
     #[test]
-    fn hits_and_misses_are_counted() {
+    fn a_miss_then_an_insert_then_a_hit() {
         let mut c = DecisionCache::new(4);
         assert_eq!(c.get("k"), None);
-        c.insert("k".into(), d("k"));
+        assert_eq!(c.insert("k".into(), d("k")), 0);
         assert_eq!(c.get("k").expect("hit").nest, "k");
-        assert_eq!(
-            c.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                evictions: 0
-            }
-        );
     }
 
     #[test]
@@ -250,12 +222,11 @@ mod tests {
         c.insert("a".into(), d("a"));
         c.insert("b".into(), d("b"));
         assert!(c.get("a").is_some()); // refresh a → b is now LRU
-        c.insert("c".into(), d("c"));
+        assert_eq!(c.insert("c".into(), d("c")), 1);
         assert_eq!(c.len(), 2);
         assert!(c.get("b").is_none(), "b should have been evicted");
         assert!(c.get("a").is_some());
         assert!(c.get("c").is_some());
-        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
@@ -263,9 +234,8 @@ mod tests {
         let mut c = DecisionCache::new(2);
         c.insert("a".into(), d("a"));
         c.insert("b".into(), d("b"));
-        c.insert("a".into(), d("a2"));
+        assert_eq!(c.insert("a".into(), d("a2")), 0);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 0);
         assert_eq!(c.get("a").expect("a lives").nest, "a2");
     }
 

@@ -45,6 +45,9 @@ pub struct TimelineState {
     base: Instant,
     /// The record under construction.
     pub timeline: RequestTimeline,
+    /// The cache shard the last probe consulted, if the request was
+    /// probed: retirement counts the hit or miss against it.
+    pub(crate) shard: Option<usize>,
 }
 
 impl TimelineState {
@@ -144,6 +147,7 @@ impl FlightRecorder {
         let mut state = TimelineState {
             base: accepted,
             timeline: RequestTimeline::new(id),
+            shard: None,
         };
         state.timeline.framed = Some(state.now());
         state

@@ -10,7 +10,8 @@
 //! * **content-addressed decision cache** ([`cache`]) — keyed by the
 //!   nest's canonical text plus the machine and cost model, so identical
 //!   problems share one entry no matter how they were submitted; LRU
-//!   eviction, hit/miss/eviction counters in the metrics registry;
+//!   eviction.  The cache keeps no counters of its own: hits, misses
+//!   and evictions are counted in the metrics registry;
 //! * **a sequential stdin loop** ([`Server::run`]) — one line in, one
 //!   reply out, in request order, each request timed into the flight
 //!   recorder ([`flight`]) exactly as a socket request is;
@@ -23,7 +24,9 @@
 //!   produce a structured error reply; the daemon never dies on input;
 //! * **runtime metrics and an admin channel** — every server records
 //!   request/latency/cache/connection metrics into its own
-//!   `ujam-metrics` registry, its only counter channel, and answers
+//!   `ujam-metrics` registry, its only counter channel (every request
+//!   counter moves once, when the request retires, read off its
+//!   timeline), and answers
 //!   `{"id":"s","cmd":"stats"}` admin lines (the `ujam stats`
 //!   subcommand) with a versioned JSON snapshot;
 //! * **an event-loop front end** ([`reactor`]) — TCP and Unix-socket
@@ -72,7 +75,7 @@ pub mod shard;
 #[cfg(unix)]
 mod sys;
 
-pub use cache::{decision_key, CacheStats, Decision, DecisionCache};
+pub use cache::{decision_key, Decision, DecisionCache};
 pub use flight::{
     FlightRecorder, TimelineState, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_MS, FLIGHT_VERSION,
 };

@@ -11,8 +11,8 @@
 //!   answered here;
 //! * the **miss stage** (`Server::miss`) takes what the front stage
 //!   learned — parsed request, nest if one was built, key — re-probes
-//!   (the counted probe: a duplicate filled in the meantime is a hit),
-//!   then analyses, caches and answers.
+//!   (a duplicate filled in the meantime is a hit), then analyses,
+//!   caches and answers.
 //!
 //! The reactor runs the front stage on its own thread and hands only
 //! misses to its workers — except for an inline source over
@@ -23,9 +23,14 @@
 //! requests run in parallel.
 //!
 //! Every optimize request, on every path, carries a [`TimelineState`]
-//! whose stamps are the only request clock: `serve.request_ns` runs
-//! from `framed` to the reply being ready, `serve.cache.lookup_ns` is
-//! `cache_done − cache_probe`.
+//! whose stamps are the only request clock, and `Server::retire` — run
+//! once per answered request, when its reply is ready — is the only
+//! place a request counter moves: it reads every one off the timeline.
+//! `serve.request_ns` runs from `framed` to the reply being ready;
+//! `serve.cache.hits`/`misses` (and their per-shard twins) and
+//! `serve.cache.lookup_ns` come from the last probe (its shard,
+//! `cached`, `cache_done − cache_probe`), so a request the front stage
+//! missed and the miss stage re-probed counts once.
 //!
 //! `handle_line` answers one request string, and `run` is the
 //! newline-delimited stdin/stdout daemon loop: it answers one line at a
@@ -49,7 +54,7 @@ use ujam_metrics::{
 };
 use ujam_trace::{null_sink, Anomaly, AnomalyReason, TraceSink};
 
-use crate::cache::{write_decision_key, CacheStats, Decision};
+use crate::cache::{write_decision_key, Decision};
 use crate::flight::{FlightRecorder, TimelineState, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SLOW_MS};
 use crate::frame::{Frame, LineDecoder, MAX_LINE_BYTES};
 use crate::proto::{
@@ -305,11 +310,6 @@ impl Server {
         self.metrics.registry.snapshot()
     }
 
-    /// Current decision-cache counters, summed over every shard.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Answers one request line with one reply line (no newline).
     ///
     /// Admin lines (`{"cmd":"stats"}`) are answered from the metrics
@@ -404,9 +404,7 @@ impl Server {
     /// The front stage: resolves a parsed (or unparsable) optimize
     /// line, builds its key into `key` (a buffer the caller reuses) and
     /// probes the cache.  A hit or a structured error is answered here;
-    /// a miss comes back with everything the miss stage needs.  The
-    /// probe counts hits only — the miss stage's probe counts the miss
-    /// — so cache hits plus misses still equal answered requests.
+    /// a miss comes back with everything the miss stage needs.
     pub(crate) fn front(
         &self,
         parsed: Result<Request, Reply>,
@@ -424,7 +422,7 @@ impl Server {
                 return Front::Answered(reply);
             }
         };
-        match self.probe(key, false, state) {
+        match self.probe(key, state) {
             Some(decision) => Front::Answered(self.answer_ok(&req, &decision, true, state)),
             None => Front::Miss(Box::new(Miss {
                 req,
@@ -482,8 +480,8 @@ impl Server {
         }
     }
 
-    /// The miss stage: re-probes (the counted probe — a duplicate that
-    /// filled the entry since the front stage is answered as a hit),
+    /// The miss stage: re-probes (a duplicate that filled the entry
+    /// since the front stage is answered as a hit),
     /// then builds the nest if the front stage did not, analyses it,
     /// caches the decision and answers.  `serve.inflight` counts the
     /// requests inside this stage.
@@ -496,7 +494,7 @@ impl Server {
 
     fn answer_miss(&self, miss: Miss, state: &mut TimelineState) -> String {
         let Miss { req, nest, key } = miss;
-        if let Some(decision) = self.probe(&key, true, state) {
+        if let Some(decision) = self.probe(&key, state) {
             return self.answer_ok(&req, &decision, true, state);
         }
         let nest = match nest {
@@ -562,31 +560,13 @@ impl Server {
     }
 
     /// One decision-cache probe, between the `cache_probe` and
-    /// `cache_done` edges.  A hit is always counted, per shard and with
-    /// its lookup time (the span between those edges); a miss only when
-    /// `count_miss` is set.
-    fn probe(
-        &self,
-        key: &str,
-        count_miss: bool,
-        state: &mut TimelineState,
-    ) -> Option<Arc<Decision>> {
+    /// `cache_done` edges, noting the shard it consulted.  It counts
+    /// nothing: [`Server::retire`] reads the last probe off the timeline.
+    fn probe(&self, key: &str, state: &mut TimelineState) -> Option<Arc<Decision>> {
         state.stamp_cache_probe();
-        let (shard, hit) = self.cache.lookup(key, count_miss);
+        let (shard, hit) = self.cache.lookup(key);
         state.stamp_cache_done();
-        if hit.is_none() && !count_miss {
-            return None;
-        }
-        let m = &self.metrics;
-        let (total, per_shard) = if hit.is_some() {
-            (&m.cache_hits, &m.shard_hits)
-        } else {
-            (&m.cache_misses, &m.shard_misses)
-        };
-        total.inc();
-        per_shard[shard].inc();
-        m.cache_lookup_ns
-            .observe(state.timeline.cache_ns().unwrap_or_default());
+        state.shard = Some(shard);
         hit
     }
 
@@ -633,25 +613,41 @@ impl Server {
                 None => "deadline elapsed".to_string(),
             };
             t.anomaly = Some(Anomaly::new(AnomalyReason::Deadline, detail));
-            self.metrics.deadline_exceeded.inc();
         }
         self.retire(false, state);
         let trace_id = trace.then(|| state.trace_id());
         reply.with_trace_id(trace_id).render()
     }
 
-    /// Request accounting, once per answered request: the request and
-    /// reply counters and the latency since `framed` (so queue wait
-    /// counts), tagged with the trace id so series windows can carry an
-    /// exemplar pointing back into the flight recorder.  A miss shed at the
-    /// queue is never answered here, so it is never counted.
+    /// Request accounting, once per answered request and read entirely
+    /// off its timeline: the request and reply counters, a deadline
+    /// anomaly, the last cache probe (a hit when the reply is `cached`,
+    /// counted in total and on the probed shard, with its lookup time),
+    /// and the latency since `framed` (so queue wait counts), tagged
+    /// with the trace id so series windows can carry an exemplar
+    /// pointing back into the flight recorder.  A request that never
+    /// reached the cache counts no probe; a miss shed at the queue is
+    /// never answered here, so it is never counted.
     fn retire(&self, ok: bool, state: &TimelineState) {
-        let m = &self.metrics;
+        let (m, t) = (&self.metrics, &state.timeline);
         m.requests.inc();
         if ok {
             m.replies_ok.inc();
         } else {
             m.replies_error.inc();
+        }
+        if t.anomaly.as_ref().map(|a| a.reason) == Some(AnomalyReason::Deadline) {
+            m.deadline_exceeded.inc();
+        }
+        if let Some(shard) = state.shard {
+            let (total, per_shard) = if t.cached {
+                (&m.cache_hits, &m.shard_hits)
+            } else {
+                (&m.cache_misses, &m.shard_misses)
+            };
+            total.inc();
+            per_shard[shard].inc();
+            m.cache_lookup_ns.observe(t.cache_ns().unwrap_or_default());
         }
         m.request_ns
             .observe_tagged(state.since_framed(), state.trace_id());
@@ -797,8 +793,6 @@ mod tests {
         let second = s.handle_line(r#"{"id":"b","kernel":"dmxpy1"}"#);
         let doc = json::parse(&second).expect("valid JSON");
         assert_eq!(doc.get("cached"), Some(&json::Value::Bool(true)));
-        let stats = s.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
         let snap = s.metrics_snapshot();
         assert_eq!(snap.counter("serve.requests"), 2);
         assert_eq!(snap.counter("serve.cache.hits"), 1);
@@ -823,7 +817,12 @@ mod tests {
         let err = doc.get("error").expect("error object");
         assert_eq!(err.get("kind").and_then(json::Value::as_str), Some("parse"));
         assert!(err.get("line").and_then(json::Value::as_f64).is_some());
-        assert!(s.cache_stats().misses == 0, "errors never touch the cache");
+        let snap = s.metrics_snapshot();
+        assert_eq!(
+            snap.counter("serve.cache.misses"),
+            0,
+            "errors never touch the cache"
+        );
     }
 
     #[test]

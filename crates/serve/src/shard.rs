@@ -9,13 +9,12 @@
 //!
 //! Semantics are pinned to the single-shard cache (`shard_props.rs`):
 //!
-//! * **Shard count 1 is bitwise the PR 4 cache** — same hits, same
-//!   misses, same evictions, same byte ledger, for any operation
-//!   stream.
+//! * **Shard count 1 is bitwise the single cache** — same answers,
+//!   same evictions, same byte ledger, for any operation stream.
 //! * **N shards behave as N independent [`DecisionCache`]s** fed the
 //!   subsequence of operations whose keys hash to them, each with
-//!   `capacity.div_ceil(n)` entries.  Hit/miss accounting is therefore
-//!   identical to the single cache whenever nothing evicts; under
+//!   `capacity.div_ceil(n)` entries.  Every answer is therefore
+//!   identical to the single cache's whenever nothing evicts; under
 //!   eviction pressure each shard runs its own LRU (global recency is
 //!   the one thing sharding gives up — by design, it is what the lock
 //!   was serializing).
@@ -26,7 +25,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::cache::{CacheStats, Decision, DecisionCache};
+use crate::cache::{Decision, DecisionCache};
 
 /// FNV-1a, the same stable 64-bit content hash everywhere: no
 /// per-process seed, so a key maps to one shard for the daemon's whole
@@ -56,8 +55,10 @@ pub struct InsertOutcome {
     pub evicted: u64,
 }
 
-/// A content-hash-sharded [`DecisionCache`]: per-shard locks, per-shard
-/// counters, one byte ledger summed across shards.
+/// A content-hash-sharded [`DecisionCache`]: per-shard locks, one byte
+/// ledger summed across shards.  Like the single cache it keeps no
+/// counters; [`ShardedDecisionCache::get`] and
+/// [`ShardedDecisionCache::insert`] report the shard they used.
 #[derive(Debug)]
 pub struct ShardedDecisionCache {
     shards: Vec<Mutex<DecisionCache>>,
@@ -97,19 +98,15 @@ impl ShardedDecisionCache {
     /// Looks up a decision, returning the shard consulted alongside the
     /// result.  Only that shard's lock is taken.
     pub fn get(&self, key: &str) -> (usize, Option<Decision>) {
-        let (shard, hit) = self.lookup(key, true);
+        let (shard, hit) = self.lookup(key);
         (shard, hit.map(|d| (*d).clone()))
     }
 
     /// [`DecisionCache::lookup`] on the key's shard: a hit shares the
-    /// stored decision instead of copying it, and a miss is counted
-    /// only when `count_miss` is set.
-    pub(crate) fn lookup(&self, key: &str, count_miss: bool) -> (usize, Option<Arc<Decision>>) {
+    /// stored decision instead of copying it.
+    pub(crate) fn lookup(&self, key: &str) -> (usize, Option<Arc<Decision>>) {
         let shard = self.shard_of(key);
-        let hit = self.shards[shard]
-            .lock()
-            .expect("shard lock")
-            .lookup(key, count_miss);
+        let hit = self.shards[shard].lock().expect("shard lock").lookup(key);
         (shard, hit)
     }
 
@@ -117,30 +114,11 @@ impl ShardedDecisionCache {
     /// any eviction it caused.
     pub fn insert(&self, key: String, decision: Decision) -> InsertOutcome {
         let shard = self.shard_of(&key);
-        let mut cache = self.shards[shard].lock().expect("shard lock");
-        let before = cache.stats().evictions;
-        cache.insert(key, decision);
-        InsertOutcome {
-            shard,
-            evicted: cache.stats().evictions - before,
-        }
-    }
-
-    /// One shard's counters.
-    pub fn shard_stats(&self, shard: usize) -> CacheStats {
-        self.shards[shard].lock().expect("shard lock").stats()
-    }
-
-    /// Aggregate counters summed over every shard.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            let s = shard.lock().expect("shard lock").stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-        }
-        total
+        let evicted = self.shards[shard]
+            .lock()
+            .expect("shard lock")
+            .insert(key, decision);
+        InsertOutcome { shard, evicted }
     }
 
     /// Total live entries across shards.
@@ -197,18 +175,14 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_stats_sum_the_shards() {
+    fn entries_and_bytes_sum_the_shards() {
         let c = ShardedDecisionCache::new(64, 4);
         for i in 0..16 {
             let key = format!("key-{i}");
-            c.get(&key); // miss
-            c.insert(key.clone(), d("n"));
-            c.get(&key); // hit
+            assert!(c.get(&key).1.is_none());
+            assert_eq!(c.insert(key.clone(), d("n")).evicted, 0);
+            assert!(c.get(&key).1.is_some());
         }
-        let total = c.stats();
-        assert_eq!((total.hits, total.misses), (16, 16));
-        let summed: u64 = (0..4).map(|s| c.shard_stats(s).hits).sum();
-        assert_eq!(summed, 16);
         assert_eq!(c.len(), 16);
         assert!(c.approx_bytes() > 0);
     }

@@ -2,15 +2,17 @@
 //!
 //! The contract (documented on `ujam_serve::shard`):
 //!
-//! 1. **Shard count 1 is bitwise the PR 4 [`DecisionCache`]** — an
-//!    arbitrary operation stream produces identical get results, hit /
-//!    miss / eviction counters, entry counts, and byte ledgers.
+//! 1. **Shard count 1 is bitwise the single [`DecisionCache`]** — an
+//!    arbitrary operation stream produces identical get results,
+//!    eviction counts (summed from `insert`'s return values), entry
+//!    counts, and byte ledgers.
 //! 2. **N shards behave as N independent `DecisionCache`s**, each fed
 //!    the subsequence of keys hashing to it ([`shard_of`]) with
-//!    `capacity.div_ceil(n)` entries — checked per shard.
+//!    `capacity.div_ceil(n)` entries — every get answer and every
+//!    insert's eviction checked per shard.
 //! 3. **In the no-eviction regime the shard count is unobservable**:
-//!    any shard count yields identical aggregate hits, misses, entry
-//!    counts, and byte totals.
+//!    any shard count yields identical get results, entry counts, and
+//!    byte totals.
 //!
 //! Streams are seeded (`ujam-rng`'s SplitMix64), so every run replays
 //! the same operations.
@@ -60,31 +62,25 @@ impl Stream {
 /// The observable state of a cache after a stream, for equality checks.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    hits: u64,
-    misses: u64,
+    /// Entries evicted, summed over every insert's return value.
     evictions: u64,
     len: usize,
     bytes: usize,
     /// The sequence of get outcomes (`Some(nest)` or `None`), in
-    /// stream order — the strongest pin: not just the same counters,
-    /// the same *answers*.
+    /// stream order — the hits and misses, and the *answers*.
     gets: Vec<Option<String>>,
 }
 
 fn run_sharded(stream: Stream, capacity: usize, shards: usize) -> Observed {
     let cache = ShardedDecisionCache::new(capacity, shards);
     let mut gets = Vec::new();
+    let mut evictions = 0;
     stream.replay(
         |key| gets.push(cache.get(key).1.map(|d| d.nest)),
-        |key, d| {
-            cache.insert(key, d);
-        },
+        |key, d| evictions += cache.insert(key, d).evicted,
     );
-    let stats = cache.stats();
     Observed {
-        hits: stats.hits,
-        misses: stats.misses,
-        evictions: stats.evictions,
+        evictions,
         len: cache.len(),
         bytes: cache.approx_bytes(),
         gets,
@@ -94,16 +90,14 @@ fn run_sharded(stream: Stream, capacity: usize, shards: usize) -> Observed {
 fn run_unsharded(stream: Stream, capacity: usize) -> Observed {
     let cache = std::cell::RefCell::new(DecisionCache::new(capacity));
     let mut gets = Vec::new();
+    let mut evictions = 0;
     stream.replay(
         |key| gets.push(cache.borrow_mut().get(key).map(|d| d.nest)),
-        |key, d| cache.borrow_mut().insert(key, d),
+        |key, d| evictions += cache.borrow_mut().insert(key, d),
     );
     let cache = cache.into_inner();
-    let stats = cache.stats();
     Observed {
-        hits: stats.hits,
-        misses: stats.misses,
-        evictions: stats.evictions,
+        evictions,
         len: cache.len(),
         bytes: cache.approx_bytes(),
         gets,
@@ -126,7 +120,7 @@ fn one_shard_is_exactly_the_single_lock_cache() {
             assert_eq!(
                 sharded, single,
                 "seed {seed} capacity {capacity}: shard count 1 must reproduce \
-                 the PR 4 cache exactly"
+                 the single cache exactly"
             );
         }
     }
@@ -168,19 +162,16 @@ fn n_shards_are_n_independent_caches_partitioned_by_content_hash() {
                 } else {
                     let d = decision(k as u64);
                     let shard = shard_of(&key, shards);
-                    model[shard].insert(key.clone(), d.clone());
+                    let want = model[shard].insert(key.clone(), d.clone());
                     let outcome = cache.insert(key, d);
                     assert_eq!(outcome.shard, shard);
+                    assert_eq!(
+                        outcome.evicted, want,
+                        "shards {shards} seed {seed}: shard {shard} evicted differently"
+                    );
                 }
             }
 
-            for (i, m) in model.iter().enumerate() {
-                assert_eq!(
-                    cache.shard_stats(i),
-                    m.stats(),
-                    "shards {shards} seed {seed}: shard {i} counters diverged"
-                );
-            }
             let total_bytes: usize = model.iter().map(DecisionCache::approx_bytes).sum();
             assert_eq!(
                 cache.approx_bytes(),

@@ -1,13 +1,11 @@
-//! CI helper: validates the bench artifacts `BENCH_serve.json` and
-//! `BENCH_search.json`.
+//! CI helper: validates the bench artifact `BENCH_serve.json`.
 //!
-//! Usage: `validate_metrics <BENCH_serve.json> <BENCH_search.json>`
-//! (defaults to both files at the repository root).  Each document is
-//! parsed with the in-tree strict JSON parser; the serve document's
-//! embedded metrics snapshot must be internally consistent with the
-//! workload it claims (request counters, cache accounting, latency
-//! histogram totals, monotone quantiles), and the search document must
-//! carry the row schema `validate_search_bench` gates in full.  Exits
+//! Usage: `validate_metrics [BENCH_serve.json]` (defaults to the file
+//! at the repository root).  The document is parsed with the in-tree
+//! strict JSON parser, and its embedded metrics snapshot must be
+//! internally consistent with the workload it claims (request counters,
+//! cache accounting, latency histogram totals, monotone quantiles).
+//! `BENCH_search.json` is checked by `validate_search_bench`.  Exits
 //! non-zero with a message on any violation.
 
 use std::process::ExitCode;
@@ -27,20 +25,10 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<String, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/");
-    let serve_path = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| format!("{root}BENCH_serve.json"));
-    let search_path = args
-        .get(1)
-        .cloned()
-        .unwrap_or_else(|| format!("{root}BENCH_search.json"));
-    let serve = check_serve(&parse_file(&serve_path)?).map_err(|e| format!("{serve_path}: {e}"))?;
-    let search =
-        check_search(&parse_file(&search_path)?).map_err(|e| format!("{search_path}: {e}"))?;
-    Ok(format!("{serve}; {search}"))
+    let serve_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json").to_string());
+    check_serve(&parse_file(&serve_path)?).map_err(|e| format!("{serve_path}: {e}"))
 }
 
 fn parse_file(path: &str) -> Result<Value, String> {
@@ -169,34 +157,4 @@ fn check_serve(doc: &Value) -> Result<String, String> {
         "serve_latency: {requests} requests accounted, \
          {clients} tcp clients p99<={p99}ns, {shed_n}/{burst} shed"
     ))
-}
-
-fn check_search(doc: &Value) -> Result<String, String> {
-    if doc.get("bench").and_then(Value::as_str) != Some("search_scaling") {
-        return Err("bench field is not \"search_scaling\"".into());
-    }
-    let rows = doc
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or("missing rows array")?;
-    if rows.is_empty() {
-        return Err("rows array is empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        for key in [
-            "space",
-            "bound",
-            "naive_ns",
-            "summed_area_ns",
-            "pruned_ns",
-            "pruned_upset",
-            "speedup_naive_over_summed",
-        ] {
-            field(row, key).map_err(|e| format!("row {i}: {e}"))?;
-        }
-        if row.get("winners_agree") != Some(&Value::Bool(true)) {
-            return Err(format!("row {i}: engines disagree on the winner"));
-        }
-    }
-    Ok(format!("search_scaling: {} rows", rows.len()))
 }

@@ -197,8 +197,9 @@ socket or TCP; over TCP the handshake is performed first and its ack
 printed only with --show-hello) and prints one reply line per request.
 `stats` asks the daemon for its metrics snapshot ({\"id\":...,\"cmd\":\"stats\"})
 and renders it as a table, or as the raw versioned JSON snapshot with
---json.  Sharded-cache counters are rolled up into one
-serve.cache.total line (per-shard lines return with --verbose).  With
+--json.  The table opens with the cache hit-rate computed from the
+serve.cache.hits and serve.cache.misses totals; per-shard cache
+counters are listed only with --verbose.  With
 --series the daemon also returns its time-series ring — windowed
 counter deltas, derived rates (reqs/s, hit-rate, shed/s), queue-depth
 peaks, and per-histogram max-latency exemplars tagged with trace ids —
@@ -982,9 +983,9 @@ fn render_flight_human(flight: &Value, slow_only: bool) -> String {
 
 /// Renders a parsed metrics snapshot as the aligned tables a human
 /// wants at a terminal (the daemon ships JSON; see `--json` for that).
-/// Per-shard cache counters are rolled up into one
-/// `serve.cache.total.*` section; `verbose` keeps the per-shard lines
-/// too.
+/// A hit-rate line is computed from the `serve.cache.hits`/`misses`
+/// totals; the per-shard `serve.cache.shardK.*` counters, which only
+/// matter when chasing shard imbalance, are kept only when `verbose`.
 fn render_stats_human(stats: &Value, verbose: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -1013,42 +1014,16 @@ fn render_stats_human(stats: &Value, verbose: bool) -> String {
     let plain: &dyn Fn(&mut String, &Value) = &|line, v| {
         let _ = write!(line, "{}", v.as_f64().unwrap_or(0.0));
     };
-    // Roll per-shard cache counters (`serve.cache.shardK.*`) up into
-    // one aggregate section; the K per-shard lines only matter when
-    // chasing shard imbalance, so they hide behind `verbose`.
     let mut counters = stats.get("counters").cloned();
     if let Some(Value::Object(m)) = &mut counters {
-        let is_shard = |k: &str| k.starts_with("serve.cache.shard");
-        if m.keys().any(|k| is_shard(k)) {
-            let sum = |suffix: &str| -> f64 {
-                m.iter()
-                    .filter(|(k, _)| is_shard(k) && k.ends_with(suffix))
-                    .map(|(_, v)| v.as_f64().unwrap_or(0.0))
-                    .sum()
-            };
-            let (hit, miss, evict) = (sum(".hits"), sum(".misses"), sum(".evictions"));
-            let shards = m
-                .keys()
-                .filter(|k| is_shard(k) && k.ends_with(".hits"))
-                .count();
-            let _ = writeln!(
-                out,
-                "cache totals ({shards} shard{}):",
-                if shards == 1 { "" } else { "s" }
-            );
-            let _ = writeln!(out, "  serve.cache.total.hit    {hit}");
-            let _ = writeln!(out, "  serve.cache.total.miss   {miss}");
-            let _ = writeln!(out, "  serve.cache.total.evict  {evict}");
-            if hit + miss > 0.0 {
-                let _ = writeln!(
-                    out,
-                    "  hit-rate                 {:.1}%",
-                    100.0 * hit / (hit + miss)
-                );
-            }
-            if !verbose {
-                m.retain(|k, _| !is_shard(k));
-            }
+        let count = |k: &str| m.get(k).and_then(Value::as_f64).unwrap_or(0.0);
+        let (hit, miss) = (count("serve.cache.hits"), count("serve.cache.misses"));
+        if hit + miss > 0.0 {
+            let rate = 100.0 * hit / (hit + miss);
+            let _ = writeln!(out, "cache hit-rate {rate:.1}% ({hit} hits, {miss} misses)");
+        }
+        if !verbose {
+            m.retain(|k, _| !k.starts_with("serve.cache.shard"));
         }
     }
     section(&mut out, "counters", counters.as_ref(), plain);

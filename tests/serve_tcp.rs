@@ -1039,3 +1039,90 @@ fn adversarial_inline_sources_do_not_stall_other_connections() {
         snap.counter("serve.replies_ok") + snap.counter("serve.replies_error")
     );
 }
+
+/// Per-shard cache counters add up to the totals through the reactor.
+/// Every request counter moves once, when the request retires, so a
+/// request the front stage missed and the miss stage answered from an
+/// entry a duplicate filled meanwhile counts one hit, on its shard.
+/// The burst pipelines duplicates of a slow deep kernel behind one
+/// worker (the first is still analysing when the rest are keyed), fresh
+/// kernels twice each, an unknown kernel and a malformed line (no
+/// probe), and a deadline miss (a probe, then an error).
+#[test]
+fn per_shard_cache_counters_sum_to_the_totals() {
+    let cfg = ServeConfig {
+        workers: 1,
+        cache_capacity: 256,
+        shards: 4,
+        ..ServeConfig::default()
+    };
+    let all = kernels();
+    let mut burst: Vec<String> = (0..4)
+        .map(|i| format!("{{\"id\":\"d{i}\",\"kernel\":\"assemble4\",\"max_unroll_loops\":0}}"))
+        .collect();
+    for (i, k) in all.iter().take(10).enumerate() {
+        for rep in 0..2 {
+            burst.push(format!(
+                "{{\"id\":\"k{i}.{rep}\",\"kernel\":\"{}\"}}",
+                k.name
+            ));
+        }
+    }
+    burst.push("{\"id\":\"u\",\"kernel\":\"no-such-kernel\"}".to_string());
+    burst.push("not json".to_string());
+    burst.push(format!(
+        "{{\"id\":\"late\",\"kernel\":\"{}\",\"machine\":\"parisc\",\"deadline_ms\":0}}",
+        all[12].name
+    ));
+
+    let mut replies = Vec::new();
+    let server = with_tcp_daemon(cfg, ReactorConfig::default(), |addr, _| {
+        let mut conn = greet(addr);
+        let payload: String = burst.iter().map(|line| format!("{line}\n")).collect();
+        conn.stream
+            .write_all(payload.as_bytes())
+            .expect("burst write");
+        for _ in &burst {
+            replies.push(read_line(&mut conn));
+        }
+    });
+    assert!(replies.iter().all(|r| !r.contains("\"overloaded\"")));
+    assert!(replies[1..4].iter().all(|r| r.contains("\"cached\":true")));
+    assert!(
+        server
+            .flight()
+            .recent()
+            .iter()
+            .any(|t| t.cached && t.dequeued > t.enqueued),
+        "a queued miss was answered from the cache by the miss stage"
+    );
+
+    let snap = server.metrics_snapshot();
+    let (hits, misses) = (
+        snap.counter("serve.cache.hits"),
+        snap.counter("serve.cache.misses"),
+    );
+    let shard_sum = |what: &str| -> u64 {
+        (0..4)
+            .map(|i| snap.counter(&format!("serve.cache.shard{i}.{what}")))
+            .sum()
+    };
+    assert_eq!(shard_sum("hits"), hits);
+    assert_eq!(shard_sum("misses"), misses);
+    assert_eq!(
+        snap.histogram("serve.cache.lookup_ns")
+            .expect("present")
+            .count,
+        hits + misses,
+        "one lookup time per counted probe"
+    );
+    let requests = snap.counter("serve.requests");
+    assert_eq!(requests, burst.len() as u64);
+    assert_eq!(
+        requests,
+        snap.counter("serve.replies_ok") + snap.counter("serve.replies_error")
+    );
+    assert_eq!(hits + misses, requests - 2, "two requests never probe");
+    assert_eq!(misses, 1 + 10 + 1, "one miss per distinct problem");
+    assert_eq!(snap.counter("serve.deadline_exceeded"), 1);
+}
