@@ -4,6 +4,12 @@
 set -euxo pipefail
 cd "$(dirname "$0")"
 
+# The serve smokes below start daemons as background jobs.  On any exit
+# (a failed check under `set -e` included) kill every one still running,
+# so a failure between a daemon's start and its shutdown leaves none
+# behind.
+trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
+
 cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
 
@@ -131,6 +137,8 @@ grep -q '"version":1' /tmp/ujam_stats.json
 grep -q '"serve.requests":1' /tmp/ujam_stats.json
 grep -q '"serve.request_ns":{"count":1,' /tmp/ujam_stats.json
 kill "$UJAM_SERVE_PID"
+# Reap it: a daemon killed by SIGTERM exits with status 128 + 15.
+wait "$UJAM_SERVE_PID" || [ $? = 143 ]
 rm -f "$UJAM_SOCK"
 
 # TCP smoke: the same daemon over the event-loop TCP front end.  Bind

@@ -49,6 +49,17 @@ pub enum BalanceModel {
     CacheAware,
 }
 
+impl BalanceModel {
+    /// Parses the wire/CLI spelling (`cache`, `allhits`).
+    pub fn parse(s: &str) -> Option<BalanceModel> {
+        match s {
+            "cache" => Some(BalanceModel::CacheAware),
+            "allhits" => Some(BalanceModel::AllHits),
+            _ => None,
+        }
+    }
+}
+
 /// The predicted behaviour of a (possibly unrolled) loop body.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Prediction {
@@ -256,7 +267,7 @@ pub fn optimize_costed(
     metrics: MetricsHandle,
     config: SearchConfig,
 ) -> Result<Optimized, OptimizeError> {
-    let mut ctx = AnalysisCtx::with_observability(nest, machine, sink, metrics, cancel)?;
+    let mut ctx = AnalysisCtx::observed(nest, machine, sink, metrics, cancel)?;
     let space = SelectLoops {
         max_loops: config.max_unroll_loops,
     }

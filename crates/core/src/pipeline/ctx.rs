@@ -26,18 +26,20 @@ type TableKey = (Vec<usize>, Vec<u32>, i64);
 /// mutably and query, so each analysis runs at most once no matter how
 /// many passes (or repeated pass runs) consume it.
 ///
-/// A context built with [`AnalysisCtx::with_sink`] additionally streams
-/// cache hit/miss counters to the sink and lets passes emit wall-time
-/// spans and decision provenance; [`AnalysisCtx::new`] uses the
-/// [`ujam_trace::NullSink`], whose `enabled() == false` fast path keeps
-/// the untraced pipeline free of record construction.
+/// A context built with [`AnalysisCtx::observed`] additionally streams
+/// cache hit/miss counters to its sink, lets passes emit wall-time spans
+/// and decision provenance, and records pass times into its metrics;
+/// [`AnalysisCtx::new`] uses the [`ujam_trace::NullSink`], whose
+/// `enabled() == false` fast path keeps the untraced pipeline free of
+/// record construction, with metrics disabled and no deadline.
 ///
 /// # Example
 ///
 /// ```
-/// use ujam_core::pipeline::{AnalysisCtx, Pass, SelectLoops};
+/// use ujam_core::pipeline::{AnalysisCtx, CancelToken, Pass, SelectLoops};
 /// use ujam_ir::NestBuilder;
 /// use ujam_machine::MachineModel;
+/// use ujam_metrics::MetricsHandle;
 /// let nest = NestBuilder::new("intro")
 ///     .array("A", &[242]).array("B", &[242])
 ///     .loop_("J", 1, 240).loop_("I", 1, 240)
@@ -45,7 +47,8 @@ type TableKey = (Vec<usize>, Vec<u32>, i64);
 ///     .build();
 /// let machine = MachineModel::dec_alpha();
 /// let sink = ujam_trace::CollectingSink::new();
-/// let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid nest");
+/// let (metrics, cancel) = (MetricsHandle::disabled(), CancelToken::never());
+/// let mut ctx = AnalysisCtx::observed(&nest, &machine, &sink, metrics, cancel).expect("valid");
 /// let space = SelectLoops::default().run(&mut ctx).expect("selection succeeds");
 /// assert_eq!(space.loops(), &[0]);
 /// let totals = sink.trace().counter_totals();
@@ -75,7 +78,9 @@ impl std::fmt::Debug for AnalysisCtx<'_> {
 }
 
 impl<'a> AnalysisCtx<'a> {
-    /// Creates an untraced context after validating the nest.
+    /// Creates an untraced context after validating the nest:
+    /// [`AnalysisCtx::observed`] with the null sink, metrics disabled
+    /// and a token that never fires.
     ///
     /// Malformed nests (structural validation failures, zero loops) are
     /// rejected here, which is what makes every downstream pass — and
@@ -84,30 +89,16 @@ impl<'a> AnalysisCtx<'a> {
         nest: &'a LoopNest,
         machine: &'a MachineModel,
     ) -> Result<AnalysisCtx<'a>, OptimizeError> {
-        AnalysisCtx::with_sink(nest, machine, null_sink())
+        let (metrics, cancel) = (MetricsHandle::disabled(), CancelToken::never());
+        AnalysisCtx::observed(nest, machine, null_sink(), metrics, cancel)
     }
 
-    /// [`AnalysisCtx::new`] with an explicit trace sink: cache hits and
-    /// misses stream to `sink` as counters, and passes run through
-    /// [`super::Pass::run_traced`] additionally emit wall-time spans and
-    /// explain records.
-    pub fn with_sink(
-        nest: &'a LoopNest,
-        machine: &'a MachineModel,
-        sink: &'a dyn TraceSink,
-    ) -> Result<AnalysisCtx<'a>, OptimizeError> {
-        AnalysisCtx::with_observability(
-            nest,
-            machine,
-            sink,
-            MetricsHandle::disabled(),
-            CancelToken::never(),
-        )
-    }
-
-    /// [`AnalysisCtx::with_sink`] with a metrics handle and a
-    /// cancellation token.  Passes run through
-    /// [`super::Pass::run_traced`] additionally record their wall time
+    /// Creates a context that reports to `sink` and `metrics` and
+    /// cooperates with `cancel`, after validating the nest.
+    ///
+    /// Cache hits and misses stream to `sink` as counters, and passes
+    /// run through [`super::Pass::run_traced`] additionally emit
+    /// wall-time spans and explain records, and record their wall time
     /// into a `pass.<name>.ns` histogram; with
     /// [`MetricsHandle::disabled`] they record nothing — metrics, like
     /// tracing, observe the pipeline without steering it.  Every pass
@@ -116,7 +107,7 @@ impl<'a> AnalysisCtx<'a> {
     /// [`OptimizeError::DeadlineExceeded`] within a bounded amount of
     /// work.  A token that is already fired fails here, before any
     /// analysis runs.
-    pub fn with_observability(
+    pub fn observed(
         nest: &'a LoopNest,
         machine: &'a MachineModel,
         sink: &'a dyn TraceSink,
@@ -166,7 +157,7 @@ impl<'a> AnalysisCtx<'a> {
     }
 
     /// The metrics handle instrumentation reports to (disabled unless
-    /// the context was built with [`AnalysisCtx::with_observability`]).
+    /// the context was built with [`AnalysisCtx::observed`]).
     pub fn metrics(&self) -> &MetricsHandle {
         &self.metrics
     }
@@ -302,6 +293,17 @@ pub(crate) fn bad_nest() -> LoopNest {
     )
 }
 
+/// A context that reports to `sink`, for the pipeline's unit tests.
+#[cfg(test)]
+pub(crate) fn traced<'a>(
+    nest: &'a LoopNest,
+    machine: &'a MachineModel,
+    sink: &'a dyn TraceSink,
+) -> AnalysisCtx<'a> {
+    let (metrics, cancel) = (MetricsHandle::disabled(), CancelToken::never());
+    AnalysisCtx::observed(nest, machine, sink, metrics, cancel).expect("valid nest")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,7 +326,7 @@ mod tests {
         let nest = intro();
         let machine = MachineModel::dec_alpha();
         let sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &sink);
         let line = machine.line_elems();
         let space = UnrollSpace::new(2, &[0], 4);
         for _ in 0..5 {
@@ -376,7 +378,7 @@ mod tests {
         let nest = intro();
         let machine = MachineModel::dec_alpha();
         let sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &sink);
         ctx.ugs();
         ctx.ugs();
         ctx.ugs();
@@ -395,7 +397,7 @@ mod tests {
         let nest = intro();
         let machine = MachineModel::dec_alpha();
         let sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &sink);
         let a = UnrollSpace::new(2, &[0], 4);
         let b = UnrollSpace::new(2, &[0], 6);
         ctx.tables(&a).expect("a");

@@ -246,8 +246,9 @@ struct SearchResult {
 /// that reuses one scratch offset vector — no per-candidate allocation.
 /// The walk also maintains the candidate's flat row-major index
 /// incrementally during descent (one add per level) and hands it to
-/// `inputs_at`, so table-backed scorers read their finalized sums by
-/// index without re-deriving it per query.
+/// `inputs_at`: the brute search reads its measured vector by it, and
+/// the profiler keys its memo by it.  Table-backed scorers query the
+/// tables by offset.
 /// With `prune_upsets` set (sound only when the register tables are
 /// monotone in `u`), an over-budget candidate whose trailing dimensions
 /// are all zero prunes every lexicographically-later sibling subtree:
@@ -636,18 +637,13 @@ impl Pass for SearchSpace {
 /// The table-driven candidate scorer behind both [`SearchSpace`] and
 /// [`search_tables`]: the tables (plus, for
 /// [`CostModelKind::Profiled`], a profiler supplying `cache_lines`)
-/// give a candidate's [`BalanceInputs`] at its flat index.
+/// give a candidate's [`BalanceInputs`] at its offset.
 struct Scorer<'a> {
     nest: &'a LoopNest,
     machine: &'a MachineModel,
     space: &'a UnrollSpace,
     tables: &'a CostTables,
     model: BalanceModel,
-    /// Whether the tables answer O(1) flat reads.  Tables from
-    /// [`BuildTables`] always do; the search-scaling bench also drives
-    /// definalized (density-domain) tables, which only answer by
-    /// coordinates.
-    flat_ok: bool,
     /// Measures `cache_lines` in place of Eq. 1; `None` is the analytic
     /// path.
     profiler: Option<Profiler<'a>>,
@@ -667,31 +663,14 @@ impl<'a> Scorer<'a> {
             space,
             tables,
             model,
-            flat_ok: tables.flat_queryable(),
             profiler: None,
         }
     }
 
     /// The balance inputs of the candidate at offset `u`, whose flat
-    /// row-major index is `flat`.
+    /// row-major index (the profiler memo's key) is `flat`.
     fn inputs_at(&mut self, u: &[u32], flat: usize) -> BalanceInputs {
-        let t = self.tables;
-        let mut inputs = if self.flat_ok {
-            let copies = self.space.copies(u);
-            BalanceInputs {
-                flops: t.flops_of_copies(copies) as f64,
-                memory_ops: t.memory_ops_flat(flat, copies) as f64,
-                cache_lines: t.cache_lines_flat(flat),
-                registers: t.registers_flat(flat),
-            }
-        } else {
-            BalanceInputs {
-                flops: t.flops(u) as f64,
-                memory_ops: t.memory_ops(u) as f64,
-                cache_lines: t.cache_lines(u),
-                registers: t.registers(u),
-            }
-        };
+        let mut inputs = self.tables.inputs(u);
         if let Some(p) = self.profiler.as_mut() {
             inputs.cache_lines = p.lines_at(flat, || self.space.full_vector(u), inputs.cache_lines);
         }
@@ -735,9 +714,12 @@ impl<'a> Scorer<'a> {
 
 /// The bare table-driven search kernel behind [`SearchSpace`], exposed
 /// so benchmarks and equivalence tests can drive the exact search code
-/// path against prebuilt (finalized *or* raw) tables with pruning
-/// toggled.  Returns the winning offset and the number of candidates
-/// skipped by monotone up-set pruning (0 with `prune` off).
+/// path against prebuilt tables with pruning toggled.  It reads each
+/// candidate's inputs by offset through [`CostTables::inputs`], so
+/// finalized tables and [`definalized`](CostTables::definalized) ones
+/// take the same path.
+/// Returns the winning offset and the number of candidates skipped by
+/// monotone up-set pruning (0 with `prune` off).
 ///
 /// `code_budget` caps the unrolled body's statement count (`None`
 /// disables it); with `prune` off, over-budget candidates are still
@@ -893,6 +875,7 @@ impl Pass for ApplyTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::ctx::traced;
     use ujam_ir::NestBuilder;
     use ujam_trace::CollectingSink;
 
@@ -911,7 +894,7 @@ mod tests {
         let nest = intro();
         let machine = MachineModel::dec_alpha();
         let sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &sink);
         let space = SelectLoops::default()
             .run_traced(&mut ctx)
             .expect("selects");
@@ -961,7 +944,7 @@ mod tests {
             .build();
         let machine = MachineModel::dec_alpha();
         let sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &sink);
         let space = SelectLoops::default()
             .run_traced(&mut ctx)
             .expect("selects");
@@ -1000,7 +983,7 @@ mod tests {
             .build();
         let machine = MachineModel::dec_alpha();
         let sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &sink);
         SelectLoops::default()
             .run_traced(&mut ctx)
             .expect("selects");
@@ -1023,7 +1006,7 @@ mod tests {
         let nest = intro();
         let machine = MachineModel::dec_alpha();
         let sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &sink);
         let space = SelectLoops::default()
             .run_traced(&mut ctx)
             .expect("selects");
@@ -1064,7 +1047,7 @@ mod tests {
         let space = UnrollSpace::new(2, &[0], 5);
 
         let table_sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &table_sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &table_sink);
         let table = SearchSpace {
             space: space.clone(),
             model: BalanceModel::CacheAware,
@@ -1075,7 +1058,7 @@ mod tests {
         .expect("searches");
 
         let brute_sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &brute_sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &brute_sink);
         let brute = BruteSearch {
             space: space.clone(),
             code_budget: None,
@@ -1115,7 +1098,7 @@ mod tests {
             .miss(20.0, 1.0)
             .build();
         let sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &tiny, &sink).expect("valid");
+        let mut ctx = traced(&nest, &tiny, &sink);
         let space = UnrollSpace::new(2, &[0], 7);
         let found = SearchSpace {
             space: space.clone(),
@@ -1165,7 +1148,7 @@ mod tests {
             .build();
         let machine = MachineModel::dec_alpha();
         let sink = CollectingSink::new();
-        let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+        let mut ctx = traced(&nest, &machine, &sink);
         let found = SearchSpace {
             space: UnrollSpace::new(2, &[0], 5),
             model: BalanceModel::CacheAware,
@@ -1196,7 +1179,7 @@ mod tests {
         let machine = MachineModel::dec_alpha();
         let space = UnrollSpace::new(2, &[0], 5);
         let sink = CollectingSink::new();
-        let mut traced_ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+        let mut traced_ctx = traced(&nest, &machine, &sink);
         let mut plain_ctx = AnalysisCtx::new(&nest, &machine).expect("valid");
         let pass = SearchSpace {
             space,

@@ -205,6 +205,7 @@ impl UnrollSpace {
     /// # Panics
     ///
     /// Panics if the offset is outside the box.
+    #[inline]
     pub fn index(&self, offset: &[u32]) -> usize {
         assert_eq!(offset.len(), self.dims(), "offset arity mismatch");
         let mut idx = 0usize;
@@ -227,6 +228,7 @@ impl UnrollSpace {
     }
 
     /// Number of body copies `Π (u_i + 1)` produced by unrolling by `u`.
+    #[inline]
     pub fn copies(&self, u: &[u32]) -> usize {
         assert_eq!(u.len(), self.dims(), "offset arity mismatch");
         u.iter().map(|&x| x as usize + 1).product()
@@ -639,6 +641,14 @@ impl Table {
         if self.finalized {
             return self.data[self.space.index(u)];
         }
+        self.box_sum(u)
+    }
+
+    /// [`Table::prefix_sum`] before finalization: the box enumeration,
+    /// kept out of line so the lookup path the search inlines stays
+    /// small.
+    #[inline(never)]
+    fn box_sum(&self, u: &[u32]) -> i64 {
         let dims = u.len();
         let mut inline = [0u32; MAX_INLINE_DIMS];
         if dims <= MAX_INLINE_DIMS {
@@ -648,17 +658,16 @@ impl Table {
         }
     }
 
-    /// [`Table::prefix_sum`] for a candidate whose flat index the caller
-    /// already tracks (the pruned search walk maintains it incrementally
-    /// during descent) — one bounds-checked load, no re-indexing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is not finalized — flat indices address the
-    /// `Sum` domain.
-    pub fn prefix_sum_flat(&self, idx: usize) -> i64 {
-        assert!(self.finalized, "flat queries address the Sum domain");
-        self.data[idx]
+    /// [`Table::prefix_sum`] at `u`, whose flat index `idx` the caller
+    /// computed once for every table over the same space: one load when
+    /// finalized, the box enumeration otherwise.
+    #[inline]
+    pub(crate) fn sum_at(&self, u: &[u32], idx: usize) -> i64 {
+        if self.finalized {
+            self.data[idx]
+        } else {
+            self.box_sum(u)
+        }
     }
 
     /// The naive-reference `Sum`: box enumeration over the densities plus
@@ -988,7 +997,6 @@ mod tests {
         f.finalize();
         assert_eq!(f.prefix_sum(&[0]), 3);
         assert_eq!(f.prefix_sum(&[4]), 15);
-        assert_eq!(f.prefix_sum_flat(4), 15);
     }
 
     #[test]

@@ -27,130 +27,206 @@
 //! only for def-free sets with self-merge loops, and the full sweep for
 //! the rest.
 //!
+//! Every family reads one merge analysis per (set, space), built before
+//! any table by one scan of the set's member pairs: the path flags
+//! (invariant, chained, distinct copies, mixed-sign merges, merges from
+//! above, self-merge loops) and one memo of exact merge solves keyed by
+//! the pair difference `Δc`, so a delta that recurs across pairs or
+//! families is solved once.  The GSS family's spatial solves build their
+//! sub-system (the rows of `H` below the first) once per table.
+//!
 //! Every table this module returns is **finalized** (a summed-area
-//! table), so each `prefix_sum` query downstream is a single lookup;
-//! merge solves are memoized per construction, keyed by the leader-pair
-//! difference `Δc` (identical deltas recur across pairs).
+//! table), so each `prefix_sum` query downstream is a single lookup.
+//! [`CostTables`] answers the search by offset with
+//! [`CostTables::inputs`], which indexes the offset once for every
+//! table; [`CostTables::cache_lines`] and [`CostTables::registers`]
+//! read its fields.
 
 use crate::space::{Table, UnrollSpace};
 use crate::streams;
+use crate::BalanceInputs;
 use std::collections::HashMap;
 use ujam_ir::LoopNest;
 use ujam_linalg::{solve_unique, Mat, SolveOutcome};
-use ujam_reuse::{
-    centered_mod, group_spatial_sets, has_self_spatial, has_self_temporal, Localized, UgsSet,
-};
+use ujam_reuse::{centered_mod, group_spatial_sets, leader_lines, Localized, UgsSet};
 
-/// Memoizes [`merge_point`] solves within one table construction, keyed
-/// by the leader-pair delta — `H` and the space are fixed per set, and
-/// identical deltas are re-solved many times across leader pairs.
-struct MergeMemo {
-    cache: HashMap<Vec<i64>, Option<(Vec<u32>, i64)>>,
-}
-
-impl MergeMemo {
-    fn new() -> MergeMemo {
-        MergeMemo {
-            cache: HashMap::new(),
-        }
-    }
-
-    fn solve(&mut self, h: &Mat, delta: &[i64], space: &UnrollSpace) -> Option<(Vec<u32>, i64)> {
-        if let Some(hit) = self.cache.get(delta) {
-            return hit.clone();
-        }
-        let solved = merge_point(h, delta, space);
-        self.cache.insert(delta.to_vec(), solved.clone());
-        solved
-    }
-}
-
-/// Solves the merge equation `H·x = delta` with `x` supported on the
-/// unrolled loops and the innermost loop.  Returns the unroll components
-/// (the merge point) and the innermost component (any sign) when the
-/// solution exists, is integral, and is non-negative on every unrolled
-/// loop.
-fn merge_point(h: &Mat, delta: &[i64], space: &UnrollSpace) -> Option<(Vec<u32>, i64)> {
-    let inner = space.depth() - 1;
-    let mut cols: Vec<usize> = space.loops().to_vec();
-    cols.push(inner);
-    // Drop all-zero columns: they are unconstrained and take value 0.
-    let nonzero: Vec<usize> = cols
-        .iter()
-        .copied()
-        .filter(|&c| (0..h.rows()).any(|r| h[(r, c)] != 0))
-        .collect();
-    let SolveOutcome::Unique(x) = solve_unique(h, delta, &nonzero) else {
-        return None;
-    };
-    let mut point = vec![0u32; space.dims()];
-    for (k, &l) in space.loops().iter().enumerate() {
-        if let Some(p) = nonzero.iter().position(|&c| c == l) {
-            point[k] = u32::try_from(x[p]).ok()?;
-        }
-    }
-    let mut inner_val = 0;
-    if let Some(p) = nonzero.iter().position(|&c| c == inner) {
-        inner_val = x[p];
-    }
-    Some((point, inner_val))
-}
-
-/// Offsets at which *every* copy of this UGS coincides with an earlier
-/// copy of itself: the unit vectors of unrolled loops whose `H` column is
-/// zero (the reference ignores that loop, so unrolling duplicates it).
-fn self_merge_points(h: &Mat, space: &UnrollSpace) -> Vec<Vec<u32>> {
-    space
-        .loops()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &l)| (0..h.rows()).all(|r| h[(r, l)] == 0))
-        .map(|(d, _)| {
-            let mut e = vec![0u32; space.dims()];
-            e[d] = 1;
-            e
-        })
-        .collect()
-}
-
-/// Whether an unrolled loop drives the first (contiguous) subscript: its
-/// copies walk along cache lines in *chains*.
-fn chained(h: &Mat, space: &UnrollSpace) -> bool {
-    space.loops().iter().any(|&l| h[(0, l)] != 0)
-}
-
-/// Which construction path the GSS, RRS and register tables take for
-/// one UGS over one space — classified once per set by
-/// [`CostTables::build_with_sets`], before any table is built, and
-/// shared by the builders, so the reverse-provider solves run once.
-struct SetPaths {
+/// The merge analysis of one UGS over one unroll space: the exact merge
+/// solves of its member pairs and the flags that pick each table
+/// family's construction path.  Built once per set by
+/// [`CostTables::build_with_sets`] (and by each public per-family
+/// builder), before any table, and read by every family.
+struct SetPaths<'s> {
+    set: &'s UgsSet,
+    space: &'s UnrollSpace,
+    /// `H`'s live columns: the unrolled loops and the innermost loop,
+    /// all-zero columns dropped (they are unconstrained and take 0).
+    live: Vec<usize>,
+    /// Exact solves of `H·x = Δ` over `live` ([`merge_solve`]), keyed by
+    /// `Δ`: `c_m − c_j` for the member pairs the scan in
+    /// [`SetPaths::classify`] reached; one solve fills both orders of a
+    /// pair.
+    solves: HashMap<Vec<i64>, Option<(Vec<i64>, i64)>>,
     /// Innermost-invariant: every stream is hoisted.
     invariant: bool,
-    /// See [`chained`].
+    /// An unrolled loop drives the first (contiguous) subscript: its
+    /// copies walk along cache lines in *chains*.
     chained: bool,
-    /// See [`has_reverse_provider`].  Every innermost component of an
-    /// invariant set's solves is zero, so for it only a mixed-sign merge
-    /// offset can set this.
-    reverse_provider: bool,
-    /// See [`self_merge_points`].
-    self_points: Vec<Vec<u32>>,
-    /// See [`copies_distinct`].  When false, every up-set construction
-    /// over-counts, and each table takes its sweep.
+    /// Distinct live-loop offsets always give distinct copies: the live
+    /// columns are linearly independent, so the zero delta has a unique
+    /// solve.  Columns with disjoint nonzero rows — every separable SIV
+    /// set — are independent without a solve.  When false, every up-set
+    /// construction over-counts, and each table takes its sweep.
     copies_distinct: bool,
+    /// A merge offset above in one unrolled loop and below in another:
+    /// the shared stream lies in both boxes and neither up-set removes
+    /// it, so every up-set construction sweeps.
+    mixed_sign: bool,
+    /// A mixed-sign merge, or a *reverse provider* — a reference whose
+    /// copy at a strictly higher unroll offset touches the shared cells
+    /// strictly earlier.  Either makes absorption depend on the query
+    /// box, so the RRS and register tables sweep (DESIGN.md §5).  An
+    /// invariant set's innermost components are all zero, so it never
+    /// has a reverse provider.
+    from_above: bool,
+    /// Offsets at which *every* copy coincides with an earlier copy of
+    /// itself: the unit vectors of unrolled loops whose `H` column is
+    /// zero (the reference ignores that loop, so unrolling duplicates it).
+    self_points: Vec<Vec<u32>>,
 }
 
-impl SetPaths {
-    fn classify(set: &UgsSet, space: &UnrollSpace) -> SetPaths {
+impl<'s> SetPaths<'s> {
+    /// Classifies `set` over `space` with one scan of its member pairs:
+    /// for `m` as a candidate provider of `j`, the solve is over
+    /// `c_m − c_j`, and its unroll part locates the provider copy at
+    /// `u' − x` (negative components = above).  The scan stops once both
+    /// flags are settled: at the first mixed-sign merge, which sets both
+    /// and sends every family that reads the solves to its sweep, or,
+    /// with fewer than two live unrolled loops (no merge can be mixed),
+    /// at the first reverse provider, which sends the RRS and register
+    /// tables to theirs.  Sets whose copies are not distinct sweep
+    /// everywhere and skip it.
+    fn classify(set: &'s UgsSet, space: &'s UnrollSpace) -> SetPaths<'s> {
         let h = set.h();
-        let invariant = (0..h.rows()).all(|r| h[(r, space.depth() - 1)] == 0);
+        let inner = space.depth() - 1;
+        let live: Vec<usize> = space
+            .loops()
+            .iter()
+            .chain([&inner])
+            .copied()
+            .filter(|&c| (0..h.rows()).any(|r| h[(r, c)] != 0))
+            .collect();
+        let mut solves: HashMap<Vec<i64>, Option<(Vec<i64>, i64)>> = HashMap::new();
+        let neg = |v: &[i64]| v.iter().map(|a| -a).collect::<Vec<i64>>();
+        // Solves and memoizes `delta`, and `−delta` with it (`H·(−x) =
+        // −delta`); answers whether the partner copy sits above in some
+        // unrolled loop, below in some, and the innermost component.
+        let mut solve = |delta: Vec<i64>| {
+            if !solves.contains_key(&delta) {
+                let x = merge_solve(h, &live, space, &delta);
+                solves.insert(neg(&delta), x.as_ref().map(|(u, i)| (neg(u), -i)));
+                solves.insert(delta.clone(), x);
+            }
+            let (x, inner_val) = solves[&delta].as_ref()?;
+            Some((
+                x.iter().any(|&v| v < 0),
+                x.iter().any(|&v| v > 0),
+                *inner_val,
+            ))
+        };
+        let disjoint = (0..h.rows()).all(|r| live.iter().filter(|&&c| h[(r, c)] != 0).count() <= 1);
+        let copies_distinct = disjoint || solve(vec![0; h.rows()]).is_some();
+        let (mut mixed_sign, mut from_above) = (false, false);
+        if copies_distinct {
+            // Members sharing `c` share every delta, and the solve of
+            // `c_m − c_j` is minus that of `c_j − c_m`: each unordered
+            // pair of distinct `c` answers both orders.
+            let mut cs: Vec<&[i64]> = set.members().iter().map(|m| &m.c[..]).collect();
+            cs.sort_unstable();
+            cs.dedup();
+            // A mixed-sign merge needs two live unrolled loops; without
+            // them the first reverse provider settles both flags.
+            let may_mix = space.loops().iter().filter(|l| live.contains(l)).count() >= 2;
+            'scan: for (k, cm) in cs.iter().enumerate() {
+                for cj in &cs[..k] {
+                    let Some((above, below, inner_val)) = solve(diff(cm, cj)) else {
+                        continue;
+                    };
+                    if above && below {
+                        (mixed_sign, from_above) = (true, true);
+                        break 'scan;
+                    }
+                    from_above |= (above && inner_val > 0) || (below && inner_val < 0);
+                    if from_above && !may_mix {
+                        break 'scan;
+                    }
+                }
+            }
+        }
         SetPaths {
-            invariant,
-            copies_distinct: copies_distinct(h, space),
-            chained: chained(h, space),
-            reverse_provider: has_reverse_provider(set, space),
-            self_points: self_merge_points(h, space),
+            set,
+            space,
+            solves,
+            invariant: !live.contains(&inner),
+            chained: space.loops().iter().any(|&l| h[(0, l)] != 0),
+            copies_distinct,
+            mixed_sign,
+            from_above,
+            self_points: (0..space.dims())
+                .filter(|&d| !live.contains(&space.loops()[d]))
+                .map(|d| {
+                    let mut e = vec![0u32; space.dims()];
+                    e[d] = 1;
+                    e
+                })
+                .collect(),
+            live,
         }
     }
+
+    /// The exact merge solve `H·x = c_m − c_j` of two members, from the
+    /// scan's memo; a pair the scan did not reach (it stops once both
+    /// flags are settled) is solved here, unmemoized.
+    fn solve(&self, cm: &[i64], cj: &[i64]) -> Option<(Vec<i64>, i64)> {
+        let delta = diff(cm, cj);
+        match self.solves.get(&delta) {
+            Some(hit) => hit.clone(),
+            None => merge_solve(self.set.h(), &self.live, self.space, &delta),
+        }
+    }
+}
+
+/// The exact merge solve `H·x = delta` over the live columns `live` of
+/// `H`: `x`'s unroll components (any sign) and its innermost component,
+/// when the solution is unique and integral.
+fn merge_solve(
+    h: &Mat,
+    live: &[usize],
+    space: &UnrollSpace,
+    delta: &[i64],
+) -> Option<(Vec<i64>, i64)> {
+    let SolveOutcome::Unique(x) = solve_unique(h, delta, live) else {
+        return None;
+    };
+    let at = |c: usize| live.iter().position(|&l| l == c).map_or(0, |p| x[p]);
+    Some((
+        space.loops().iter().map(|&l| at(l)).collect(),
+        at(space.depth() - 1),
+    ))
+}
+
+/// `a − b`, component-wise: the right-hand side of a merge solve.
+fn diff(a: &[i64], b: &[i64]) -> Vec<i64> {
+    a.iter().zip(b).map(|(x, y)| x - y).collect()
+}
+
+/// A solve's unroll components as a merge point: `Some` when none is
+/// negative and at least one is positive (the partner copy sits at a
+/// dominated offset).
+fn merge_point(x: &[i64]) -> Option<Vec<u32>> {
+    if x.iter().all(|&v| v == 0) {
+        return None;
+    }
+    x.iter().map(|&v| u32::try_from(v).ok()).collect()
 }
 
 /// Figure 2: the table of new group-temporal sets per copy offset for one
@@ -179,52 +255,38 @@ impl SetPaths {
 /// assert_eq!(t.prefix_sum(&[2]), 5); // merging begins at offset 2
 /// ```
 pub fn gts_table(set: &UgsSet, space: &UnrollSpace) -> Table {
-    if copies_distinct(set.h(), space) {
-        if let Some(t) = gts_upsets(set, space) {
-            return t;
-        }
-    }
-    let depth = space.depth();
-    let mut sums = Vec::with_capacity(space.len());
-    space.for_each_offset(|u| sums.push(streams::gts_count_at(set, space, u, depth) as i64));
-    Table::from_sums(space.clone(), sums)
+    gts_table_in(&SetPaths::classify(set, space))
 }
 
-/// [`gts_table`] by up-set unions: each group's copies stop being new
-/// once their offset dominates a merge point.  `None` when two groups
-/// merge at a mixed-sign offset (partner above in one unrolled loop and
-/// below in another): the shared stream then lies in both boxes and
-/// neither up-set removes it.
-fn gts_upsets(set: &UgsSet, space: &UnrollSpace) -> Option<Table> {
+/// [`gts_table`] over the set's merge analysis: by up-set unions, each
+/// group's copies stop being new once their offset dominates a merge
+/// point; tabulated from [`streams::gts_count_at`] when copies are not
+/// distinct or a merge offset is mixed-sign.
+fn gts_table_in(path: &SetPaths) -> Table {
+    let (set, space) = (path.set, path.space);
     let depth = space.depth();
+    if !path.copies_distinct || path.mixed_sign {
+        let mut sums = Vec::with_capacity(space.len());
+        space.for_each_offset(|u| sums.push(streams::gts_count_at(set, space, u, depth) as i64));
+        return Table::from_sums(space.clone(), sums);
+    }
     let groups = streams::original_streams(set, depth);
-    let self_points = self_merge_points(set.h(), space);
     let mut t = Table::filled(space.clone(), groups.len() as i64);
-    let mut memo: HashMap<Vec<i64>, Option<Vec<i64>>> = HashMap::new();
-
     for (j, gj) in groups.iter().enumerate() {
         let cj = &set.members()[gj[0].0].c;
-        let mut points = self_points.clone();
+        let mut points = path.self_points.clone();
         for (i, gi) in groups.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let ci = &set.members()[gi[0].0].c;
-            let delta: Vec<i64> = cj.iter().zip(ci).map(|(a, b)| a - b).collect();
-            let solved = memo
-                .entry(delta)
-                .or_insert_with_key(|d| merge_point_raw(set.h(), d, space).map(|(x, _)| x));
-            let Some(x) = solved else { continue };
-            match (x.iter().any(|&v| v < 0), x.iter().any(|&v| v > 0)) {
-                (true, true) => return None,
-                (false, true) => points.push(x.iter().map(|&v| v as u32).collect()),
-                _ => {}
+            if i != j {
+                let ci = &set.members()[gi[0].0].c;
+                if let Some((x, _)) = path.solve(cj, ci) {
+                    points.extend(merge_point(&x));
+                }
             }
         }
         t.add_upset_union(&points, -1);
     }
     t.finalize();
-    Some(t)
+    t
 }
 
 /// Figure 3: the table of new group-spatial sets per copy offset.
@@ -235,19 +297,13 @@ fn gts_upsets(set: &UgsSet, space: &UnrollSpace) -> Option<Table> {
 /// cache line.  Unrolled loops appearing in the first subscript produce
 /// line *chains*: a new leader every `ceil(line/|a|)` copies.
 pub fn gss_table(set: &UgsSet, space: &UnrollSpace, line_elems: i64) -> Table {
-    let h = set.h();
-    gss_table_in(
-        set,
-        space,
-        line_elems,
-        chained(h, space) || !copies_distinct(h, space),
-    )
+    gss_table_in(&SetPaths::classify(set, space), line_elems)
 }
 
-/// [`gss_table`], tabulated by one sweep over the unroll box when
-/// `sweep` is set.
-fn gss_table_in(set: &UgsSet, space: &UnrollSpace, line_elems: i64, sweep: bool) -> Table {
+/// [`gss_table`] over the set's merge analysis.
+fn gss_table_in(path: &SetPaths, line_elems: i64) -> Table {
     assert!(line_elems >= 1, "cache line must hold at least one element");
+    let (set, space) = (path.set, path.space);
     let depth = space.depth();
     let h = set.h();
     let inner = depth - 1;
@@ -259,7 +315,7 @@ fn gss_table_in(set: &UgsSet, space: &UnrollSpace, line_elems: i64, sweep: bool)
     // exactly with one sweep over the unroll box, storing the counts as
     // already-finalized sums so the prefix-sum interface (and its O(1)
     // query cost) is preserved.
-    if sweep {
+    if path.chained || !path.copies_distinct {
         return Table::from_sums(
             space.clone(),
             streams::gss_count_sums(set, space, line_elems),
@@ -270,20 +326,29 @@ fn gss_table_in(set: &UgsSet, space: &UnrollSpace, line_elems: i64, sweep: bool)
     let groups = group_spatial_sets(set, &l, line_elems);
     let mut t = Table::filled(space.clone(), groups.len() as i64);
 
-    let self_points = self_merge_points(h, space);
+    // The rows below the first and their live columns, shared by every
+    // spatial solve of this set.
+    let sub_rows: Vec<&[i64]> = (1..h.rows()).map(|r| h.row(r)).collect();
+    let sub = Mat::from_rows(&sub_rows);
+    let sub_live: Vec<usize> = space
+        .loops()
+        .iter()
+        .chain([&inner])
+        .copied()
+        .filter(|&c| (0..sub.rows()).any(|r| sub[(r, c)] != 0))
+        .collect();
     let mut memo: HashMap<Vec<i64>, Option<Vec<u32>>> = HashMap::new();
     for (j, gj) in groups.iter().enumerate() {
         let cj = &set.members()[gj[0]].c;
-        let mut points = self_points.clone();
+        let mut points = path.self_points.clone();
         for (i, gi) in groups.iter().enumerate() {
             if i == j {
                 continue;
             }
-            let ci = &set.members()[gi[0]].c;
-            let delta: Vec<i64> = cj.iter().zip(ci).map(|(a, b)| a - b).collect();
-            let point = memo
-                .entry(delta)
-                .or_insert_with_key(|d| spatial_merge_point(h, d, space, inner, line_elems));
+            let delta = diff(cj, &set.members()[gi[0]].c);
+            let point = memo.entry(delta).or_insert_with_key(|d| {
+                spatial_merge_point(h, &sub, &sub_live, d, space, line_elems)
+            });
             if let Some(point) = point {
                 if point.iter().any(|&p| p > 0) {
                     points.push(point.clone());
@@ -296,44 +361,35 @@ fn gss_table_in(set: &UgsSet, space: &UnrollSpace, line_elems: i64, sweep: bool)
     t
 }
 
-/// The spatial merge point: rows below the first close exactly over
-/// (unrolled ∪ innermost), the first row up to a residue `< line`.
+/// The spatial merge point: rows below the first (`sub`, whose live
+/// columns are `sub_live`) close exactly over (unrolled ∪ innermost), the
+/// first row up to a residue `< line`.
 fn spatial_merge_point(
     h: &Mat,
+    sub: &Mat,
+    sub_live: &[usize],
     delta: &[i64],
     space: &UnrollSpace,
-    inner: usize,
     line_elems: i64,
 ) -> Option<Vec<u32>> {
     if h.rows() == 0 {
         return Some(vec![0; space.dims()]);
     }
-    // Build the sub-system of rows 1.. and solve it.
-    let sub_rows: Vec<&[i64]> = (1..h.rows()).map(|r| h.row(r)).collect();
-    let sub = Mat::from_rows(&sub_rows);
-    let sub_delta = &delta[1..];
-    let mut cols: Vec<usize> = space.loops().to_vec();
-    cols.push(inner);
-    let nonzero: Vec<usize> = cols
-        .iter()
-        .copied()
-        .filter(|&c| (0..sub.rows()).any(|r| sub[(r, c)] != 0))
-        .collect();
-    let x = match solve_unique(&sub, sub_delta, &nonzero) {
+    let x = match solve_unique(sub, &delta[1..], sub_live) {
         SolveOutcome::Unique(x) => x,
-        SolveOutcome::Underdetermined => vec![0; nonzero.len()],
+        SolveOutcome::Underdetermined => vec![0; sub_live.len()],
         _ => return None,
     };
     let mut point = vec![0u32; space.dims()];
     for (k, &l) in space.loops().iter().enumerate() {
-        if let Some(p) = nonzero.iter().position(|&c| c == l) {
+        if let Some(p) = sub_live.iter().position(|&c| c == l) {
             point[k] = u32::try_from(x[p]).ok()?;
         }
     }
     // First-row residue: localized loops appearing (only) in row 0 can
     // absorb part of the difference.
     let mut residual = delta[0];
-    for (p, &c) in nonzero.iter().enumerate() {
+    for (p, &c) in sub_live.iter().enumerate() {
         residual -= h[(0, c)] * x[p];
     }
     // A free unrolled loop in row 0: pick the smallest non-negative copy
@@ -342,7 +398,7 @@ fn spatial_merge_point(
     // counts if this loop's own axis can reach it.
     for (d, &l) in space.loops().iter().enumerate() {
         let a = h[(0, l)];
-        if a == 0 || nonzero.contains(&l) {
+        if a == 0 || sub_live.contains(&l) {
             continue;
         }
         let chosen =
@@ -351,8 +407,9 @@ fn spatial_merge_point(
         residual -= a * chosen;
     }
     // A free innermost loop in row 0 reduces the residue modulo |a|.
+    let inner = space.depth() - 1;
     let a_in = h[(0, inner)];
-    if a_in != 0 && !nonzero.contains(&inner) {
+    if a_in != 0 && !sub_live.contains(&inner) {
         residual = centered_mod(residual, a_in.abs());
     }
     (residual.abs() < line_elems).then_some(point)
@@ -382,19 +439,6 @@ impl RrsTables {
     pub fn memory_ops(&self, u: &[u32]) -> i64 {
         self.loads(u) + self.stores(u)
     }
-
-    /// [`RrsTables::loads`] by precomputed flat index (finalized tables
-    /// only — see [`Table::prefix_sum_flat`]).
-    pub fn loads_flat(&self, idx: usize) -> i64 {
-        self.use_led.prefix_sum_flat(idx)
-    }
-
-    /// [`RrsTables::memory_ops`] by precomputed flat index plus the
-    /// candidate's copy count `Π (u_d + 1)` (stores scale with copies,
-    /// not with the tables).
-    pub fn memory_ops_flat(&self, idx: usize, copies: usize) -> i64 {
-        self.loads_flat(idx) + self.stores_per_copy * copies as i64
-    }
 }
 
 /// Figures 4–5: builds the register-reuse-stream tables for a whole nest.
@@ -415,17 +459,20 @@ pub fn rrs_tables_from(sets: &[UgsSet], depth: usize, space: &UnrollSpace) -> Rr
         .iter()
         .map(|set| SetPaths::classify(set, space))
         .collect();
-    rrs_tables_in(sets, &paths, space)
+    rrs_tables_in(&paths, space)
 }
 
-/// [`rrs_tables_from`] over per-set classifications (parallel to `sets`).
-fn rrs_tables_in(sets: &[UgsSet], paths: &[SetPaths], space: &UnrollSpace) -> RrsTables {
-    let depth = space.depth();
+/// [`rrs_tables_from`] over the sets' merge analyses.  Every closed-form
+/// leader writes its up-set union into one density table, finalized
+/// once; swept sets add their sums after.
+fn rrs_tables_in(paths: &[SetPaths], space: &UnrollSpace) -> RrsTables {
     let mut use_led = Table::filled(space.clone(), 0);
-    use_led.finalize(); // zeros; per-set contributions accumulate as sums
+    let mut leaders = 0i64;
+    let mut swept = Vec::new();
     let mut stores_per_copy = 0i64;
 
-    for (set, path) in sets.iter().zip(paths) {
+    for path in paths {
+        let set = path.set;
         if path.invariant {
             // Invariant UGS: every stream is hoisted.
             continue;
@@ -433,144 +480,65 @@ fn rrs_tables_in(sets: &[UgsSet], paths: &[SetPaths], space: &UnrollSpace) -> Rr
         // Defs always store, regardless of merging.
         stores_per_copy += set.members().iter().filter(|m| m.is_def).count() as i64;
 
-        // A *reverse provider* — a reference whose copy at a HIGHER unroll
-        // offset touches the shared cells earlier — makes absorption depend
-        // on the query box, not just the copy offset, so the up-set region
-        // algorithm cannot express it (the merge comes "from above").
-        // Tabulate such sets exactly, directly in the `Sum` domain, as
-        // well as sets whose distinct offsets share copies.
-        if path.reverse_provider || !path.copies_distinct {
-            use_led.accumulate(&Table::from_sums(
+        // A merge "from above" makes absorption depend on the query box,
+        // not just the copy offset, so the up-set region algorithm
+        // cannot express it.  Tabulate such sets exactly, directly in
+        // the `Sum` domain, as well as sets whose distinct offsets share
+        // copies.
+        if !path.copies_distinct || path.from_above {
+            swept.push(Table::from_sums(
                 space.clone(),
                 streams::ugs_loads_sums(set, space),
             ));
             continue;
         }
 
-        let mut memo = MergeMemo::new();
-        let groups = streams::original_streams(set, depth);
+        let groups = streams::original_streams(set, space.depth());
         for (g_idx, g) in groups.iter().enumerate() {
-            // Sort members by touch order (key desc, reference order asc).
-            let mut ms: Vec<(usize, i64)> = g.clone();
-            ms.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            for (pos, &(idx, _key)) in ms.iter().enumerate() {
-                if set.members()[idx].is_def {
-                    // Stores were counted at the UGS level.
-                } else if pos == 0 {
-                    // A use-led stream: one load per copy until absorbed.
-                    let cj = &set.members()[idx].c;
-                    let mut points = path.self_points.clone();
-                    for (i, gi) in groups.iter().enumerate() {
-                        if i == g_idx {
-                            continue;
-                        }
-                        for &(m_idx, _) in gi {
-                            let cm = &set.members()[m_idx].c;
-                            let delta: Vec<i64> = cm.iter().zip(cj).map(|(a, b)| a - b).collect();
-                            // Solve H·x = c_m − c_j: the provider copy sits
-                            // at `u' − x_unroll` and touches `x_inner`
-                            // iterations earlier than the leader; it
-                            // provides when it touches no later.
-                            if let Some((point, inner_val)) = memo.solve(set.h(), &delta, space) {
-                                if inner_val >= 0 && point.iter().any(|&p| p > 0) {
-                                    points.push(point);
-                                }
-                            }
+            // The stream's first toucher (key desc, reference order asc)
+            // leads it; a def-led stream loads nothing (its store was
+            // counted above).
+            let &(lead, _) = g
+                .iter()
+                .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))
+                .expect("non-empty stream");
+            if set.members()[lead].is_def {
+                continue;
+            }
+            // A use-led stream: one load per copy until absorbed.
+            let cj = &set.members()[lead].c;
+            let mut points = path.self_points.clone();
+            for (i, gi) in groups.iter().enumerate() {
+                if i == g_idx {
+                    continue;
+                }
+                for &(m_idx, _) in gi {
+                    // Solve H·x = c_m − c_j: the provider copy sits at
+                    // `u' − x_unroll` and touches `x_inner` iterations
+                    // earlier than the leader; it provides when it
+                    // touches no later.
+                    if let Some((x, inner_val)) = path.solve(&set.members()[m_idx].c, cj) {
+                        if inner_val >= 0 {
+                            points.extend(merge_point(&x));
                         }
                     }
-                    let mut contrib = Table::filled(space.clone(), 1);
-                    contrib.add_upset_union(&points, -1);
-                    contrib.finalize();
-                    use_led.accumulate(&contrib);
                 }
             }
+            leaders += 1;
+            use_led.add_upset_union(&points, -1);
         }
+    }
+    // Each use-led leader's copy at every offset (the up-set of the
+    // origin) loads once, less the absorbed copies the unions removed.
+    use_led.add_upset_union(&[vec![0; space.dims()]], leaders);
+    use_led.finalize();
+    for t in &swept {
+        use_led.accumulate(t);
     }
     RrsTables {
         use_led,
         stores_per_copy,
     }
-}
-
-/// Like [`merge_point`] but without any sign restriction: the raw unique
-/// integral solution's unroll components and innermost component.
-fn merge_point_raw(h: &Mat, delta: &[i64], space: &UnrollSpace) -> Option<(Vec<i64>, i64)> {
-    let inner = space.depth() - 1;
-    let mut cols: Vec<usize> = space.loops().to_vec();
-    cols.push(inner);
-    let nonzero: Vec<usize> = cols
-        .iter()
-        .copied()
-        .filter(|&c| (0..h.rows()).any(|r| h[(r, c)] != 0))
-        .collect();
-    let SolveOutcome::Unique(x) = solve_unique(h, delta, &nonzero) else {
-        return None;
-    };
-    let mut unroll_parts = vec![0i64; space.dims()];
-    for (k, &l) in space.loops().iter().enumerate() {
-        if let Some(p) = nonzero.iter().position(|&c| c == l) {
-            unroll_parts[k] = x[p];
-        }
-    }
-    let mut inner_val = 0;
-    if let Some(p) = nonzero.iter().position(|&c| c == inner) {
-        inner_val = x[p];
-    }
-    Some((unroll_parts, inner_val))
-}
-
-/// Whether distinct offsets in the live unrolled loops (those with a
-/// nonzero `H` column) always give distinct copies: those columns, with
-/// the innermost one, are linearly independent, so the zero delta has a
-/// unique solve.  Columns with disjoint nonzero rows — every separable
-/// SIV set — are independent without a solve.
-fn copies_distinct(h: &Mat, space: &UnrollSpace) -> bool {
-    let inner = space.depth() - 1;
-    let disjoint = (0..h.rows()).all(|r| {
-        let live = space.loops().iter().chain([&inner]);
-        live.filter(|&&c| h[(r, c)] != 0).count() <= 1
-    });
-    disjoint || merge_point_raw(h, &vec![0; h.rows()], space).is_some()
-}
-
-/// Detects absorptions the up-set region algorithm cannot express:
-///
-/// * a *reverse provider* — a reference whose copy at a strictly higher
-///   unroll offset touches the shared cells strictly earlier — or
-/// * a *mixed-sign* merge offset (partner above in one unrolled dimension
-///   and below in another).
-///
-/// Either makes the absorbed-copy set depend on the query box, so the UGS
-/// is tabulated exactly in the `Sum` domain instead (see DESIGN.md §5).
-fn has_reverse_provider(set: &UgsSet, space: &UnrollSpace) -> bool {
-    let members = set.members();
-    let mut memo: HashMap<Vec<i64>, Option<(Vec<i64>, i64)>> = HashMap::new();
-    for j in members {
-        for m in members {
-            // `m` as a candidate provider for `j`: the solve is over
-            // c_m − c_j; its unroll part locates the provider copy at
-            // `u' − x` (negative components = above).
-            let delta: Vec<i64> = m.c.iter().zip(&j.c).map(|(a, b)| a - b).collect();
-            if delta.iter().all(|&d| d == 0) {
-                continue;
-            }
-            let solved = memo
-                .entry(delta)
-                .or_insert_with_key(|d| merge_point_raw(set.h(), d, space));
-            let Some((x, inner_val)) = solved.clone() else {
-                continue;
-            };
-            let has_neg = x.iter().any(|&v| v < 0);
-            let has_pos = x.iter().any(|&v| v > 0);
-            if has_neg && has_pos {
-                return true; // mixed sign
-            }
-            if has_neg && inner_val > 0 {
-                return true; // provider strictly above, touching earlier
-            }
-        }
-    }
-    false
 }
 
 /// Figure 7: the register-pressure table `RL(u)` for one UGS, built with
@@ -596,36 +564,32 @@ fn has_reverse_provider(set: &UgsSet, space: &UnrollSpace) -> bool {
 ///   sweeping, and sweeps only the live-loop sub-box of a def-free set
 ///   with self-merge loops.
 pub fn reg_table(set: &UgsSet, space: &UnrollSpace) -> Table {
-    reg_table_in(set, space, &SetPaths::classify(set, space))
+    reg_table_in(&SetPaths::classify(set, space))
 }
 
-/// [`reg_table`] over the set's classification.
-fn reg_table_in(set: &UgsSet, space: &UnrollSpace, path: &SetPaths) -> Table {
-    let depth = space.depth();
-    let h = set.h();
+/// [`reg_table`] over the set's merge analysis.
+fn reg_table_in(path: &SetPaths) -> Table {
+    let (set, space) = (path.set, path.space);
 
-    if path.invariant && !path.reverse_provider && path.copies_distinct {
-        return gts_table(set, space);
+    if path.invariant && path.copies_distinct && !path.mixed_sign {
+        return gts_table_in(path);
     }
 
-    let analytic_fallback =
-        || Table::from_sums(space.clone(), streams::ugs_registers_sums(set, space));
-
     // Invariant sets, sets with defs, row-0 unrolled loops (chains),
-    // reverse providers, self-merging sets, or offsets sharing copies:
-    // fall back.
+    // self-merging sets, offsets sharing copies, reverse providers or
+    // mixed-sign merges: sweep.
     if path.invariant
         || set.members().iter().any(|m| m.is_def)
         || path.chained
-        || path.reverse_provider
         || !path.self_points.is_empty()
         || !path.copies_distinct
+        || path.from_above
     {
-        return analytic_fallback();
+        return Table::from_sums(space.clone(), streams::ugs_registers_sums(set, space));
     }
 
     // Streams with their touch keys, leaders first (key descending).
-    let groups = streams::original_streams(set, depth);
+    let groups = streams::original_streams(set, space.depth());
     struct StreamInfo {
         c: Vec<i64>,
         key_max: i64,
@@ -661,23 +625,22 @@ fn reg_table_in(set: &UgsSet, space: &UnrollSpace, path: &SetPaths) -> Table {
         shift: i64,
     }
     let mut merges: Vec<Merge> = Vec::new();
-    let mut memo = MergeMemo::new();
     for (j, sj) in infos.iter().enumerate() {
         for (i, si) in infos.iter().enumerate() {
             if i == j {
                 continue;
             }
-            let delta: Vec<i64> = si.c.iter().zip(&sj.c).map(|(a, b)| a - b).collect();
-            if let Some((point, inner_val)) = memo.solve(h, &delta, space) {
-                // Provider below and earlier-or-equal in touch order.
-                if inner_val >= 0 && point.iter().any(|&p| p > 0) {
-                    merges.push(Merge {
-                        j,
-                        i,
-                        point,
-                        shift: -inner_val,
-                    });
-                }
+            // Provider below and earlier-or-equal in touch order.
+            let Some((x, inner_val)) = path.solve(&si.c, &sj.c) else {
+                continue;
+            };
+            if let Some(point) = merge_point(&x).filter(|_| inner_val >= 0) {
+                merges.push(Merge {
+                    j,
+                    i,
+                    point,
+                    shift: -inner_val,
+                });
             }
         }
     }
@@ -693,7 +656,7 @@ fn reg_table_in(set: &UgsSet, space: &UnrollSpace, path: &SetPaths) -> Table {
     if absorbed.iter().any(|&a| a > 1)
         || (0..infos.len()).any(|g| absorbed[g] > 0 && providing[g] > 0)
     {
-        return analytic_fallback();
+        return Table::from_sums(space.clone(), streams::ugs_registers_sums(set, space));
     }
 
     // Base contributions: every copy of every stream pays its own cost.
@@ -759,27 +722,15 @@ impl CostTables {
             .iter()
             .map(|set| SetPaths::classify(set, space))
             .collect();
-        let gss = sets
+        let gss = paths
             .iter()
-            .zip(&paths)
-            .map(|(set, path)| {
-                let f = if has_self_temporal(set.h(), &l) {
-                    0.0
-                } else if has_self_spatial(set.h(), &l) {
-                    1.0 / line_elems as f64
-                } else {
-                    1.0
-                };
-                let sweep = path.chained || !path.copies_distinct;
-                (f, gss_table_in(set, space, line_elems, sweep))
+            .map(|path| {
+                let f = leader_lines(path.set.h(), &l, line_elems);
+                (f, gss_table_in(path, line_elems))
             })
             .collect();
-        let rrs = rrs_tables_in(sets, &paths, space);
-        let registers: Vec<Table> = sets
-            .iter()
-            .zip(&paths)
-            .map(|(set, path)| reg_table_in(set, space, path))
-            .collect();
+        let rrs = rrs_tables_in(&paths, space);
+        let registers: Vec<Table> = paths.iter().map(reg_table_in).collect();
         let registers_monotone = registers.iter().all(Table::is_monotone);
         CostTables {
             space: space.clone(),
@@ -803,15 +754,30 @@ impl CostTables {
         self.siv
     }
 
+    /// The candidate's balance inputs at `u` — [`CostTables::flops`],
+    /// [`CostTables::memory_ops`], [`CostTables::cache_lines`] and
+    /// [`CostTables::registers`] at once, with the offset indexed and its
+    /// copies counted once.  This is what the search reads per candidate.
+    #[inline]
+    pub fn inputs(&self, u: &[u32]) -> BalanceInputs {
+        let idx = self.space.index(u);
+        let copies = self.space.copies(u);
+        let rrs = &self.rrs;
+        BalanceInputs {
+            flops: (self.flops_per_copy * copies) as f64,
+            memory_ops: (rrs.use_led.sum_at(u, idx) + rrs.stores_per_copy * copies as i64) as f64,
+            cache_lines: self
+                .gss
+                .iter()
+                .map(|(f, t)| f * t.sum_at(u, idx) as f64)
+                .sum(),
+            registers: self.registers.iter().map(|t| t.sum_at(u, idx)).sum(),
+        }
+    }
+
     /// Floating-point operations per unrolled iteration.
     pub fn flops(&self, u: &[u32]) -> usize {
         self.flops_per_copy * self.space.copies(u)
-    }
-
-    /// [`CostTables::flops`] by precomputed copy count, for callers that
-    /// already hold `space.copies(u)`.
-    pub fn flops_of_copies(&self, copies: usize) -> usize {
-        self.flops_per_copy * copies
     }
 
     /// Memory operations per unrolled iteration (`M` of §3.2).
@@ -832,49 +798,12 @@ impl CostTables {
     /// Cache lines fetched per unrolled iteration (Equation 1 summed over
     /// the uniformly generated sets).
     pub fn cache_lines(&self, u: &[u32]) -> f64 {
-        self.gss
-            .iter()
-            .map(|(f, t)| f * t.prefix_sum(u) as f64)
-            .sum()
+        self.inputs(u).cache_lines
     }
 
     /// Floating-point registers required by scalar replacement (`R(u)`).
     pub fn registers(&self, u: &[u32]) -> i64 {
-        self.registers.iter().map(|t| t.prefix_sum(u)).sum()
-    }
-
-    /// Whether the flat-index query variants are available: every
-    /// underlying table finalized (always true for tables built by
-    /// [`CostTables::build`]; false after [`CostTables::definalized`]).
-    pub fn flat_queryable(&self) -> bool {
-        self.rrs.use_led.is_finalized()
-            && self.gss.iter().all(|(_, t)| t.is_finalized())
-            && self.registers.iter().all(Table::is_finalized)
-    }
-
-    /// [`CostTables::memory_ops`] by precomputed flat index and copy
-    /// count — the pruned search walk tracks both incrementally during
-    /// descent, skipping the per-query re-indexing entirely.
-    pub fn memory_ops_flat(&self, idx: usize, copies: usize) -> i64 {
-        self.rrs.memory_ops_flat(idx, copies)
-    }
-
-    /// [`CostTables::loads`] by precomputed flat index.
-    pub fn loads_flat(&self, idx: usize) -> i64 {
-        self.rrs.loads_flat(idx)
-    }
-
-    /// [`CostTables::cache_lines`] by precomputed flat index.
-    pub fn cache_lines_flat(&self, idx: usize) -> f64 {
-        self.gss
-            .iter()
-            .map(|(f, t)| f * t.prefix_sum_flat(idx) as f64)
-            .sum()
-    }
-
-    /// [`CostTables::registers`] by precomputed flat index.
-    pub fn registers_flat(&self, idx: usize) -> i64 {
-        self.registers.iter().map(|t| t.prefix_sum_flat(idx)).sum()
+        self.inputs(u).registers
     }
 
     /// `true` when [`CostTables::registers`] is monotone in `u` (every
@@ -911,43 +840,21 @@ impl CostTables {
 }
 
 /// The one shared accumulation loop behind every table property test:
-/// walks each offset of `space` once (tracking the running flat index,
-/// so finalized queries can be cross-checked against their flat-index
-/// variants) and asserts `got(u, flat) == want(u)`.
-///
-/// Both `tests` and `reg_table_tests` previously carried near-identical
-/// copies of this walk; keeping it in one place means layout changes
-/// land exactly once.
+/// walks each offset of `space` once and asserts `got(u) == want(u)`.
 #[cfg(test)]
 fn assert_counts_match(
     space: &UnrollSpace,
     label: &str,
-    mut got: impl FnMut(&[u32], usize) -> i64,
+    mut got: impl FnMut(&[u32]) -> i64,
     mut want: impl FnMut(&[u32]) -> i64,
 ) {
-    let mut flat = 0usize;
-    space.for_each_offset(|u| {
-        assert_eq!(got(u, flat), want(u), "{label} mismatch at {u:?}");
-        flat += 1;
-    });
+    space.for_each_offset(|u| assert_eq!(got(u), want(u), "{label} mismatch at {u:?}"));
 }
 
-/// [`assert_counts_match`] for a [`Table`]'s `Sum` query, additionally
-/// pinning `prefix_sum_flat` ≡ `prefix_sum` on finalized tables.
+/// [`assert_counts_match`] for a [`Table`]'s `Sum` query.
 #[cfg(test)]
 fn assert_table_matches(table: &Table, label: &str, want: impl FnMut(&[u32]) -> i64) {
-    assert_counts_match(
-        table.space(),
-        label,
-        |u, flat| {
-            let sum = table.prefix_sum(u);
-            if table.is_finalized() {
-                assert_eq!(table.prefix_sum_flat(flat), sum, "{label} flat at {u:?}");
-            }
-            sum
-        },
-        want,
-    );
+    assert_counts_match(table.space(), label, |u| table.prefix_sum(u), want);
 }
 
 #[cfg(test)]
@@ -973,16 +880,13 @@ mod tests {
         assert_counts_match(
             &space,
             "loads",
-            |u, flat| {
-                assert_eq!(rrs.loads_flat(flat), rrs.loads(u), "flat loads at {u:?}");
-                rrs.loads(u)
-            },
+            |u| rrs.loads(u),
             |u| replacement_counts_at(nest, &space, u).loads as i64,
         );
         assert_counts_match(
             &space,
             "stores",
-            |u, _| rrs.stores(u),
+            |u| rrs.stores(u),
             |u| replacement_counts_at(nest, &space, u).stores as i64,
         );
     }
@@ -1122,6 +1026,17 @@ mod tests {
         let lines0 = ct.cache_lines(&[0, 0]);
         let lines3 = ct.cache_lines(&[3, 3]);
         assert!(lines3 < lines0 * 16.0);
+        // `inputs` is the four queries at once, on finalized and
+        // definalized tables alike.
+        for t in [&ct, &ct.definalized()] {
+            space.for_each_offset(|u| {
+                let i = t.inputs(u);
+                assert_eq!(i.flops, ct.flops(u) as f64, "flops at {u:?}");
+                assert_eq!(i.memory_ops, ct.memory_ops(u) as f64, "memory ops at {u:?}");
+                assert_eq!(i.cache_lines, ct.cache_lines(u), "cache lines at {u:?}");
+                assert_eq!(i.registers, ct.registers(u), "registers at {u:?}");
+            });
+        }
     }
 }
 
@@ -1144,10 +1059,7 @@ mod reg_table_tests {
         super::assert_counts_match(
             &space,
             "CostTables registers",
-            |u, flat| {
-                assert_eq!(ct.registers_flat(flat), ct.registers(u), "flat at {u:?}");
-                ct.registers(u)
-            },
+            |u| ct.registers(u),
             |u| streams::replacement_counts_at(nest, &space, u).registers as i64,
         );
     }

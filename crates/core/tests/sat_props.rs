@@ -1,7 +1,6 @@
 //! Randomized property tests for the summed-area `Table`: on arbitrary
-//! spaces of up to 5 dimensions, the finalized O(1) `prefix_sum` (and
-//! its flat-indexed twin `prefix_sum_flat`) must agree with the naive
-//! box enumeration (which is exactly what a raw, un-finalized table
+//! spaces of up to 5 dimensions, the finalized O(1) `prefix_sum` must
+//! agree with the naive box enumeration (which is exactly what a raw, un-finalized table
 //! computes), the density `get` must survive finalization, and
 //! `definalized` must round-trip back to the raw contents.  The
 //! degenerate shapes — length-one boxes and the zero-dimensional space —
@@ -55,7 +54,6 @@ fn finalized_prefix_sum_matches_naive_box_enumeration() {
         let raw = random_table(&mut rng, &space);
         let mut sat = raw.clone();
         sat.finalize();
-        let mut flat = 0usize;
         space.for_each_offset(|u| {
             assert_eq!(
                 sat.prefix_sum(u),
@@ -63,13 +61,7 @@ fn finalized_prefix_sum_matches_naive_box_enumeration() {
                 "case {case}: Sum({u:?}) over bounds {:?}",
                 space.bounds()
             );
-            assert_eq!(
-                sat.prefix_sum_flat(flat),
-                sat.prefix_sum(u),
-                "case {case}: flat index {flat} of {u:?}"
-            );
             assert_eq!(sat.get(u), raw.get(u), "case {case}: density at {u:?}");
-            flat += 1;
         });
     }
     // Degenerate shapes, exhaustively rather than by chance: every-axis-
@@ -89,8 +81,8 @@ fn finalized_prefix_sum_matches_naive_box_enumeration() {
         t.add_upset_union(std::slice::from_ref(&zero), 2);
         t.finalize();
         assert_eq!(
-            (t.get(&zero), t.prefix_sum(&zero), t.prefix_sum_flat(0)),
-            (9, 9, 9),
+            (t.get(&zero), t.prefix_sum(&zero)),
+            (9, 9),
             "dims {}",
             space.dims()
         );

@@ -111,6 +111,19 @@ impl MachineModel {
             .build()
     }
 
+    /// The preset a CLI flag or request field names: `alpha`
+    /// ([`MachineModel::dec_alpha`]), `parisc`
+    /// ([`MachineModel::hp_parisc`]) or `prefetch`
+    /// ([`MachineModel::prefetching_risc`]).
+    pub fn by_name(name: &str) -> Option<MachineModel> {
+        match name {
+            "alpha" => Some(MachineModel::dec_alpha()),
+            "parisc" => Some(MachineModel::hp_parisc()),
+            "prefetch" => Some(MachineModel::prefetching_risc()),
+            _ => None,
+        }
+    }
+
     /// The machine's diagnostic name.
     pub fn name(&self) -> &str {
         &self.name

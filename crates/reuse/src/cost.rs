@@ -4,6 +4,7 @@ use crate::group::group_spatial_sets;
 use crate::locality::{has_self_spatial, has_self_temporal, Localized};
 use crate::ugs::UgsSet;
 use ujam_ir::LoopNest;
+use ujam_linalg::Mat;
 
 /// The number of *cache lines fetched per innermost iteration* by one
 /// uniformly generated set, given a localized iteration space and a cache
@@ -37,15 +38,21 @@ use ujam_ir::LoopNest;
 /// assert_eq!(ugs_cost(&sets[0], &l, 8), 0.125);
 /// ```
 pub fn ugs_cost(ugs: &UgsSet, l: &Localized, line_elems: i64) -> f64 {
-    let per_leader = if has_self_temporal(ugs.h(), l) {
+    let g_s = group_spatial_sets(ugs, l, line_elems).len();
+    g_s as f64 * leader_lines(ugs.h(), l, line_elems)
+}
+
+/// Cache lines one group-spatial leader with access matrix `h` fetches
+/// per innermost iteration within `L`: `0` with self-temporal reuse,
+/// `1/line` with self-spatial reuse, else `1` (see [`ugs_cost`]).
+pub fn leader_lines(h: &Mat, l: &Localized, line_elems: i64) -> f64 {
+    if has_self_temporal(h, l) {
         0.0
-    } else if has_self_spatial(ugs.h(), l) {
+    } else if has_self_spatial(h, l) {
         1.0 / line_elems as f64
     } else {
         1.0
-    };
-    let g_s = group_spatial_sets(ugs, l, line_elems).len();
-    g_s as f64 * per_leader
+    }
 }
 
 /// Total cache lines fetched per innermost iteration by the whole nest:

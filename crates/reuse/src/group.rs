@@ -37,15 +37,31 @@ pub fn group_temporal_sets(ugs: &UgsSet, l: &Localized) -> Vec<Vec<usize>> {
 pub fn group_spatial_sets(ugs: &UgsSet, l: &Localized, line_elems: i64) -> Vec<Vec<usize>> {
     assert!(line_elems >= 1, "cache line must hold at least one element");
     let h = ugs.h();
+    // The sub-system below the first row, and the first row's split into
+    // localized loops that rows below also use (their forced solution
+    // enters the residual) and loops only the first row uses (a free
+    // direction along the contiguous dimension: the residual reduces
+    // modulo their gcd).  Both depend on the set alone, not the pair.
+    let rows: Vec<usize> = (1..h.rows()).collect();
+    let sub = select_rows(h, &rows);
+    let mut forced: Vec<(usize, i64)> = Vec::new();
+    let mut row0_gcd = 0i64;
+    for (k, &col) in l.loops().iter().enumerate() {
+        let coef = if h.rows() == 0 { 0 } else { h[(0, col)] };
+        if coef == 0 {
+            continue;
+        }
+        if (1..h.rows()).any(|r| h[(r, col)] != 0) {
+            forced.push((k, coef));
+        } else {
+            row0_gcd = gcd(row0_gcd, coef);
+        }
+    }
     partition(ugs, |delta| {
         if delta.is_empty() {
             return true;
         }
-        // Solve the sub-system below the first row.
-        let rows: Vec<usize> = (1..h.rows()).collect();
-        let sub = select_rows(h, &rows);
-        let sub_delta = &delta[1..];
-        let x = match solve_unique(&sub, sub_delta, l.loops()) {
+        let x = match solve_unique(&sub, &delta[1..], l.loops()) {
             SolveOutcome::Unique(x) => x,
             // Free sub-system (e.g. a rank-1 array): x = 0 suffices; the
             // first-row reduction below handles localized first-row loops.
@@ -54,21 +70,8 @@ pub fn group_spatial_sets(ugs: &UgsSet, l: &Localized, line_elems: i64) -> Vec<V
         };
         // First-row residual after applying the forced solution.
         let mut residual = delta[0];
-        let mut row0_gcd = 0i64;
-        for (k, &col) in l.loops().iter().enumerate() {
-            let coef = h[(0, col)];
-            if coef == 0 {
-                continue;
-            }
-            // If this localized loop is *only* used by the first row, it is
-            // a free direction along the contiguous dimension: the residual
-            // can be reduced modulo its coefficient.
-            let used_below = (1..h.rows()).any(|r| h[(r, col)] != 0);
-            if used_below {
-                residual -= coef * x[k];
-            } else {
-                row0_gcd = gcd(row0_gcd, coef);
-            }
+        for &(k, coef) in &forced {
+            residual -= coef * x[k];
         }
         if row0_gcd > 0 {
             residual = centered_mod(residual, row0_gcd);

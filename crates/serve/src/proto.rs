@@ -627,21 +627,16 @@ impl Request {
         };
         let machine = match obj.get("machine") {
             None => MachineModel::dec_alpha(),
-            Some(Value::String(s)) => match s.as_str() {
-                "alpha" => MachineModel::dec_alpha(),
-                "parisc" => MachineModel::hp_parisc(),
-                "prefetch" => MachineModel::prefetching_risc(),
-                other => return Err(fail(format!("unknown machine {other:?}"))),
-            },
+            Some(Value::String(s)) => {
+                MachineModel::by_name(s).ok_or_else(|| fail(format!("unknown machine {s:?}")))?
+            }
             Some(_) => return Err(fail("\"machine\" must be a string".into())),
         };
         let model = match obj.get("model") {
             None => BalanceModel::CacheAware,
-            Some(Value::String(s)) => match s.as_str() {
-                "cache" => BalanceModel::CacheAware,
-                "allhits" => BalanceModel::AllHits,
-                other => return Err(fail(format!("unknown model {other:?}"))),
-            },
+            Some(Value::String(s)) => {
+                BalanceModel::parse(s).ok_or_else(|| fail(format!("unknown model {s:?}")))?
+            }
             Some(_) => return Err(fail("\"model\" must be a string".into())),
         };
         let cost_model = match obj.get("cost_model") {

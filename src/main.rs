@@ -22,7 +22,8 @@
 //! `<loop>` is a Table 2 kernel name (`ujam list`) or a path to a Fortran
 //! source file (`.f`, `.f77`, `.for`) holding one DO nest.
 //!
-//! Options: `--machine alpha|parisc|prefetch`, `--model cache|allhits`.
+//! Options: `--machine alpha|parisc|prefetch`, `--model cache|allhits`;
+//! every value flag takes both `--flag V` and `--flag=V`.
 //! `optimize` additionally takes `--cost-model analytic|profiled`
 //! (which cache-cost backend scores candidates), `--explain`
 //! (per-candidate decision provenance) and
@@ -624,44 +625,38 @@ fn serve_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<ServeOption
     let mut tcp = None;
     let mut trace_chrome = None;
     let mut it = it.peekable();
-    let number = |flag: &str, v: Option<&String>| -> Result<usize, String> {
+    let number = |flag: &str, v: Option<String>| -> Result<usize, String> {
         v.and_then(|s| s.parse().ok())
             .filter(|&n| n > 0)
             .ok_or_else(|| format!("{flag} needs a positive number"))
     };
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--workers" => cfg.workers = number("--workers", it.next())?,
+        let (name, inline) = split_flag(flag);
+        let value = inline.or_else(|| it.next().cloned());
+        match name {
+            "--workers" => cfg.workers = number(name, value)?,
             "--cache" => {
                 // 0 is meaningful here: it disables the decision cache.
-                cfg.cache_capacity = it
-                    .next()
+                cfg.cache_capacity = value
                     .and_then(|s| s.parse().ok())
                     .ok_or("--cache needs a number")?;
             }
-            "--shards" => cfg.shards = number("--shards", it.next())?,
-            "--socket" => socket = Some(it.next().ok_or("--socket needs a path")?.clone()),
-            "--tcp" => tcp = Some(it.next().ok_or("--tcp needs an address")?.clone()),
-            "--max-queue" => rcfg.max_queue = number("--max-queue", it.next())?,
-            "--max-conns" => rcfg.max_conns = number("--max-conns", it.next())?,
-            "--max-inflight" => rcfg.max_inflight = number("--max-inflight", it.next())?,
+            "--shards" => cfg.shards = number(name, value)?,
+            "--socket" => socket = Some(value.ok_or("--socket needs a path")?),
+            "--tcp" => tcp = Some(value.ok_or("--tcp needs an address")?),
+            "--max-queue" => rcfg.max_queue = number(name, value)?,
+            "--max-conns" => rcfg.max_conns = number(name, value)?,
+            "--max-inflight" => rcfg.max_inflight = number(name, value)?,
             "--read-timeout-ms" => {
-                rcfg.read_timeout =
-                    std::time::Duration::from_millis(number("--read-timeout-ms", it.next())? as u64)
+                rcfg.read_timeout = std::time::Duration::from_millis(number(name, value)? as u64)
             }
-            "--flight-capacity" => cfg.flight_capacity = number("--flight-capacity", it.next())?,
-            "--slow-ms" => cfg.slow_ms = number("--slow-ms", it.next())? as u64,
+            "--flight-capacity" => cfg.flight_capacity = number(name, value)?,
+            "--slow-ms" => cfg.slow_ms = number(name, value)? as u64,
             "--trace-chrome" => {
-                trace_chrome = Some(it.next().ok_or("--trace-chrome needs a path")?.clone())
+                let path = value.filter(|p| !p.is_empty());
+                trace_chrome = Some(path.ok_or("--trace-chrome needs a path")?);
             }
-            other if other.starts_with("--trace-chrome=") => {
-                let path = &other["--trace-chrome=".len()..];
-                if path.is_empty() {
-                    return Err("--trace-chrome needs a path".into());
-                }
-                trace_chrome = Some(path.to_string());
-            }
-            other => return Err(format!("unknown option {other:?}")),
+            _ => return Err(format!("unknown option {flag:?}")),
         }
     }
     Ok(ServeOptions {
@@ -718,9 +713,11 @@ fn endpoint_options<'a>(
     let mut rest = Vec::new();
     let mut it = it.peekable();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => socket = Some(it.next().ok_or("--socket needs a path")?.clone()),
-            "--tcp" => tcp = Some(it.next().ok_or("--tcp needs an address")?.clone()),
+        let (name, inline) = split_flag(arg);
+        let value = || inline.or_else(|| it.next().cloned());
+        match name {
+            "--socket" => socket = Some(value().ok_or("--socket needs a path")?),
+            "--tcp" => tcp = Some(value().ok_or("--tcp needs an address")?),
             _ => rest.push(arg.clone()),
         }
     }
@@ -1092,30 +1089,11 @@ fn optimize_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<Optimize
     let mut explain = false;
     let mut config = SearchConfig::default();
     let mut it = it.peekable();
-    // Flags taking a value accept both `--flag V` and `--flag=V`.
     while let Some(flag) = it.next() {
-        let (name, inline) = match flag.split_once('=') {
-            Some((n, v)) => (n, Some(v.to_string())),
-            None => (flag.as_str(), None),
-        };
+        let (name, inline) = split_flag(flag);
         match name {
-            "--machine" => {
-                let v = inline.or_else(|| it.next().cloned());
-                machine = match v.as_deref() {
-                    Some("alpha") => MachineModel::dec_alpha(),
-                    Some("parisc") => MachineModel::hp_parisc(),
-                    Some("prefetch") => MachineModel::prefetching_risc(),
-                    other => return Err(format!("bad --machine value {other:?}")),
-                }
-            }
-            "--model" => {
-                let v = inline.or_else(|| it.next().cloned());
-                model = match v.as_deref() {
-                    Some("cache") => BalanceModel::CacheAware,
-                    Some("allhits") => BalanceModel::AllHits,
-                    other => return Err(format!("bad --model value {other:?}")),
-                }
-            }
+            "--machine" => machine = machine_named(inline.or_else(|| it.next().cloned()))?,
+            "--model" => model = model_named(inline.or_else(|| it.next().cloned()))?,
             "--cost-model" => {
                 let v = inline.or_else(|| it.next().cloned());
                 cost = v.as_deref().and_then(CostModelKind::parse).ok_or_else(|| {
@@ -1200,10 +1178,7 @@ fn profile_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<ProfileOp
             }
             continue;
         }
-        let (name, inline) = match flag.split_once('=') {
-            Some((n, v)) => (n, Some(v.to_string())),
-            None => (flag.as_str(), None),
-        };
+        let (name, inline) = split_flag(flag);
         match name {
             "--kernel" => {
                 let v = inline
@@ -1213,15 +1188,7 @@ fn profile_options<'a>(it: impl Iterator<Item = &'a String>) -> Result<ProfileOp
                     return Err("profile takes one loop (positional or --kernel)".into());
                 }
             }
-            "--machine" => {
-                let v = inline.or_else(|| it.next().cloned());
-                machine = match v.as_deref() {
-                    Some("alpha") => MachineModel::dec_alpha(),
-                    Some("parisc") => MachineModel::hp_parisc(),
-                    Some("prefetch") => MachineModel::prefetching_risc(),
-                    other => return Err(format!("bad --machine value {other:?}")),
-                }
-            }
+            "--machine" => machine = machine_named(inline.or_else(|| it.next().cloned()))?,
             "--cache-geometry" => {
                 let v = inline.or_else(|| it.next().cloned());
                 geometry = Some(parse_geometry(v.as_deref())?);
@@ -1271,31 +1238,42 @@ fn parse_geometry(v: Option<&str>) -> Result<CacheGeometry, String> {
     Ok(g)
 }
 
+/// Parses `--machine` and `--model` for `simulate` and `schedule`.
 fn options<'a>(
-    it: impl Iterator<Item = &'a String>,
+    mut it: impl Iterator<Item = &'a String>,
 ) -> Result<(MachineModel, BalanceModel), String> {
     let mut machine = MachineModel::dec_alpha();
     let mut model = BalanceModel::CacheAware;
-    let mut it = it.peekable();
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--machine" => {
-                machine = match it.next().map(|s| s.as_str()) {
-                    Some("alpha") => MachineModel::dec_alpha(),
-                    Some("parisc") => MachineModel::hp_parisc(),
-                    Some("prefetch") => MachineModel::prefetching_risc(),
-                    other => return Err(format!("bad --machine value {other:?}")),
-                }
-            }
-            "--model" => {
-                model = match it.next().map(|s| s.as_str()) {
-                    Some("cache") => BalanceModel::CacheAware,
-                    Some("allhits") => BalanceModel::AllHits,
-                    other => return Err(format!("bad --model value {other:?}")),
-                }
-            }
-            other => return Err(format!("unknown option {other:?}")),
+        let (name, inline) = split_flag(flag);
+        match name {
+            "--machine" => machine = machine_named(inline.or_else(|| it.next().cloned()))?,
+            "--model" => model = model_named(inline.or_else(|| it.next().cloned()))?,
+            _ => return Err(format!("unknown option {flag:?}")),
         }
     }
     Ok((machine, model))
+}
+
+/// Splits `--flag=V` into the flag and its inline value, so every value
+/// flag takes both `--flag V` and `--flag=V`.
+fn split_flag(flag: &str) -> (&str, Option<String>) {
+    match flag.split_once('=') {
+        Some((name, v)) => (name, Some(v.to_string())),
+        None => (flag, None),
+    }
+}
+
+/// The machine preset a `--machine` value names.
+fn machine_named(v: Option<String>) -> Result<MachineModel, String> {
+    v.as_deref()
+        .and_then(MachineModel::by_name)
+        .ok_or_else(|| format!("bad --machine value {:?}", v.as_deref()))
+}
+
+/// The balance model a `--model` value names.
+fn model_named(v: Option<String>) -> Result<BalanceModel, String> {
+    v.as_deref()
+        .and_then(BalanceModel::parse)
+        .ok_or_else(|| format!("bad --model value {:?}", v.as_deref()))
 }

@@ -445,3 +445,29 @@ fn schedule_reports_op_mix_and_makespan() {
     assert!(text.contains("makespan"));
     assert!(text.contains("per original iteration"));
 }
+
+/// `simulate` and `schedule` take `--machine=V` and `--model=V` as well
+/// as the two-argument spelling, with the same output, and reject a bad
+/// inline value with the same error; so does `serve` for its flags.
+#[test]
+fn value_flags_accept_inline_values() {
+    for cmd in ["simulate", "schedule"] {
+        let separate = ujam(&[cmd, "dmxpy0", "--machine", "parisc", "--model", "allhits"]);
+        let inline = ujam(&[cmd, "dmxpy0", "--machine=parisc", "--model=allhits"]);
+        assert!(separate.status.success(), "{cmd}");
+        assert!(inline.status.success(), "{cmd}: {:?}", inline.stderr);
+        assert_eq!(stdout(&separate), stdout(&inline), "{cmd}");
+        let bad = ujam(&[cmd, "dmxpy0", "--machine=vax"]);
+        assert_eq!(bad.status.code(), Some(1), "{cmd}");
+        let err = String::from_utf8_lossy(&bad.stderr);
+        assert!(
+            err.contains("bad --machine value Some(\"vax\")"),
+            "{cmd}: {err}"
+        );
+    }
+    // `serve` reads inline values too, and checks them the same way.
+    let bad = ujam(&["serve", "--workers=0"]);
+    assert_eq!(bad.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&bad.stderr);
+    assert!(err.contains("--workers needs a positive number"), "{err}");
+}

@@ -25,8 +25,7 @@ use ujam::machine::MachineModel;
 use ujam::reuse::UgsSet;
 use ujam_rng::Rng;
 
-/// Largest per-loop bound drawn for a space of `k` unrolled loops.
-const MAX_BOUND: [i64; 3] = [7, 4, 2];
+mod common;
 
 /// How many sets of each special shape were checked.
 #[derive(Default)]
@@ -34,28 +33,6 @@ struct Shapes {
     all_def: usize,
     invariant: usize,
     def_free_self_merge: usize,
-}
-
-/// The spaces `tests/sweep.rs` draws for `nest` from the same generator
-/// state: one per dimensionality `k = 0..=min(3, depth − 1)`, each
-/// followed by that test's line-size draw, which is discarded here.
-fn spaces(nest: &LoopNest, rng: &mut Rng) -> Vec<UnrollSpace> {
-    let outer = nest.depth() - 1;
-    let spaces: Vec<UnrollSpace> = (0..=outer.min(3))
-        .map(|k| {
-            let mut loops: Vec<usize> = (0..outer).collect();
-            rng.shuffle(&mut loops);
-            loops.truncate(k);
-            let bounds: Vec<u32> = (0..k)
-                .map(|_| rng.int(0, MAX_BOUND[k - 1]) as u32)
-                .collect();
-            UnrollSpace::with_bounds(nest.depth(), &loops, &bounds)
-        })
-        .collect();
-    for _ in &spaces {
-        rng.choose(&[1i64, 2, 4, 8]);
-    }
-    spaces
 }
 
 /// Checks the register table of every set of `nest` over `space` against
@@ -96,10 +73,12 @@ fn check(label: &str, nest: &LoopNest, space: &UnrollSpace, shapes: &mut Shapes)
     checked
 }
 
+/// [`check`] over the spaces `tests/sweep.rs` draws for `nest` from the
+/// same generator state (their line sizes are not used here).
 fn check_nest(label: &str, nest: &LoopNest, rng: &mut Rng, shapes: &mut Shapes) -> usize {
-    spaces(nest, rng)
+    common::spaces(nest, rng)
         .iter()
-        .map(|space| check(label, nest, space, shapes))
+        .map(|(space, _)| check(label, nest, space, shapes))
         .sum()
 }
 

@@ -110,7 +110,9 @@ fn k3_explain_ledger_balances_under_register_and_code_budgets() {
             let nest = deep_kernel(k).expect("roster kernel").nest();
             let space = k3_space(nest.depth());
             let sink = CollectingSink::new();
-            let mut ctx = AnalysisCtx::with_sink(&nest, &machine, &sink).expect("valid");
+            let (metrics, cancel) = (MetricsHandle::disabled(), CancelToken::never());
+            let mut ctx =
+                AnalysisCtx::observed(&nest, &machine, &sink, metrics, cancel).expect("valid");
             let outcome = SearchSpace {
                 space: space.clone(),
                 model: BalanceModel::CacheAware,

@@ -4,10 +4,11 @@
 //! agree on the full kernel suite, and `--explain` accounts for every
 //! candidate the pruner skipped.
 
-use ujam::core::pipeline::{AnalysisCtx, BruteSearch, Pass, SearchSpace, SelectLoops};
+use ujam::core::pipeline::{AnalysisCtx, BruteSearch, CancelToken, Pass, SearchSpace, SelectLoops};
 use ujam::core::{search_tables, tables::CostTables, BalanceModel, CostModelKind};
 use ujam::kernels::kernels;
 use ujam::machine::MachineModel;
+use ujam::metrics::MetricsHandle;
 use ujam::trace::{CollectingSink, Verdict};
 
 fn machines() -> Vec<MachineModel> {
@@ -112,7 +113,8 @@ fn explain_accounts_for_every_candidate() {
         for k in kernels() {
             let nest = k.nest();
             let sink = CollectingSink::new();
-            let Ok(mut ctx) = AnalysisCtx::with_sink(&nest, &machine, &sink) else {
+            let (metrics, cancel) = (MetricsHandle::disabled(), CancelToken::never());
+            let Ok(mut ctx) = AnalysisCtx::observed(&nest, &machine, &sink, metrics, cancel) else {
                 continue;
             };
             let Ok(space) = SelectLoops::default().run(&mut ctx) else {
