@@ -29,13 +29,16 @@
 //! where `examples/validate_search_bench.rs` checks the schema.  In the
 //! full sweep the largest space must show the ≥7× naive→summed-area
 //! speedup the O(N²)→O(N) rework promises, and all three engines must
-//! agree on the winner everywhere — violations abort the run.
+//! agree on the winner everywhere — violations abort the run.  The
+//! `naive` and `summed_area` arms are timed interleaved
+//! (`bench_interleaved`), so the gate compares the two on the same
+//! phases of the machine.
 //!
 //! Run with `cargo bench -p ujam-bench --bench search_scaling`.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
-use ujam_bench::timing::bench;
+use ujam_bench::timing::{bench, bench_interleaved};
 use ujam_core::pipeline::{AnalysisCtx, Pass, SelectLoops};
 use ujam_core::tables::{reg_table, rrs_tables_from};
 use ujam_core::{
@@ -96,12 +99,21 @@ fn main() {
                 black_box(reg_table(set, &space));
             }
         });
-        let naive = bench(&format!("naive/{n}"), || {
-            search_tables(&nest, &machine, &space, &raw, model, false, None)
-        });
-        let summed = bench(&format!("summed_area/{n}"), || {
-            search_tables(&nest, &machine, &space, &sat, model, false, None)
-        });
+        // The gated pair runs interleaved, so a slow phase of the
+        // machine lands on both arms alike.
+        let gated = bench_interleaved(&mut [
+            (&format!("naive/{n}"), &mut || {
+                black_box(search_tables(
+                    &nest, &machine, &space, &raw, model, false, None,
+                ));
+            }),
+            (&format!("summed_area/{n}"), &mut || {
+                black_box(search_tables(
+                    &nest, &machine, &space, &sat, model, false, None,
+                ));
+            }),
+        ]);
+        let (naive, summed) = (&gated[0], &gated[1]);
         let pruned = bench(&format!("pruned/{n}"), || {
             search_tables(&nest, &machine, &space, &sat, model, true, None)
         });

@@ -64,6 +64,9 @@ pub struct AnalysisCtx<'a> {
     safe_bounds: Option<Vec<u32>>,
     ugs: Option<Vec<UgsSet>>,
     locality: HashMap<(usize, i64), f64>,
+    /// Equation 1 per set under innermost-only localization, per line
+    /// size: the loop-independent term of every locality score.
+    inner_costs: HashMap<i64, Vec<f64>>,
     tables: HashMap<TableKey, Rc<CostTables>>,
 }
 
@@ -131,6 +134,7 @@ impl<'a> AnalysisCtx<'a> {
             safe_bounds: None,
             ugs: None,
             locality: HashMap::new(),
+            inner_costs: HashMap::new(),
             tables: HashMap::new(),
         })
     }
@@ -224,6 +228,11 @@ impl<'a> AnalysisCtx<'a> {
 
     /// The locality score of unrolling `loop_idx` (Equation 1 with and
     /// without the loop localized), cached per `(loop, line)` pair.
+    ///
+    /// The innermost-only term is computed once per set and line, not
+    /// once per loop; each set's difference, and the sum over sets in
+    /// partition order, are the same floating-point operations as
+    /// evaluating both terms per loop.
     pub fn locality_score(&mut self, loop_idx: usize, line_elems: i64) -> f64 {
         if let Some(&score) = self.locality.get(&(loop_idx, line_elems)) {
             self.count("locality.hit");
@@ -232,12 +241,16 @@ impl<'a> AnalysisCtx<'a> {
         self.ugs();
         self.count("locality.build");
         let depth = self.nest.depth();
-        let inner = Localized::innermost(depth);
         let with = Localized::with_unrolled(depth, &[loop_idx]);
         let sets = self.ugs.as_deref().expect("just ensured");
+        let inner = self.inner_costs.entry(line_elems).or_insert_with(|| {
+            let l = Localized::innermost(depth);
+            sets.iter().map(|s| ugs_cost(s, &l, line_elems)).collect()
+        });
         let score = sets
             .iter()
-            .map(|s| ugs_cost(s, &inner, line_elems) - ugs_cost(s, &with, line_elems))
+            .zip(inner.iter())
+            .map(|(s, &c)| c - ugs_cost(s, &with, line_elems))
             .sum();
         self.locality.insert((loop_idx, line_elems), score);
         score

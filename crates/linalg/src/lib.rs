@@ -10,18 +10,22 @@
 //!
 //! * [`Mat`]: dense row-major integer matrices with exact arithmetic,
 //! * [`Rat`]: normalized arbitrary-sign rationals over `i128`,
-//! * [`Space`]: rational vector subspaces in canonical (RREF) form with
-//!   membership, containment, sum and intersection,
-//! * [`solve`]: solvers for `H·x = d` restricted to a subset of columns, as
-//!   needed by the table-construction algorithms of Carr & Guan (Figures 2,
-//!   3, 5 and 7 of the paper), including the *unique non-negative integer
-//!   solution* query that determines the unroll offset at which two
-//!   reference groups merge.
+//! * [`solve`]: exact integer elimination — [`rank`], the rank of `H`
+//!   restricted to some rows and columns (the self-reuse tests of §3.4),
+//!   and [`Factored`], which eliminates `H` over a subset of columns once
+//!   and then solves `H·x = d` for each `d`, as needed by the
+//!   table-construction algorithms of Carr & Guan (Figures 2, 3, 5 and 7
+//!   of the paper), including the *unique integer solution* query that
+//!   determines the unroll offset at which two reference groups merge,
+//! * [`Space`] and [`solve_unique`]: rational vector subspaces in
+//!   canonical (RREF) form, and the rational solve rebuilt per call —
+//!   the definitions the integer path is tested against.
 //!
 //! Dimensions in this domain are tiny (loop depths ≤ 6, a handful of array
 //! dimensions), so the implementation favours clarity and exactness over
-//! asymptotics; all algorithms are fraction-free or use `i128` rationals and
-//! will panic on overflow rather than silently wrap.
+//! asymptotics; all algorithms are fraction-free in `i128` or use `i128`
+//! rationals, with checked arithmetic, and panic on overflow rather than
+//! silently wrap.
 //!
 //! # Example
 //!
@@ -52,5 +56,5 @@ mod space;
 pub use hnf::{column_hnf, lattice_contains};
 pub use mat::Mat;
 pub use rat::Rat;
-pub use solve::{solve_unique, solve_unique_nonneg, SolveOutcome};
+pub use solve::{rank, solve_unique, solve_unique_nonneg, Factored, SolveOutcome};
 pub use space::Space;

@@ -11,6 +11,9 @@ use std::fmt;
 /// loops whose reuse the transformation can exploit.  Keeping the basis in
 /// RREF makes equality, containment and membership checks canonical.
 ///
+/// The optimizer decides the same questions by integer rank tests
+/// ([`crate::rank`]); `Space` is the definition they are tested against.
+///
 /// # Example
 ///
 /// ```

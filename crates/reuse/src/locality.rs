@@ -1,6 +1,17 @@
 //! Localized iteration spaces and self reuse.
+//!
+//! §3.4 defines self-temporal reuse within a localized space `L` as
+//! `ker H ∩ L ≠ {0}`, and self-spatial reuse as the same with `H`'s first
+//! (column-contiguous) row dropped.  Every `L` unroll-and-jam builds is
+//! spanned by whole loop axes, so a vector of `L` is a vector supported on
+//! `L`'s columns, and the intersection is non-trivial exactly when `H`
+//! restricted to those columns has a kernel: `rank(H[:, L]) < |L|`.
+//! [`has_self_temporal`] and [`has_self_spatial`] answer that by exact
+//! integer elimination ([`ujam_linalg::rank`]); the rational
+//! kernel-and-intersection form (`ujam_linalg::Space`) is their test
+//! oracle.
 
-use ujam_linalg::{Mat, Space};
+use ujam_linalg::{rank, Mat};
 
 /// The *localized vector space* `L`: the loop directions whose reuse the
 /// memory hierarchy can actually exploit (§3.4).
@@ -68,28 +79,22 @@ impl Localized {
     pub fn contains(&self, l: usize) -> bool {
         self.loops.binary_search(&l).is_ok()
     }
-
-    /// The spanned vector space.
-    pub fn space(&self) -> Space {
-        Space::axes(self.depth, &self.loops)
-    }
 }
 
 /// `true` if a reference with access matrix `h` has self-temporal reuse
-/// within `L`: `ker H ∩ L ≠ {0}` (§3.4: `∃ x ∈ L, H·x = 0`).
+/// within `L`: `ker H ∩ L ≠ {0}` (§3.4: `∃ x ∈ L, H·x = 0`), decided as
+/// `rank(H[:, L]) < |L|`.
 pub fn has_self_temporal(h: &Mat, l: &Localized) -> bool {
-    !Space::kernel(h).intersect(&l.space()).is_trivial()
+    rank(h, 0..h.rows(), l.loops()) < l.loops().len()
 }
 
 /// `true` if a reference has self-spatial reuse within `L`: the same with
 /// the first (column-contiguous) subscript row dropped, `ker H_S ∩ L ≠ {0}`,
-/// and the reuse is *spatial proper* (not already temporal).
+/// decided as `rank(H[1.., L]) < |L|`.  A reference with no subscripts
+/// has none.  Equation 1 asks it only of references without self-temporal
+/// reuse, which makes the reuse *spatial proper*.
 pub fn has_self_spatial(h: &Mat, l: &Localized) -> bool {
-    if h.rows() == 0 {
-        return false;
-    }
-    let hs = h.with_zero_row(0);
-    !Space::kernel(&hs).intersect(&l.space()).is_trivial()
+    h.rows() > 0 && rank(h, 1..h.rows(), l.loops()) < l.loops().len()
 }
 
 #[cfg(test)]
@@ -142,6 +147,53 @@ mod tests {
         // has_self_spatial is also true here (temporal implies the spatial
         // system is satisfiable); Equation 1 checks temporal first.
         assert!(has_self_spatial(&h, &Localized::innermost(2)));
+    }
+
+    /// The rank tests against their definition, `ker ∩ L ≠ {0}` over
+    /// rational spaces, on seeded random `H` up to 4×5 (zero rows, zero
+    /// columns and `rows() == 0` included) for every subset `L`.
+    #[test]
+    fn rank_tests_equal_the_kernel_intersection() {
+        use ujam_linalg::Space;
+        let reference = |h: &Mat, l: &Localized| {
+            !Space::kernel(h)
+                .intersect(&Space::axes(l.depth(), l.loops()))
+                .is_trivial()
+        };
+        let mut rng = ujam_rng::Rng::new(0x5e1f);
+        let mut hits = [0usize; 2];
+        for _ in 0..300 {
+            let rows = rng.int(0, 4) as usize;
+            let depth = rng.int(1, 5) as usize;
+            let data: Vec<i64> = (0..rows * depth)
+                .map(|_| {
+                    if rng.int(0, 2) == 0 {
+                        rng.int(-3, 3)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let h = Mat::from_vec(rows, depth, data);
+            for mask in 0u32..1 << depth {
+                let loops: Vec<usize> = (0..depth).filter(|&c| mask >> c & 1 == 1).collect();
+                let l = Localized::new(depth, &loops);
+                let temporal = has_self_temporal(&h, &l);
+                assert_eq!(temporal, reference(&h, &l), "H = {h:?}, L = {loops:?}");
+                let spatial = rows > 0 && reference(&h.with_zero_row(0), &l);
+                assert_eq!(
+                    has_self_spatial(&h, &l),
+                    spatial,
+                    "H = {h:?}, L = {loops:?}"
+                );
+                hits[0] += usize::from(temporal);
+                hits[1] += usize::from(spatial && !temporal);
+            }
+        }
+        assert!(
+            hits.iter().all(|&n| n > 100),
+            "too few reuse cases: {hits:?}"
+        );
     }
 
     #[test]

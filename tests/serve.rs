@@ -284,6 +284,44 @@ fn admin_lines_without_an_id_are_refused_and_serving_goes_on() {
     assert!(!server.shutdown_requested());
 }
 
+/// A source whose subscript coefficients sit near the `i64` limit makes
+/// the analysis's exact arithmetic overflow; the overflow panics rather
+/// than wrapping into a wrong decision, the request gets exactly one
+/// reply, and the request after it is answered.
+#[test]
+fn arithmetic_overflow_in_the_analysis_ends_in_one_reply() {
+    let (c1, c2) = ("9000000000000000000", "8999999999999999999");
+    let body = format!("B({c1}*I+{c2}*J, {c2}*J+{c1}*K, {c1}*I+{c2}*K) + B(I,J,K)");
+    // Fortran lines, joined by JSON-escaped newlines.
+    let source = [
+        "DIMENSION A(8,8,8), B(8,8,8)",
+        "DO I = 1, 4",
+        "DO J = 1, 4",
+        "DO K = 1, 4",
+        &format!("A(I,J,K) = {body}"),
+        "ENDDO",
+        "ENDDO",
+        "ENDDO",
+        "END",
+    ]
+    .map(|line| format!("      {line}"))
+    .join("\\n");
+    let input = format!(
+        "{{\"id\":\"o\",\"source\":\"{source}\"}}\n{{\"id\":\"k\",\"kernel\":\"dmxpy1\"}}\n"
+    );
+    let server = Server::new(test_config(), null_sink());
+    let mut out = Vec::new();
+    server
+        .run(Cursor::new(input.into_bytes()), &mut out)
+        .expect("io ok");
+    let text = String::from_utf8(out).expect("utf8");
+    let replies: Vec<&str> = text.lines().collect();
+    assert_eq!(replies.len(), 2, "one reply per line: {text}");
+    assert!(replies[0].contains(r#""id":"o""#), "{text}");
+    assert!(replies[1].contains(r#""id":"k""#), "{text}");
+    assert!(replies[1].contains(r#""ok":true"#), "{text}");
+}
+
 /// The stdin loop times requests like the reactor: a `"trace":true`
 /// reply echoes its trace id, and a flight line sees every request, the
 /// bad frame and the deadline miss in the anomaly ring too.
