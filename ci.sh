@@ -125,21 +125,47 @@ grep -q 'unknown cost_model' /tmp/ujam_serve_cost.ndjson
 
 # Metrics smoke: one optimize request and one stats round-trip over a
 # Unix socket; the daemon's snapshot must count exactly that request
-# (the stats query itself is admin traffic, not a request).
+# (the stats query and the hellos are admin traffic, not requests).
+# The Unix socket speaks the TCP dialect: `ujam request` opens with the
+# versioned hello (its ack printed with --show-hello), and a raw line
+# sent without one is refused with handshake_required.
 UJAM_SOCK=/tmp/ujam_ci.sock
 rm -f "$UJAM_SOCK"
 ./target/release/ujam serve --socket "$UJAM_SOCK" --workers 1 &
 UJAM_SERVE_PID=$!
 for _ in $(seq 1 100); do [ -S "$UJAM_SOCK" ] && break; sleep 0.1; done
-./target/release/ujam request --socket "$UJAM_SOCK" '{"id":"1","kernel":"dmxpy0"}' | grep -q '"ok":true'
+./target/release/ujam request --socket "$UJAM_SOCK" --show-hello '{"id":"1","kernel":"dmxpy0"}' \
+  > /tmp/ujam_sock_replies.ndjson
+sed -n 1p /tmp/ujam_sock_replies.ndjson | grep -q '"protocol":1'
+sed -n 2p /tmp/ujam_sock_replies.ndjson | grep -q '"ok":true'
 ./target/release/ujam stats --socket "$UJAM_SOCK" --json > /tmp/ujam_stats.json
 grep -q '"version":1' /tmp/ujam_stats.json
 grep -q '"serve.requests":1' /tmp/ujam_stats.json
 grep -q '"serve.request_ns":{"count":1,' /tmp/ujam_stats.json
+python3 - "$UJAM_SOCK" <<'EOF'
+import socket, sys
+
+sock = socket.socket(socket.AF_UNIX)
+sock.settimeout(30)
+sock.connect(sys.argv[1])
+sock.sendall(b'{"id":"raw","kernel":"dmxpy0"}\n')
+reply = sock.makefile().readline()
+if '"kind":"handshake_required"' not in reply:
+    sys.exit(f"handshake-free line over the Unix socket got: {reply!r}")
+EOF
 kill "$UJAM_SERVE_PID"
 # Reap it: a daemon killed by SIGTERM exits with status 128 + 15.
 wait "$UJAM_SERVE_PID" || [ $? = 143 ]
 rm -f "$UJAM_SOCK"
+
+# Wide subscripts: a source whose coefficients sit near i64::MAX is
+# refused with a structured invalid_nest reply before any exact
+# elimination runs, so no panic (and no backtrace) reaches stderr.
+printf '%s\n' \
+  '{"id":"o","source":"      DIMENSION A(8,8,8), B(8,8,8)\n      DO I = 1, 4\n      DO J = 1, 4\n      DO K = 1, 4\n      A(I,J,K) = B(9000000000000000000*I+8999999999999999999*J, 8999999999999999999*J+9000000000000000000*K, 9000000000000000000*I+8999999999999999999*K) + B(I,J,K)\n      ENDDO\n      ENDDO\n      ENDDO\n      END"}' \
+  | ./target/release/ujam serve --workers 1 > /tmp/ujam_serve_wide.ndjson 2> /tmp/ujam_serve_wide.log
+grep -q '"kind":"invalid_nest"' /tmp/ujam_serve_wide.ndjson
+if grep -q 'panicked' /tmp/ujam_serve_wide.log; then exit 1; fi
 
 # TCP smoke: the same daemon over the event-loop TCP front end.  Bind
 # port 0 and discover the chosen port from the daemon's stderr line,

@@ -7,11 +7,41 @@ use crate::pipeline::{CancelToken, OptimizeError};
 use crate::space::UnrollSpace;
 use crate::tables::CostTables;
 use ujam_dep::{safe_unroll_bounds, DepGraph};
-use ujam_ir::LoopNest;
+use ujam_ir::{ArrayRef, Lhs, LoopNest};
 use ujam_machine::MachineModel;
 use ujam_metrics::MetricsHandle;
 use ujam_reuse::{ugs_cost, Localized, UgsSet};
 use ujam_trace::{null_sink, TraceRecord, TraceSink};
+
+/// The largest subscript coefficient or constant magnitude the analysis
+/// admits: `solve::factored_tests` finds its exact integer elimination
+/// free of overflow up to it, while beyond it a solve can outgrow `i128`.
+const MAX_SUBSCRIPT_ENTRY: u64 = 1 << 31;
+
+/// Refuses a nest whose body holds a subscript with an `H` or `c` entry
+/// beyond [`MAX_SUBSCRIPT_ENTRY`] in magnitude: one pass over the
+/// references, allocating only for the error.
+fn check_subscript_range(nest: &LoopNest) -> Result<(), OptimizeError> {
+    let wide = |a: i64| a.unsigned_abs() > MAX_SUBSCRIPT_ENTRY;
+    let mut refused = None;
+    let mut check = |r: &ArrayRef| {
+        let mut dims = r.dims().iter();
+        if refused.is_none()
+            && dims.any(|d| wide(d.constant_part()) || d.terms().any(|t| wide(t.1)))
+        {
+            refused = Some(format!(
+                "subscript {r} has an entry beyond ±2^31, outside the exact analysis's range"
+            ));
+        }
+    };
+    for stmt in nest.body() {
+        stmt.rhs().visit_refs(&mut check);
+        if let Lhs::Array(a) = stmt.lhs() {
+            check(a);
+        }
+    }
+    refused.map_or(Ok(()), |why| Err(OptimizeError::InvalidNest(why)))
+}
 
 /// Cache key for [`CostTables`]: the unrolled loop positions, their
 /// per-dimension bounds, and the cache line size in elements.
@@ -85,9 +115,10 @@ impl<'a> AnalysisCtx<'a> {
     /// [`AnalysisCtx::observed`] with the null sink, metrics disabled
     /// and a token that never fires.
     ///
-    /// Malformed nests (structural validation failures, zero loops) are
-    /// rejected here, which is what makes every downstream pass — and
-    /// every public `optimize*` wrapper — panic-free on bad input.
+    /// Malformed nests (structural validation failures, subscript
+    /// entries beyond `±2^31`, zero loops) are rejected here, which is
+    /// what makes every downstream pass — and every public `optimize*`
+    /// wrapper — panic-free on bad input.
     pub fn new(
         nest: &'a LoopNest,
         machine: &'a MachineModel,
@@ -118,6 +149,7 @@ impl<'a> AnalysisCtx<'a> {
         cancel: CancelToken,
     ) -> Result<AnalysisCtx<'a>, OptimizeError> {
         nest.validate().map_err(OptimizeError::InvalidNest)?;
+        check_subscript_range(nest)?;
         if nest.depth() == 0 {
             return Err(OptimizeError::EmptyNest);
         }
@@ -443,5 +475,22 @@ mod tests {
             AnalysisCtx::new(&nest, &machine),
             Err(OptimizeError::InvalidNest(_))
         ));
+    }
+
+    #[test]
+    fn subscript_entries_beyond_2_pow_31_are_rejected_at_construction() {
+        // `h` lands in the def's `H`, `c` in the use's `c`.
+        let admitted = |h: i64, c: i64| {
+            let nest = NestBuilder::new("wide")
+                .array("A", &[8])
+                .loop_("I", 1, 4)
+                .stmt(&format!("A({h}*I) = A(I{c:+})"))
+                .build();
+            AnalysisCtx::new(&nest, &MachineModel::dec_alpha()).is_ok()
+        };
+        let edge = 1i64 << 31;
+        assert!(admitted(edge, 0) && admitted(-edge, 0) && admitted(1, edge) && admitted(1, -edge));
+        assert!(!admitted(edge + 1, 0) && !admitted(-edge - 1, 0));
+        assert!(!admitted(1, edge + 1) && !admitted(1, -edge - 1));
     }
 }

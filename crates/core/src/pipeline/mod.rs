@@ -67,7 +67,9 @@ use ujam_ir::transform::TransformError;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OptimizeError {
     /// The nest failed structural validation (duplicate loop variables,
-    /// undeclared arrays, rank mismatches, unbound subscript variables).
+    /// undeclared arrays, rank mismatches, unbound subscript variables),
+    /// or a subscript coefficient or constant exceeds `2^31` in
+    /// magnitude, beyond the range the exact analysis admits.
     InvalidNest(String),
     /// The nest has no loops, so there is nothing to unroll or jam.
     EmptyNest,

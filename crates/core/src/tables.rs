@@ -415,21 +415,9 @@ fn spatial_merge_point(
     for (p, &c) in sub_live.iter().enumerate() {
         residual -= h[(0, c)] * x[p];
     }
-    // A free unrolled loop in row 0: pick the smallest non-negative copy
-    // distance that brings the residue within the line.  The search is
-    // per-dimension bounded — with heterogeneous bounds a distance only
-    // counts if this loop's own axis can reach it.
-    for (d, &l) in space.loops().iter().enumerate() {
-        let a = h[(0, l)];
-        if a == 0 || sub_live.contains(&l) {
-            continue;
-        }
-        let chosen =
-            (0..=space.bounds()[d] as i64).find(|&xl| (residual - a * xl).abs() < line_elems)?;
-        point[d] = chosen as u32;
-        residual -= a * chosen;
-    }
-    // A free innermost loop in row 0 reduces the residue modulo |a|.
+    // No unrolled loop appears in row 0: `gss_table_in` sweeps those
+    // sets (`chained`).  A free innermost loop in row 0 reduces the
+    // residue modulo |a|.
     let inner = space.depth() - 1;
     let a_in = h[(0, inner)];
     if a_in != 0 && !sub_live.contains(&inner) {
@@ -539,11 +527,10 @@ fn rrs_tables_in(paths: &[SetPaths], space: &UnrollSpace) -> RrsTables {
                     // Solve H·x = c_m − c_j: the provider copy sits at
                     // `u' − x_unroll` and touches `x_inner` iterations
                     // earlier than the leader; it provides when it
-                    // touches no later.
-                    if let Some((x, inner_val)) = path.solve(&set.members()[m_idx].c, cj) {
-                        if inner_val >= 0 {
-                            points.extend(merge_point(&x));
-                        }
+                    // touches no later, as every merge here does (the
+                    // classify scan saw each pair, no reverse provider).
+                    if let Some((x, _)) = path.solve(&set.members()[m_idx].c, cj) {
+                        points.extend(merge_point(&x));
                     }
                 }
             }
@@ -653,11 +640,13 @@ fn reg_table_in(path: &SetPaths) -> Table {
             if i == j {
                 continue;
             }
-            // Provider below and earlier-or-equal in touch order.
+            // Provider below, and earlier-or-equal in touch order: a
+            // merge point's innermost part is nonnegative, since the
+            // classify scan saw each pair and no reverse provider.
             let Some((x, inner_val)) = path.solve(&si.c, &sj.c) else {
                 continue;
             };
-            if let Some(point) = merge_point(&x).filter(|_| inner_val >= 0) {
+            if let Some(point) = merge_point(&x) {
                 merges.push(Merge {
                     j,
                     i,

@@ -13,15 +13,6 @@ pub enum Dist {
 }
 
 impl Dist {
-    /// `true` if the component admits a strictly positive value, given that
-    /// the loop runs for `trip` iterations.
-    pub fn can_be_positive(self, trip: i64) -> bool {
-        match self {
-            Dist::Exact(k) => k > 0 && k < trip,
-            Dist::Any => trip > 1,
-        }
-    }
-
     /// `true` if the component admits zero.
     pub fn can_be_zero(self) -> bool {
         !matches!(self, Dist::Exact(k) if k != 0)

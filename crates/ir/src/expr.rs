@@ -79,19 +79,20 @@ impl Expr {
     /// All array references in evaluation (left-to-right) order.
     pub fn refs(&self) -> Vec<&ArrayRef> {
         let mut out = Vec::new();
-        self.collect_refs(&mut out);
+        self.visit_refs(&mut |r| out.push(r));
         out
     }
 
-    fn collect_refs<'a>(&'a self, out: &mut Vec<&'a ArrayRef>) {
+    /// Visits every array reference in evaluation order.
+    pub fn visit_refs<'a>(&'a self, f: &mut impl FnMut(&'a ArrayRef)) {
         match self {
-            Expr::Ref(r) => out.push(r),
+            Expr::Ref(r) => f(r),
             Expr::Scalar(_) | Expr::Const(_) => {}
             Expr::Bin(_, l, r) => {
-                l.collect_refs(out);
-                r.collect_refs(out);
+                l.visit_refs(f);
+                r.visit_refs(f);
             }
-            Expr::Neg(e) => e.collect_refs(out),
+            Expr::Neg(e) => e.visit_refs(f),
         }
     }
 

@@ -38,8 +38,8 @@
 //!   content-hash-sharded decision cache ([`shard`]), and admission
 //!   control (load-shedding `overloaded` replies, per-connection
 //!   in-flight and unflushed-output caps, idle/slow-loris read
-//!   timeouts).  TCP clients open with a versioned
-//!   `{"cmd":"hello"}` handshake ([`proto::PROTOCOL_VERSION`]).
+//!   timeouts).  Every socket client, TCP or Unix, opens with a
+//!   versioned `{"cmd":"hello"}` handshake ([`proto::PROTOCOL_VERSION`]).
 //!
 //! # Example
 //!

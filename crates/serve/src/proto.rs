@@ -37,15 +37,15 @@ use ujam_trace::json::{self, Value};
 
 use crate::cache::Decision;
 
-/// The wire-protocol version the TCP handshake negotiates.
+/// The wire-protocol version the socket handshake negotiates.
 ///
-/// A TCP connection's first line must be
+/// A socket connection's first line, over TCP or a Unix socket, must be
 /// `{"id":"...","cmd":"hello","version":1}`; the daemon answers
 /// `{"id":"...","ok":true,"protocol":1}` and only then accepts
 /// requests.  Unknown versions get a structured `bad_version` error and
-/// the connection closes.  Unix-socket and stdin clients are local and
-/// version-locked to their binary, so the handshake is optional there
-/// (but answered identically when sent).
+/// the connection closes.  The stdin loop needs no handshake: a pipe
+/// has one client, the parent that spawned the daemon (a hello sent
+/// there is answered identically).
 pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Which nest a request wants optimized.
@@ -105,7 +105,7 @@ pub enum ErrorKind {
     /// A frame exceeded the protocol's maximum line length and was
     /// discarded (see `MAX_LINE_BYTES`).
     FrameTooLong,
-    /// A TCP connection sent a request before the versioned hello.
+    /// A socket connection sent a request before the versioned hello.
     HandshakeRequired,
     /// The hello named a protocol version this daemon does not speak.
     BadVersion,

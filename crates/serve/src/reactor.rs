@@ -51,10 +51,11 @@
 //!   slow-loris guard and the fix for the blocking reader's
 //!   park-forever EOF edge.
 //!
-//! TCP connections must open with the versioned handshake
-//! `{"id":"h","cmd":"hello","version":1}` before anything else; Unix
-//! socket clients are grandfathered (the PR 4 protocol had no
-//! handshake) but may greet too.
+//! Every connection, TCP or Unix socket, must open with the versioned
+//! handshake `{"id":"h","cmd":"hello","version":1}` before anything
+//! else.  The transports differ only in who may connect: loopback TCP
+//! is open to every local user, a Unix socket to whoever its file
+//! permissions admit.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
@@ -112,7 +113,7 @@ impl Default for ReactorConfig {
 pub struct Transports {
     /// A bound TCP listener (clients must handshake).
     pub tcp: Option<TcpListener>,
-    /// A bound Unix-socket listener (handshake optional).
+    /// A bound Unix-socket listener (clients must handshake).
     pub unix: Option<UnixListener>,
 }
 
@@ -234,7 +235,19 @@ impl ConnStream {
             ConnStream::Unix(s) => s.write(buf),
         }
     }
+
+    fn set_nonblocking(&self) -> std::io::Result<()> {
+        match self {
+            ConnStream::Tcp(s) => s.set_nonblocking(true),
+            ConnStream::Unix(s) => s.set_nonblocking(true),
+        }
+    }
 }
+
+/// A bound listener's fd and its accept, which wraps each new socket in
+/// the listener's [`ConnStream`] variant: the only per-transport part of
+/// accepting.
+type Listener<'l> = (RawFd, Box<dyn Fn() -> std::io::Result<ConnStream> + 'l>);
 
 /// Per-connection reactor state: the framing buffer in, the reply
 /// buffer out, and the bookkeeping that keeps replies ordered.
@@ -257,8 +270,7 @@ struct Conn {
     awaiting_flush: Vec<TimelineState>,
     /// Frames handed to the worker queue and not yet answered.
     inflight: usize,
-    /// TCP connections must greet before anything else.
-    needs_hello: bool,
+    /// Whether the connection has completed the versioned hello.
     greeted: bool,
     read_closed: bool,
     last_read: Instant,
@@ -267,7 +279,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: ConnStream, needs_hello: bool, now: Instant) -> Conn {
+    fn new(stream: ConnStream, now: Instant) -> Conn {
         Conn {
             stream,
             decoder: LineDecoder::new(),
@@ -278,7 +290,6 @@ impl Conn {
             done: BTreeMap::new(),
             awaiting_flush: Vec::new(),
             inflight: 0,
-            needs_hello,
             greeted: false,
             read_closed: false,
             last_read: now,
@@ -378,18 +389,6 @@ fn commit_flushed(conn: &mut Conn, server: &Server) {
     }
 }
 
-/// What [`Reactor::pump`] decided to do with one frame.
-enum Routed {
-    /// Answered inline; reply already completed on the connection.
-    Inline,
-    /// A miss queued to the worker pool.  Boxed: a [`Job`] carries a
-    /// full [`TimelineState`], hundreds of bytes wider than the other
-    /// arms.
-    Queued(Box<Job>),
-    /// Answered inline *and* the daemon should begin shutting down.
-    InlineShutdown,
-}
-
 /// The event loop.  Borrows the server; worker threads are scoped
 /// inside [`run`](Reactor::run), so the reactor cannot outlive it.
 pub(crate) struct Reactor<'a> {
@@ -436,11 +435,20 @@ impl<'a> Reactor<'a> {
         let (wake_tx, mut wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
+        let mut listeners: Vec<Listener> = Vec::new();
         if let Some(l) = &transports.tcp {
             l.set_nonblocking(true)?;
+            listeners.push((
+                l.as_raw_fd(),
+                Box::new(|| Ok(ConnStream::Tcp(l.accept()?.0))),
+            ));
         }
         if let Some(l) = &transports.unix {
             l.set_nonblocking(true)?;
+            listeners.push((
+                l.as_raw_fd(),
+                Box::new(|| Ok(ConnStream::Unix(l.accept()?.0))),
+            ));
         }
         let workers = self.server.config().workers.max(1);
 
@@ -471,7 +479,7 @@ impl<'a> Reactor<'a> {
                 });
             }
 
-            let run = self.event_loop(&transports, &queue, &results, &mut wake_rx);
+            let run = self.event_loop(&listeners, &queue, &results, &mut wake_rx);
             queue.close();
             run
         })
@@ -479,7 +487,7 @@ impl<'a> Reactor<'a> {
 
     fn event_loop(
         &mut self,
-        transports: &Transports,
+        listeners: &[Listener],
         queue: &JobQueue,
         results: &Mutex<Vec<Done>>,
         wake_rx: &mut UnixStream,
@@ -500,8 +508,6 @@ impl<'a> Reactor<'a> {
             //    within a tick of a failed accept); then one slot per
             //    connection with interest derived from state.
             let mut fds = vec![PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
-            let mut tcp_slot = None;
-            let mut unix_slot = None;
             if self
                 .accept_resume
                 .is_some_and(|resume| Instant::now() >= resume)
@@ -509,15 +515,9 @@ impl<'a> Reactor<'a> {
                 self.accept_resume = None;
             }
             if !self.stopping && self.accept_resume.is_none() {
-                if let Some(l) = &transports.tcp {
-                    tcp_slot = Some(fds.len());
-                    fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
-                }
-                if let Some(l) = &transports.unix {
-                    unix_slot = Some(fds.len());
-                    fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
-                }
+                fds.extend(listeners.iter().map(|&(fd, _)| PollFd::new(fd, POLLIN)));
             }
+            let listener_slots = 1..fds.len();
             let mut conn_slots: Vec<(usize, u64)> = Vec::with_capacity(self.conns.len());
             for (&id, conn) in &self.conns {
                 let mut events = 0;
@@ -569,14 +569,9 @@ impl<'a> Reactor<'a> {
             self.metrics.queue_depth.set(self.depth as i64);
 
             // 3. Accept.
-            if let (Some(slot), Some(l)) = (tcp_slot, &transports.tcp) {
+            for (slot, (_, accept)) in listener_slots.zip(listeners) {
                 if fds[slot].revents != 0 {
-                    self.accept_tcp(l, now, tick);
-                }
-            }
-            if let (Some(slot), Some(l)) = (unix_slot, &transports.unix) {
-                if fds[slot].revents != 0 {
-                    self.accept_unix(l, now, tick);
+                    self.accept(accept, now, tick);
                 }
             }
 
@@ -644,46 +639,36 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    fn accept_tcp(&mut self, listener: &TcpListener, now: Instant, tick: Duration) {
+    /// Admits every connection pending on one listener.  A socket that
+    /// cannot be made nonblocking is dropped.  Any other accept error
+    /// (`EMFILE`, `ENFILE`, `ENOBUFS`, ...) is counted, and the
+    /// listeners sit out one tick.
+    fn accept(
+        &mut self,
+        accept: &dyn Fn() -> std::io::Result<ConnStream>,
+        now: Instant,
+        tick: Duration,
+    ) {
         loop {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if stream.set_nonblocking(true).is_err() {
+            match accept() {
+                Ok(stream) => {
+                    if stream.set_nonblocking().is_err() {
                         continue;
                     }
-                    self.admit(ConnStream::Tcp(stream), true, now);
+                    self.admit(stream, now);
                 }
                 Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == IoErrorKind::Interrupted => continue,
-                Err(_) => return self.accept_failed(now, tick),
+                Err(_) => {
+                    self.metrics.accept_errors.inc();
+                    self.accept_resume = Some(now + tick);
+                    return;
+                }
             }
         }
     }
 
-    fn accept_unix(&mut self, listener: &UnixListener, now: Instant, tick: Duration) {
-        loop {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.admit(ConnStream::Unix(stream), false, now);
-                }
-                Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == IoErrorKind::Interrupted => continue,
-                Err(_) => return self.accept_failed(now, tick),
-            }
-        }
-    }
-
-    /// An accept error other than `WouldBlock` (`EMFILE`, `ENFILE`,
-    /// `ENOBUFS`, ...): counted, and the listeners sit out one tick.
-    fn accept_failed(&mut self, now: Instant, tick: Duration) {
-        self.metrics.accept_errors.inc();
-        self.accept_resume = Some(now + tick);
-    }
-
-    fn admit(&mut self, mut stream: ConnStream, needs_hello: bool, now: Instant) {
+    fn admit(&mut self, mut stream: ConnStream, now: Instant) {
         if self.conns.len() >= self.rcfg.max_conns {
             // Over the connection cap: one structured line, then close.
             // The socket buffer of a fresh connection always has room
@@ -696,7 +681,7 @@ impl<'a> Reactor<'a> {
         }
         let id = self.next_conn_id;
         self.next_conn_id += 1;
-        self.conns.insert(id, Conn::new(stream, needs_hello, now));
+        self.conns.insert(id, Conn::new(stream, now));
         self.metrics.accepted.inc();
         self.metrics.open.set(self.conns.len() as i64);
     }
@@ -744,33 +729,27 @@ impl<'a> Reactor<'a> {
             let Some(frame) = conn.decoder.next_frame() else {
                 return;
             };
-            match self.route(id, frame) {
-                Routed::Inline => {}
-                Routed::Queued(job) => {
-                    self.depth += 1;
-                    self.metrics.queue_depth.set(self.depth as i64);
-                    self.metrics.queue_peak.set_max(self.depth as i64);
-                    queue.push(*job);
-                }
-                Routed::InlineShutdown => {
-                    self.stopping = true;
-                    self.stop_deadline = Some(Instant::now() + Duration::from_millis(500));
-                }
+            if let Some(job) = self.route(id, frame) {
+                self.depth += 1;
+                self.metrics.queue_depth.set(self.depth as i64);
+                self.metrics.queue_peak.set_max(self.depth as i64);
+                queue.push(*job);
             }
         }
     }
 
     /// Decides one frame's fate: an inline reply (handshake, admin,
-    /// framing errors, cache hits, front-stage errors, shed misses) or
-    /// a queued miss.
-    fn route(&mut self, id: u64, frame: Frame) -> Routed {
+    /// framing errors, cache hits, front-stage errors, shed misses),
+    /// completed on the connection, or a miss to queue.  The job is
+    /// boxed: it carries a full [`TimelineState`].
+    fn route(&mut self, id: u64, frame: Frame) -> Option<Box<Job>> {
         let rcfg = self.rcfg;
         let at_capacity = self.depth >= rcfg.max_queue;
         let conn = self.conns.get_mut(&id).expect("routed conn exists");
         // Blank lines get no reply and no reply slot, matching the
         // stdin loop.
         if frame == Frame::Empty {
-            return Routed::Inline;
+            return None;
         }
         let seq = conn.next_seq;
         conn.next_seq += 1;
@@ -779,15 +758,15 @@ impl<'a> Reactor<'a> {
             bad @ (Frame::Oversized { .. } | Frame::InvalidUtf8) => {
                 let (reply, state) = self.server.answer_bad_frame(&bad, conn.last_read);
                 conn.complete(seq, reply, Some(state));
-                return Routed::Inline;
+                return None;
             }
             Frame::Line(line) => line,
         };
 
-        // The handshake gate: a TCP connection's first line must be a
+        // The handshake gate: a connection's first line must be a
         // well-formed hello at the daemon's protocol version.
         let parsed = Incoming::parse(&line);
-        if conn.needs_hello && !conn.greeted {
+        if !conn.greeted {
             match parsed {
                 Ok(Incoming::Admin(
                     admin @ AdminRequest {
@@ -816,21 +795,17 @@ impl<'a> Reactor<'a> {
                     conn.close_after_flush = true;
                 }
             }
-            return Routed::Inline;
+            return None;
         }
 
         // Admin lines are answered on the reactor thread: they must
         // work even when the queue is saturated (that is when you most
-        // need `stats`), and `shutdown` must flip the flag before more
-        // work is admitted.
+        // need `stats`).  `shutdown` flips the server's flag, which the
+        // event loop reads once this iteration's frames are routed.
         let parsed = match parsed {
             Ok(Incoming::Admin(admin)) => {
                 conn.complete(seq, self.server.handle_admin(&admin), None);
-                return if admin.cmd == AdminCmd::Shutdown {
-                    Routed::InlineShutdown
-                } else {
-                    Routed::Inline
-                };
+                return None;
             }
             Ok(Incoming::Optimize(req)) => Ok(req),
             Err(reply) => Err(reply),
@@ -850,7 +825,7 @@ impl<'a> Reactor<'a> {
                 match self.server.front(parsed, &mut state, &mut self.key) {
                     Front::Answered(reply) => {
                         conn.complete(seq, reply, Some(state));
-                        return Routed::Inline;
+                        return None;
                     }
                     Front::Miss(miss) => Work::Miss(miss),
                 }
@@ -874,11 +849,11 @@ impl<'a> Reactor<'a> {
             ));
             let reply = overloaded_reply(Some(work.id()), rcfg.retry_ms).render();
             conn.complete(seq, reply, Some(state));
-            return Routed::Inline;
+            return None;
         }
         conn.inflight += 1;
         state.stamp_enqueued();
-        Routed::Queued(Box::new(Job {
+        Some(Box::new(Job {
             conn: id,
             seq,
             work,

@@ -34,7 +34,10 @@
 //!
 //! `handle_line` answers one request string, and `run` is the
 //! newline-delimited stdin/stdout daemon loop: it answers one line at a
-//! time, in order, so a duplicate line is always a cache hit.
+//! time, in order, so a duplicate line is always a cache hit.  The
+//! stdin loop takes requests without a handshake, since a pipe has one
+//! client, its parent; every socket connection the reactor serves, TCP
+//! or Unix, must open with the versioned hello.
 //!
 //! Every failure mode is a structured reply: the daemon never panics on
 //! a request, and a client that writes `n` lines always reads exactly
@@ -684,7 +687,7 @@ impl Server {
     /// or a `{"cmd":"shutdown"}` line.  Lines are split by the
     /// reactor's [`LineDecoder`]: blank lines are ignored, and an
     /// oversized or non-UTF-8 line is answered with a structured error
-    /// like every other line.
+    /// like every other line.  No handshake is required.
     ///
     /// One read can deliver hundreds of piped lines, answered one after
     /// another, so each frame's timeline opens when the frame is

@@ -12,7 +12,7 @@
 //! ujam schedule <loop> [options]     # list-schedule the optimized body
 //! ujam serve [options]               # NDJSON optimization daemon
 //! ujam request --socket PATH <json>  # send request lines to a daemon
-//! ujam request --tcp ADDR <json>...  # same over TCP (handshakes first)
+//! ujam request --tcp ADDR <json>...  # same over TCP
 //! ujam stats --socket PATH [--json]  # query a daemon's metrics snapshot
 //! ujam stats --tcp ADDR [--json]     # same over TCP
 //! ujam flight --socket PATH          # dump the daemon's flight recorder
@@ -174,8 +174,8 @@ behind a bounded queue (--max-queue; full = structured `overloaded`
 replies with retry_ms), per-connection in-flight caps (--max-inflight),
 a connection cap (--max-conns), idle/slow-loris read timeouts
 (--read-timeout-ms, default 30000), and an N-way content-hash-sharded
-decision cache (--shards).  TCP clients must open with the versioned
-handshake {\"id\":\"h\",\"cmd\":\"hello\",\"version\":1}.  `--tcp 127.0.0.1:0`
+decision cache (--shards).  Every socket client, TCP or Unix, must open
+with the versioned handshake {\"id\":\"h\",\"cmd\":\"hello\",\"version\":1}.  `--tcp 127.0.0.1:0`
 picks a free port; the bound address is announced on stderr as
 `serve: tcp listening on ADDR`.  A {\"id\":\"q\",\"cmd\":\"shutdown\"}
 admin line stops the daemon cleanly; every line, admin lines included,
@@ -194,8 +194,8 @@ a Chrome trace-event file when the daemon exits, at stdin EOF or on
 shutdown (loadable in Perfetto).
 
 `request` sends raw NDJSON request lines to a serving daemon (Unix
-socket or TCP; over TCP the handshake is performed first and its ack
-printed only with --show-hello) and prints one reply line per request.
+socket or TCP; the handshake is performed first and its ack printed
+only with --show-hello) and prints one reply line per request.
 `stats` asks the daemon for its metrics snapshot ({\"id\":...,\"cmd\":\"stats\"})
 and renders it as a table, or as the raw versioned JSON snapshot with
 --json.  The table opens with the cache hit-rate computed from the
@@ -491,9 +491,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
             }
             let exchange = daemon_exchange(&endpoint, &lines)?;
             if show_hello {
-                if let Some(hello) = &exchange.hello {
-                    outln!("{hello}");
-                }
+                outln!("{}", exchange.hello);
             }
             for reply in &exchange.replies {
                 outln!("{reply}");
@@ -518,46 +516,16 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     }
                 }
             }
-            let line = if series {
-                "{\"id\":\"stats-cli\",\"cmd\":\"stats\",\"series\":true}"
-            } else {
-                "{\"id\":\"stats-cli\",\"cmd\":\"stats\"}"
-            };
-            let exchange = daemon_exchange(&endpoint, &[line.to_string()])?;
-            let reply = exchange
-                .replies
-                .first()
-                .ok_or("daemon closed the connection without replying")?
-                .clone();
-            let parsed =
-                json::parse(&reply).map_err(|e| format!("daemon sent unparsable reply: {e}"))?;
-            if parsed.get("ok") != Some(&Value::Bool(true)) {
-                return Err(format!("daemon refused the stats query: {reply}").into());
-            }
-            let stats = parsed
-                .get("stats")
-                .ok_or_else(|| format!("reply has no stats field: {reply}"))?;
-            if json_out && series {
-                // The series document, byte-for-byte as the daemon
-                // rendered it (it precedes the stats field, so a
-                // balanced scan rather than a suffix slice).
-                let doc = extract_field_object(&reply, "series")
-                    .ok_or_else(|| format!("reply has no series field: {reply}"))?;
-                outln!("{doc}");
-            } else if json_out {
-                // The reply embeds the snapshot verbatim as its last
-                // field, so the raw document is everything from
-                // `"stats":` to the closing brace.
-                let at = reply.find("\"stats\":").expect("field located above");
-                outln!("{}", &reply[at + "\"stats\":".len()..reply.len() - 1]);
+            let extra = if series { ",\"series\":true" } else { "" };
+            let reply = admin_query(&endpoint, "stats", extra)?;
+            if json_out {
+                // The series document with --series, else the snapshot.
+                outln!("{}", reply.raw(if series { "series" } else { "stats" })?);
             } else {
                 if series {
-                    let doc = parsed
-                        .get("series")
-                        .ok_or_else(|| format!("reply has no series field: {reply}"))?;
-                    out!("{}", render_series_human(doc));
+                    out!("{}", render_series_human(reply.field("series")?));
                 }
-                out!("{}", render_stats_human(stats, verbose));
+                out!("{}", render_stats_human(reply.field("stats")?, verbose));
             }
             Ok(())
         }
@@ -576,32 +544,12 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     }
                 }
             }
-            let line = if slow_only {
-                "{\"id\":\"flight-cli\",\"cmd\":\"flight\",\"slow_only\":true}"
-            } else {
-                "{\"id\":\"flight-cli\",\"cmd\":\"flight\"}"
-            };
-            let exchange = daemon_exchange(&endpoint, &[line.to_string()])?;
-            let reply = exchange
-                .replies
-                .first()
-                .ok_or("daemon closed the connection without replying")?
-                .clone();
-            let parsed =
-                json::parse(&reply).map_err(|e| format!("daemon sent unparsable reply: {e}"))?;
-            if parsed.get("ok") != Some(&Value::Bool(true)) {
-                return Err(format!("daemon refused the flight query: {reply}").into());
-            }
-            let flight = parsed
-                .get("flight")
-                .ok_or_else(|| format!("reply has no flight field: {reply}"))?;
+            let extra = if slow_only { ",\"slow_only\":true" } else { "" };
+            let reply = admin_query(&endpoint, "flight", extra)?;
             if json_out {
-                // The flight document is the reply's last field,
-                // embedded verbatim.
-                let at = reply.find("\"flight\":").expect("field located above");
-                outln!("{}", &reply[at + "\"flight\":".len()..reply.len() - 1]);
+                outln!("{}", reply.raw("flight")?);
             } else {
-                out!("{}", render_flight_human(flight, slow_only));
+                out!("{}", render_flight_human(reply.field("flight")?, slow_only));
             }
             Ok(())
         }
@@ -731,55 +679,45 @@ fn endpoint_options<'a>(
     }
 }
 
+/// A connected daemon socket, Unix or TCP.
+trait Socket: std::io::Read + Write {}
+impl<S: std::io::Read + Write> Socket for S {}
+
 /// One client conversation's worth of replies.
 struct Exchange {
-    /// The handshake acknowledgment (TCP only).
-    hello: Option<String>,
+    /// The handshake acknowledgment.
+    hello: String,
     /// One reply line per request line, in order.
     replies: Vec<String>,
 }
 
 /// Sends NDJSON lines to the daemon at `endpoint` and reads one reply
-/// line per request.  Over TCP the versioned hello handshake is sent
-/// first and its acknowledgment verified.
+/// line per request.  The versioned hello handshake is sent first and
+/// its acknowledgment verified.
 fn daemon_exchange(endpoint: &Endpoint, lines: &[String]) -> Result<Exchange, String> {
-    let (reader, mut writer): (Box<dyn std::io::Read>, Box<dyn Write>) = match endpoint {
+    let mut stream: Box<dyn Socket> = match endpoint {
         Endpoint::Unix(path) => {
-            let stream = std::os::unix::net::UnixStream::connect(path).map_err(|e| {
+            Box::new(std::os::unix::net::UnixStream::connect(path).map_err(|e| {
                 format!("cannot connect to {path:?}: {e} (is `ujam serve` running?)")
-            })?;
-            let w = stream
-                .try_clone()
-                .map_err(|e| format!("socket error: {e}"))?;
-            (Box::new(stream), Box::new(w))
+            })?)
         }
-        Endpoint::Tcp(addr) => {
-            let stream = std::net::TcpStream::connect(addr).map_err(|e| {
-                format!("cannot connect to {addr:?}: {e} (is `ujam serve --tcp` running?)")
-            })?;
-            let w = stream
-                .try_clone()
-                .map_err(|e| format!("socket error: {e}"))?;
-            (Box::new(stream), Box::new(w))
-        }
+        Endpoint::Tcp(addr) => Box::new(std::net::TcpStream::connect(addr).map_err(|e| {
+            format!("cannot connect to {addr:?}: {e} (is `ujam serve --tcp` running?)")
+        })?),
     };
-    let handshake = matches!(endpoint, Endpoint::Tcp(_));
-    let mut payload = String::new();
-    if handshake {
-        payload.push_str(&format!(
-            "{{\"id\":\"hello-cli\",\"cmd\":\"hello\",\"version\":{}}}\n",
-            ujam::serve::PROTOCOL_VERSION
-        ));
-    }
+    let mut payload = format!(
+        "{{\"id\":\"hello-cli\",\"cmd\":\"hello\",\"version\":{}}}\n",
+        ujam::serve::PROTOCOL_VERSION
+    );
     for line in lines {
         payload.push_str(line);
         payload.push('\n');
     }
-    writer
+    stream
         .write_all(payload.as_bytes())
-        .and_then(|()| writer.flush())
+        .and_then(|()| stream.flush())
         .map_err(|e| format!("cannot send request: {e}"))?;
-    let mut reader = std::io::BufReader::new(reader);
+    let mut reader = std::io::BufReader::new(stream);
     let mut read_line = || -> Result<String, String> {
         let mut reply = String::new();
         reader
@@ -790,15 +728,10 @@ fn daemon_exchange(endpoint: &Endpoint, lines: &[String]) -> Result<Exchange, St
         }
         Ok(reply.trim_end().to_string())
     };
-    let hello = if handshake {
-        let ack = read_line()?;
-        if !ack.contains("\"ok\":true") {
-            return Err(format!("daemon refused the handshake: {ack}"));
-        }
-        Some(ack)
-    } else {
-        None
-    };
+    let hello = read_line()?;
+    if !hello.contains("\"ok\":true") {
+        return Err(format!("daemon refused the handshake: {hello}"));
+    }
     let mut replies = Vec::with_capacity(lines.len());
     for _ in lines {
         replies.push(read_line()?);
@@ -806,10 +739,46 @@ fn daemon_exchange(endpoint: &Endpoint, lines: &[String]) -> Result<Exchange, St
     Ok(Exchange { hello, replies })
 }
 
+/// An admin query's reply, checked `"ok":true`.
+struct AdminReply {
+    /// The reply line as the daemon sent it.
+    line: String,
+    /// The reply, parsed.
+    parsed: Value,
+}
+
+impl AdminReply {
+    /// The reply's `name` field, parsed.
+    fn field(&self, name: &str) -> Result<&Value, String> {
+        (self.parsed.get(name)).ok_or_else(|| format!("reply has no {name} field: {}", self.line))
+    }
+
+    /// The reply's `name` object, byte-for-byte as the daemon embedded
+    /// it.
+    fn raw(&self, name: &str) -> Result<&str, String> {
+        extract_field_object(&self.line, name)
+            .ok_or_else(|| format!("reply has no {name} field: {}", self.line))
+    }
+}
+
+/// Sends the admin line `{"id":"<cmd>-cli","cmd":"<cmd>"<extra>}` to
+/// the daemon at `endpoint` and checks the reply: it parses, says
+/// `"ok":true` and carries the field named `cmd`.
+fn admin_query(endpoint: &Endpoint, cmd: &str, extra: &str) -> Result<AdminReply, String> {
+    let query = format!("{{\"id\":\"{cmd}-cli\",\"cmd\":\"{cmd}\"{extra}}}");
+    let line = daemon_exchange(endpoint, &[query])?.replies.remove(0);
+    let parsed = json::parse(&line).map_err(|e| format!("daemon sent unparsable reply: {e}"))?;
+    if parsed.get("ok") != Some(&Value::Bool(true)) {
+        return Err(format!("daemon refused the {cmd} query: {line}"));
+    }
+    let reply = AdminReply { line, parsed };
+    reply.field(cmd)?;
+    Ok(reply)
+}
+
 /// Slices the embedded object value of `"field":` out of a rendered
 /// reply, byte-for-byte, by balanced-brace scan (string- and
-/// escape-aware).  Used when the field is not the reply's last — a
-/// suffix slice only works for trailing fields.
+/// escape-aware), wherever the field sits in the reply.
 fn extract_field_object<'r>(reply: &'r str, field: &str) -> Option<&'r str> {
     let key = format!("\"{field}\":");
     let start = reply.find(&key)? + key.len();

@@ -284,10 +284,11 @@ fn admin_lines_without_an_id_are_refused_and_serving_goes_on() {
     assert!(!server.shutdown_requested());
 }
 
-/// A source whose subscript coefficients sit near the `i64` limit makes
-/// the analysis's exact arithmetic overflow; the overflow panics rather
-/// than wrapping into a wrong decision, the request gets exactly one
-/// reply, and the request after it is answered.
+/// A source whose subscript coefficients sit near the `i64` limit is
+/// outside the range the analysis's exact arithmetic admits: the
+/// request gets exactly one reply, a structured `invalid_nest` refusal
+/// made before any elimination runs (not a caught overflow panic), and
+/// the request after it is answered.
 #[test]
 fn arithmetic_overflow_in_the_analysis_ends_in_one_reply() {
     let (c1, c2) = ("9000000000000000000", "8999999999999999999");
@@ -318,6 +319,8 @@ fn arithmetic_overflow_in_the_analysis_ends_in_one_reply() {
     let replies: Vec<&str> = text.lines().collect();
     assert_eq!(replies.len(), 2, "one reply per line: {text}");
     assert!(replies[0].contains(r#""id":"o""#), "{text}");
+    assert!(replies[0].contains(r#""ok":false"#), "{text}");
+    assert!(replies[0].contains(r#""kind":"invalid_nest""#), "{text}");
     assert!(replies[1].contains(r#""id":"k""#), "{text}");
     assert!(replies[1].contains(r#""ok":true"#), "{text}");
 }

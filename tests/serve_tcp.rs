@@ -621,28 +621,37 @@ fn admin_probes_interleaved_with_requests_do_not_perturb_replies() {
     );
 }
 
-/// The Unix socket still speaks the PR 4 protocol — no handshake — now
-/// through the same event loop, and a client that connects and leaves
-/// without sending anything no longer wedges anything.
+/// The Unix socket speaks the one dialect, through the same event loop:
+/// a ghost client that connects and leaves wedges nothing, a request
+/// before the hello gets one `handshake_required` reply and the
+/// connection closes after its flush, a wrong version gets
+/// `bad_version` and closes, and after a valid hello the same request
+/// is answered.
 #[test]
-fn unix_socket_keeps_the_legacy_protocol_through_the_reactor() {
+fn unix_socket_requires_the_versioned_hello() {
     use std::os::unix::net::{UnixListener, UnixStream};
-    let dir = std::env::temp_dir().join(format!("ujam-serve-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let path = dir.join("reactor.sock");
+    let path = std::env::temp_dir().join(format!("ujam-reactor-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let listener = UnixListener::bind(&path).expect("bind unix socket");
+    // Writes `text` in one write and reads reply lines until the daemon
+    // closes the connection.
+    let exchange = |text: String| -> Vec<String> {
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        stream.write_all(text.as_bytes()).expect("send");
+        BufReader::new(stream)
+            .lines()
+            .map_while(Result::ok)
+            .collect()
+    };
+    let request = "{\"id\":\"u\",\"kernel\":\"dmxpy1\"}";
+    let wrong = "{\"id\":\"v\",\"cmd\":\"hello\",\"version\":9}";
+    let bye = "{\"id\":\"bye\",\"cmd\":\"shutdown\"}";
 
-    let server = Server::new(
-        ServeConfig {
-            workers: 2,
-            cache_capacity: 16,
-            shards: 2,
-            ..ServeConfig::default()
-        },
-        ujam::trace::null_sink(),
-    );
-    std::thread::scope(|scope| {
+    let server = Server::new(ServeConfig::default(), ujam::trace::null_sink());
+    let (refused, wrong, greeted) = std::thread::scope(|scope| {
         let daemon = scope.spawn(|| {
             server
                 .run_reactor(
@@ -654,33 +663,39 @@ fn unix_socket_keeps_the_legacy_protocol_through_the_reactor() {
                 )
                 .expect("reactor runs until shutdown");
         });
-
-        // A ghost: connects, says nothing, leaves.  Pre-reactor this
-        // parked a daemon thread forever.
+        // A ghost: connects, says nothing, leaves.
         drop(UnixStream::connect(&path).expect("ghost connects"));
-
-        // A legacy client: no handshake, request answered directly.
-        let stream = UnixStream::connect(&path).expect("connect");
-        let mut writer = stream.try_clone().expect("clone");
-        writer
-            .write_all(b"{\"id\":\"legacy\",\"kernel\":\"dmxpy1\"}\n")
-            .expect("send");
-        let mut reader = BufReader::new(stream);
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("reply");
-        assert!(reply.contains("\"ok\":true"), "{reply}");
-        assert!(reply.contains("\"id\":\"legacy\""), "{reply}");
-
-        writer
-            .write_all(b"{\"id\":\"bye\",\"cmd\":\"shutdown\"}\n")
-            .expect("send shutdown");
-        let mut ack = String::new();
-        reader.read_line(&mut ack).expect("shutdown ack");
-        assert!(ack.contains("\"shutdown\":true"), "{ack}");
+        let replies = (
+            exchange(format!("{request}\n{HELLO}\n")),
+            exchange(format!("{wrong}\n{request}\n")),
+            // The daemon closes every socket as it exits.
+            exchange(format!("{HELLO}\n{request}\n{bye}\n")),
+        );
         daemon.join().expect("daemon exits cleanly");
+        replies
     });
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
+
+    // Each connection's replies, by prefix: the hello after the refused
+    // request is never answered.
+    let expect = |replies: &[String], prefixes: &[&str]| {
+        assert_eq!(replies.len(), prefixes.len(), "{replies:?}");
+        for (reply, prefix) in replies.iter().zip(prefixes) {
+            assert!(reply.starts_with(prefix), "{replies:?}");
+        }
+    };
+    let refusal = |id, kind| format!(r#"{{"id":"{id}","ok":false,"error":{{"kind":"{kind}""#);
+    expect(&refused, &[&refusal("u", "handshake_required")]);
+    expect(&wrong, &[&refusal("v", "bad_version")]);
+    let ack = format!(r#"{{"id":"h","ok":true,"protocol":{PROTOCOL_VERSION}}}"#);
+    expect(
+        &greeted,
+        &[
+            &ack,
+            r#"{"id":"u","ok":true"#,
+            r#"{"id":"bye","ok":true,"shutdown":true}"#,
+        ],
+    );
 }
 
 /// Cache hits answered on the reactor thread still respect the
