@@ -167,6 +167,14 @@ printf '%s\n' \
 grep -q '"kind":"invalid_nest"' /tmp/ujam_serve_wide.ndjson
 if grep -q 'panicked' /tmp/ujam_serve_wide.log; then exit 1; fi
 
+# Wide loop bounds: a span beyond i64::MAX would wrap the trip count,
+# so the bounds are refused like the subscripts, with no panic.
+printf '%s\n' \
+  '{"id":"b","source":"      DIMENSION A(8,8), B(8,8)\n      DO I = -9000000000000000000, 9000000000000000000\n      DO J = 1, 4\n      A(I,J) = B(I,J) + B(I+1,J)\n      ENDDO\n      ENDDO\n      END"}' \
+  | ./target/release/ujam serve --workers 1 > /tmp/ujam_serve_bounds.ndjson 2> /tmp/ujam_serve_bounds.log
+grep -q '"kind":"invalid_nest"' /tmp/ujam_serve_bounds.ndjson
+if grep -q 'panicked' /tmp/ujam_serve_bounds.log; then exit 1; fi
+
 # TCP smoke: the same daemon over the event-loop TCP front end.  Bind
 # port 0 and discover the chosen port from the daemon's stderr line,
 # run the three-request contract through `ujam request` (which opens

@@ -20,7 +20,7 @@
 //! A `deep_build` row times `build` and `build_reg` once more on the
 //! deep kernel `assemble4` over the space `compile_suite` compiles it in
 //! (`SelectLoops` at `max_unroll_loops: 0`, 729 points), where most
-//! register tables leave the closed form.
+//! register tables take the sweep.
 //!
 //! Emits the measurements as machine-readable JSON (default
 //! `BENCH_search.json` at the repository root, override with

@@ -16,22 +16,27 @@ use ujam_trace::{null_sink, TraceRecord, TraceSink};
 /// The largest subscript coefficient or constant magnitude the analysis
 /// admits: `solve::factored_tests` finds its exact integer elimination
 /// free of overflow up to it, while beyond it a solve can outgrow `i128`.
+/// Loop bounds are held to it too, so a trip count stays below 2^33.
 const MAX_SUBSCRIPT_ENTRY: u64 = 1 << 31;
 
-/// Refuses a nest whose body holds a subscript with an `H` or `c` entry
-/// beyond [`MAX_SUBSCRIPT_ENTRY`] in magnitude: one pass over the
+/// Refuses a nest with a loop bound (whose trip count could wrap), or a
+/// body subscript with an `H` or `c` entry, beyond
+/// [`MAX_SUBSCRIPT_ENTRY`] in magnitude: one pass over the loops and the
 /// references, allocating only for the error.
-fn check_subscript_range(nest: &LoopNest) -> Result<(), OptimizeError> {
+fn check_ranges(nest: &LoopNest) -> Result<(), OptimizeError> {
     let wide = |a: i64| a.unsigned_abs() > MAX_SUBSCRIPT_ENTRY;
-    let mut refused = None;
+    let beyond = "beyond ±2^31, outside the exact analysis's range";
+    let mut refused = nest
+        .loops()
+        .iter()
+        .find(|l| wide(l.lower()) || wide(l.upper()))
+        .map(|l| format!("loop {} has a bound {beyond}", l.var()));
     let mut check = |r: &ArrayRef| {
         let mut dims = r.dims().iter();
         if refused.is_none()
             && dims.any(|d| wide(d.constant_part()) || d.terms().any(|t| wide(t.1)))
         {
-            refused = Some(format!(
-                "subscript {r} has an entry beyond ±2^31, outside the exact analysis's range"
-            ));
+            refused = Some(format!("subscript {r} has an entry {beyond}"));
         }
     };
     for stmt in nest.body() {
@@ -149,7 +154,7 @@ impl<'a> AnalysisCtx<'a> {
         cancel: CancelToken,
     ) -> Result<AnalysisCtx<'a>, OptimizeError> {
         nest.validate().map_err(OptimizeError::InvalidNest)?;
-        check_subscript_range(nest)?;
+        check_ranges(nest)?;
         if nest.depth() == 0 {
             return Err(OptimizeError::EmptyNest);
         }
@@ -492,5 +497,25 @@ mod tests {
         assert!(admitted(edge, 0) && admitted(-edge, 0) && admitted(1, edge) && admitted(1, -edge));
         assert!(!admitted(edge + 1, 0) && !admitted(-edge - 1, 0));
         assert!(!admitted(1, edge + 1) && !admitted(1, -edge - 1));
+    }
+
+    #[test]
+    fn loop_bounds_beyond_2_pow_31_are_rejected_at_construction() {
+        let admitted = |lower: i64, upper: i64| {
+            let nest = NestBuilder::new("wide")
+                .array("A", &[8, 8])
+                .loop_("J", 1, 4)
+                .loop_("I", lower, upper)
+                .stmt("A(I,J) = A(I,J) + 1.0")
+                .build();
+            AnalysisCtx::new(&nest, &MachineModel::dec_alpha()).is_ok()
+        };
+        let edge = 1i64 << 31;
+        assert!(admitted(-edge, edge) && admitted(1, edge) && admitted(-edge, 1));
+        assert!(!admitted(1, edge + 1) && !admitted(-edge - 1, 1));
+        assert!(!admitted(
+            -9_000_000_000_000_000_000,
+            9_000_000_000_000_000_000
+        ));
     }
 }

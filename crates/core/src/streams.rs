@@ -14,8 +14,9 @@
 //! oracles.  The `*_sums` functions give the same counts at *every*
 //! offset from one sweep over the unroll box (the register sweep skips
 //! the loops that only repeat copies, see [`ugs_registers_sums`]) — that
-//! is what the exact-fallback tables of [`crate::tables`] are built
-//! from, and tests pin them to the oracles bitwise.
+//! is what the swept tables of [`crate::tables`] are built from (every
+//! register table outside the GTS path), and tests pin them to the
+//! oracles bitwise.
 
 use crate::space::UnrollSpace;
 use std::collections::BTreeMap;
@@ -354,7 +355,8 @@ pub fn ugs_registers_at(set: &UgsSet, space: &UnrollSpace, u: &[u32], depth: usi
 }
 
 /// [`ugs_registers_at`] at every offset of `space`, in flat (row-major)
-/// order — the exact-fallback register table's sums.
+/// order — the register table's sums ([`crate::tables::reg_table`]) for
+/// every set that is not an invariant set on the GTS path.
 ///
 /// Two set shapes skip part of the sweep:
 ///

@@ -14,18 +14,17 @@
 //! Scope: like the paper (§3.5, §5), the closed-form table construction
 //! targets **separable SIV** references; [`CostTables::siv`] reports
 //! whether a nest qualifies.  Where the up-set region structure breaks
-//! (line chains, reverse providers, mixed-sign merges, provider
-//! switches, and distinct copy offsets that give the same copy),
-//! construction falls back to exact tabulation: one sweep per set over
-//! the unroll box ([`streams::ugs_registers_sums`] and its siblings)
-//! yields every `Sum` value, stored directly ([`Table::from_sums`]) —
-//! see DESIGN.md §5.
+//! (line chains, reverse providers, mixed-sign merges, and distinct copy
+//! offsets that give the same copy), construction tabulates exactly
+//! instead: one sweep per set over the unroll box
+//! ([`streams::gss_count_sums`] and its siblings) yields every `Sum`
+//! value, stored directly ([`Table::from_sums`]) — see DESIGN.md §5.
 //!
-//! The register table ([`reg_table`]) has five paths: the closed form;
-//! the GTS table for invariant sets (one register per stream); and,
-//! inside the sweep, zero for all-def sets, a sweep over the live loops
-//! only for def-free sets with self-merge loops, and the full sweep for
-//! the rest.
+//! The register table ([`reg_table`]) has two constructions: the GTS
+//! table for invariant sets (one register per stream), and for every
+//! other set one sweep ([`streams::ugs_registers_sums`]), which returns
+//! zero for all-def sets and sweeps only the live loops of def-free sets
+//! with self-merge loops.
 //!
 //! Every family reads one merge analysis per (set, space), built before
 //! any table by one scan of the set's member pairs: the path flags
@@ -87,14 +86,14 @@ struct SetPaths<'s> {
     copies_distinct: bool,
     /// A merge offset above in one unrolled loop and below in another:
     /// the shared stream lies in both boxes and neither up-set removes
-    /// it, so every up-set construction sweeps.
+    /// it, so every up-set construction (GTS, GSS, RRS) sweeps.
     mixed_sign: bool,
     /// A mixed-sign merge, or a *reverse provider* — a reference whose
     /// copy at a strictly higher unroll offset touches the shared cells
     /// strictly earlier.  Either makes absorption depend on the query
-    /// box, so the RRS and register tables sweep (DESIGN.md §5).  An
-    /// invariant set's innermost components are all zero, so it never
-    /// has a reverse provider.
+    /// box, so the RRS table sweeps (DESIGN.md §5).  An invariant set's
+    /// innermost components are all zero, so it never has a reverse
+    /// provider.
     from_above: bool,
     /// Offsets at which *every* copy coincides with an earlier copy of
     /// itself: the unit vectors of unrolled loops whose `H` column is
@@ -110,9 +109,9 @@ impl<'s> SetPaths<'s> {
     /// flags are settled: at the first mixed-sign merge, which sets both
     /// and sends every family that reads the solves to its sweep, or,
     /// with fewer than two live unrolled loops (no merge can be mixed),
-    /// at the first reverse provider, which sends the RRS and register
-    /// tables to theirs.  Sets whose copies are not distinct sweep
-    /// everywhere and skip it.
+    /// at the first reverse provider, which sends the RRS table to its
+    /// sweep.  Sets whose copies are not distinct sweep everywhere and
+    /// skip it.
     fn classify(set: &'s UgsSet, space: &'s UnrollSpace) -> SetPaths<'s> {
         let h = set.h();
         let inner = space.depth() - 1;
@@ -334,11 +333,12 @@ fn gss_table_in(path: &SetPaths, line_elems: i64) -> Table {
     // Line *chains*: an unrolled loop that drives the first (contiguous)
     // subscript walks copies along cache lines, and the greedy leader walk
     // over the combined value stream does not decompose into up-sets;
-    // nor do copies that distinct offsets share.  Tabulate such sets
+    // nor do copies that distinct offsets share, nor merges at a
+    // mixed-sign offset, which lie in both boxes.  Tabulate such sets
     // exactly with one sweep over the unroll box, storing the counts as
     // already-finalized sums so the prefix-sum interface (and its O(1)
     // query cost) is preserved.
-    if path.chained || !path.copies_distinct {
+    if path.chained || !path.copies_distinct || path.mixed_sign {
         return Table::from_sums(
             space.clone(),
             streams::gss_count_sums(set, space, line_elems),
@@ -551,141 +551,33 @@ fn rrs_tables_in(paths: &[SetPaths], space: &UnrollSpace) -> RrsTables {
     }
 }
 
-/// Figure 7: the register-pressure table `RL(u)` for one UGS, built with
-/// the same per-offset region discipline as the other tables.
+/// Figure 7: the register-pressure table `RL(u)` for one UGS.
 ///
-/// Each set takes the first of these exact paths that applies:
+/// Each set takes one of two exact constructions:
 ///
 /// * **GTS** — an invariant set holds one register per stream, and an
 ///   invariant copy's stream signature is its `c`, so its register count
 ///   is its group-temporal set count: [`gts_table`], whose up-set union
 ///   is exact when distinct live-loop offsets give distinct copies and
 ///   no merge offset is mixed-sign.
-/// * **Closed form** — def-free, non-invariant, chain-free sets without
-///   self-merge loops whose merges are pairwise (each group has at most
-///   one provider) and whose distinct offsets give distinct copies: the
-///   common stencil-read case that actually drives register pressure.
-/// * **Sweep** — everything else (defs re-splitting streams, line
-///   chains, reverse providers, self-merge loops, provider switches,
-///   offsets sharing copies, the paper's Figure 6) is tabulated exactly
-///   in the `Sum` domain by
-///   [`streams::ugs_registers_sums`], preserving the prefix-sum
-///   interface.  That sweep returns zeros for an all-def set without
-///   sweeping, and sweeps only the live-loop sub-box of a def-free set
-///   with self-merge loops.
+/// * **Sweep** — every other set is tabulated exactly in the `Sum`
+///   domain by [`streams::ugs_registers_sums`], one sweep over the unroll
+///   box that returns zeros for an all-def set without sweeping, and
+///   sweeps only the live-loop sub-box of a def-free set with self-merge
+///   loops.
 pub fn reg_table(set: &UgsSet, space: &UnrollSpace) -> Table {
     reg_table_in(&SetPaths::classify(set, space))
 }
 
 /// [`reg_table`] over the set's merge analysis.
 fn reg_table_in(path: &SetPaths) -> Table {
-    let (set, space) = (path.set, path.space);
-
     if path.invariant && path.copies_distinct && !path.mixed_sign {
         return gts_table_in(path);
     }
-
-    // Invariant sets, sets with defs, row-0 unrolled loops (chains),
-    // self-merging sets, offsets sharing copies, reverse providers or
-    // mixed-sign merges: sweep.
-    if path.invariant
-        || set.members().iter().any(|m| m.is_def)
-        || path.chained
-        || !path.self_points.is_empty()
-        || !path.copies_distinct
-        || path.from_above
-    {
-        return Table::from_sums(space.clone(), streams::ugs_registers_sums(set, space));
-    }
-
-    // Streams with their touch keys, leaders first (key descending).
-    let groups = streams::original_streams(set, space.depth());
-    struct StreamInfo {
-        c: Vec<i64>,
-        key_max: i64,
-        key_min: i64,
-        members: usize,
-    }
-    let infos: Vec<StreamInfo> = groups
-        .iter()
-        .map(|g| {
-            let keys: Vec<i64> = g.iter().map(|&(_, k)| k).collect();
-            StreamInfo {
-                c: set.members()[g[0].0].c.clone(),
-                key_max: *keys.iter().max().expect("non-empty"),
-                key_min: *keys.iter().min().expect("non-empty"),
-                members: g.len(),
-            }
-        })
-        .collect();
-    let base_cost = |s: &StreamInfo| {
-        if s.members >= 2 {
-            s.key_max - s.key_min + 1
-        } else {
-            0
-        }
-    };
-
-    // Pairwise merges: j absorbed into i at unroll point x with key shift
-    // δ = −x_inner of the solve H·x = c_i − c_j (provider below, earlier).
-    struct Merge {
-        j: usize,
-        i: usize,
-        point: Vec<u32>,
-        shift: i64,
-    }
-    let mut merges: Vec<Merge> = Vec::new();
-    for (j, sj) in infos.iter().enumerate() {
-        for (i, si) in infos.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            // Provider below, and earlier-or-equal in touch order: a
-            // merge point's innermost part is nonnegative, since the
-            // classify scan saw each pair and no reverse provider.
-            let Some((x, inner_val)) = path.solve(&si.c, &sj.c) else {
-                continue;
-            };
-            if let Some(point) = merge_point(&x) {
-                merges.push(Merge {
-                    j,
-                    i,
-                    point,
-                    shift: -inner_val,
-                });
-            }
-        }
-    }
-    // Chain detection: a group with several providers, or a group that is
-    // both absorbed and absorbing, needs the provider-switch walk — fall
-    // back rather than approximate.
-    let mut absorbed = vec![0usize; infos.len()];
-    let mut providing = vec![0usize; infos.len()];
-    for m in &merges {
-        absorbed[m.j] += 1;
-        providing[m.i] += 1;
-    }
-    if absorbed.iter().any(|&a| a > 1)
-        || (0..infos.len()).any(|g| absorbed[g] > 0 && providing[g] > 0)
-    {
-        return Table::from_sums(space.clone(), streams::ugs_registers_sums(set, space));
-    }
-
-    // Base contributions: every copy of every stream pays its own cost.
-    let mut t = Table::filled(space.clone(), infos.iter().map(base_cost).sum());
-    // Merge deltas: for offsets dominating the merge point, the pair
-    // (i @ u'−x, j @ u') costs span(union)+1 instead of the two separate
-    // costs; attribute the delta to j's copy offset.
-    for m in &merges {
-        let (si, sj) = (&infos[m.i], &infos[m.j]);
-        let merged_max = si.key_max.max(sj.key_max + m.shift);
-        let merged_min = si.key_min.min(sj.key_min + m.shift);
-        let merged_cost = merged_max - merged_min + 1;
-        let delta = merged_cost - base_cost(si) - base_cost(sj);
-        t.add_upset_union(std::slice::from_ref(&m.point), delta);
-    }
-    t.finalize();
-    t
+    Table::from_sums(
+        path.space.clone(),
+        streams::ugs_registers_sums(path.set, path.space),
+    )
 }
 
 /// The complete per-nest query interface the optimizer searches over:
@@ -1077,9 +969,8 @@ mod reg_table_tests {
     }
 
     #[test]
-    fn stencil_reads_use_the_region_path() {
-        // Def-free pairwise merges along the unrolled loop: the closed
-        // form applies.
+    fn stencil_reads_match() {
+        // Def-free pairwise merges along the unrolled loop.
         let nest = NestBuilder::new("st")
             .array("A", &[70, 70])
             .array("B", &[70, 70])
@@ -1091,7 +982,7 @@ mod reg_table_tests {
     }
 
     #[test]
-    fn reductions_and_defs_fall_back_exactly() {
+    fn reductions_and_defs_match() {
         let nest = NestBuilder::new("fwd")
             .array("A", &[70, 70])
             .array("B", &[70, 70])

@@ -1,13 +1,13 @@
 //! Register table ≡ per-offset oracle.
 //!
-//! The optimizer reads register pressure from `tables::reg_table`, whose
-//! construction picks a path per uniformly generated set (closed form,
-//! GTS table, sweep).  These tests pin every table the optimizer can
-//! build, at every offset, to the direct count `ugs_registers_at` —
-//! over the Table 2 suite, the deep kernels and seeded synthetic corpora
-//! on the random spaces `tests/sweep.rs` draws, and over each deep
-//! kernel's own `compile_suite` space (`SelectLoops` at
-//! `max_unroll_loops: 0`).
+//! The optimizer reads register pressure from `tables::reg_table`, which
+//! builds each uniformly generated set's table one of two ways (the GTS
+//! table for invariant sets, the sweep for the rest).  These tests pin
+//! every table the optimizer can build, at every offset, to the direct
+//! count `ugs_registers_at` — over the Table 2 suite, the deep kernels
+//! and seeded synthetic corpora on the random spaces `tests/sweep.rs`
+//! draws, and over each deep kernel's own `compile_suite` space
+//! (`SelectLoops` at `max_unroll_loops: 0`).
 //!
 //! The tests classify each set from `H` and its def flags, and require
 //! every special set shape to occur, so the pins cannot go vacuous:

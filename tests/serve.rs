@@ -284,17 +284,19 @@ fn admin_lines_without_an_id_are_refused_and_serving_goes_on() {
     assert!(!server.shutdown_requested());
 }
 
-/// A source whose subscript coefficients sit near the `i64` limit is
-/// outside the range the analysis's exact arithmetic admits: the
-/// request gets exactly one reply, a structured `invalid_nest` refusal
-/// made before any elimination runs (not a caught overflow panic), and
-/// the request after it is answered.
+/// A source whose subscript coefficients sit near the `i64` limit, and
+/// one whose loop bounds do, are outside the range the analysis's exact
+/// arithmetic admits: each request gets exactly one reply, a structured
+/// `invalid_nest` refusal made before any elimination runs (not a caught
+/// overflow panic, nor a wrapped trip count), and the request after them
+/// is answered.
 #[test]
 fn arithmetic_overflow_in_the_analysis_ends_in_one_reply() {
+    // Fortran lines, joined by JSON-escaped newlines.
+    let source = |lines: &[&str]| format!("      {}", lines.join("\\n      "));
     let (c1, c2) = ("9000000000000000000", "8999999999999999999");
     let body = format!("B({c1}*I+{c2}*J, {c2}*J+{c1}*K, {c1}*I+{c2}*K) + B(I,J,K)");
-    // Fortran lines, joined by JSON-escaped newlines.
-    let source = [
+    let wide_subscripts = source(&[
         "DIMENSION A(8,8,8), B(8,8,8)",
         "DO I = 1, 4",
         "DO J = 1, 4",
@@ -304,11 +306,20 @@ fn arithmetic_overflow_in_the_analysis_ends_in_one_reply() {
         "ENDDO",
         "ENDDO",
         "END",
-    ]
-    .map(|line| format!("      {line}"))
-    .join("\\n");
+    ]);
+    let wide_bounds = source(&[
+        "DIMENSION A(8,8), B(8,8)",
+        "DO I = -9000000000000000000, 9000000000000000000",
+        "DO J = 1, 4",
+        "A(I,J) = B(I,J) + B(I+1,J)",
+        "ENDDO",
+        "ENDDO",
+        "END",
+    ]);
     let input = format!(
-        "{{\"id\":\"o\",\"source\":\"{source}\"}}\n{{\"id\":\"k\",\"kernel\":\"dmxpy1\"}}\n"
+        "{{\"id\":\"o\",\"source\":\"{wide_subscripts}\"}}\n\
+         {{\"id\":\"b\",\"source\":\"{wide_bounds}\"}}\n\
+         {{\"id\":\"k\",\"kernel\":\"dmxpy1\"}}\n"
     );
     let server = Server::new(test_config(), null_sink());
     let mut out = Vec::new();
@@ -317,12 +328,14 @@ fn arithmetic_overflow_in_the_analysis_ends_in_one_reply() {
         .expect("io ok");
     let text = String::from_utf8(out).expect("utf8");
     let replies: Vec<&str> = text.lines().collect();
-    assert_eq!(replies.len(), 2, "one reply per line: {text}");
-    assert!(replies[0].contains(r#""id":"o""#), "{text}");
-    assert!(replies[0].contains(r#""ok":false"#), "{text}");
-    assert!(replies[0].contains(r#""kind":"invalid_nest""#), "{text}");
-    assert!(replies[1].contains(r#""id":"k""#), "{text}");
-    assert!(replies[1].contains(r#""ok":true"#), "{text}");
+    assert_eq!(replies.len(), 3, "one reply per line: {text}");
+    for (reply, id) in replies.iter().zip(["o", "b"]) {
+        assert!(reply.contains(&format!(r#""id":"{id}""#)), "{text}");
+        assert!(reply.contains(r#""ok":false"#), "{text}");
+        assert!(reply.contains(r#""kind":"invalid_nest""#), "{text}");
+    }
+    assert!(replies[2].contains(r#""id":"k""#), "{text}");
+    assert!(replies[2].contains(r#""ok":true"#), "{text}");
 }
 
 /// The stdin loop times requests like the reactor: a `"trace":true`

@@ -1,27 +1,29 @@
 //! Sweep ≡ per-offset oracle.
 //!
-//! The exact-fallback tables are filled by one sweep per uniformly
-//! generated set over the whole unroll box (`streams::*_sums`).  These
-//! tests pin every sweep, bitwise and at every offset, to the per-offset
-//! direct count it replaced (`streams::*_at`) — over the Table 2 suite,
-//! the deep kernels, and seeded synthetic corpora, on spaces of zero to
-//! three unrolled loops with heterogeneous per-loop bounds.  Every set is
-//! checked, not only the ones whose tables take the fallback path.
+//! The swept tables are filled by one sweep per uniformly generated set
+//! over the whole unroll box (`streams::*_sums`).  These tests pin every
+//! sweep, bitwise and at every offset, to the per-offset direct count it
+//! replaced (`streams::*_at`) — over the Table 2 suite, the deep kernels,
+//! and seeded synthetic corpora, on spaces of zero to three unrolled
+//! loops with heterogeneous per-loop bounds.  Every set is checked, not
+//! only the ones whose tables take the sweep.
 //!
 //! The same spaces, and the spaces the Table 2 suite and the deep kernels
 //! compile over, also pin the public per-family builders to
 //! `CostTables`: the optimizer reads its tables from
 //! `CostTables::build_with_sets`, while the per-family timings of the
 //! benchmark's traced profile call `gss_table`, `rrs_tables_from` and
-//! `reg_table` one family at a time ([`builders_match`]).
+//! `reg_table` one family at a time ([`builders_match`]).  On the
+//! compile spaces, `gss_table` and `gts_table` are also pinned to their
+//! per-offset counts ([`families_match_oracles`]).
 
 use ujam::core::pipeline::{AnalysisCtx, Pass, SelectLoops};
 use ujam::core::streams::{
-    gss_count_at, gss_count_sums, ugs_loads_at, ugs_loads_sums, ugs_registers_at,
+    gss_count_at, gss_count_sums, gts_count_at, ugs_loads_at, ugs_loads_sums, ugs_registers_at,
     ugs_registers_sums,
 };
 use ujam::core::tables::{reg_table, rrs_tables_from, CostTables};
-use ujam::core::{gss_table, UnrollSpace};
+use ujam::core::{gss_table, gts_table, UnrollSpace};
 use ujam::ir::{LoopNest, NestBuilder};
 use ujam::kernels::{corpus, corpus_deep, deep_kernels, kernels};
 use ujam::machine::MachineModel;
@@ -167,9 +169,38 @@ fn sweeps_equal_per_offset_oracles_on_a_skewed_chain() {
     }
 }
 
+/// Pins `gss_table` and `gts_table` of every set of `nest` to their
+/// per-offset counts `gss_count_at` and `gts_count_at`, bitwise at every
+/// offset of `space`.  Unlike [`builders_match`], whose two sides read
+/// the same per-set tables, this catches a wrong closed form.  Returns
+/// the number of entries compared.
+fn families_match_oracles(label: &str, nest: &LoopNest, space: &UnrollSpace, line: i64) -> usize {
+    let depth = nest.depth();
+    let mut checked = 0;
+    for set in &UgsSet::partition(nest) {
+        let (gss, gts) = (gss_table(set, space, line), gts_table(set, space));
+        space.for_each_offset(|u| {
+            let at = format!(
+                "{label}: {} @ {u:?} over loops {:?} bounds {:?} (line {line})",
+                set.array(),
+                space.loops(),
+                space.bounds()
+            );
+            let want = gss_count_at(set, space, u, depth, line) as i64;
+            assert_eq!(gss.prefix_sum(u), want, "GSS table: {at}");
+            let want = gts_count_at(set, space, u, depth) as i64;
+            assert_eq!(gts.prefix_sum(u), want, "GTS table: {at}");
+        });
+        checked += 2 * space.len();
+    }
+    checked
+}
+
 /// The spaces the 19 + 6 kernels compile over in `compile_suite`:
 /// `SelectLoops` at its default for the Table 2 suite and at
-/// `max_loops: 0` for the deep kernels, with the DEC Alpha's line.
+/// `max_loops: 0` for the deep kernels, with the DEC Alpha's line.  On
+/// them the public builders equal `CostTables`, and the GSS and GTS
+/// tables equal their per-offset counts.
 #[test]
 fn public_builders_equal_cost_tables_on_the_compile_spaces() {
     let machine = MachineModel::dec_alpha();
@@ -183,6 +214,7 @@ fn public_builders_equal_cost_tables_on_the_compile_spaces() {
             .run(&mut ctx)
             .expect("kernels select loops");
         checked += builders_match(name, &nest, &space, line);
+        checked += families_match_oracles(name, &nest, &space, line);
     }
     assert!(checked > 1_000, "only {checked} offsets compared");
 }
