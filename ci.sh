@@ -175,6 +175,22 @@ printf '%s\n' \
 grep -q '"kind":"invalid_nest"' /tmp/ujam_serve_bounds.ndjson
 if grep -q 'panicked' /tmp/ujam_serve_bounds.log; then exit 1; fi
 
+# The same bounds through `ujam deps` and `ujam tables`: both analyse
+# through the checked context, so each refuses the file with the ±2^31
+# message and a nonzero exit instead of printing wrapped counts.
+printf '%s\n' \
+  '      DIMENSION A(8,8), B(8,8)' \
+  '      DO I = -9000000000000000000, 9000000000000000000' \
+  '      DO J = 1, 4' \
+  '      A(I,J) = B(I,J) + B(I+1,J)' \
+  '      ENDDO' \
+  '      ENDDO' \
+  '      END' > /tmp/ujam_wide_bounds.f
+for cmd in deps tables; do
+  if ./target/release/ujam "$cmd" /tmp/ujam_wide_bounds.f > /dev/null 2> /tmp/ujam_wide_bounds.log; then exit 1; fi
+  grep -qF 'beyond ±2^31' /tmp/ujam_wide_bounds.log
+done
+
 # TCP smoke: the same daemon over the event-loop TCP front end.  Bind
 # port 0 and discover the chosen port from the daemon's stderr line,
 # run the three-request contract through `ujam request` (which opens

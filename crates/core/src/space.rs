@@ -3,7 +3,7 @@
 //! [`Table`] has two representations.  It is *built* in the density
 //! domain — each entry holds the contribution of one copy offset, and
 //! merge-region updates ([`Table::add_upset_union`]) record only the
-//! up-set *frontier* as difference-domain corner writes instead of
+//! region's *frontier* as difference-domain corner writes instead of
 //! touching every covered offset.  It is then [`Table::finalize`]d into
 //! a summed-area table: one inclusive prefix scan per dimension turns
 //! the stored densities into the paper's `Sum` values, after which
@@ -306,9 +306,9 @@ impl ExactSizeIterator for OffsetIter {}
 
 impl std::iter::FusedIterator for OffsetIter {}
 
-/// How many antichain points the closed-form inclusion–exclusion update
-/// accepts before [`Table::add_upset_union`] falls back to a dense
-/// indicator sweep (2^k − 1 corner writes vs. one O(N·dims) pass).
+/// How many shifts the closed-form inclusion–exclusion update accepts
+/// before [`Table::add_upset_union`] falls back to a dense indicator
+/// sweep, or declines signed shifts (2^k − 1 corner writes vs. one pass).
 const UPSET_IE_MAX_POINTS: usize = 12;
 
 /// An integer table indexed by unroll offset, with the prefix-sum query the
@@ -427,93 +427,96 @@ impl Table {
         self.data[i] += delta;
     }
 
-    /// Adds `delta` to every entry in the *union of up-sets* of `points`:
-    /// offsets `o` with `o ≥ p` (component-wise) for at least one `p`.
+    /// Adds `delta`, in every query box `[0, u]`, to each copy `u'` of the
+    /// box whose *partner* `u' − x` lies in the same box for some shift
+    /// `x` — the merge-region update of Figures 2/3/5: a copy beaten by an
+    /// earlier copy of its class is not new, however many beat it.  For
+    /// non-negative shifts this is the union of their up-sets; for any
+    /// signs, inclusion–exclusion over the subsets `S` of the shifts
+    /// counts it as `Σ_{S≠∅} (−1)^{|S|+1} Π_d max(0, u_d + 1 − span_d(S))`,
+    /// `span_d(S) = max(0, max_S x_d) − min(0, min_S x_d)`: one corner
+    /// write per subset, at its span (the join, for non-negative shifts),
+    /// integrated lazily by the prefix scans of [`Table::finalize`].
     ///
-    /// This is the merge-region update of Figures 2/3/5: once a copy's
-    /// offset dominates a merge point it stops contributing a new group,
-    /// and dominating several merge points still merges it only once.
-    ///
-    /// Only the region's *frontier* is recorded: the points are reduced
-    /// to their minimal antichain and turned into difference-domain
-    /// corner writes (a staircase decomposition in 2-D, inclusion–
-    /// exclusion over antichain joins in general), integrated lazily by
-    /// the prefix scans of [`Table::finalize`].  Cost is O(|points|² ·
-    /// dims) plus O(2^k) corner writes for an antichain of size k — the
-    /// full-space sweep only remains as a fallback for pathologically
-    /// large antichains in ≥ 3 dimensions, and runs as per-axis OR
-    /// closure sweeps plus one masked frontier add over linear runs.
+    /// The shifts are first reduced: one whose partner never fits the box
+    /// is dropped, and so is `q` when a kept `p` lies between 0 and `q` on
+    /// every axis — for non-negative shifts, the minimal antichain.  Those
+    /// take a staircase decomposition in 2-D, and past
+    /// [`UPSET_IE_MAX_POINTS`] shifts a dense fallback (per-axis OR closure
+    /// sweeps plus one masked add over linear runs).  Signed shifts past
+    /// the cap write nothing and return `false`: the caller counts the set
+    /// another way.
     ///
     /// # Panics
     ///
     /// Panics on a finalized table.
-    pub fn add_upset_union(&mut self, points: &[Vec<u32>], delta: i64) {
+    pub fn add_upset_union(&mut self, shifts: &[Vec<i64>], delta: i64) -> bool {
         assert!(!self.finalized, "cannot mutate a finalized table");
-        if points.is_empty() || delta == 0 {
-            return;
+        if delta == 0 {
+            return true;
         }
-        // Reduce to the minimal antichain: if p ≥ q then up(p) ⊆ up(q).
-        // Points outside the box (merge solutions are unbounded) cover
-        // nothing and are dropped.
-        let mut minimal: Vec<&Vec<u32>> = Vec::with_capacity(points.len());
-        for p in points {
-            if p.iter().zip(&self.space.bounds).any(|(&pi, &b)| pi > b) {
-                continue;
-            }
-            if minimal
+        let bounds = &self.space.bounds;
+        // `p` lies between 0 and `q` on every axis.
+        let between = |p: &[i64], q: &[i64]| {
+            p.iter()
+                .zip(q)
+                .all(|(&p, &q)| q.min(0) <= p && p <= q.max(0))
+        };
+        let mut minimal: Vec<&[i64]> = Vec::with_capacity(shifts.len());
+        for x in shifts {
+            let fits = x
                 .iter()
-                .any(|q| q.iter().zip(p).all(|(&qi, &pi)| pi >= qi))
-            {
-                continue;
+                .zip(bounds)
+                .all(|(&v, &b)| v.unsigned_abs() <= u64::from(b));
+            if fits && !minimal.iter().any(|p| between(p, x)) {
+                minimal.retain(|q| !between(x, q));
+                minimal.push(x);
             }
-            minimal.retain(|q| !p.iter().zip(q.iter()).all(|(&pi, &qi)| qi >= pi));
-            minimal.push(p);
         }
         let dims = self.space.dims();
-        if minimal.len() == 1 {
-            // One corner covers the whole region (always the case in ≤ 1
-            // dimension, where offsets are totally ordered).
-            let idx = self.space.index(minimal[0]);
-            self.pending.push((idx, delta));
-            return;
-        }
-        if dims == 2 {
+        let signed = minimal.iter().any(|x| x.iter().any(|&v| v < 0));
+        let space = &self.space;
+        let corner = |x: &[i64]| space.index(&x.iter().map(|&v| v as u32).collect::<Vec<_>>());
+        if dims == 2 && !signed {
             // Staircase decomposition: sorted by dim 0 ascending, an
             // antichain descends strictly in dim 1, and the union is
             //   Σ_i up(p_i) − Σ_i up(p_i ∨ p_{i+1})
             // (each overlap of consecutive steps subtracted once).
             minimal.sort_unstable_by_key(|p| p[0]);
             for i in 0..minimal.len() {
-                self.pending.push((self.space.index(minimal[i]), delta));
+                self.pending.push((corner(minimal[i]), delta));
                 if i + 1 < minimal.len() {
-                    let join = [minimal[i + 1][0], minimal[i][1]];
-                    self.pending.push((self.space.index(&join), -delta));
+                    let join = corner(&[minimal[i + 1][0], minimal[i][1]]);
+                    self.pending.push((join, -delta));
                 }
             }
-            return;
+            return true;
         }
         if minimal.len() <= UPSET_IE_MAX_POINTS {
-            // General dimensions: inclusion–exclusion over antichain
-            // subsets.  Every join stays inside the box because each
-            // coordinate is a max of in-box coordinates.
-            let mut join = vec![0u32; dims];
-            for mask in 1u64..(1 << minimal.len()) {
-                join.iter_mut().for_each(|j| *j = 0);
-                for (i, p) in minimal.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        for (j, &pi) in join.iter_mut().zip(p.iter()) {
-                            *j = (*j).max(pi);
-                        }
+            // Inclusion–exclusion over the subsets: a span past the box
+            // has no copy with every partner inside, so it writes nothing.
+            let mut span = vec![0u32; dims];
+            'subsets: for mask in 1u64..(1 << minimal.len()) {
+                for (d, s) in span.iter_mut().enumerate() {
+                    let (lo, hi) = (minimal.iter().enumerate())
+                        .filter(|&(i, _)| mask >> i & 1 == 1)
+                        .fold((0, 0), |(lo, hi), (_, x)| (x[d].min(lo), x[d].max(hi)));
+                    if hi - lo > i64::from(bounds[d]) {
+                        continue 'subsets;
                     }
+                    *s = (hi - lo) as u32;
                 }
                 let sign = if mask.count_ones() % 2 == 1 {
                     delta
                 } else {
                     -delta
                 };
-                self.pending.push((self.space.index(&join), sign));
+                self.pending.push((space.index(&span), sign));
             }
-            return;
+            return true;
+        }
+        if signed {
+            return false;
         }
         // Fallback: dense indicator sweep directly into the density data.
         // The up-set union is the upward closure of the seed points, and
@@ -522,10 +525,11 @@ impl Table {
         // the final frontier add run over contiguous runs.
         let mut covered = vec![false; self.space.len()];
         for p in &minimal {
-            covered[self.space.index(p)] = true;
+            covered[corner(p)] = true;
         }
-        or_scan_axes(&mut covered, self.space.extents(), self.space.strides());
+        or_scan_axes(&mut covered, space.extents(), space.strides());
         add_masked(&mut self.data, &covered, delta);
+        true
     }
 
     /// Integrates any pending difference-domain writes into the density
@@ -1038,7 +1042,7 @@ mod tests {
         // 3-D antichain larger than the closed-form cutoff would need:
         // force both paths over the same points and compare.
         let s = UnrollSpace::new(4, &[0, 1, 2], 2);
-        let points: Vec<Vec<u32>> = vec![
+        let points: Vec<Vec<i64>> = vec![
             vec![2, 0, 0],
             vec![0, 2, 0],
             vec![0, 0, 2],
@@ -1053,7 +1057,7 @@ mod tests {
         s.for_each_offset(|o| {
             if points
                 .iter()
-                .any(|p| p.iter().zip(o).all(|(&pi, &oi)| oi >= pi))
+                .any(|p| p.iter().zip(o).all(|(&pi, &oi)| i64::from(oi) >= pi))
             {
                 naive.add(o, 3);
             }
@@ -1062,6 +1066,142 @@ mod tests {
             assert_eq!(ie.prefix_sum(u), naive.prefix_sum(u), "Sum at {u:?}");
             assert_eq!(ie.get(u), naive.get(u), "density at {u:?}");
         });
+    }
+
+    /// Copies of the box `[0, u]` with a partner `u' − x` in the box for
+    /// some shift `x`, counted one by one.
+    fn beaten_in_box(space: &UnrollSpace, shifts: &[Vec<i64>], u: &[u32]) -> i64 {
+        let inside = |v: &[i64]| {
+            v.iter()
+                .zip(u)
+                .all(|(&v, &b)| (0..=i64::from(b)).contains(&v))
+        };
+        let mut beaten = 0;
+        space.for_each_offset(|o| {
+            let o: Vec<i64> = o.iter().map(|&v| i64::from(v)).collect();
+            let partner = |x: &Vec<i64>| o.iter().zip(x).map(|(a, b)| a - b).collect::<Vec<_>>();
+            if inside(&o) && shifts.iter().any(|x| inside(&partner(x))) {
+                beaten += 1;
+            }
+        });
+        beaten
+    }
+
+    #[test]
+    fn signed_shifts_remove_the_copies_with_a_partner_in_the_box() {
+        let mut rng = ujam_rng::Rng::new(0x5191_ed5e);
+        for case in 0..300 {
+            let dims = rng.int(1, 3) as usize;
+            let bounds: Vec<u32> = (0..dims).map(|_| rng.int(0, 4) as u32).collect();
+            let space = UnrollSpace::with_bounds(dims + 1, &(0..dims).collect::<Vec<_>>(), &bounds);
+            let shifts: Vec<Vec<i64>> = (0..rng.int(1, 6))
+                .map(|_| (0..dims).map(|_| rng.int(-5, 5)).collect())
+                .collect();
+            let mut raw = Table::filled(space.clone(), 0);
+            assert!(raw.add_upset_union(&shifts, -1), "case {case}");
+            let mut fin = raw.clone();
+            fin.finalize();
+            space.for_each_offset(|u| {
+                let want = -beaten_in_box(&space, &shifts, u);
+                let at = format!("case {case}: {shifts:?} over {bounds:?} at {u:?}");
+                assert_eq!(raw.prefix_sum(u), want, "raw {at}");
+                assert_eq!(fin.prefix_sum(u), want, "finalized {at}");
+            });
+        }
+        // Thirteen signed shifts, none between 0 and another, are past
+        // the closed form's cap: nothing is written.
+        let space = UnrollSpace::new(3, &[0, 1], 14);
+        let shifts: Vec<Vec<i64>> = (1..=13).map(|i| vec![i, i - 14]).collect();
+        let mut t = Table::filled(space.clone(), 0);
+        assert!(!t.add_upset_union(&shifts, -1));
+        assert_eq!(t, Table::filled(space, 0));
+    }
+
+    /// The up-set union's writes for non-negative points as built before
+    /// shifts could be signed: the minimal antichain of the in-box
+    /// points, then one corner, the 2-D staircase, inclusion–exclusion
+    /// over joins up to the cap, or the dense OR fallback.
+    fn upset_union_reference(t: &mut Table, points: &[Vec<u32>], delta: i64) {
+        if delta == 0 {
+            return;
+        }
+        let mut minimal: Vec<&Vec<u32>> = Vec::new();
+        for p in points {
+            if p.iter().zip(&t.space.bounds).any(|(&pi, &b)| pi > b)
+                || minimal
+                    .iter()
+                    .any(|q| q.iter().zip(p).all(|(&qi, &pi)| pi >= qi))
+            {
+                continue;
+            }
+            minimal.retain(|q| !p.iter().zip(q.iter()).all(|(&pi, &qi)| qi >= pi));
+            minimal.push(p);
+        }
+        let dims = t.space.dims();
+        if minimal.len() == 1 {
+            t.pending.push((t.space.index(minimal[0]), delta));
+        } else if dims == 2 && !minimal.is_empty() {
+            minimal.sort_unstable_by_key(|p| p[0]);
+            for i in 0..minimal.len() {
+                t.pending.push((t.space.index(minimal[i]), delta));
+                if i + 1 < minimal.len() {
+                    let join = [minimal[i + 1][0], minimal[i][1]];
+                    t.pending.push((t.space.index(&join), -delta));
+                }
+            }
+        } else if minimal.len() <= UPSET_IE_MAX_POINTS {
+            for mask in 1u64..(1 << minimal.len()) {
+                let mut join = vec![0u32; dims];
+                for (i, p) in minimal.iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        join.iter_mut()
+                            .zip(p.iter())
+                            .for_each(|(j, &pi)| *j = (*j).max(pi));
+                    }
+                }
+                let sign = if mask.count_ones() % 2 == 1 {
+                    delta
+                } else {
+                    -delta
+                };
+                t.pending.push((t.space.index(&join), sign));
+            }
+        } else {
+            let mut covered = vec![false; t.space.len()];
+            for p in &minimal {
+                covered[t.space.index(p)] = true;
+            }
+            or_scan_axes(&mut covered, t.space.extents(), t.space.strides());
+            add_masked(&mut t.data, &covered, delta);
+        }
+    }
+
+    #[test]
+    fn non_negative_shifts_write_the_up_set_union_corners() {
+        let mut rng = ujam_rng::Rng::new(0xc0_4e45);
+        for case in 0..300 {
+            let dims = rng.int(1, 3) as usize;
+            let bounds: Vec<u32> = (0..dims).map(|_| rng.int(0, 4) as u32).collect();
+            let space = UnrollSpace::with_bounds(dims + 1, &(0..dims).collect::<Vec<_>>(), &bounds);
+            let points: Vec<Vec<u32>> = (0..rng.int(1, 16))
+                .map(|_| {
+                    bounds
+                        .iter()
+                        .map(|&b| rng.int(0, i64::from(b) + 1) as u32)
+                        .collect()
+                })
+                .collect();
+            let shifts: Vec<Vec<i64>> = points
+                .iter()
+                .map(|p| p.iter().map(|&v| i64::from(v)).collect())
+                .collect();
+            let delta = rng.int(-3, 3);
+            let mut got = Table::filled(space.clone(), 1);
+            assert!(got.add_upset_union(&shifts, delta));
+            let mut want = Table::filled(space, 1);
+            upset_union_reference(&mut want, &points, delta);
+            assert_eq!(got, want, "case {case}: {points:?} over {bounds:?}");
+        }
     }
 
     #[test]

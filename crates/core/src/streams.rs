@@ -15,8 +15,8 @@
 //! offset from one sweep over the unroll box (the register sweep skips
 //! the loops that only repeat copies, see [`ugs_registers_sums`]) — that
 //! is what the swept tables of [`crate::tables`] are built from (every
-//! register table outside the GTS path), and tests pin them to the
-//! oracles bitwise.
+//! register table outside the GTS path, and each set leader counting
+//! does not cover), and tests pin them to the oracles bitwise.
 
 use crate::space::UnrollSpace;
 use std::collections::BTreeMap;
@@ -466,7 +466,7 @@ fn registers_fold(set: &UgsSet, space: &UnrollSpace) -> Vec<(i64, i64)> {
 }
 
 /// [`ugs_loads_at`] at every offset of `space`, in flat order, from one
-/// sweep over the unroll box — the exact-fallback use-led table's sums.
+/// sweep over the unroll box — a swept use-led table's sums.
 pub fn ugs_loads_sums(set: &UgsSet, space: &UnrollSpace) -> Vec<i64> {
     let col = set.h().col(space.depth() - 1);
     if col.iter().all(|&x| x == 0) {
@@ -487,8 +487,7 @@ pub fn ugs_loads_sums(set: &UgsSet, space: &UnrollSpace) -> Vec<i64> {
 }
 
 /// [`gss_count_at`] at every offset of `space`, in flat order, from one
-/// sweep over the unroll box — the exact-fallback (line-chain) GSS
-/// table's sums.
+/// sweep over the unroll box — a swept (line-chain, say) GSS table's sums.
 ///
 /// Spatially related copies agree, below the first subscript row, up
 /// to a multiple `d` of the innermost column: the copies fall into

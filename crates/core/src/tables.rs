@@ -3,20 +3,24 @@
 //! Each table is indexed by *copy offset* `u'` and holds the number of new
 //! groups the copy at that offset contributes; the value of the tabulated
 //! quantity after unrolling by `u` is the prefix sum over the box
-//! `[0, u]` (the paper's `Sum`, Figure 2).  Construction solves, once per
-//! ordered leader pair, the merge equation `H·x = Δc` over the unrolled
-//! loops plus the innermost loop: a copy whose offset dominates the merge
-//! point no longer starts a new group.  Dominating several merge points
-//! still merges a copy only once — the union-of-up-sets update
-//! ([`crate::Table::add_upset_union`]) realizes the paper's
-//! previous-superleader bookkeeping.
+//! `[0, u]` (the paper's `Sum`, Figure 2).  Construction counts *leaders*:
+//! the merge solve `H·(x, x_in) = c_i − c_j` over the unrolled loops plus
+//! the innermost loop puts group `i`'s copy at `u' − x` in the merge class
+//! of group `j`'s copy at `u'`.  When distinct offsets give distinct
+//! copies, a class holds at most one copy per group, and the family's
+//! order picks its one leader (earliest offset for GTS and GSS, first
+//! toucher for RRS).  A copy is new in the box `[0, u]` unless the
+//! partner of a shift that beats it lies in the box — for non-negative
+//! shifts, the paper's merge points and previous-superleader
+//! bookkeeping; of any sign, one corner write per subset of the shifts
+//! ([`crate::Table::add_upset_union`]).
 //!
 //! Scope: like the paper (§3.5, §5), the closed-form table construction
 //! targets **separable SIV** references; [`CostTables::siv`] reports
-//! whether a nest qualifies.  Where the up-set region structure breaks
-//! (line chains, reverse providers, mixed-sign merges, and distinct copy
-//! offsets that give the same copy), construction tabulates exactly
-//! instead: one sweep per set over the unroll box
+//! whether a nest qualifies.  Where leader counting does not hold (copies
+//! that distinct offsets share, GSS line chains and non-transitive
+//! spatial relations, signed shift sets past the cap), construction
+//! tabulates exactly instead: one sweep per set over the unroll box
 //! ([`streams::gss_count_sums`] and its siblings) yields every `Sum`
 //! value, stored directly ([`Table::from_sums`]) — see DESIGN.md §5.
 //!
@@ -27,16 +31,16 @@
 //! with self-merge loops.
 //!
 //! Every family reads one merge analysis per (set, space), built before
-//! any table by one scan of the set's member pairs: the path flags
-//! (invariant, chained, distinct copies, mixed-sign merges, merges from
-//! above, self-merge loops) and one memo of exact merge solves keyed by
-//! the pair difference `Δc`, so a delta that recurs across pairs or
-//! families is solved once.  Each solve reads one integer elimination of
-//! `H` over the set's live columns ([`ujam_linalg::Factored`]), made at
-//! the set's first solve, so a further delta costs one product and a
-//! back-substitution; a set that makes no solve eliminates nothing.  The
-//! GSS family's spatial solves eliminate their sub-system (the rows of
-//! `H` below the first) the same way, at most once per table.
+//! any table with no pair scan: the shape flags (invariant, chained,
+//! distinct copies, self-merge loops) and one memo of exact merge solves
+//! keyed by the pair difference `Δc`, filled as the families ask, so a
+//! delta that recurs across pairs or families is solved once.  Each solve
+//! reads one integer elimination of `H` over the set's live columns
+//! ([`ujam_linalg::Factored`]), made at the set's first solve, so a
+//! further delta costs one product and a back-substitution; a set that
+//! makes no solve eliminates nothing.  The GSS family's spatial solves
+//! eliminate their sub-system (the rows of `H` below the first) the same
+//! way, at most once per table.
 //!
 //! Every table this module returns is **finalized** (a summed-area
 //! table), so each `prefix_sum` query downstream is a single lookup.
@@ -48,17 +52,20 @@
 use crate::space::{Table, UnrollSpace};
 use crate::streams;
 use crate::BalanceInputs;
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use ujam_ir::LoopNest;
-use ujam_linalg::{Factored, Mat, SolveOutcome};
+use ujam_linalg::{Factored, SolveOutcome};
 use ujam_reuse::{centered_mod, group_spatial_sets, leader_lines, Localized, UgsSet};
 
-/// The merge analysis of one UGS over one unroll space: the exact merge
-/// solves of its member pairs and the flags that pick each table
-/// family's construction path.  Built once per set by
-/// [`CostTables::build_with_sets`] (and by each public per-family
-/// builder), before any table, and read by every family.
+/// A merge solve's unroll part and its innermost component.
+type Solve = (Vec<i64>, i64);
+
+/// The merge analysis of one UGS over one unroll space: the set's shape
+/// flags and a memo of its exact merge solves, filled as the table
+/// families ask.  Built once per set by [`CostTables::build_with_sets`]
+/// (and by each public per-family builder), before any table, and read
+/// by every family.
 struct SetPaths<'s> {
     set: &'s UgsSet,
     space: &'s UnrollSpace,
@@ -68,50 +75,32 @@ struct SetPaths<'s> {
     /// `H` over `live`, eliminated at the set's first merge solve and
     /// read by every later one; a set that makes no solve never builds it.
     system: OnceCell<Factored>,
-    /// Exact solves of `H·x = Δ` over `live` ([`merge_solve`]), keyed by
-    /// `Δ`: `c_m − c_j` for the member pairs the scan in
-    /// [`SetPaths::classify`] reached; one solve fills both orders of a
-    /// pair.
-    solves: HashMap<Vec<i64>, Option<(Vec<i64>, i64)>>,
+    /// Exact solves of `H·x = Δ` over `live` ([`SetPaths::solve`]), keyed
+    /// by `Δ = c_m − c_j`, filled on first request.
+    solves: RefCell<HashMap<Vec<i64>, Option<Solve>>>,
     /// Innermost-invariant: every stream is hoisted.
     invariant: bool,
     /// An unrolled loop drives the first (contiguous) subscript: its
-    /// copies walk along cache lines in *chains*.
+    /// copies walk along cache lines in *chains*, so the GSS table sweeps.
     chained: bool,
     /// Distinct live-loop offsets always give distinct copies: the live
     /// columns are linearly independent, so the zero delta has a unique
     /// solve.  Columns with disjoint nonzero rows — every separable SIV
-    /// set — are independent without a solve.  When false, every up-set
-    /// construction over-counts, and each table takes its sweep.
+    /// set — are independent without a solve.  Then a merge class holds
+    /// at most one copy of each group and is counted by its one leader;
+    /// when false, every family sweeps.
     copies_distinct: bool,
-    /// A merge offset above in one unrolled loop and below in another:
-    /// the shared stream lies in both boxes and neither up-set removes
-    /// it, so every up-set construction (GTS, GSS, RRS) sweeps.
-    mixed_sign: bool,
-    /// A mixed-sign merge, or a *reverse provider* — a reference whose
-    /// copy at a strictly higher unroll offset touches the shared cells
-    /// strictly earlier.  Either makes absorption depend on the query
-    /// box, so the RRS table sweeps (DESIGN.md §5).  An invariant set's
-    /// innermost components are all zero, so it never has a reverse
-    /// provider.
-    from_above: bool,
     /// Offsets at which *every* copy coincides with an earlier copy of
     /// itself: the unit vectors of unrolled loops whose `H` column is
     /// zero (the reference ignores that loop, so unrolling duplicates it).
-    self_points: Vec<Vec<u32>>,
+    /// Every group is beaten by these shifts.
+    self_points: Vec<Vec<i64>>,
 }
 
 impl<'s> SetPaths<'s> {
-    /// Classifies `set` over `space` with one scan of its member pairs:
-    /// for `m` as a candidate provider of `j`, the solve is over
-    /// `c_m − c_j`, and its unroll part locates the provider copy at
-    /// `u' − x` (negative components = above).  The scan stops once both
-    /// flags are settled: at the first mixed-sign merge, which sets both
-    /// and sends every family that reads the solves to its sweep, or,
-    /// with fewer than two live unrolled loops (no merge can be mixed),
-    /// at the first reverse provider, which sends the RRS table to its
-    /// sweep.  Sets whose copies are not distinct sweep everywhere and
-    /// skip it.
+    /// Classifies `set` over `space`: the live columns and the shape
+    /// flags, with at most one solve (the zero delta, when the live
+    /// columns share a row).
     fn classify(set: &'s UgsSet, space: &'s UnrollSpace) -> SetPaths<'s> {
         let h = set.h();
         let inner = space.depth() - 1;
@@ -122,118 +111,81 @@ impl<'s> SetPaths<'s> {
             .copied()
             .filter(|&c| (0..h.rows()).any(|r| h[(r, c)] != 0))
             .collect();
-        let system = OnceCell::new();
-        let mut solves: HashMap<Vec<i64>, Option<(Vec<i64>, i64)>> = HashMap::new();
-        let neg = |v: &[i64]| v.iter().map(|a| -a).collect::<Vec<i64>>();
-        // Solves and memoizes `delta`, and `−delta` with it (`H·(−x) =
-        // −delta`); answers whether the partner copy sits above in some
-        // unrolled loop, below in some, and the innermost component.
-        let mut solve = |delta: Vec<i64>| {
-            if !solves.contains_key(&delta) {
-                let x = merge_solve(
-                    system.get_or_init(|| Factored::new(h, 0..h.rows(), &live)),
-                    &live,
-                    space,
-                    &delta,
-                );
-                solves.insert(neg(&delta), x.as_ref().map(|(u, i)| (neg(u), -i)));
-                solves.insert(delta.clone(), x);
-            }
-            let (x, inner_val) = solves[&delta].as_ref()?;
-            Some((
-                x.iter().any(|&v| v < 0),
-                x.iter().any(|&v| v > 0),
-                *inner_val,
-            ))
-        };
         let disjoint = (0..h.rows()).all(|r| live.iter().filter(|&&c| h[(r, c)] != 0).count() <= 1);
-        let copies_distinct = disjoint || solve(vec![0; h.rows()]).is_some();
-        let (mut mixed_sign, mut from_above) = (false, false);
-        if copies_distinct {
-            // Members sharing `c` share every delta, and the solve of
-            // `c_m − c_j` is minus that of `c_j − c_m`: each unordered
-            // pair of distinct `c` answers both orders.
-            let mut cs: Vec<&[i64]> = set.members().iter().map(|m| &m.c[..]).collect();
-            cs.sort_unstable();
-            cs.dedup();
-            // A mixed-sign merge needs two live unrolled loops; without
-            // them the first reverse provider settles both flags.
-            let may_mix = space.loops().iter().filter(|l| live.contains(l)).count() >= 2;
-            'scan: for (k, cm) in cs.iter().enumerate() {
-                for cj in &cs[..k] {
-                    let Some((above, below, inner_val)) = solve(diff(cm, cj)) else {
-                        continue;
-                    };
-                    if above && below {
-                        (mixed_sign, from_above) = (true, true);
-                        break 'scan;
-                    }
-                    from_above |= (above && inner_val > 0) || (below && inner_val < 0);
-                    if from_above && !may_mix {
-                        break 'scan;
-                    }
-                }
-            }
-        }
-        SetPaths {
+        let mut path = SetPaths {
             set,
             space,
-            solves,
+            solves: RefCell::default(),
             invariant: !live.contains(&inner),
             chained: space.loops().iter().any(|&l| h[(0, l)] != 0),
-            copies_distinct,
-            mixed_sign,
-            from_above,
+            copies_distinct: true,
             self_points: (0..space.dims())
                 .filter(|&d| !live.contains(&space.loops()[d]))
                 .map(|d| {
-                    let mut e = vec![0u32; space.dims()];
+                    let mut e = vec![0i64; space.dims()];
                     e[d] = 1;
                     e
                 })
                 .collect(),
             live,
-            system,
-        }
+            system: OnceCell::new(),
+        };
+        let zero = vec![0; h.rows()];
+        path.copies_distinct = disjoint || path.solve(&zero, &zero).is_some();
+        path
     }
 
-    /// The exact merge solve `H·x = c_m − c_j` of two members, from the
-    /// scan's memo; a pair the scan did not reach (it stops once both
-    /// flags are settled) is solved here, unmemoized.
-    fn solve(&self, cm: &[i64], cj: &[i64]) -> Option<(Vec<i64>, i64)> {
+    /// The exact merge solve `H·x = c_m − c_j` of two members over the
+    /// live columns: `x`'s unroll components (any sign) and its innermost
+    /// component, when the solution is unique and integral.  Memoized
+    /// with its negation (`H·(−x) = c_j − c_m`).
+    fn solve(&self, cm: &[i64], cj: &[i64]) -> Option<Solve> {
         let delta = diff(cm, cj);
-        match self.solves.get(&delta) {
-            Some(hit) => hit.clone(),
-            None => merge_solve(self.system(), &self.live, self.space, &delta),
+        if let Some(hit) = self.solves.borrow().get(&delta) {
+            return hit.clone();
         }
-    }
-
-    /// `H` over the live columns, eliminated on first use.
-    fn system(&self) -> &Factored {
         let h = self.set.h();
-        self.system
-            .get_or_init(|| Factored::new(h, 0..h.rows(), &self.live))
+        let system = self
+            .system
+            .get_or_init(|| Factored::new(h, 0..h.rows(), &self.live));
+        let x: Option<Solve> = match system.solve(&delta) {
+            SolveOutcome::Unique(x) => {
+                let at = |c: usize| self.live.iter().position(|&l| l == c).map_or(0, |p| x[p]);
+                let inner = at(self.space.depth() - 1);
+                Some((self.space.loops().iter().map(|&l| at(l)).collect(), inner))
+            }
+            _ => None,
+        };
+        let neg = |v: &[i64]| v.iter().map(|a| -a).collect::<Vec<i64>>();
+        let mut solves = self.solves.borrow_mut();
+        solves.insert(neg(&delta), x.as_ref().map(|(u, i)| (neg(u), -i)));
+        solves.insert(delta, x.clone());
+        x
     }
-}
 
-/// The exact merge solve `H·x = delta` over the live columns `live` of
-/// `H` (`system`, factored over them): `x`'s unroll components (any
-/// sign) and its innermost component, when the solution is unique and
-/// integral.
-fn merge_solve(
-    system: &Factored,
-    live: &[usize],
-    space: &UnrollSpace,
-    delta: &[i64],
-) -> Option<(Vec<i64>, i64)> {
-    let SolveOutcome::Unique(x) = system.solve(delta) else {
-        return None;
-    };
-    let at = |c: usize| live.iter().position(|&l| l == c).map_or(0, |p| x[p]);
-    Some((
-        space.loops().iter().map(|&l| at(l)).collect(),
-        at(space.depth() - 1),
-    ))
+    /// The shifts that beat the copies of the group led by `cj`: the
+    /// self points, and for each other group lead `ci` the unroll part
+    /// `x` of the solve `H·(x, x_in) = c_i − c_j` when `beats(x, x_in)`.
+    /// The partner copy of `ci` at `u' − x` is then in `cj`'s copy's
+    /// merge class, its lead `x_in` innermost iterations ahead.
+    fn beating(
+        &self,
+        cj: &[i64],
+        leads: &[&[i64]],
+        beats: impl Fn(&[i64], i64) -> bool,
+    ) -> Vec<Vec<i64>> {
+        let mut shifts = self.self_points.clone();
+        for &ci in leads {
+            if ci != cj {
+                if let Some((x, x_in)) = self.solve(ci, cj) {
+                    if beats(&x, x_in) {
+                        shifts.push(x);
+                    }
+                }
+            }
+        }
+        shifts
+    }
 }
 
 /// `a − b`, component-wise: the right-hand side of a merge solve.
@@ -241,14 +193,35 @@ fn diff(a: &[i64], b: &[i64]) -> Vec<i64> {
     a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
-/// A solve's unroll components as a merge point: `Some` when none is
-/// negative and at least one is positive (the partner copy sits at a
-/// dominated offset).
-fn merge_point(x: &[i64]) -> Option<Vec<u32>> {
-    if x.iter().all(|&v| v == 0) {
-        return None;
+/// Whether `x`'s first nonzero component is positive: the copy at
+/// `u' − x` sits at a lexicographically earlier offset than `u'`, so the
+/// jammed body emits it first.
+fn lex_positive(x: &[i64]) -> bool {
+    x.iter().find(|&&v| v != 0).is_some_and(|&v| v > 0)
+}
+
+/// The leader table of a set whose copies are distinct: each item of
+/// `groups` is one counted group's beating shifts ([`SetPaths::beating`]),
+/// and the group's copy at `u'` leads its merge class in the box
+/// `[0, u]` unless a partner `u' − x` lies in that box.  Every counted
+/// group contributes one per copy, less its beaten copies
+/// ([`Table::add_upset_union`]).  `None` when a group's signed shifts
+/// are past the closed form's cap: the caller sweeps the set.
+fn leader_table(
+    space: &UnrollSpace,
+    groups: impl IntoIterator<Item = Vec<Vec<i64>>>,
+) -> Option<Table> {
+    let mut t = Table::filled(space.clone(), 0);
+    let mut counted = 0;
+    for shifts in groups {
+        if !t.add_upset_union(&shifts, -1) {
+            return None;
+        }
+        counted += 1;
     }
-    x.iter().map(|&v| u32::try_from(v).ok()).collect()
+    t.add_upset_union(&[vec![0; space.dims()]], counted);
+    t.finalize();
+    Some(t)
 }
 
 /// Figure 2: the table of new group-temporal sets per copy offset for one
@@ -280,35 +253,27 @@ pub fn gts_table(set: &UgsSet, space: &UnrollSpace) -> Table {
     gts_table_in(&SetPaths::classify(set, space))
 }
 
-/// [`gts_table`] over the set's merge analysis: by up-set unions, each
-/// group's copies stop being new once their offset dominates a merge
-/// point; tabulated from [`streams::gts_count_at`] when copies are not
-/// distinct or a merge offset is mixed-sign.
+/// [`gts_table`] over the set's merge analysis: each original stream's
+/// copy counts while it leads its merge class, beaten by the
+/// lexicographically positive shifts (the partner copy sits earlier in
+/// the body); tabulated from [`streams::gts_count_at`] when copies are
+/// not distinct or a signed shift set is past the cap.
 fn gts_table_in(path: &SetPaths) -> Table {
     let (set, space) = (path.set, path.space);
     let depth = space.depth();
-    if !path.copies_distinct || path.mixed_sign {
+    let leads: Vec<&[i64]> = streams::original_streams(set, depth)
+        .iter()
+        .map(|g| &set.members()[g[0].0].c[..])
+        .collect();
+    let beaten = |cj: &&[i64]| path.beating(cj, &leads, |x, _| lex_positive(x));
+    let closed = path
+        .copies_distinct
+        .then(|| leader_table(space, leads.iter().map(beaten)));
+    closed.flatten().unwrap_or_else(|| {
         let mut sums = Vec::with_capacity(space.len());
         space.for_each_offset(|u| sums.push(streams::gts_count_at(set, space, u, depth) as i64));
-        return Table::from_sums(space.clone(), sums);
-    }
-    let groups = streams::original_streams(set, depth);
-    let mut t = Table::filled(space.clone(), groups.len() as i64);
-    for (j, gj) in groups.iter().enumerate() {
-        let cj = &set.members()[gj[0].0].c;
-        let mut points = path.self_points.clone();
-        for (i, gi) in groups.iter().enumerate() {
-            if i != j {
-                let ci = &set.members()[gi[0].0].c;
-                if let Some((x, _)) = path.solve(cj, ci) {
-                    points.extend(merge_point(&x));
-                }
-            }
-        }
-        t.add_upset_union(&points, -1);
-    }
-    t.finalize();
-    t
+        Table::from_sums(space.clone(), sums)
+    })
 }
 
 /// Figure 3: the table of new group-spatial sets per copy offset.
@@ -323,34 +288,45 @@ pub fn gss_table(set: &UgsSet, space: &UnrollSpace, line_elems: i64) -> Table {
 }
 
 /// [`gss_table`] over the set's merge analysis.
+///
+/// Line *chains* (an unrolled loop that drives the first, contiguous
+/// subscript walks copies along cache lines, and the greedy leader walk
+/// over the combined value stream does not decompose into classes) and
+/// copies that distinct offsets share are tabulated exactly with one
+/// sweep over the unroll box, stored as already-finalized sums so the
+/// prefix-sum interface (and its O(1) query cost) is preserved.  So is a
+/// set whose spatial relation is not transitive ([`spatial_leaders`]).
 fn gss_table_in(path: &SetPaths, line_elems: i64) -> Table {
     assert!(line_elems >= 1, "cache line must hold at least one element");
     let (set, space) = (path.set, path.space);
-    let depth = space.depth();
-    let h = set.h();
-    let inner = depth - 1;
-
-    // Line *chains*: an unrolled loop that drives the first (contiguous)
-    // subscript walks copies along cache lines, and the greedy leader walk
-    // over the combined value stream does not decompose into up-sets;
-    // nor do copies that distinct offsets share, nor merges at a
-    // mixed-sign offset, which lie in both boxes.  Tabulate such sets
-    // exactly with one sweep over the unroll box, storing the counts as
-    // already-finalized sums so the prefix-sum interface (and its O(1)
-    // query cost) is preserved.
-    if path.chained || !path.copies_distinct || path.mixed_sign {
-        return Table::from_sums(
+    let closed = (!path.chained && path.copies_distinct).then(|| spatial_leaders(path, line_elems));
+    closed.flatten().unwrap_or_else(|| {
+        Table::from_sums(
             space.clone(),
             streams::gss_count_sums(set, space, line_elems),
-        );
-    }
+        )
+    })
+}
 
-    let l = Localized::innermost(depth);
-    let groups = group_spatial_sets(set, &l, line_elems);
-    let mut t = Table::filled(space.clone(), groups.len() as i64);
-
+/// The GSS table by leader counting, when the greedy leader walk counts
+/// classes: `None` when the innermost loop walks a member's copies along
+/// lines, when the spatial relation of the set's members is not
+/// transitive, or when a signed shift set is past the cap.
+///
+/// Members `a`, `b` are related with shift `x_ab` when the rows of `H`
+/// below the first close `c_b − c_a` exactly over (unrolled ∪
+/// innermost), with unroll part `x_ab`, and the first row leaves a
+/// residue under a line: `a`'s copy at `u'` is then related to `b`'s at
+/// `u' − x_ab`.  The walk counts classes when, for related pairs
+/// `(a, b)` and `(b, c)`, `(a, c)` is related with shift `x_ab + x_bc` —
+/// always so when every related pair's residue is 0.  A tolerance chain
+/// (residues −1 then +1 within a line of 2, say) breaks it.
+fn spatial_leaders(path: &SetPaths, line_elems: i64) -> Option<Table> {
+    let (set, space) = (path.set, path.space);
+    let h = set.h();
+    let inner = space.depth() - 1;
     // The rows below the first over their live columns, eliminated at the
-    // first spatial solve (a single group makes none) and read by the rest.
+    // first spatial solve and read by the rest.
     let sub_live: Vec<usize> = space
         .loops()
         .iter()
@@ -359,71 +335,90 @@ fn gss_table_in(path: &SetPaths, line_elems: i64) -> Table {
         .filter(|&c| (1..h.rows()).any(|r| h[(r, c)] != 0))
         .collect();
     let sub = OnceCell::new();
-    let mut memo: HashMap<Vec<i64>, Option<Vec<u32>>> = HashMap::new();
-    for (j, gj) in groups.iter().enumerate() {
-        let cj = &set.members()[gj[0]].c;
-        let mut points = path.self_points.clone();
-        for (i, gi) in groups.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let delta = diff(cj, &set.members()[gi[0]].c);
-            let point = memo.entry(delta).or_insert_with_key(|d| {
-                let sub = sub.get_or_init(|| Factored::new(h, 1..h.rows(), &sub_live));
-                spatial_merge_point(h, sub, &sub_live, d, space, line_elems)
-            });
-            if let Some(point) = point {
-                if point.iter().any(|&p| p > 0) {
-                    points.push(point.clone());
+    let solve = |delta: &[i64]| {
+        sub.get_or_init(|| Factored::new(h, 1..h.rows(), &sub_live))
+            .solve(delta)
+    };
+    // An innermost loop in the first row whose column below it depends
+    // on the unrolled loops' carries unrolled offsets into the first
+    // subscript: a member's copies walk along lines, a chain.  Otherwise
+    // (the set is neither chained nor sharing copies) the rows below the
+    // first have full column rank, and every solve that exists is unique.
+    let (a_in, free_inner) = (h[(0, inner)], !sub_live.contains(&inner));
+    if a_in != 0 && !free_inner && !matches!(solve(&vec![0; h.rows() - 1]), SolveOutcome::Unique(_))
+    {
+        return None;
+    }
+    // Each distinct `c`, solved against the first `c` of its class (the
+    // rows below the first close exactly, so solvability is an
+    // equivalence): its class, the solve's unroll part `x` and the
+    // first-row position `p` it leaves.  Members `a`, `b` of one class
+    // then relate with shift `x_b − x_a` and residue `p_b − p_a`, so one
+    // solve per member and class answers every pair.
+    let mut cs: Vec<&[i64]> = set.members().iter().map(|m| &m.c[..]).collect();
+    cs.sort_unstable();
+    cs.dedup();
+    let mut bases: Vec<&[i64]> = Vec::new();
+    let mut placed: Vec<(usize, Vec<i64>, i64)> = Vec::with_capacity(cs.len());
+    for &c in &cs {
+        let found = bases.iter().enumerate().find_map(|(class, base)| {
+            let delta = diff(c, base);
+            let SolveOutcome::Unique(x) = solve(&delta[1..]) else {
+                return None;
+            };
+            let p: i64 = delta[0]
+                - sub_live
+                    .iter()
+                    .zip(&x)
+                    .map(|(&l, v)| h[(0, l)] * v)
+                    .sum::<i64>();
+            let at = |l: &usize| sub_live.iter().position(|c| c == l).map_or(0, |k| x[k]);
+            Some((class, space.loops().iter().map(at).collect(), p))
+        });
+        placed.push(found.unwrap_or_else(|| {
+            bases.push(c);
+            (bases.len() - 1, vec![0; space.dims()], 0)
+        }));
+    }
+    let residue = |a: usize, b: usize| match placed[b].2 - placed[a].2 {
+        r if free_inner && a_in != 0 => centered_mod(r, a_in.abs()),
+        r => r,
+    };
+    let related =
+        |a: usize, b: usize| placed[a].0 == placed[b].0 && residue(a, b).abs() < line_elems;
+    let n = cs.len();
+    let pairs = || (0..n).flat_map(|a| (0..n).map(move |b| (a, b)));
+    if pairs().any(|(a, b)| related(a, b) && residue(a, b) != 0)
+        && pairs().any(|(a, b)| related(a, b) && (0..n).any(|c| related(b, c) && !related(a, c)))
+    {
+        return None;
+    }
+    let l = Localized::innermost(space.depth());
+    let leads: Vec<usize> = group_spatial_sets(set, &l, line_elems)
+        .iter()
+        .map(|g| {
+            let c = &set.members()[g[0]].c[..];
+            cs.binary_search(&c).expect("a member's c")
+        })
+        .collect();
+    leader_table(
+        space,
+        leads.iter().map(|&j| {
+            let mut shifts = path.self_points.clone();
+            for &i in leads.iter().filter(|&&i| related(j, i)) {
+                let x: Vec<i64> = placed[i]
+                    .1
+                    .iter()
+                    .zip(&placed[j].1)
+                    .map(|(p, q)| p - q)
+                    .collect();
+                if lex_positive(&x) {
+                    shifts.push(x);
                 }
             }
-        }
-        t.add_upset_union(&points, -1);
-    }
-    t.finalize();
-    t
-}
-
-/// The spatial merge point: rows below the first (`sub`, factored over
-/// their live columns `sub_live`) close exactly over (unrolled ∪
-/// innermost), the first row up to a residue `< line`.
-fn spatial_merge_point(
-    h: &Mat,
-    sub: &Factored,
-    sub_live: &[usize],
-    delta: &[i64],
-    space: &UnrollSpace,
-    line_elems: i64,
-) -> Option<Vec<u32>> {
-    if h.rows() == 0 {
-        return Some(vec![0; space.dims()]);
-    }
-    let x = match sub.solve(&delta[1..]) {
-        SolveOutcome::Unique(x) => x,
-        SolveOutcome::Underdetermined => vec![0; sub_live.len()],
-        _ => return None,
-    };
-    let mut point = vec![0u32; space.dims()];
-    for (k, &l) in space.loops().iter().enumerate() {
-        if let Some(p) = sub_live.iter().position(|&c| c == l) {
-            point[k] = u32::try_from(x[p]).ok()?;
-        }
-    }
-    // First-row residue: localized loops appearing (only) in row 0 can
-    // absorb part of the difference.
-    let mut residual = delta[0];
-    for (p, &c) in sub_live.iter().enumerate() {
-        residual -= h[(0, c)] * x[p];
-    }
-    // No unrolled loop appears in row 0: `gss_table_in` sweeps those
-    // sets (`chained`).  A free innermost loop in row 0 reduces the
-    // residue modulo |a|.
-    let inner = space.depth() - 1;
-    let a_in = h[(0, inner)];
-    if a_in != 0 && !sub_live.contains(&inner) {
-        residual = centered_mod(residual, a_in.abs());
-    }
-    (residual.abs() < line_elems).then_some(point)
+            shifts
+        }),
+    )
 }
 
 /// The tables driving the memory-operation count `M(u)` (§4.3, Figures
@@ -454,10 +449,11 @@ impl RrsTables {
 
 /// Figures 4–5: builds the register-reuse-stream tables for a whole nest.
 ///
-/// Each use-led register-reuse set issues one load per iteration until a
-/// copy of an *earlier-touching* reference (its provider) appears at a
-/// dominated offset; defs always keep their store.  Innermost-invariant
-/// streams are hoisted and issue nothing per iteration.
+/// Each use-led register-reuse set issues one load per iteration for
+/// every copy whose merge class holds no copy of an *earlier-touching*
+/// reference (its provider) in the box; defs always keep their store.
+/// Innermost-invariant streams are hoisted and issue nothing per
+/// iteration.
 pub fn rrs_tables(nest: &LoopNest, space: &UnrollSpace) -> RrsTables {
     rrs_tables_from(&UgsSet::partition(nest), nest.depth(), space)
 }
@@ -473,15 +469,13 @@ pub fn rrs_tables_from(sets: &[UgsSet], depth: usize, space: &UnrollSpace) -> Rr
     rrs_tables_in(&paths, space)
 }
 
-/// [`rrs_tables_from`] over the sets' merge analyses.  Every closed-form
-/// leader writes its up-set union into one density table, finalized
-/// once; swept sets add their sums after.
+/// [`rrs_tables_from`] over the sets' merge analyses: one use-led table
+/// per set, by leader counting ([`use_leaders`]) or, when that declines
+/// or the set's copies are not distinct, by one sweep
+/// ([`streams::ugs_loads_sums`]), summed in the `Sum` domain.
 fn rrs_tables_in(paths: &[SetPaths], space: &UnrollSpace) -> RrsTables {
-    let mut use_led = Table::filled(space.clone(), 0);
-    let mut leaders = 0i64;
-    let mut swept = Vec::new();
+    let mut use_led = Table::from_sums(space.clone(), vec![0; space.len()]);
     let mut stores_per_copy = 0i64;
-
     for path in paths {
         let set = path.set;
         if path.invariant {
@@ -490,65 +484,46 @@ fn rrs_tables_in(paths: &[SetPaths], space: &UnrollSpace) -> RrsTables {
         }
         // Defs always store, regardless of merging.
         stores_per_copy += set.members().iter().filter(|m| m.is_def).count() as i64;
-
-        // A merge "from above" makes absorption depend on the query box,
-        // not just the copy offset, so the up-set region algorithm
-        // cannot express it.  Tabulate such sets exactly, directly in
-        // the `Sum` domain, as well as sets whose distinct offsets share
-        // copies.
-        if !path.copies_distinct || path.from_above {
-            swept.push(Table::from_sums(
-                space.clone(),
-                streams::ugs_loads_sums(set, space),
-            ));
-            continue;
-        }
-
-        let groups = streams::original_streams(set, space.depth());
-        for (g_idx, g) in groups.iter().enumerate() {
-            // The stream's first toucher (key desc, reference order asc)
-            // leads it; a def-led stream loads nothing (its store was
-            // counted above).
-            let &(lead, _) = g
-                .iter()
-                .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))
-                .expect("non-empty stream");
-            if set.members()[lead].is_def {
-                continue;
-            }
-            // A use-led stream: one load per copy until absorbed.
-            let cj = &set.members()[lead].c;
-            let mut points = path.self_points.clone();
-            for (i, gi) in groups.iter().enumerate() {
-                if i == g_idx {
-                    continue;
-                }
-                for &(m_idx, _) in gi {
-                    // Solve H·x = c_m − c_j: the provider copy sits at
-                    // `u' − x_unroll` and touches `x_inner` iterations
-                    // earlier than the leader; it provides when it
-                    // touches no later, as every merge here does (the
-                    // classify scan saw each pair, no reverse provider).
-                    if let Some((x, _)) = path.solve(&set.members()[m_idx].c, cj) {
-                        points.extend(merge_point(&x));
-                    }
-                }
-            }
-            leaders += 1;
-            use_led.add_upset_union(&points, -1);
-        }
-    }
-    // Each use-led leader's copy at every offset (the up-set of the
-    // origin) loads once, less the absorbed copies the unions removed.
-    use_led.add_upset_union(&[vec![0; space.dims()]], leaders);
-    use_led.finalize();
-    for t in &swept {
-        use_led.accumulate(t);
+        let closed = path.copies_distinct.then(|| use_leaders(path));
+        use_led.accumulate(&closed.flatten().unwrap_or_else(|| {
+            Table::from_sums(space.clone(), streams::ugs_loads_sums(set, space))
+        }));
     }
     RrsTables {
         use_led,
         stores_per_copy,
     }
+}
+
+/// The use-led table of one set whose copies are distinct: a merge
+/// class loads once when its first toucher is a use.  Each original
+/// stream is led by its first toucher (key descending, reference order
+/// ascending), and a stream's copy leads its class unless another
+/// stream's lead copy touches earlier: the solve of the two leads puts
+/// that copy `x_in > 0` innermost iterations ahead, or level with it
+/// (`x_in = 0`) at a lexicographically earlier offset.  Def-led streams
+/// beat the others but load nothing (their store is counted apart).
+fn use_leaders(path: &SetPaths) -> Option<Table> {
+    let members = path.set.members();
+    let leads: Vec<usize> = streams::original_streams(path.set, path.space.depth())
+        .iter()
+        .map(|g| {
+            g.iter()
+                .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))
+                .expect("non-empty stream")
+                .0
+        })
+        .collect();
+    let cs: Vec<&[i64]> = leads.iter().map(|&m| &members[m].c[..]).collect();
+    let earlier = |x: &[i64], x_in: i64| x_in > 0 || (x_in == 0 && lex_positive(x));
+    leader_table(
+        path.space,
+        leads
+            .iter()
+            .zip(&cs)
+            .filter(|&(&m, _)| !members[m].is_def)
+            .map(|(_, cj)| path.beating(cj, &cs, earlier)),
+    )
 }
 
 /// Figure 7: the register-pressure table `RL(u)` for one UGS.
@@ -557,9 +532,8 @@ fn rrs_tables_in(paths: &[SetPaths], space: &UnrollSpace) -> RrsTables {
 ///
 /// * **GTS** — an invariant set holds one register per stream, and an
 ///   invariant copy's stream signature is its `c`, so its register count
-///   is its group-temporal set count: [`gts_table`], whose up-set union
-///   is exact when distinct live-loop offsets give distinct copies and
-///   no merge offset is mixed-sign.
+///   is its group-temporal set count: [`gts_table`], by leader counting
+///   whenever distinct live-loop offsets give distinct copies.
 /// * **Sweep** — every other set is tabulated exactly in the `Sum`
 ///   domain by [`streams::ugs_registers_sums`], one sweep over the unroll
 ///   box that returns zeros for an all-def set without sweeping, and
@@ -571,7 +545,7 @@ pub fn reg_table(set: &UgsSet, space: &UnrollSpace) -> Table {
 
 /// [`reg_table`] over the set's merge analysis.
 fn reg_table_in(path: &SetPaths) -> Table {
-    if path.invariant && path.copies_distinct && !path.mixed_sign {
+    if path.invariant && path.copies_distinct {
         return gts_table_in(path);
     }
     Table::from_sums(
@@ -1016,9 +990,10 @@ mod reg_table_tests {
     }
 
     #[test]
-    fn invariant_sets_whose_gts_union_overcounts_sweep() {
-        // skew: at u = (1,1) both boxes hold B(J+1,K), which neither
-        // up-set removes.  diag: no merge solve is unique.
+    fn invariant_sets_with_mixed_sign_merges_or_shared_copies_match() {
+        // skew: B(J,K) and B(J+1,K-1) merge at the mixed-sign shift
+        // (1,−1), which leader counting covers.  diag: no merge solve is
+        // unique, so the set sweeps.
         check_registers(&super::tests::skew(), &[0, 1], 2);
         check_registers(&super::tests::diag(), &[0, 1], 2);
     }

@@ -40,7 +40,14 @@ fn random_table(rng: &mut Rng, space: &UnrollSpace) -> Table {
     }
     for _ in 0..rng.int(0, 5) {
         let k = rng.int(1, 16) as usize;
-        let points: Vec<Vec<u32>> = (0..k).map(|_| random_point(rng, space, 2)).collect();
+        let points: Vec<Vec<i64>> = (0..k)
+            .map(|_| {
+                random_point(rng, space, 2)
+                    .into_iter()
+                    .map(i64::from)
+                    .collect()
+            })
+            .collect();
         t.add_upset_union(&points, rng.int(-4, 4));
     }
     t
@@ -78,7 +85,7 @@ fn finalized_prefix_sum_matches_naive_box_enumeration() {
         assert_eq!(space.len(), 1);
         let zero = vec![0u32; space.dims()];
         let mut t = Table::filled(space.clone(), 7);
-        t.add_upset_union(std::slice::from_ref(&zero), 2);
+        t.add_upset_union(&[vec![0i64; space.dims()]], 2);
         t.finalize();
         assert_eq!(
             (t.get(&zero), t.prefix_sum(&zero)),

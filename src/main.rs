@@ -54,10 +54,10 @@
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use ujam::core::{
-    optimize_costed, optimize_with, tables::CostTables, BalanceModel, CancelToken, CostModelKind,
-    SearchConfig, UnrollSpace,
+    optimize_costed, optimize_with, pipeline::AnalysisCtx, tables::CostTables, BalanceModel,
+    CancelToken, CostModelKind, SearchConfig, UnrollSpace,
 };
-use ujam::dep::{safe_unroll_bounds, DepGraph, DepKind};
+use ujam::dep::DepKind;
 use ujam::ir::transform::scalar_replacement;
 use ujam::ir::LoopNest;
 use ujam::kernels::{kernels, named_nest};
@@ -232,7 +232,11 @@ fn run(args: &[String]) -> Result<(), Failure> {
         }
         "deps" => {
             let nest = lookup(it.next())?;
-            let g = DepGraph::build(&nest);
+            // The context refuses a malformed nest (a bound beyond ±2^31).
+            let machine = MachineModel::dec_alpha();
+            let mut ctx = AnalysisCtx::new(&nest, &machine).map_err(|e| e.to_string())?;
+            let bounds = ctx.safe_bounds().to_vec();
+            let g = ctx.dep_graph();
             outln!("dependences of {}:", nest.name());
             for kind in [
                 DepKind::True,
@@ -249,7 +253,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 s.bytes_no_input,
                 (100.0 * (1.0 - s.bytes_no_input as f64 / s.bytes_all.max(1) as f64)).round()
             );
-            outln!("  safe unroll bounds: {:?}", safe_unroll_bounds(&nest, &g));
+            outln!("  safe unroll bounds: {bounds:?}");
             Ok(())
         }
         "tables" => {
@@ -259,8 +263,9 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 .map(|b| b.parse().map_err(|_| "bound must be a number".to_string()))
                 .transpose()?
                 .unwrap_or(4);
-            let g = DepGraph::build(&nest);
-            let bounds = safe_unroll_bounds(&nest, &g);
+            let machine = MachineModel::dec_alpha();
+            let mut ctx = AnalysisCtx::new(&nest, &machine).map_err(|e| e.to_string())?;
+            let bounds = ctx.safe_bounds();
             let loop_idx = (0..nest.depth() - 1)
                 .find(|&l| bounds[l] >= 1)
                 .ok_or("no loop of this kernel can be jammed")?;

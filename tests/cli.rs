@@ -119,6 +119,37 @@ fn fortran_files_round_trip_through_the_cli() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("integer constant"));
 }
 
+/// `deps` and `tables` analyse through the same checked context as
+/// `optimize`: a loop bound beyond ±2^31 (whose trip count would wrap)
+/// is refused with an error and a nonzero exit, not printed as a
+/// dependence count of zero.
+#[test]
+fn deps_and_tables_refuse_loop_bounds_beyond_2_pow_31() {
+    let dir = std::env::temp_dir().join("ujam_cli_test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let source = |lower: &str, upper: &str| {
+        format!(
+            "      DIMENSION A(8,8), B(8,8)\n      DO I = {lower}, {upper}\n      DO J = 1, 4\n      \
+             A(I,J) = B(I,J) + B(I+1,J)\n      ENDDO\n      ENDDO\n      END\n"
+        )
+    };
+    let wide = dir.join("wide_bounds.f");
+    std::fs::write(&wide, source("-9000000000000000000", "9000000000000000000")).expect("write");
+    let narrow = dir.join("narrow_bounds.f");
+    std::fs::write(&narrow, source("1", "100")).expect("write");
+    for cmd in ["deps", "tables"] {
+        let out = ujam(&[cmd, wide.to_str().expect("utf8 path")]);
+        assert!(!out.status.success(), "{cmd} accepted the wide bounds");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("beyond ±2^31"), "{cmd}: {err}");
+        assert!(stdout(&out).is_empty(), "{cmd}: {}", stdout(&out));
+        let out = ujam(&[cmd, narrow.to_str().expect("utf8 path")]);
+        assert!(out.status.success(), "{cmd} refused DO I = 1, 100");
+    }
+    let out = ujam(&["deps", narrow.to_str().expect("utf8 path")]);
+    assert!(stdout(&out).contains("input: 1"), "{}", stdout(&out));
+}
+
 /// `--explain` on the paper's introductory loop (Figure 8's `A(J) =
 /// A(J) + B(I)`), fed through a Fortran file: the provenance table
 /// reports exactly one winning candidate, and it is the same unroll

@@ -1,21 +1,22 @@
-//! Sweep ≡ per-offset oracle.
+//! Sweep ≡ closed form ≡ per-offset oracle.
 //!
 //! The swept tables are filled by one sweep per uniformly generated set
-//! over the whole unroll box (`streams::*_sums`).  These tests pin every
-//! sweep, bitwise and at every offset, to the per-offset direct count it
-//! replaced (`streams::*_at`) — over the Table 2 suite, the deep kernels,
-//! and seeded synthetic corpora, on spaces of zero to three unrolled
-//! loops with heterogeneous per-loop bounds.  Every set is checked, not
-//! only the ones whose tables take the sweep.
+//! over the whole unroll box (`streams::*_sums`), the others by leader
+//! counting over signed merge shifts.  These tests pin every sweep and
+//! every public per-set builder (`gss_table`, `gts_table`,
+//! `rrs_tables_from` of one set, `reg_table`), bitwise and at every
+//! offset, to the per-offset direct counts (`streams::*_at`,
+//! [`families_match_oracles`]) — over the Table 2 suite, the deep
+//! kernels, seeded synthetic corpora and seeded def-bearing nests, on
+//! spaces of zero to three unrolled loops with heterogeneous per-loop
+//! bounds.  Every set is checked, whichever construction it takes.
 //!
 //! The same spaces, and the spaces the Table 2 suite and the deep kernels
 //! compile over, also pin the public per-family builders to
 //! `CostTables`: the optimizer reads its tables from
 //! `CostTables::build_with_sets`, while the per-family timings of the
 //! benchmark's traced profile call `gss_table`, `rrs_tables_from` and
-//! `reg_table` one family at a time ([`builders_match`]).  On the
-//! compile spaces, `gss_table` and `gts_table` are also pinned to their
-//! per-offset counts ([`families_match_oracles`]).
+//! `reg_table` one family at a time ([`builders_match`]).
 
 use ujam::core::pipeline::{AnalysisCtx, Pass, SelectLoops};
 use ujam::core::streams::{
@@ -32,9 +33,8 @@ use ujam_rng::Rng;
 
 mod common;
 
-/// Checks all three sweeps of every set of `nest` against their oracles
-/// over random spaces and line sizes; returns the number of entries
-/// compared.
+/// [`check`]s `nest` over random spaces and line sizes; returns the
+/// number of entries compared.
 fn check_nest(label: &str, nest: &LoopNest, rng: &mut Rng) -> usize {
     common::spaces(nest, rng)
         .iter()
@@ -42,50 +42,11 @@ fn check_nest(label: &str, nest: &LoopNest, rng: &mut Rng) -> usize {
         .sum()
 }
 
-/// Checks all three sweeps of every set of `nest` against their oracles,
-/// and the public builders against `CostTables`, over one space; returns
-/// the number of entries compared.
+/// Checks the sweeps and the closed-form tables of every set of `nest`
+/// against their oracles, and the public builders against `CostTables`,
+/// over one space; returns the number of entries compared.
 fn check(label: &str, nest: &LoopNest, space: &UnrollSpace, line: i64) -> usize {
-    let depth = nest.depth();
-    let mut checked = builders_match(label, nest, space, line);
-    for set in &UgsSet::partition(nest) {
-        let registers = ugs_registers_sums(set, space);
-        let loads = ugs_loads_sums(set, space);
-        let gss = gss_count_sums(set, space, line);
-        assert_eq!(registers.len(), space.len());
-        let at = |what: &str, u: &[u32]| {
-            format!(
-                "{label}: {what} of {} @ {u:?} over loops {:?} bounds {:?} (line {line})",
-                set.array(),
-                space.loops(),
-                space.bounds()
-            )
-        };
-        let mut flat = 0;
-        space.for_each_offset(|u| {
-            assert_eq!(
-                registers[flat],
-                ugs_registers_at(set, space, u, depth) as i64,
-                "{}",
-                at("registers", u)
-            );
-            assert_eq!(
-                loads[flat],
-                ugs_loads_at(set, space, u, depth) as i64,
-                "{}",
-                at("loads", u)
-            );
-            assert_eq!(
-                gss[flat],
-                gss_count_at(set, space, u, depth, line) as i64,
-                "{}",
-                at("GSS count", u)
-            );
-            flat += 1;
-        });
-        checked += 3 * space.len();
-    }
-    checked
+    builders_match(label, nest, space, line) + families_match_oracles(label, nest, space, line)
 }
 
 /// Pins the public builders `gss_table`, `rrs_tables_from` and
@@ -169,29 +130,50 @@ fn sweeps_equal_per_offset_oracles_on_a_skewed_chain() {
     }
 }
 
-/// Pins `gss_table` and `gts_table` of every set of `nest` to their
-/// per-offset counts `gss_count_at` and `gts_count_at`, bitwise at every
-/// offset of `space`.  Unlike [`builders_match`], whose two sides read
+/// Pins every set's tables to their per-offset counts, bitwise at every
+/// offset of `space`: the three sweeps (`ugs_registers_sums`,
+/// `ugs_loads_sums`, `gss_count_sums`), and the public builders
+/// `gss_table`, `gts_table`, `rrs_tables_from` of the set alone and
+/// `reg_table` — to `gss_count_at`, `gts_count_at`, `ugs_loads_at` and
+/// `ugs_registers_at`.  Unlike [`builders_match`], whose two sides read
 /// the same per-set tables, this catches a wrong closed form.  Returns
 /// the number of entries compared.
 fn families_match_oracles(label: &str, nest: &LoopNest, space: &UnrollSpace, line: i64) -> usize {
     let depth = nest.depth();
     let mut checked = 0;
     for set in &UgsSet::partition(nest) {
+        let sweeps = (
+            ugs_registers_sums(set, space),
+            ugs_loads_sums(set, space),
+            gss_count_sums(set, space, line),
+        );
         let (gss, gts) = (gss_table(set, space, line), gts_table(set, space));
+        let rrs = rrs_tables_from(std::slice::from_ref(set), depth, space);
+        let registers = reg_table(set, space);
+        let mut flat = 0;
         space.for_each_offset(|u| {
-            let at = format!(
-                "{label}: {} @ {u:?} over loops {:?} bounds {:?} (line {line})",
-                set.array(),
-                space.loops(),
-                space.bounds()
-            );
+            let at = |what: &str| {
+                format!(
+                    "{label}: {what} of {} @ {u:?} over loops {:?} bounds {:?} (line {line})",
+                    set.array(),
+                    space.loops(),
+                    space.bounds()
+                )
+            };
+            let want = ugs_registers_at(set, space, u, depth) as i64;
+            assert_eq!(sweeps.0[flat], want, "{}", at("register sweep"));
+            assert_eq!(registers.prefix_sum(u), want, "{}", at("register table"));
+            let want = ugs_loads_at(set, space, u, depth) as i64;
+            assert_eq!(sweeps.1[flat], want, "{}", at("loads sweep"));
+            assert_eq!(rrs.loads(u), want, "{}", at("RRS loads"));
             let want = gss_count_at(set, space, u, depth, line) as i64;
-            assert_eq!(gss.prefix_sum(u), want, "GSS table: {at}");
+            assert_eq!(sweeps.2[flat], want, "{}", at("GSS sweep"));
+            assert_eq!(gss.prefix_sum(u), want, "{}", at("GSS table"));
             let want = gts_count_at(set, space, u, depth) as i64;
-            assert_eq!(gts.prefix_sum(u), want, "GTS table: {at}");
+            assert_eq!(gts.prefix_sum(u), want, "{}", at("GTS table"));
+            flat += 1;
         });
-        checked += 2 * space.len();
+        checked += 7 * space.len();
     }
     checked
 }
@@ -217,4 +199,64 @@ fn public_builders_equal_cost_tables_on_the_compile_spaces() {
         checked += families_match_oracles(name, &nest, &space, line);
     }
     assert!(checked > 1_000, "only {checked} offsets compared");
+}
+
+/// Seeded def-bearing nests ([`common::def_nest`]): merges of every
+/// sign, reverse providers and first-row tolerance chains, on the random
+/// spaces of [`check_nest`].  Every closed-form table and every sweep
+/// equals its per-offset count.
+#[test]
+fn tables_equal_per_offset_oracles_on_def_bearing_nests() {
+    let mut rng = Rng::new(0xdef5_0b1e);
+    let mut checked = 0;
+    for i in 0..2_000 {
+        let nest = common::def_nest(&mut rng, &format!("def{i}"));
+        checked += check_nest(&format!("def #{i}: {nest}"), &nest, &mut rng);
+    }
+    assert!(checked > 100_000, "only {checked} entries compared");
+}
+
+/// A first-row tolerance chain: `A`'s first subscripts `K-2`, `K-1`
+/// and `K` differ by residues within a line of 2 pairwise-adjacent, but
+/// `K-2` and `K` do not, so the spatial relation is not transitive and
+/// the greedy leader walk is not a class count.  The set sweeps.
+#[test]
+fn a_first_row_tolerance_chain_takes_the_sweep() {
+    let nest = NestBuilder::new("chain")
+        .array("A", &[36, 36, 36])
+        .array("B", &[36, 36, 36])
+        .loop_("K", 3, 30)
+        .loop_("J", 3, 30)
+        .loop_("I", 3, 30)
+        .stmt("A(K-2,I-2,J-1) = A(K-2,I-1,J+2) + A(K,I-2,J) + A(K-1,I-2,J-2) + B(I-1,J-2,K)")
+        .build();
+    let space = UnrollSpace::new(3, &[1], 5);
+    let a = UgsSet::partition(&nest)
+        .into_iter()
+        .find(|s| s.array() == "A")
+        .expect("A");
+    let t = gss_table(&a, &space, 2);
+    let sums: Vec<i64> = (2..=5).map(|u| t.prefix_sum(&[u])).collect();
+    assert_eq!(sums, [10, 12, 14, 16]);
+    check("chain", &nest, &space, 2);
+}
+
+/// `A(I,I+J)` with `J` unrolled: no unrolled loop indexes the first
+/// subscript, but the second pins only `I + J`, so the copy at `J`
+/// offset 1 is the original shifted by one `I` iteration, one element
+/// along the first subscript — a line chain through the innermost loop.
+/// The set sweeps.
+#[test]
+fn an_innermost_walk_along_lines_takes_the_sweep() {
+    let nest = NestBuilder::new("walk")
+        .array("A", &[200, 200])
+        .array("B", &[200, 200])
+        .loop_("J", 1, 48)
+        .loop_("I", 1, 48)
+        .stmt("B(I,J) = A(I,I+J) + A(I+1,I+J)")
+        .build();
+    let space = UnrollSpace::new(2, &[0], 6);
+    for line in [1, 2, 4] {
+        check("walk", &nest, &space, line);
+    }
 }
