@@ -21,6 +21,9 @@ python3 perfbench/steady.py --self-test
 
 cargo fmt --all -- --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc: every intra-doc link must resolve to a documented item, so a
+# deleted or private name left in a public doc comment fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Observability smoke test: --trace=json must emit exactly one JSON
 # document on stdout, accepted by the in-tree strict parser, with a
@@ -35,14 +38,14 @@ cargo run --release --offline --quiet --example validate_trace -- --chrome /tmp/
 
 # Bench smoke test: every bench harness must build, and a quick run of
 # the search-scaling bench must emit a schema-valid BENCH_search.json
-# (winner agreement across the naive / summed-area / pruned engines is
-# checked inside the bench and again by the validator, which also
-# requires the per-family build columns).
+# (winner agreement between the summed-area and pruned walks is checked
+# inside the bench and again by the validator, which also requires the
+# per-family build columns).
 cargo bench --offline --workspace --no-run
 cargo bench --offline -p ujam-bench --bench search_scaling -- --quick --out /tmp/ujam_bench_search.json
 cargo run --release --offline --quiet --example validate_search_bench -- /tmp/ujam_bench_search.json
 
-# target-cpu=native smoke: the engines must still agree on every winner
+# target-cpu=native smoke: the walks must still agree on every winner
 # when the compiler is free to autovectorise the table kernels for the
 # host (a separate target dir keeps the differently-flagged artifacts
 # from thrashing the shared cache).

@@ -1,13 +1,10 @@
 //! `search_scaling`: how the table-driven unroll search scales with the
-//! size of the unroll space, comparing three query engines behind the
-//! identical walk (`ujam_core::search_tables`):
+//! size of the unroll space, in two walks over the same summed-area
+//! tables (`ujam_core::search_tables`):
 //!
-//! * `naive` — raw (de-finalized) tables: every `Sum` query
-//!   re-enumerates the box below the offset, the seed behaviour —
-//!   O(N) per query, O(N²) per search;
-//! * `summed_area` — finalized summed-area tables: every `Sum` query
-//!   is one dense lookup — O(1) per query, O(N) per search;
-//! * `pruned` — finalized tables plus monotone up-set pruning of
+//! * `summed_area` — every candidate is scored; each `Sum` query is one
+//!   dense lookup — O(1) per query, O(N) per search;
+//! * `pruned` — the same walk plus monotone up-set pruning of
 //!   over-budget candidates.
 //!
 //! A `build` arm times `CostTables::build` itself, and the
@@ -26,19 +23,15 @@
 //! `BENCH_search.json` at the repository root, override with
 //! `-- --out PATH`) alongside the
 //! human report; `-- --quick` shrinks the sweep for CI smoke runs,
-//! where `examples/validate_search_bench.rs` checks the schema.  In the
-//! full sweep the largest space must show the ≥7× naive→summed-area
-//! speedup the O(N²)→O(N) rework promises, and all three engines must
-//! agree on the winner everywhere — violations abort the run.  The
-//! `naive` and `summed_area` arms are timed interleaved
-//! (`bench_interleaved`), so the gate compares the two on the same
-//! phases of the machine.
+//! where `examples/validate_search_bench.rs` checks the schema.  Both
+//! walks must agree on the winner everywhere — a disagreement aborts
+//! the run.
 //!
 //! Run with `cargo bench -p ujam-bench --bench search_scaling`.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
-use ujam_bench::timing::{bench, bench_interleaved};
+use ujam_bench::timing::bench;
 use ujam_core::pipeline::{AnalysisCtx, Pass, SelectLoops};
 use ujam_core::tables::{reg_table, rrs_tables_from};
 use ujam_core::{
@@ -75,7 +68,6 @@ fn main() {
     for (i, &bound) in bounds.iter().enumerate() {
         let space = UnrollSpace::new(nest.depth(), &[0, 1], bound);
         let sat = CostTables::build(&nest, &space, line);
-        let raw = sat.definalized();
         let n = space.len();
 
         let build = bench(&format!("build/{n}"), || {
@@ -99,47 +91,22 @@ fn main() {
                 black_box(reg_table(set, &space));
             }
         });
-        // The gated pair runs interleaved, so a slow phase of the
-        // machine lands on both arms alike.
-        let gated = bench_interleaved(&mut [
-            (&format!("naive/{n}"), &mut || {
-                black_box(search_tables(
-                    &nest, &machine, &space, &raw, model, false, None,
-                ));
-            }),
-            (&format!("summed_area/{n}"), &mut || {
-                black_box(search_tables(
-                    &nest, &machine, &space, &sat, model, false, None,
-                ));
-            }),
-        ]);
-        let (naive, summed) = (&gated[0], &gated[1]);
+        let summed = bench(&format!("summed_area/{n}"), || {
+            search_tables(&nest, &machine, &space, &sat, model, false, None)
+        });
         let pruned = bench(&format!("pruned/{n}"), || {
             search_tables(&nest, &machine, &space, &sat, model, true, None)
         });
 
-        let (naive_win, _) = search_tables(&nest, &machine, &space, &raw, model, false, None);
         let (sat_win, _) = search_tables(&nest, &machine, &space, &sat, model, false, None);
         let (pruned_win, pruned_upset) =
             search_tables(&nest, &machine, &space, &sat, model, true, None);
-        let agree = naive_win == sat_win && sat_win == pruned_win;
+        let agree = sat_win == pruned_win;
         assert!(
             agree,
-            "engines disagree at bound {bound}: naive {naive_win:?}, \
-             summed-area {sat_win:?}, pruned {pruned_win:?}"
+            "engines disagree at bound {bound}: summed-area {sat_win:?}, pruned {pruned_win:?}"
         );
-        let speedup = naive.median_ns / summed.median_ns.max(1e-9);
-        println!("  space {n:>4}: naive/summed_area speedup {speedup:.1}x, {pruned_upset} pruned");
-        if !quick && i == bounds.len() - 1 {
-            // Was >=10x when the naive arm still allocated per query;
-            // the flat rebuild sped the naive walk itself up ~1.7x
-            // (same odometer, no heap traffic), so the *ratio* floor
-            // drops even though both absolute times fell.
-            assert!(
-                speedup >= 7.0,
-                "largest space must show the >=7x summed-area speedup, got {speedup:.1}x"
-            );
-        }
+        println!("  space {n:>4}: winner {sat_win:?}, {pruned_upset} pruned");
 
         if i > 0 {
             rows.push(',');
@@ -147,13 +114,11 @@ fn main() {
         let winner: Vec<String> = sat_win.iter().map(|x| x.to_string()).collect();
         let _ = write!(
             rows,
-            "{{\"space\":{n},\"bound\":{bound},\"naive_ns\":{:.1},\
-             \"summed_area_ns\":{:.1},\"pruned_ns\":{:.1},\"build_ns\":{:.1},\
+            "{{\"space\":{n},\"bound\":{bound},\"summed_area_ns\":{:.1},\
+             \"pruned_ns\":{:.1},\"build_ns\":{:.1},\
              \"build_gts_ns\":{:.1},\"build_gss_ns\":{:.1},\
              \"build_rrs_ns\":{:.1},\"build_reg_ns\":{:.1},\"pruned_upset\":{},\
-             \"winner\":[{}],\"winners_agree\":{agree},\
-             \"speedup_naive_over_summed\":{:.3}}}",
-            naive.median_ns,
+             \"winner\":[{}],\"winners_agree\":{agree}}}",
             summed.median_ns,
             pruned.median_ns,
             build.median_ns,
@@ -162,8 +127,7 @@ fn main() {
             build_rrs.median_ns,
             build_reg.median_ns,
             pruned_upset,
-            winner.join(","),
-            speedup
+            winner.join(",")
         );
     }
     // Depth-scaling arm: the same walk over a deep (4-loop) kernel with

@@ -55,7 +55,7 @@ fn fmt_ns(ns: f64) -> String {
 /// Times `f`, printing a report line and returning the measurement.
 ///
 /// The routine warms up, calibrates a batch size that runs for roughly
-/// [`BATCH_TARGET`], then takes [`SAMPLES`] batches and reports the
+/// `BATCH_TARGET`, then takes `SAMPLES` batches and reports the
 /// median.  Results are passed through [`black_box`] so the work is not
 /// optimized away.
 pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Measurement {
@@ -77,8 +77,8 @@ const ROUND_BATCH_TARGET: Duration = Duration::from_millis(5);
 /// Times several arms interleaved, for gates that compare arms with
 /// each other.
 ///
-/// One warm-up call per arm calibrates its batch size as in [`bench`];
-/// then each of [`ROUNDS`] rounds times one short batch of every arm in
+/// One warm-up call per arm calibrates its batch size as in [`bench()`];
+/// then each of `ROUNDS` rounds times one short batch of every arm in
 /// turn (A B C … A B C …), so a slow phase of the machine lands on all
 /// the arms alike rather than on whichever arm ran through it.  Prints
 /// one report line per arm and returns the measurements in `arms`

@@ -715,9 +715,8 @@ impl<'a> Scorer<'a> {
 /// The bare table-driven search kernel behind [`SearchSpace`], exposed
 /// so benchmarks and equivalence tests can drive the exact search code
 /// path against prebuilt tables with pruning toggled.  It reads each
-/// candidate's inputs by offset through [`CostTables::inputs`], so
-/// finalized tables and [`definalized`](CostTables::definalized) ones
-/// take the same path.
+/// candidate's inputs by offset through [`CostTables::inputs`]: one
+/// index fold, then one load per table.
 /// Returns the winning offset and the number of candidates skipped by
 /// monotone up-set pruning (0 with `prune` off).
 ///

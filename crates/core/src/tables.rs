@@ -12,14 +12,14 @@
 //! toucher for RRS).  A copy is new in the box `[0, u]` unless the
 //! partner of a shift that beats it lies in the box — for non-negative
 //! shifts, the paper's merge points and previous-superleader
-//! bookkeeping; of any sign, one corner write per subset of the shifts
-//! ([`crate::Table::add_upset_union`]).
+//! bookkeeping; of any sign, one corner write per subset of the shifts,
+//! up to a cap of 12 shifts.
 //!
 //! Scope: like the paper (§3.5, §5), the closed-form table construction
 //! targets **separable SIV** references; [`CostTables::siv`] reports
 //! whether a nest qualifies.  Where leader counting does not hold (copies
 //! that distinct offsets share, GSS line chains and non-transitive
-//! spatial relations, signed shift sets past the cap), construction
+//! spatial relations, shift sets past the cap), construction
 //! tabulates exactly instead: one sweep per set over the unroll box
 //! ([`streams::gss_count_sums`] and its siblings) yields every `Sum`
 //! value, stored directly ([`Table::from_sums`]) — see DESIGN.md §5.
@@ -42,7 +42,7 @@
 //! eliminate their sub-system (the rows of `H` below the first) the same
 //! way, at most once per table.
 //!
-//! Every table this module returns is **finalized** (a summed-area
+//! Every table this module returns holds its `Sum` values (a summed-area
 //! table), so each `prefix_sum` query downstream is a single lookup.
 //! [`CostTables`] answers the search by offset with
 //! [`CostTables::inputs`], which indexes the offset once for every
@@ -200,30 +200,6 @@ fn lex_positive(x: &[i64]) -> bool {
     x.iter().find(|&&v| v != 0).is_some_and(|&v| v > 0)
 }
 
-/// The leader table of a set whose copies are distinct: each item of
-/// `groups` is one counted group's beating shifts ([`SetPaths::beating`]),
-/// and the group's copy at `u'` leads its merge class in the box
-/// `[0, u]` unless a partner `u' − x` lies in that box.  Every counted
-/// group contributes one per copy, less its beaten copies
-/// ([`Table::add_upset_union`]).  `None` when a group's signed shifts
-/// are past the closed form's cap: the caller sweeps the set.
-fn leader_table(
-    space: &UnrollSpace,
-    groups: impl IntoIterator<Item = Vec<Vec<i64>>>,
-) -> Option<Table> {
-    let mut t = Table::filled(space.clone(), 0);
-    let mut counted = 0;
-    for shifts in groups {
-        if !t.add_upset_union(&shifts, -1) {
-            return None;
-        }
-        counted += 1;
-    }
-    t.add_upset_union(&[vec![0; space.dims()]], counted);
-    t.finalize();
-    Some(t)
-}
-
 /// Figure 2: the table of new group-temporal sets per copy offset for one
 /// uniformly generated set, under innermost localization (the localized
 /// space of an unrolled loop's body).
@@ -257,7 +233,7 @@ pub fn gts_table(set: &UgsSet, space: &UnrollSpace) -> Table {
 /// copy counts while it leads its merge class, beaten by the
 /// lexicographically positive shifts (the partner copy sits earlier in
 /// the body); tabulated from [`streams::gts_count_at`] when copies are
-/// not distinct or a signed shift set is past the cap.
+/// not distinct or a group's shift set is past the cap.
 fn gts_table_in(path: &SetPaths) -> Table {
     let (set, space) = (path.set, path.space);
     let depth = space.depth();
@@ -268,7 +244,7 @@ fn gts_table_in(path: &SetPaths) -> Table {
     let beaten = |cj: &&[i64]| path.beating(cj, &leads, |x, _| lex_positive(x));
     let closed = path
         .copies_distinct
-        .then(|| leader_table(space, leads.iter().map(beaten)));
+        .then(|| Table::from_leaders(space, leads.iter().map(beaten)));
     closed.flatten().unwrap_or_else(|| {
         let mut sums = Vec::with_capacity(space.len());
         space.for_each_offset(|u| sums.push(streams::gts_count_at(set, space, u, depth) as i64));
@@ -293,8 +269,8 @@ pub fn gss_table(set: &UgsSet, space: &UnrollSpace, line_elems: i64) -> Table {
 /// subscript walks copies along cache lines, and the greedy leader walk
 /// over the combined value stream does not decompose into classes) and
 /// copies that distinct offsets share are tabulated exactly with one
-/// sweep over the unroll box, stored as already-finalized sums so the
-/// prefix-sum interface (and its O(1) query cost) is preserved.  So is a
+/// sweep over the unroll box, stored as its sums ([`Table::from_sums`]),
+/// so the prefix-sum interface and its O(1) query are preserved.  So is a
 /// set whose spatial relation is not transitive ([`spatial_leaders`]).
 fn gss_table_in(path: &SetPaths, line_elems: i64) -> Table {
     assert!(line_elems >= 1, "cache line must hold at least one element");
@@ -311,7 +287,7 @@ fn gss_table_in(path: &SetPaths, line_elems: i64) -> Table {
 /// The GSS table by leader counting, when the greedy leader walk counts
 /// classes: `None` when the innermost loop walks a member's copies along
 /// lines, when the spatial relation of the set's members is not
-/// transitive, or when a signed shift set is past the cap.
+/// transitive, or when a group's shift set is past the cap.
 ///
 /// Members `a`, `b` are related with shift `x_ab` when the rows of `H`
 /// below the first close `c_b − c_a` exactly over (unrolled ∪
@@ -401,7 +377,7 @@ fn spatial_leaders(path: &SetPaths, line_elems: i64) -> Option<Table> {
             cs.binary_search(&c).expect("a member's c")
         })
         .collect();
-    leader_table(
+    Table::from_leaders(
         space,
         leads.iter().map(|&j| {
             let mut shifts = path.self_points.clone();
@@ -516,7 +492,7 @@ fn use_leaders(path: &SetPaths) -> Option<Table> {
         .collect();
     let cs: Vec<&[i64]> = leads.iter().map(|&m| &members[m].c[..]).collect();
     let earlier = |x: &[i64], x_in: i64| x_in > 0 || (x_in == 0 && lex_positive(x));
-    leader_table(
+    Table::from_leaders(
         path.space,
         leads
             .iter()
@@ -643,13 +619,9 @@ impl CostTables {
         let rrs = &self.rrs;
         BalanceInputs {
             flops: (self.flops_per_copy * copies) as f64,
-            memory_ops: (rrs.use_led.sum_at(u, idx) + rrs.stores_per_copy * copies as i64) as f64,
-            cache_lines: self
-                .gss
-                .iter()
-                .map(|(f, t)| f * t.sum_at(u, idx) as f64)
-                .sum(),
-            registers: self.registers.iter().map(|t| t.sum_at(u, idx)).sum(),
+            memory_ops: (rrs.use_led.sum_at(idx) + rrs.stores_per_copy * copies as i64) as f64,
+            cache_lines: self.gss.iter().map(|(f, t)| f * t.sum_at(idx) as f64).sum(),
+            registers: self.registers.iter().map(|t| t.sum_at(idx)).sum(),
         }
     }
 
@@ -691,29 +663,6 @@ impl CostTables {
     /// whole subtrees without changing the winner.
     pub fn registers_monotone(&self) -> bool {
         self.registers_monotone
-    }
-
-    /// A copy of these tables back in the density domain, so every query
-    /// re-enumerates its box — the seed's O(N)-per-query behaviour.
-    /// Exists for the `search_scaling` bench and round-trip tests; the
-    /// optimizer never uses it.
-    pub fn definalized(&self) -> CostTables {
-        CostTables {
-            space: self.space.clone(),
-            flops_per_copy: self.flops_per_copy,
-            rrs: RrsTables {
-                use_led: self.rrs.use_led.definalized(),
-                stores_per_copy: self.rrs.stores_per_copy,
-            },
-            gss: self
-                .gss
-                .iter()
-                .map(|(f, t)| (*f, t.definalized()))
-                .collect(),
-            registers: self.registers.iter().map(Table::definalized).collect(),
-            siv: self.siv,
-            registers_monotone: self.registers_monotone,
-        }
     }
 }
 
@@ -904,17 +853,14 @@ mod tests {
         let lines0 = ct.cache_lines(&[0, 0]);
         let lines3 = ct.cache_lines(&[3, 3]);
         assert!(lines3 < lines0 * 16.0);
-        // `inputs` is the four queries at once, on finalized and
-        // definalized tables alike.
-        for t in [&ct, &ct.definalized()] {
-            space.for_each_offset(|u| {
-                let i = t.inputs(u);
-                assert_eq!(i.flops, ct.flops(u) as f64, "flops at {u:?}");
-                assert_eq!(i.memory_ops, ct.memory_ops(u) as f64, "memory ops at {u:?}");
-                assert_eq!(i.cache_lines, ct.cache_lines(u), "cache lines at {u:?}");
-                assert_eq!(i.registers, ct.registers(u), "registers at {u:?}");
-            });
-        }
+        // `inputs` is the four queries at once.
+        space.for_each_offset(|u| {
+            let i = ct.inputs(u);
+            assert_eq!(i.flops, ct.flops(u) as f64, "flops at {u:?}");
+            assert_eq!(i.memory_ops, ct.memory_ops(u) as f64, "memory ops at {u:?}");
+            assert_eq!(i.cache_lines, ct.cache_lines(u), "cache lines at {u:?}");
+            assert_eq!(i.registers, ct.registers(u), "registers at {u:?}");
+        });
     }
 }
 

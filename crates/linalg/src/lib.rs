@@ -56,5 +56,5 @@ mod space;
 pub use hnf::{column_hnf, lattice_contains};
 pub use mat::Mat;
 pub use rat::Rat;
-pub use solve::{rank, solve_unique, solve_unique_nonneg, Factored, SolveOutcome};
+pub use solve::{rank, solve_unique, Factored, SolveOutcome};
 pub use space::Space;

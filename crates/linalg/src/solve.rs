@@ -4,8 +4,9 @@
 //! The Carr–Guan table construction (Figures 2, 3, 5, 7 of the paper)
 //! repeatedly asks: *at which unroll offset does a copy of reference group
 //! `j` coincide with group `i`?*  That is the system `H·x = c_j − c_i`,
-//! where `x` is supported only on the loops being unrolled and must be a
-//! non-negative integer vector.  For the separable-SIV references the paper
+//! where `x` is supported only on the loops being unrolled and must be an
+//! integer vector (of any sign: the table builders decide which signs
+//! beat a copy).  For the separable-SIV references the paper
 //! targets (§3.5), the restricted system has full column rank, so the
 //! solution — if any — is unique; [`SolveOutcome`] reports exactly which
 //! of the possible failure modes occurred so callers (and tests) can
@@ -21,9 +22,9 @@
 //! `rank(H[:, L]) < |L|`.  All of it uses checked arithmetic: an overflow
 //! panics, as [`Rat`] does, and never wraps into a wrong answer.
 //!
-//! [`solve_unique`] and [`solve_unique_nonneg`] solve the same systems by
-//! rational Gaussian elimination, rebuilt per call; they are the reference
-//! the integer path is tested against.
+//! [`solve_unique`] solves the same systems by rational Gaussian
+//! elimination, rebuilt per call; it is the reference the integer path is
+//! tested against.
 
 use crate::{Mat, Rat};
 use std::ops::Range;
@@ -31,8 +32,8 @@ use std::ops::Range;
 /// Result of the merge-point solve `H·x = d` over selected columns.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolveOutcome {
-    /// A unique, integral, component-wise non-negative solution; entries are
-    /// given for the selected columns in the order they were passed.
+    /// A unique, integral solution of any sign; entries are given for the
+    /// selected columns in the order they were passed.
     Unique(Vec<i64>),
     /// The system is inconsistent: the groups never coincide.
     NoSolution,
@@ -42,9 +43,6 @@ pub enum SolveOutcome {
     /// A unique rational solution exists but is not integral: the copies
     /// interleave without ever coinciding.
     NonIntegral,
-    /// The unique integral solution has a negative component: the merge
-    /// would require unrolling "backwards", which unroll-and-jam cannot do.
-    Negative,
 }
 
 impl SolveOutcome {
@@ -228,8 +226,17 @@ impl Factored {
     }
 }
 
-/// Solves `H·x = d` for `x` supported on `cols`, requiring a unique
-/// non-negative integer solution.
+/// Solves `H·x = d` for `x` supported on `cols`, requiring a unique integer
+/// solution of any sign.
+///
+/// This is the group-reuse membership query of the Wolf–Lam model: two
+/// uniformly generated references belong to the same group-temporal set iff
+/// `H·x = c₂ − c₁` has an (any-sign) integer solution within the localized
+/// loops.
+///
+/// This is the rational reference: it rebuilds and eliminates the
+/// augmented matrix on every call.  The optimizer solves through
+/// [`Factored`], which must agree with it.
 ///
 /// Rows of `H` whose restriction to `cols` is all zero impose the pure
 /// constraint `d_r == 0`; if violated the system is inconsistent.
@@ -241,35 +248,11 @@ impl Factored {
 /// # Example
 ///
 /// ```
-/// use ujam_linalg::{Mat, solve::{solve_unique_nonneg, SolveOutcome}};
+/// use ujam_linalg::{Mat, solve::{solve_unique, SolveOutcome}};
 /// // A(I,J) vs A(I-2,J): Δc = (2, 0); unrolling I by 2 merges the copies.
 /// let h = Mat::identity(2);
-/// let got = solve_unique_nonneg(&h, &[2, 0], &[0]);
-/// assert_eq!(got, SolveOutcome::Unique(vec![2]));
+/// assert_eq!(solve_unique(&h, &[2, 0], &[0]), SolveOutcome::Unique(vec![2]));
 /// ```
-pub fn solve_unique_nonneg(h: &Mat, d: &[i64], cols: &[usize]) -> SolveOutcome {
-    match solve_unique(h, d, cols) {
-        SolveOutcome::Unique(ints) if ints.iter().any(|&v| v < 0) => SolveOutcome::Negative,
-        other => other,
-    }
-}
-
-/// Solves `H·x = d` for `x` supported on `cols`, requiring a unique integer
-/// solution of any sign.
-///
-/// This is the group-reuse membership query of the Wolf–Lam model: two
-/// uniformly generated references belong to the same group-temporal set iff
-/// `H·x = c₂ − c₁` has an (any-sign) integer solution within the localized
-/// loops.  [`solve_unique_nonneg`] layers the unroll-space sign requirement
-/// on top.
-///
-/// This is the rational reference: it rebuilds and eliminates the
-/// augmented matrix on every call.  The optimizer solves through
-/// [`Factored`], which must agree with it.
-///
-/// # Panics
-///
-/// Panics if `d.len() != h.rows()` or any column index is out of range.
 pub fn solve_unique(h: &Mat, d: &[i64], cols: &[usize]) -> SolveOutcome {
     assert_eq!(d.len(), h.rows(), "rhs length mismatch");
     let restricted = h.select_cols(cols);
@@ -362,7 +345,7 @@ mod tests {
         // unrolled by 2.
         let h = Mat::identity(2);
         assert_eq!(
-            solve_unique_nonneg(&h, &[2, 0], &[0]),
+            solve_unique(&h, &[2, 0], &[0]),
             SolveOutcome::Unique(vec![2])
         );
     }
@@ -372,27 +355,15 @@ mod tests {
         // A(I,J) vs A(I-2,J-1) unrolling only I: the J difference can never
         // be closed.
         let h = Mat::identity(2);
-        assert_eq!(
-            solve_unique_nonneg(&h, &[2, 1], &[0]),
-            SolveOutcome::NoSolution
-        );
+        assert_eq!(solve_unique(&h, &[2, 1], &[0]), SolveOutcome::NoSolution);
     }
 
     #[test]
     fn two_loop_merge() {
         let h = Mat::identity(3);
         assert_eq!(
-            solve_unique_nonneg(&h, &[1, 3, 0], &[0, 1]),
+            solve_unique(&h, &[1, 3, 0], &[0, 1]),
             SolveOutcome::Unique(vec![1, 3])
-        );
-    }
-
-    #[test]
-    fn negative_offset_is_reported() {
-        let h = Mat::identity(2);
-        assert_eq!(
-            solve_unique_nonneg(&h, &[-1, 0], &[0]),
-            SolveOutcome::Negative
         );
     }
 
@@ -400,15 +371,9 @@ mod tests {
     fn non_integral_offset_is_reported() {
         // A(2I) vs A(2I - 1): copies interleave, never coincide.
         let h = Mat::from_rows(&[&[2, 0]]);
-        assert_eq!(
-            solve_unique_nonneg(&h, &[1], &[0]),
-            SolveOutcome::NonIntegral
-        );
+        assert_eq!(solve_unique(&h, &[1], &[0]), SolveOutcome::NonIntegral);
         // A(2I) vs A(2I - 4): merge at unroll offset 2.
-        assert_eq!(
-            solve_unique_nonneg(&h, &[4], &[0]),
-            SolveOutcome::Unique(vec![2])
-        );
+        assert_eq!(solve_unique(&h, &[4], &[0]), SolveOutcome::Unique(vec![2]));
     }
 
     #[test]
@@ -416,7 +381,7 @@ mod tests {
         // H with a dependent column pair: x0 + x1 appears in one subscript.
         let h = Mat::from_rows(&[&[1, 1]]);
         assert_eq!(
-            solve_unique_nonneg(&h, &[2], &[0, 1]),
+            solve_unique(&h, &[2], &[0, 1]),
             SolveOutcome::Underdetermined
         );
     }
@@ -425,7 +390,7 @@ mod tests {
     fn zero_rhs_gives_zero_solution() {
         let h = Mat::identity(2);
         assert_eq!(
-            solve_unique_nonneg(&h, &[0, 0], &[0]),
+            solve_unique(&h, &[0, 0], &[0]),
             SolveOutcome::Unique(vec![0])
         );
     }
@@ -434,14 +399,8 @@ mod tests {
     fn coefficient_scaling() {
         // A(3J) style access: merge needs Δc divisible by 3.
         let h = Mat::from_rows(&[&[0, 3]]);
-        assert_eq!(
-            solve_unique_nonneg(&h, &[6], &[1]),
-            SolveOutcome::Unique(vec![2])
-        );
-        assert_eq!(
-            solve_unique_nonneg(&h, &[7], &[1]),
-            SolveOutcome::NonIntegral
-        );
+        assert_eq!(solve_unique(&h, &[6], &[1]), SolveOutcome::Unique(vec![2]));
+        assert_eq!(solve_unique(&h, &[7], &[1]), SolveOutcome::NonIntegral);
     }
 
     #[test]
@@ -461,10 +420,6 @@ mod solve_unique_tests {
         assert_eq!(
             solve_unique(&h, &[-3, 0], &[0]),
             SolveOutcome::Unique(vec![-3])
-        );
-        assert_eq!(
-            solve_unique_nonneg(&h, &[-3, 0], &[0]),
-            SolveOutcome::Negative
         );
     }
 }

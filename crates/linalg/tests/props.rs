@@ -4,7 +4,7 @@
 //! external crates, so the strategies are now deterministic seeded
 //! generators from the in-tree `ujam-rng` crate with the same coverage.
 
-use ujam_linalg::{solve_unique, solve_unique_nonneg, Factored, Mat, Rat, SolveOutcome, Space};
+use ujam_linalg::{solve_unique, Factored, Mat, Rat, SolveOutcome, Space};
 use ujam_rng::Rng;
 
 /// Small matrices keep the search space meaningful while staying exact.
@@ -133,10 +133,10 @@ fn solve_round_trip() {
         let cols = &cols[..cols.len().min(m.cols())];
         let mut full = vec![0i64; m.cols()];
         for (i, &c) in cols.iter().enumerate() {
-            full[c] = x[i].abs(); // non-negative target
+            full[c] = x[i];
         }
         let d = m.mul_vec(&full);
-        match solve_unique_nonneg(&m, &d, cols) {
+        match solve_unique(&m, &d, cols) {
             SolveOutcome::Unique(sol) => {
                 let mut back = vec![0i64; m.cols()];
                 for (i, &c) in cols.iter().enumerate() {
@@ -144,10 +144,9 @@ fn solve_round_trip() {
                 }
                 assert_eq!(m.mul_vec(&back), d);
             }
-            // Underdetermined/NoSolution are legitimate for rank-deficient H;
-            // Negative/NonIntegral cannot happen since we constructed d from
-            // a non-negative integer point, but an alternative solution may
-            // exist only when the kernel is non-trivial, which reports
+            // NoSolution/NonIntegral cannot happen since we constructed d
+            // from an integer point, but an alternative solution may exist
+            // only when the kernel is non-trivial, which reports
             // Underdetermined.
             SolveOutcome::Underdetermined => {}
             other => {
@@ -164,7 +163,7 @@ fn solve_round_trip() {
 /// `solve_unique` answers, on random `H` (zero rows and columns and
 /// `rows() == 0` included), column subsets and right-hand sides, one
 /// elimination per `(H, columns)` for many `Δ`; every outcome occurs,
-/// `Negative` as the unique solutions with a negative component.
+/// and unique solutions with a negative component among them.
 #[test]
 fn factored_solve_matches_rational_solve() {
     let mut rng = Rng::new(0xfac7);
@@ -203,15 +202,12 @@ fn factored_solve_matches_rational_solve() {
                 solve_unique(&h, &d, &sel),
                 "H = {h:?}, d = {d:?}, cols = {sel:?}"
             );
-            // A unique solution with a negative component is what the
-            // unroll-space sign rule reports as `Negative`.
             seen[match got {
                 SolveOutcome::Unique(x) if x.iter().any(|&v| v < 0) => 4,
                 SolveOutcome::Unique(_) => 0,
                 SolveOutcome::NoSolution => 1,
                 SolveOutcome::Underdetermined => 2,
                 SolveOutcome::NonIntegral => 3,
-                SolveOutcome::Negative => unreachable!("the any-sign solve never reports Negative"),
             }] += 1;
         }
     }

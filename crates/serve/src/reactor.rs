@@ -10,7 +10,7 @@
 //!
 //! * One reactor thread owns every socket (nonblocking), a
 //!   [`LineDecoder`] and an output buffer per connection, and a
-//!   `poll(2)` set rebuilt each iteration ([`crate::sys`]).
+//!   `poll(2)` set rebuilt each iteration (`crate::sys`).
 //! * The reactor parses each frame once and runs the server's **front
 //!   stage** on it: resolve, build the decision key, probe the cache.
 //!   A hit — and a structured error — is answered right there, on the

@@ -36,8 +36,9 @@ fn main() {
     let space = UnrollSpace::new(2, &[0], 5);
     let table = gts_table(&b, &space);
     println!("\nGTS table (new groups contributed per copy offset):");
-    for offset in space.offsets() {
-        println!("  offset {:?}: {}", offset, table.get(&offset));
+    for u in 0..=5u32 {
+        let earlier = u.checked_sub(1).map_or(0, |v| table.prefix_sum(&[v]));
+        println!("  offset [{u}]: {}", table.prefix_sum(&[u]) - earlier);
     }
 
     println!("\nGTS count after unrolling J by u (prefix sums):");

@@ -260,3 +260,32 @@ fn an_innermost_walk_along_lines_takes_the_sweep() {
         check("walk", &nest, &space, line);
     }
 }
+
+/// `B(I,J,K)` and `B(I+t,J+12−t,K)` for `t = 0..12`, with `I` and `J`
+/// unrolled up to 12: the group of `B(I,J,K)` is beaten by the thirteen
+/// minimal non-negative shifts `(t, 12 − t)`, past the closed form's cap
+/// of 12.  Every table equals its per-offset count, and the public
+/// builders equal the tables `CostTables` builds.
+#[test]
+fn a_group_beaten_by_thirteen_non_negative_shifts_takes_the_sweep() {
+    let plus = |v: i64| {
+        if v == 0 {
+            String::new()
+        } else {
+            format!("+{v}")
+        }
+    };
+    let terms: Vec<String> = std::iter::once("B(I,J,K)".to_string())
+        .chain((0..=12).map(|t| format!("B(I{},J{},K)", plus(t), plus(12 - t))))
+        .collect();
+    let nest = NestBuilder::new("stairs")
+        .array("A", &[24, 24, 10])
+        .array("B", &[40, 40, 10])
+        .loop_("I", 1, 20)
+        .loop_("J", 1, 20)
+        .loop_("K", 1, 8)
+        .stmt(&format!("A(I,J,K) = {}", terms.join(" + ")))
+        .build();
+    let space = UnrollSpace::new(3, &[0, 1], 12);
+    check("stairs", &nest, &space, 4);
+}
