@@ -1,14 +1,23 @@
 //! The end-to-end optimizer (§4.5), as thin wrappers over the staged
-//! pipeline in [`crate::pipeline`]: select loops, build tables, search,
-//! apply.
+//! pipeline in [`crate::pipeline`]: decide, then apply.
+//!
+//! The decide half ([`decide_costed`]) selects loops, builds the tables
+//! and searches the unroll space; it returns the winning vector and its
+//! predictions, after checking that unroll-and-jam accepts the winner.
+//! The apply half rewrites the nest with that vector.  Every
+//! `optimize*` function runs both halves over the same decide code, so a
+//! caller that needs only the decision (the serving daemon) gets the
+//! vector and predictions [`optimize_costed`] would report, without
+//! building the unrolled nest.
 
 use crate::balance::{loop_balance, BalanceInputs};
 use crate::costmodel::CostModelKind;
 use crate::pipeline::{
-    AnalysisCtx, ApplyTransform, CancelToken, OptimizeError, Pass, SearchSpace, SelectLoops,
+    AnalysisCtx, ApplyTransform, CancelToken, OptimizeError, Pass, SearchOutcome, SearchSpace,
+    SelectLoops,
 };
 use crate::space::UnrollSpace;
-use ujam_ir::LoopNest;
+use ujam_ir::{transform::check_unroll, LoopNest};
 use ujam_machine::MachineModel;
 use ujam_metrics::MetricsHandle;
 use ujam_trace::TraceSink;
@@ -199,6 +208,12 @@ pub fn optimize_configured(
 /// The optimizer's one full front door: every other `optimize*`
 /// function is a shortcut for a call to this one.
 ///
+/// It decides, then applies: it runs exactly [`decide_costed`]'s
+/// passes (`select-loops`, then `search-space` with `build-tables`
+/// inside) and then `apply-transform`, which unrolls and jams the
+/// winner.  Its `unroll`, `predicted` and `original` are therefore
+/// [`decide_costed`]'s for the same arguments.
+///
 /// * `cost` picks the cache-cost backend: [`CostModelKind::Analytic`]
 ///   reproduces the classic pipeline bitwise; [`CostModelKind::Profiled`]
 ///   scores every candidate's cache lines by reuse-distance-profiling
@@ -268,11 +283,61 @@ pub fn optimize_costed(
     config: SearchConfig,
 ) -> Result<Optimized, OptimizeError> {
     let mut ctx = AnalysisCtx::observed(nest, machine, sink, metrics, cancel)?;
-    let space = SelectLoops {
-        max_loops: config.max_unroll_loops,
-    }
-    .run_traced(&mut ctx)?;
-    finish(&mut ctx, &space, model, cost, config.code_budget)
+    let (space, found) = decide(&mut ctx, model, cost, config)?;
+    apply(&mut ctx, space, found)
+}
+
+/// The decide half of [`optimize_costed`], for the same arguments: it
+/// selects loops, builds the tables and searches, and returns the
+/// winner without applying it.
+///
+/// Its `unroll`, `predicted` and `original` are bitwise those of
+/// [`optimize_costed`], and so is every error, apart from a token that
+/// fires after the search: the apply half polls it once more, and the
+/// decision does not wait for that poll.  The winner is checked with
+/// [`check_unroll`] (an `Err` is [`OptimizeError::Transform`], as
+/// applying it would return), so skipping the rewrite never turns an
+/// error into a decision.  Tracing and metrics see the three decide
+/// passes and no `apply-transform`.
+///
+/// # Example
+///
+/// ```
+/// use ujam_core::{
+///     decide_costed, optimize_costed, BalanceModel, CancelToken, CostModelKind, SearchConfig,
+/// };
+/// use ujam_ir::NestBuilder;
+/// use ujam_machine::MachineModel;
+/// use ujam_metrics::MetricsHandle;
+/// let nest = NestBuilder::new("dmxpy")
+///     .array("Y", &[256]).array("X", &[256]).array("M", &[256, 256])
+///     .loop_("J", 1, 256).loop_("I", 1, 256)
+///     .stmt("Y(I) = Y(I) + X(J) * M(I,J)")
+///     .build();
+/// let (machine, model) = (MachineModel::dec_alpha(), BalanceModel::CacheAware);
+/// let found = decide_costed(&nest, &machine, model, CostModelKind::Analytic,
+///                           ujam_trace::null_sink(), CancelToken::never(),
+///                           MetricsHandle::disabled(), SearchConfig::default()).expect("valid");
+/// let plan = optimize_costed(&nest, &machine, model, CostModelKind::Analytic,
+///                            ujam_trace::null_sink(), CancelToken::never(),
+///                            MetricsHandle::disabled(), SearchConfig::default()).expect("valid");
+/// assert_eq!((&found.unroll, found.predicted), (&plan.unroll, plan.predicted));
+/// // Only the plan carries the unrolled nest: one body copy per J copy.
+/// assert_eq!(plan.nest.body().len(), found.unroll[0] as usize + 1);
+/// ```
+#[allow(clippy::too_many_arguments)]
+pub fn decide_costed(
+    nest: &LoopNest,
+    machine: &MachineModel,
+    model: BalanceModel,
+    cost: CostModelKind,
+    sink: &dyn TraceSink,
+    cancel: CancelToken,
+    metrics: MetricsHandle,
+    config: SearchConfig,
+) -> Result<SearchOutcome, OptimizeError> {
+    let mut ctx = AnalysisCtx::observed(nest, machine, sink, metrics, cancel)?;
+    decide(&mut ctx, model, cost, config).map(|(_, found)| found)
 }
 
 /// [`optimize`] with an explicit, caller-chosen unroll space.
@@ -285,24 +350,36 @@ pub fn optimize_in_space(
     space: &UnrollSpace,
 ) -> Result<Optimized, OptimizeError> {
     let mut ctx = AnalysisCtx::new(nest, machine)?;
-    finish(
-        &mut ctx,
-        space,
-        BalanceModel::CacheAware,
-        CostModelKind::Analytic,
-        None,
-    )
+    let (model, cost) = (BalanceModel::CacheAware, CostModelKind::Analytic);
+    let found = decide_in_space(&mut ctx, space, model, cost, None)?;
+    apply(&mut ctx, space.clone(), found)
 }
 
-/// Runs the tail of the standard pipeline — `BuildTables` (inside
-/// `SearchSpace`) then `ApplyTransform` — against a prepared context.
-pub(crate) fn finish(
+/// The decide half against a prepared context: `SelectLoops`, then
+/// [`decide_in_space`] over the selected space.
+fn decide(
+    ctx: &mut AnalysisCtx<'_>,
+    model: BalanceModel,
+    cost: CostModelKind,
+    config: SearchConfig,
+) -> Result<(UnrollSpace, SearchOutcome), OptimizeError> {
+    let space = SelectLoops {
+        max_loops: config.max_unroll_loops,
+    }
+    .run_traced(ctx)?;
+    let found = decide_in_space(ctx, &space, model, cost, config.code_budget)?;
+    Ok((space, found))
+}
+
+/// `SearchSpace` (with `BuildTables` inside), then [`check_unroll`] on
+/// the winner.
+fn decide_in_space(
     ctx: &mut AnalysisCtx<'_>,
     space: &UnrollSpace,
     model: BalanceModel,
     cost: CostModelKind,
     code_budget: Option<usize>,
-) -> Result<Optimized, OptimizeError> {
+) -> Result<SearchOutcome, OptimizeError> {
     let found = SearchSpace {
         space: space.clone(),
         model,
@@ -310,16 +387,26 @@ pub(crate) fn finish(
         code_budget,
     }
     .run_traced(ctx)?;
-    let nest_out = ApplyTransform {
+    check_unroll(ctx.nest(), &found.unroll).map_err(OptimizeError::Transform)?;
+    Ok(found)
+}
+
+/// The apply half: `ApplyTransform` on a decided winner.
+fn apply(
+    ctx: &mut AnalysisCtx<'_>,
+    space: UnrollSpace,
+    found: SearchOutcome,
+) -> Result<Optimized, OptimizeError> {
+    let nest = ApplyTransform {
         unroll: found.unroll.clone(),
     }
     .run_traced(ctx)?;
     Ok(Optimized {
-        nest: nest_out,
+        nest,
         unroll: found.unroll,
         predicted: found.predicted,
         original: found.original,
-        space: space.clone(),
+        space,
     })
 }
 

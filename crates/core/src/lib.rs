@@ -44,7 +44,10 @@
 //! dominated) without changing the optimization result.  [`optimize`]
 //! and the other `optimize*` functions are shortcuts for it, and
 //! [`optimize_batch`] fans a slice of nests out across scoped threads,
-//! one context per nest.
+//! one context per nest.  It decides, then applies: [`decide_costed`]
+//! takes the same arguments, runs the same passes up to the search's
+//! winner and returns it without the rewrite, which is all a caller
+//! that needs only the decision (the serving daemon) pays for.
 //!
 //! # Example
 //!
@@ -98,8 +101,8 @@ pub mod tables;
 pub use balance::{loop_balance, BalanceInputs};
 pub use costmodel::CostModelKind;
 pub use driver::{
-    optimize, optimize_configured, optimize_costed, optimize_in_space, optimize_with, BalanceModel,
-    Optimized, Prediction, SearchConfig,
+    decide_costed, optimize, optimize_configured, optimize_costed, optimize_in_space,
+    optimize_with, BalanceModel, Optimized, Prediction, SearchConfig,
 };
 pub use pipeline::{
     optimize_batch, optimize_batch_traced_with_workers, search_tables, AnalysisCtx, CancelToken,

@@ -28,7 +28,9 @@
 //! independently testable and swappable — [`BruteSearch`] is a drop-in
 //! replacement for [`SearchSpace`] that materialises every candidate
 //! body instead of querying tables (the §5.3 comparison).
-//! [`crate::optimize_costed`] runs the standard sequence;
+//! [`crate::optimize_costed`] runs the standard sequence, and
+//! [`crate::decide_costed`] the same sequence up to the winner, without
+//! `ApplyTransform`;
 //! [`optimize_batch`] fans a slice of nests out across
 //! `std::thread::scope` workers, one context per nest.
 //!

@@ -16,4 +16,4 @@ mod unroll;
 pub use permute::permute_loops;
 pub use scalarrep::{scalar_replacement, ReplacementStats, ScalarReplaced};
 pub use stripmine::{fully_unroll, strip_mine, tile};
-pub use unroll::{unroll_and_jam, TransformError};
+pub use unroll::{check_unroll, unroll_and_jam, TransformError};

@@ -102,6 +102,55 @@ impl std::error::Error for TransformError {}
 /// assert!(u.to_string().contains("A(J+1) = A(J+1) + B(I)"));
 /// ```
 pub fn unroll_and_jam(nest: &LoopNest, unroll: &[u32]) -> Result<LoopNest, TransformError> {
+    check_unroll(nest, unroll)?;
+    let mut out = nest.clone();
+    for (l, &u) in out.loops_mut().iter_mut().zip(unroll) {
+        if u > 0 {
+            l.set_step(u as i64 + 1);
+        }
+    }
+
+    let unrolled_vars: Vec<(String, u32)> = nest
+        .loops()
+        .iter()
+        .zip(unroll)
+        .filter(|(_, &u)| u > 0)
+        .map(|(l, &u)| (l.var().to_string(), u))
+        .collect();
+
+    let mut body = Vec::new();
+    for offset in offsets(&unrolled_vars) {
+        for stmt in nest.body() {
+            body.push(shift_stmt(stmt, &offset));
+        }
+    }
+    *out.body_mut() = body;
+    Ok(out)
+}
+
+/// Checks that [`unroll_and_jam`] accepts `unroll` for `nest`, in
+/// O(depth) and without building the unrolled nest: `Ok` exactly when
+/// the rewrite succeeds, and otherwise the error it would return.
+///
+/// # Errors
+///
+/// [`TransformError::BadUnrollLength`], [`TransformError::InnermostUnroll`],
+/// [`TransformError::NonUnitStep`] or [`TransformError::TripNotDivisible`],
+/// checked in that order.
+///
+/// # Example
+///
+/// ```
+/// use ujam_ir::{NestBuilder, transform::{check_unroll, TransformError}};
+/// let nest = NestBuilder::new("intro")
+///     .array("A", &[512]).array("B", &[256])
+///     .loop_("J", 1, 512).loop_("I", 1, 256)
+///     .stmt("A(J) = A(J) + B(I)")
+///     .build();
+/// assert_eq!(check_unroll(&nest, &[3, 0]), Ok(()));
+/// assert_eq!(check_unroll(&nest, &[0, 1]), Err(TransformError::InnermostUnroll));
+/// ```
+pub fn check_unroll(nest: &LoopNest, unroll: &[u32]) -> Result<(), TransformError> {
     if unroll.len() != nest.depth() {
         return Err(TransformError::BadUnrollLength {
             expected: nest.depth(),
@@ -127,30 +176,7 @@ pub fn unroll_and_jam(nest: &LoopNest, unroll: &[u32]) -> Result<LoopNest, Trans
             });
         }
     }
-
-    let mut out = nest.clone();
-    for (l, &u) in out.loops_mut().iter_mut().zip(unroll) {
-        if u > 0 {
-            l.set_step(u as i64 + 1);
-        }
-    }
-
-    let unrolled_vars: Vec<(String, u32)> = nest
-        .loops()
-        .iter()
-        .zip(unroll)
-        .filter(|(_, &u)| u > 0)
-        .map(|(l, &u)| (l.var().to_string(), u))
-        .collect();
-
-    let mut body = Vec::new();
-    for offset in offsets(&unrolled_vars) {
-        for stmt in nest.body() {
-            body.push(shift_stmt(stmt, &offset));
-        }
-    }
-    *out.body_mut() = body;
-    Ok(out)
+    Ok(())
 }
 
 /// Lexicographic copy offsets `0..=u` per unrolled variable.
@@ -279,6 +305,52 @@ mod tests {
             unroll_and_jam(&intro_nest(9, 4), &[1, 0]),
             Err(TransformError::TripNotDivisible { .. })
         ));
+    }
+
+    /// `check_unroll` is `unroll_and_jam`'s precondition, error for
+    /// error: every variant the rewrite can return, in its order when
+    /// two apply.  (`BadPermutation` belongs to `permute_loops`.)
+    #[test]
+    fn check_unroll_returns_what_unroll_and_jam_returns() {
+        use TransformError::*;
+        let stepped = unroll_and_jam(&intro_nest(8, 4), &[1, 0]).unwrap();
+        let cases: [(LoopNest, &[u32], Result<(), TransformError>); 9] = [
+            (
+                intro_nest(8, 4),
+                &[1],
+                Err(BadUnrollLength {
+                    expected: 2,
+                    got: 1,
+                }),
+            ),
+            (
+                intro_nest(8, 4),
+                &[1, 1, 0],
+                Err(BadUnrollLength {
+                    expected: 2,
+                    got: 3,
+                }),
+            ),
+            (intro_nest(8, 4), &[0, 1], Err(InnermostUnroll)),
+            (intro_nest(9, 4), &[1, 1], Err(InnermostUnroll)),
+            (stepped.clone(), &[1, 0], Err(NonUnitStep("J".into()))),
+            (
+                intro_nest(9, 4),
+                &[1, 0],
+                Err(TripNotDivisible {
+                    var: "J".into(),
+                    trip: 9,
+                    copies: 2,
+                }),
+            ),
+            (intro_nest(8, 4), &[3, 0], Ok(())),
+            (intro_nest(9, 4), &[2, 0], Ok(())),
+            (stepped, &[0, 0], Ok(())),
+        ];
+        for (nest, u, want) in cases {
+            assert_eq!(check_unroll(&nest, u), want, "u = {u:?}");
+            assert_eq!(unroll_and_jam(&nest, u).map(|_| ()), want, "u = {u:?}");
+        }
     }
 
     #[test]

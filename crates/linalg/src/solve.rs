@@ -20,7 +20,9 @@
 //! elimination without the row operations: the §3.4 self-reuse tests
 //! `ker H ∩ L ≠ {0}`, for `L` spanned by loop axes, are the rank test
 //! `rank(H[:, L]) < |L|`.  All of it uses checked arithmetic: an overflow
-//! panics, as [`Rat`] does, and never wraps into a wrong answer.
+//! panics, as [`Rat`] does, and never wraps into a wrong answer.  Only the
+//! stored values must fit `i128`: an elimination step whose products
+//! outgrow it, and the consistency check, are evaluated in 256 bits.
 //!
 //! [`solve_unique`] solves the same systems by rational Gaussian
 //! elimination, rebuilt per call; it is the reference the integer path is
@@ -60,6 +62,88 @@ fn checked(v: Option<i128>) -> i128 {
     v.expect("integer elimination overflow")
 }
 
+/// A 256-bit two's-complement integer, `hi·2^128 + lo`: wide enough for
+/// the difference of two products of `i128`s (each at most 2^254 in
+/// magnitude), and for sums of up to 2^64 products of an `i128` and an
+/// `i64`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Wide {
+    hi: u128,
+    lo: u128,
+}
+
+impl Wide {
+    const ZERO: Wide = Wide { hi: 0, lo: 0 };
+
+    /// `a·b`, exactly.
+    fn mul(a: i128, b: i128) -> Wide {
+        const HALF: u128 = u64::MAX as u128;
+        let (x, y) = (a.unsigned_abs(), b.unsigned_abs());
+        let (x1, x0, y1, y0) = (x >> 64, x & HALF, y >> 64, y & HALF);
+        let (cross1, cross0) = (x1 * y0, x0 * y1);
+        let (lo, c1) = (x0 * y0).overflowing_add(cross1 << 64);
+        let (lo, c2) = lo.overflowing_add(cross0 << 64);
+        let hi = x1 * y1 + (cross1 >> 64) + (cross0 >> 64) + u128::from(c1) + u128::from(c2);
+        let magnitude = Wide { hi, lo };
+        if (a < 0) != (b < 0) {
+            magnitude.neg()
+        } else {
+            magnitude
+        }
+    }
+
+    /// `self + other`, wrapping at 2^256.
+    fn add(self, other: Wide) -> Wide {
+        let (lo, carry) = self.lo.overflowing_add(other.lo);
+        let hi = self
+            .hi
+            .wrapping_add(other.hi)
+            .wrapping_add(u128::from(carry));
+        Wide { hi, lo }
+    }
+
+    /// `−self`, wrapping at 2^256.
+    fn neg(self) -> Wide {
+        Wide {
+            hi: !self.hi,
+            lo: !self.lo,
+        }
+        .add(Wide { hi: 0, lo: 1 })
+    }
+
+    /// `self / d` when `d` divides `self` and the quotient fits `i128`.
+    ///
+    /// With `d = 2^k·p`, `p` odd, the quotient is `(self >> k)·p⁻¹`
+    /// modulo 2^128; it is checked by multiplying back.
+    fn exact_div(self, d: i128) -> Option<i128> {
+        if d == 0 {
+            return None;
+        }
+        let k = d.trailing_zeros();
+        let shifted = match k {
+            0 => self.lo,
+            k => self.lo >> k | self.hi << (128 - k),
+        };
+        let p = (d >> k) as u128;
+        // Newton's iteration for p⁻¹ mod 2^128: p·p ≡ 1 (mod 8) for odd
+        // p, and each step doubles the bits that are right.
+        let mut inv = p;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u128.wrapping_sub(p.wrapping_mul(inv)));
+        }
+        let q = shifted.wrapping_mul(inv) as i128;
+        (Wide::mul(q, d) == self).then_some(q)
+    }
+}
+
+/// Whether `Σ tⱼ·dⱼ` is zero, summed exactly in 256 bits.
+fn dot_is_zero(t: &[i128], d: &[i64]) -> bool {
+    let dot = t.iter().zip(d).fold(Wide::ZERO, |acc, (&t, &v)| {
+        acc.add(Wide::mul(t, i128::from(v)))
+    });
+    dot == Wide::ZERO
+}
+
 /// Fraction-free (Bareiss) forward elimination of the row-major
 /// `m × width` matrix `a` over its first `n` columns, applying every row
 /// operation to the columns after `n` too; returns the rank.
@@ -67,7 +151,8 @@ fn checked(v: Option<i128>) -> i128 {
 /// Afterwards rows `[0, rank)` are in echelon form over the first `n`
 /// columns (pivot columns ascend) and rows `[rank, m)` are zero there.
 /// After step `k` every entry is a `(k+1)`-minor of the input, so each
-/// division by the previous pivot is exact.
+/// division by the previous pivot is exact, and only the minors must fit
+/// `i128`: a step whose products overflow it is redone in 256 bits.
 fn bareiss(a: &mut [i128], m: usize, width: usize, n: usize) -> usize {
     let mut prev = 1i128;
     let mut rank = 0;
@@ -87,9 +172,19 @@ fn bareiss(a: &mut [i128], m: usize, width: usize, n: usize) -> usize {
         for r in rank + 1..m {
             let factor = a[r * width + col];
             for j in col + 1..width {
-                let keep = checked(pivot.checked_mul(a[r * width + j]));
-                let sub = checked(factor.checked_mul(a[rank * width + j]));
-                a[r * width + j] = checked(checked(keep.checked_sub(sub)).checked_div(prev));
+                let (x, y) = (a[r * width + j], a[rank * width + j]);
+                let fast = pivot
+                    .checked_mul(x)
+                    .zip(factor.checked_mul(y))
+                    .and_then(|(keep, sub)| keep.checked_sub(sub))
+                    .and_then(|num| num.checked_div(prev));
+                // The quotient is a minor of the input; only the
+                // products before the exact division may outgrow `i128`.
+                a[r * width + j] = checked(fast.or_else(|| {
+                    Wide::mul(pivot, x)
+                        .add(Wide::mul(factor, y).neg())
+                        .exact_div(prev)
+                }));
             }
             a[r * width + col] = 0;
         }
@@ -107,8 +202,9 @@ fn bareiss(a: &mut [i128], m: usize, width: usize, n: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if an index is out of range, or if the elimination overflows
-/// `i128` (possible only for entries near the `i64` limits).
+/// Panics if an index is out of range, or if a minor of the restricted
+/// matrix overflows `i128` (possible only for entries near the `i64`
+/// limits).
 ///
 /// # Example
 ///
@@ -162,8 +258,8 @@ impl Factored {
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of range, or if the elimination overflows
-    /// `i128`.
+    /// Panics if an index is out of range, or if a minor of `[H | I]`
+    /// overflows `i128`.
     pub fn new(h: &Mat, rows: Range<usize>, cols: &[usize]) -> Factored {
         let (m, n) = (rows.len(), cols.len());
         let width = n + m;
@@ -186,8 +282,8 @@ impl Factored {
     ///
     /// # Panics
     ///
-    /// Panics if `d` has the wrong length, if the arithmetic overflows
-    /// `i128`, or if an integral solution exceeds `i64`.
+    /// Panics if `d` has the wrong length, if the back-substitution
+    /// overflows `i128`, or if an integral solution exceeds `i64`.
     pub fn solve(&self, d: &[i64]) -> SolveOutcome {
         let (m, n) = (self.m, self.n);
         assert_eq!(d.len(), m, "rhs length mismatch");
@@ -199,7 +295,11 @@ impl Factored {
                 checked(acc.checked_add(checked(t.checked_mul(i128::from(v)))))
             })
         };
-        if (self.rank..m).any(|i| td(i) != 0) {
+        // A zero row of `E` is consistent exactly when its `T·d` is zero.
+        // `T`'s minors reach 2^127 and `d` 2^63, so that sum is taken
+        // exactly in 256 bits; the pivot rows' back-substitution below
+        // stays in `i128`.
+        if !(self.rank..m).all(|i| dot_is_zero(&self.a[i * width + n..(i + 1) * width], d)) {
             return SolveOutcome::NoSolution;
         }
         if self.rank < n {
@@ -586,15 +686,83 @@ mod factored_tests {
         let tally = compare_on(&extreme, 48, 0x0f1a);
         println!("i64-extreme pool: {tally:?}");
         assert!(tally.compared > 50, "{tally:?}");
-        assert!(tally.int_only <= INT_ONLY_OVERFLOWS, "{tally:?}");
+        assert_eq!(tally.int_only, 0, "{tally:?}");
     }
 
-    /// Integer-only overflows on the extreme pool of
-    /// [`extreme_entries_agree_with_the_rational_path_or_panic`]: two
-    /// factored solves of inconsistent 3×2 systems, where a 2-minor near
-    /// `2^126` in `T` times an entry of `d` near `2^62` or `2^63`
-    /// outgrows `i128` and the rational path answers `NoSolution`.  On
-    /// the same pool the rational path overflows on 86 answers the
-    /// integer path gives.
-    const INT_ONLY_OVERFLOWS: usize = 2;
+    /// The two inconsistent 3×2 systems of the extreme pool on which the
+    /// integer path once overflowed `i128` where the rational path
+    /// answers `NoSolution`.  The first overflowed in the elimination of
+    /// `T` (a product of entries near `2^126` and `2^63` ahead of the
+    /// exact division); the second, with that step widened, in the
+    /// zero-row check (a 2-minor near `2^126` in `T` times an entry of
+    /// `d` near `2^63`).  Both steps fall back to 256 bits now.
+    #[test]
+    fn wide_zero_row_checks_answer_no_solution() {
+        let cases: [(&[&[i64]], &[i64]); 2] = [
+            (
+                &[
+                    &[-(1 << 31), i64::MAX - 1],
+                    &[-2, 1],
+                    &[-9_000_000_000_000_000_000, -(1 << 31)],
+                ],
+                &[0, 0, 1 << 62],
+            ),
+            (
+                &[
+                    &[1 << 62, -9_000_000_000_000_000_000],
+                    &[-(1 << 31), -i64::MAX],
+                    &[-9_000_000_000_000_000_000, 1],
+                ],
+                &[0, 0, -i64::MAX],
+            ),
+        ];
+        for (rows, d) in cases {
+            let h = Mat::from_rows(rows);
+            assert_eq!(factored(&h, &[0, 1]).solve(d), SolveOutcome::NoSolution);
+            assert_eq!(solve_unique(&h, d, &[0, 1]), SolveOutcome::NoSolution);
+        }
+    }
+
+    /// The 256-bit arithmetic against `i128` where that does not wrap,
+    /// and on products and cancellations past `i128`.
+    #[test]
+    fn wide_arithmetic_is_exact() {
+        let mut rng = ujam_rng::Rng::new(0x5ca1e);
+        for _ in 0..2000 {
+            let len = rng.int(0, 4) as usize;
+            let t: Vec<i128> = (0..len).map(|_| i128::from(rng.int(-40, 40))).collect();
+            let d: Vec<i64> = (0..len).map(|_| rng.int(-40, 40)).collect();
+            let sum: i128 = t.iter().zip(&d).map(|(&t, &v)| t * i128::from(v)).sum();
+            assert_eq!(dot_is_zero(&t, &d), sum == 0, "t = {t:?}, d = {d:?}");
+            let (x, y) = (i128::from(rng.int(-1 << 40, 1 << 40)), rng.int(-9, 9));
+            let y = i128::from(if y == 0 { 1 } else { y }) << rng.int(0, 20);
+            assert_eq!(Wide::mul(x, y).exact_div(y), Some(x), "{x} * {y}");
+            assert_eq!(
+                Wide::mul(x, y).add(Wide::mul(1, 1)).exact_div(y).is_some(),
+                y.abs() == 1
+            );
+        }
+        let (big, min, max) = (i128::MAX, i128::MIN, i64::MAX);
+        assert!(dot_is_zero(&[big, big], &[max, -max]));
+        assert!(dot_is_zero(&[big, -big], &[i64::MIN, i64::MIN]));
+        assert!(dot_is_zero(&[min, min], &[1, -1]));
+        assert!(dot_is_zero(
+            &[(1 << 64) + 1, -1, -(1 << 64)],
+            &[max, max, max]
+        ));
+        // −2^190 twice from 2^126, +2^190 from 2^127: carried across halves.
+        assert!(dot_is_zero(&[1 << 126, 1 << 126, min], &[i64::MIN; 3]));
+        assert!(!dot_is_zero(&[min, min], &[i64::MIN, max]));
+        assert!(!dot_is_zero(&[big, big, 1], &[max, -max, 1]));
+        assert!(!dot_is_zero(&[big], &[max]));
+        assert!(!dot_is_zero(&[min], &[i64::MIN]));
+        // Quotients of products past `i128`, and ones that do not fit.
+        let wide = Wide::mul(big, 6 << 60).add(Wide::mul(min, 4 << 60));
+        assert_eq!(wide.exact_div(2 << 60), Some(big - 2), "3·big + 2·min");
+        assert_eq!(Wide::mul(big, big).exact_div(big), Some(big));
+        assert_eq!(Wide::mul(min, min).exact_div(min), Some(min));
+        assert_eq!(Wide::mul(min, -1).exact_div(1), None);
+        assert_eq!(Wide::mul(big, 4).exact_div(2), None);
+        assert_eq!(Wide::mul(big, 3).exact_div(0), None);
+    }
 }

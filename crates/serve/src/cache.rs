@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{Display, Write as _};
 use std::sync::Arc;
+use ujam_core::pipeline::SearchOutcome;
 use ujam_core::{BalanceModel, CostModelKind, Optimized, SearchConfig};
 use ujam_ir::LoopNest;
 use ujam_machine::MachineModel;
@@ -37,15 +38,28 @@ pub struct Decision {
 }
 
 impl Decision {
-    /// Extracts the cacheable decision from an optimizer result.
-    pub fn from_plan(plan: &Optimized) -> Decision {
+    /// The cacheable decision for the nest named `nest`: the search's
+    /// winner and the predictions at it and at the original loop.
+    pub fn decided(nest: &str, found: &SearchOutcome) -> Decision {
         Decision {
-            nest: plan.nest.name().to_string(),
-            unroll: plan.unroll.clone(),
-            balance: plan.predicted.balance,
-            original_balance: plan.original.balance,
-            registers: plan.predicted.registers,
+            nest: nest.to_string(),
+            unroll: found.unroll.clone(),
+            balance: found.predicted.balance,
+            original_balance: found.original.balance,
+            registers: found.predicted.registers,
         }
+    }
+
+    /// Extracts the cacheable decision from an optimizer result: the
+    /// decision of the search outcome the plan applied.
+    pub fn from_plan(plan: &Optimized) -> Decision {
+        let found = SearchOutcome {
+            offset: plan.space.loops().iter().map(|&l| plan.unroll[l]).collect(),
+            unroll: plan.unroll.clone(),
+            predicted: plan.predicted,
+            original: plan.original,
+        };
+        Decision::decided(plan.nest.name(), &found)
     }
 }
 

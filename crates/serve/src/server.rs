@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use ujam_core::{optimize_costed, CancelToken, OptimizeError, SearchConfig};
+use ujam_core::{decide_costed, CancelToken, OptimizeError, SearchConfig};
 use ujam_ir::LoopNest;
 use ujam_metrics::{
     Counter, Gauge, Histogram, MetricsHandle, MetricsRegistry, MetricsSnapshot, SeriesCollector,
@@ -200,17 +200,13 @@ struct ServeMetrics {
 
 impl ServeMetrics {
     /// Resolves the serve metric set in a fresh registry.
-    /// Pass-duration histograms and the reactor's queue-depth gauge are
-    /// touched eagerly too, so they appear (empty) in snapshots taken
-    /// before the first uncached request, or without a reactor.
+    /// The histograms of the decide passes the miss stage runs, and the
+    /// reactor's queue-depth gauge, are touched eagerly too, so they
+    /// appear (empty) in snapshots taken before the first uncached
+    /// request, or without a reactor.
     fn resolve(shards: usize) -> ServeMetrics {
         let reg = MetricsRegistry::new();
-        for pass in [
-            "select-loops",
-            "build-tables",
-            "search-space",
-            "apply-transform",
-        ] {
+        for pass in ["select-loops", "build-tables", "search-space"] {
             reg.histogram(&format!("pass.{pass}.ns"));
         }
         reg.gauge("serve.queue_depth");
@@ -508,13 +504,18 @@ impl Server {
             Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
             None => CancelToken::never(),
         };
-        // The optimizer returns structured errors for every malformed
-        // input; `catch_unwind` is the last line of defence so that even
-        // a bug in the pipeline answers this one request with an
-        // `internal` error instead of killing the daemon.
+        // A reply carries the decision and no body, so the miss stage
+        // runs only the decide half: the unrolled nest is never built.
+        // The cancel token is polled at every pass entry and inside the
+        // search; a decision that finished inside its deadline is
+        // answered, even where applying it would not have finished in
+        // time.  The optimizer returns structured errors for every
+        // malformed input; `catch_unwind` is the last line of defence
+        // so that even a bug in the pipeline answers this one request
+        // with an `internal` error instead of killing the daemon.
         state.stamp_analysis_start();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            optimize_costed(
+            decide_costed(
                 &nest,
                 &req.machine,
                 req.model,
@@ -527,7 +528,7 @@ impl Server {
         }));
         state.stamp_analysis_end();
         let decision = match outcome {
-            Ok(Ok(plan)) => Decision::from_plan(&plan),
+            Ok(Ok(found)) => Decision::decided(nest.name(), &found),
             Ok(Err(e)) => {
                 let kind = match e {
                     OptimizeError::DeadlineExceeded => ErrorKind::DeadlineExceeded,
@@ -956,19 +957,16 @@ mod tests {
         let latency = snap.histogram("serve.request_ns").expect("present");
         assert_eq!(latency.count, 3, "every request observed once");
         assert!(latency.sum > 0);
-        // The uncached request drove the real pipeline: each pass
-        // histogram holds exactly one observation.
-        for pass in [
-            "select-loops",
-            "build-tables",
-            "search-space",
-            "apply-transform",
-        ] {
+        // The uncached request drove the decide half: each of its pass
+        // histograms holds exactly one observation, and the apply pass
+        // never ran.
+        for pass in ["select-loops", "build-tables", "search-space"] {
             let h = snap
                 .histogram(&format!("pass.{pass}.ns"))
                 .unwrap_or_else(|| panic!("pass.{pass}.ns present"));
             assert_eq!(h.count, 1, "pass.{pass}.ns");
         }
+        assert!(snap.histogram("pass.apply-transform.ns").is_none());
         // Cache lookups happened for both resolvable requests.
         assert_eq!(
             snap.histogram("serve.cache.lookup_ns")

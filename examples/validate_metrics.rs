@@ -4,7 +4,10 @@
 //! at the repository root).  The document is parsed with the in-tree
 //! strict JSON parser, and its embedded metrics snapshot must be
 //! internally consistent with the workload it claims (request counters,
-//! cache accounting, latency histogram totals, monotone quantiles).
+//! cache accounting, latency histogram totals, monotone quantiles), and
+//! must show the daemon's pass set: exactly the decide passes
+//! (`select-loops`, `build-tables`, `search-space`), each run once per
+//! cache miss, and no `apply-transform`.
 //! `BENCH_search.json` is checked by `validate_search_bench`.  Exits
 //! non-zero with a message on any violation.
 
@@ -64,9 +67,34 @@ fn check_serve(doc: &Value) -> Result<String, String> {
     if field(counters, "serve.cache.hits")? + field(counters, "serve.cache.misses")? != requests {
         return Err("cache hits + misses != requests".into());
     }
-    let latency = snapshot
+    let histograms = snapshot
         .get("histograms")
-        .and_then(|h| h.get("serve.request_ns"))
+        .ok_or("missing histograms object")?;
+    // The daemon stops at the decision: every miss runs the decide
+    // passes once each, and nothing applies a decision.
+    let Value::Object(all) = histograms else {
+        return Err("histograms is not an object".into());
+    };
+    let passes: Vec<&str> = all
+        .keys()
+        .filter_map(|k| k.strip_prefix("pass.")?.strip_suffix(".ns"))
+        .collect();
+    if passes != ["build-tables", "search-space", "select-loops"] {
+        return Err(format!(
+            "daemon pass histograms are {passes:?}, want the three decide passes"
+        ));
+    }
+    let misses = field(counters, "serve.cache.misses")?;
+    for pass in passes {
+        let count = field(&all[&format!("pass.{pass}.ns")], "count")?;
+        if count != misses {
+            return Err(format!(
+                "pass.{pass}.ns counts {count} runs, but {misses} requests missed"
+            ));
+        }
+    }
+    let latency = histograms
+        .get("serve.request_ns")
         .ok_or("missing serve.request_ns histogram")?;
     if field(latency, "count")? != requests {
         return Err("latency histogram count != requests".into());

@@ -70,15 +70,15 @@ fn stats_snapshot_matches_replay_ground_truth() {
             .unwrap_or_else(|| panic!("histogram {name} present"))
     };
     assert_eq!(hist_count("serve.request_ns"), 4.0);
-    // Two cache misses ran the optimizer, each crossing every pass once.
-    for pass in [
-        "select-loops",
-        "build-tables",
-        "search-space",
-        "apply-transform",
-    ] {
+    // Two cache misses ran the optimizer's decide half, each crossing
+    // its three passes once; the daemon never applies a decision.
+    for pass in ["select-loops", "build-tables", "search-space"] {
         assert_eq!(hist_count(&format!("pass.{pass}.ns")), 2.0, "pass {pass}");
     }
+    assert!(stats
+        .get("histograms")
+        .and_then(|h| h.get("pass.apply-transform.ns"))
+        .is_none());
 }
 
 #[test]

@@ -338,6 +338,36 @@ fn arithmetic_overflow_in_the_analysis_ends_in_one_reply() {
     assert!(replies[2].contains(r#""ok":true"#), "{text}");
 }
 
+/// A miss stops at the decision, and its deadline still binds: the
+/// token is polled when the analysis starts and at every pass entry,
+/// not only by the apply pass the daemon no longer runs.  A
+/// `"deadline_ms":0` miss answers `deadline_exceeded` having run no
+/// pass, and caches nothing; the same kernel without a deadline then
+/// misses, runs the three decide passes once, and is answered.
+#[test]
+fn a_zero_deadline_miss_answers_deadline_exceeded() {
+    let server = Server::new(test_config(), null_sink());
+    let reply = server.handle_line(r#"{"id":"d","kernel":"jacobi","deadline_ms":0}"#);
+    assert!(reply.contains("\"deadline_exceeded\""), "{reply}");
+    let pass_count = |name: &str| {
+        let snap = server.metrics_snapshot();
+        snap.histogram(&format!("pass.{name}.ns")).map(|h| h.count)
+    };
+    assert_eq!(pass_count("select-loops"), Some(0), "no pass ran");
+
+    let reply = server.handle_line(r#"{"id":"a","kernel":"jacobi"}"#);
+    let (id, unroll, ..) = parse_ok(&reply);
+    assert_eq!((id.as_str(), unroll), ("a", vec![7, 0]), "{reply}");
+    assert!(reply.contains("\"cached\":false"), "{reply}");
+    for pass in ["select-loops", "build-tables", "search-space"] {
+        assert_eq!(pass_count(pass), Some(1), "pass.{pass}.ns");
+    }
+    assert_eq!(pass_count("apply-transform"), None);
+    let snap = server.metrics_snapshot();
+    assert_eq!(snap.counter("serve.deadline_exceeded"), 1);
+    assert_eq!(snap.counter("serve.cache.misses"), 2);
+}
+
 /// The stdin loop times requests like the reactor: a `"trace":true`
 /// reply echoes its trace id, and a flight line sees every request, the
 /// bad frame and the deadline miss in the anomaly ring too.
