@@ -144,3 +144,77 @@ fn intro_loop_tables_are_pinned() {
         ]
     );
 }
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// One hash over the `Display` text of every nest, and one over the
+/// `emit → parse → Display` text (or the parse error) of every nest.
+fn text_hashes(nests: impl IntoIterator<Item = ujam::ir::LoopNest>) -> (u64, u64) {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let (mut shown, mut round) = (BASIS, BASIS);
+    for nest in nests {
+        shown = fnv1a(shown, nest.to_string().as_bytes());
+        shown = fnv1a(shown, b"\0");
+        let back = match ujam::fortran::parse(&ujam::fortran::emit(&nest)) {
+            Ok(back) => back.to_string(),
+            Err(e) => format!("error: {e}"),
+        };
+        round = fnv1a(round, back.as_bytes());
+        round = fnv1a(round, b"\0");
+    }
+    (shown, round)
+}
+
+/// The rendered text of every kernel and corpus nest, and of its Fortran
+/// round trip, is pinned: the IR's subscript representation may change,
+/// the text it prints (and the daemon keys decisions on) may not.
+#[test]
+fn nest_texts_and_fortran_round_trips_are_pinned() {
+    use ujam::kernels::{corpus, corpus_deep, corpus_routine, deep_kernels, kernels};
+    let sets: [(&str, Vec<ujam::ir::LoopNest>, (u64, u64)); 6] = [
+        (
+            "kernels",
+            kernels().iter().map(|k| k.nest()).collect(),
+            (0x3ab6a49f74bbb4fa, 0x3ab6a49f74bbb4fa),
+        ),
+        (
+            "deep kernels",
+            deep_kernels().iter().map(|k| k.nest()).collect(),
+            (0x9244661d3d10512d, 0x9244661d3d10512d),
+        ),
+        (
+            "corpus(1997, 200)",
+            corpus(1997, 200),
+            (0x8f3190f07c03efcb, 0x8f3190f07c03efcb),
+        ),
+        (
+            "corpus_deep(1997, 40)",
+            corpus_deep(1997, 40),
+            (0xa6d7d9308888cb46, 0xa6d7d9308888cb46),
+        ),
+        (
+            "corpus_routine(1, ..1024)",
+            (0..1024).map(|i| corpus_routine(1, i)).collect(),
+            (0xb5991650997d0e49, 0xb5991650997d0e49),
+        ),
+        (
+            "corpus_routine(3, ..1024)",
+            (0..1024).map(|i| corpus_routine(3, i)).collect(),
+            (0x613669c8243acb34, 0x613669c8243acb34),
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (name, nests, want) in sets {
+        let got = text_hashes(nests);
+        if got != want {
+            wrong.push(format!("{name}: ({:#018x}, {:#018x})", got.0, got.1));
+        }
+    }
+    assert!(wrong.is_empty(), "text hashes moved:\n{}", wrong.join("\n"));
+}
