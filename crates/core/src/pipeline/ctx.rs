@@ -32,10 +32,9 @@ fn check_ranges(nest: &LoopNest) -> Result<(), OptimizeError> {
         .find(|l| wide(l.lower()) || wide(l.upper()))
         .map(|l| format!("loop {} has a bound {beyond}", l.var()));
     let mut check = |r: &ArrayRef| {
-        let mut dims = r.dims().iter();
-        if refused.is_none()
-            && dims.any(|d| wide(d.constant_part()) || d.terms().any(|t| wide(t.1)))
-        {
+        let (h, c) = r.access_matrix();
+        if refused.is_none() && h.as_slice().iter().chain(c).any(|&a| wide(a)) {
+            let r = r.display(nest.loops());
             refused = Some(format!("subscript {r} has an entry {beyond}"));
         }
     };
@@ -326,20 +325,22 @@ impl<'a> AnalysisCtx<'a> {
 }
 
 /// A structurally invalid nest for negative-path tests: the statement
-/// reads undeclared `Z`, which `NestBuilder::build` would refuse to
-/// construct — assembled with the raw constructor instead, exactly what
-/// a front end handing over unvalidated IR looks like.
+/// `A(I) = Z(I) + 1.0` reads undeclared `Z`, which `NestBuilder::build`
+/// would refuse to construct — assembled with the raw constructor
+/// instead, exactly what a front end handing over unvalidated IR looks
+/// like.
 #[cfg(test)]
 pub(crate) fn bad_nest() -> LoopNest {
-    use ujam_ir::{parse_expr, sub, subs, ArrayDecl, ArrayRef, Loop, Stmt};
+    use ujam_ir::{parse_expr, ArrayDecl, ArrayRef, Loop, Stmt};
+    use ujam_linalg::Mat;
+    let loops = vec![Loop::new("J", 1, 8), Loop::new("I", 1, 8)];
+    let rhs = parse_expr("Z(I) + 1.0", &loops).expect("parses");
+    let lhs = ArrayRef::new("A", Mat::from_rows(&[&[0, 1]]), vec![0]);
     LoopNest::new(
         "bad",
         vec![ArrayDecl::new("A", &[16])],
-        vec![Loop::new("J", 1, 8), Loop::new("I", 1, 8)],
-        vec![Stmt::assign(
-            ArrayRef::new("A", subs(&[sub("I")])),
-            parse_expr("Z(I) + 1.0").expect("parses"),
-        )],
+        loops,
+        vec![Stmt::assign(lhs, rhs)],
     )
 }
 

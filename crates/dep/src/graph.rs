@@ -107,7 +107,6 @@ pub struct DepGraph {
 impl DepGraph {
     /// Builds the dependence graph of a nest.
     pub fn build(nest: &LoopNest) -> DepGraph {
-        let vars = nest.loop_vars();
         let trips: Vec<i64> = nest.loops().iter().map(|l| l.trip_count()).collect();
         let refs = nest.refs();
         let mut edges = Vec::new();
@@ -115,7 +114,7 @@ impl DepGraph {
         for i in 0..refs.len() {
             for j in i..refs.len() {
                 let (a, b) = (&refs[i], &refs[j]);
-                let Some(dist) = pairwise_distance(&a.aref, &b.aref, &vars) else {
+                let Some(dist) = pairwise_distance(a.aref, b.aref) else {
                     continue;
                 };
                 if i == j {
@@ -384,70 +383,6 @@ mod tests {
             .build();
         let g = DepGraph::build(&nest);
         assert_eq!(g.count(DepKind::True), 0);
-    }
-}
-
-impl DepGraph {
-    /// Renders the graph in Graphviz DOT form: nodes are references
-    /// (`s<stmt>r<pos>`), edges are labelled with kind and distance
-    /// vector, input dependences drawn dashed (the edges the UGS model
-    /// makes unnecessary).
-    pub fn to_dot(&self, nest: &ujam_ir::LoopNest) -> String {
-        use std::fmt::Write;
-        let refs = nest.refs();
-        let mut out = String::from("digraph deps {\n  rankdir=LR;\n");
-        for r in &refs {
-            let shape = if r.is_def { "box" } else { "ellipse" };
-            let _ = writeln!(
-                out,
-                "  s{}r{} [label=\"{}\" shape={shape}];",
-                r.id.stmt, r.id.pos, r.aref
-            );
-        }
-        for e in &self.edges {
-            let dist: Vec<String> = e.dist.iter().map(|d| d.to_string()).collect();
-            let style = if e.kind == DepKind::Input {
-                " style=dashed"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                out,
-                "  s{}r{} -> s{}r{} [label=\"{} ({})\"{style}];",
-                e.src.stmt,
-                e.src.pos,
-                e.dst.stmt,
-                e.dst.pos,
-                e.kind,
-                dist.join(",")
-            );
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use ujam_ir::NestBuilder;
-
-    #[test]
-    fn dot_output_contains_every_edge_and_node() {
-        let nest = NestBuilder::new("intro")
-            .array("A", &[64])
-            .array("B", &[64])
-            .loop_("J", 1, 64)
-            .loop_("I", 1, 64)
-            .stmt("A(J) = A(J) + B(I)")
-            .build();
-        let g = DepGraph::build(&nest);
-        let dot = g.to_dot(&nest);
-        assert!(dot.starts_with("digraph deps {"));
-        assert_eq!(dot.matches("->").count(), g.len());
-        assert!(dot.contains("style=dashed"), "input deps are dashed");
-        assert!(dot.contains("shape=box"), "defs are boxes");
-        assert!(dot.ends_with("}\n"));
     }
 }
 

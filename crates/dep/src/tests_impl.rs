@@ -33,30 +33,33 @@ fn gcd(a: i64, b: i64) -> i64 {
 /// Computes the per-loop distance constraints under which `a` and `b` access
 /// the same element, or `None` if they are proven independent.
 ///
-/// `loop_vars` lists the nest's induction variables outermost first; the
-/// returned vector is parallel to it.  Distances are from `a`'s iteration to
-/// `b`'s: element touched by `b` at iteration `i` equals the element touched
-/// by `a` at iteration `i − d`.
+/// The returned vector has one entry per loop of the nest, outermost
+/// first, read off the columns of the references' access matrices.
+/// Distances are from `a`'s iteration to `b`'s: element touched by `b` at
+/// iteration `i` equals the element touched by `a` at iteration `i − d`.
 ///
 /// # Example
 ///
 /// ```
-/// use ujam_ir::{ArrayRef, sub, subs};
+/// use ujam_ir::ArrayRef;
 /// use ujam_dep::{pairwise_distance, Dist};
-/// let w = ArrayRef::new("A", subs(&[sub("I")]));
-/// let r = ArrayRef::new("A", subs(&[sub("I").offset(-1)]));
+/// use ujam_linalg::Mat;
+/// // A(I) and A(I-1) in a `DO J / DO I` nest.
+/// let w = ArrayRef::new("A", Mat::from_rows(&[&[0, 1]]), vec![0]);
+/// let r = ArrayRef::new("A", Mat::from_rows(&[&[0, 1]]), vec![-1]);
 /// // A(I) at iteration i is read by A(I-1) at iteration i+1: distance 1.
-/// let d = pairwise_distance(&w, &r, &["J", "I"]).unwrap();
+/// let d = pairwise_distance(&w, &r).unwrap();
 /// // J appears in neither reference, so its component is unconstrained.
 /// assert_eq!(d, vec![Dist::Any, Dist::Exact(1)]);
 /// ```
-pub fn pairwise_distance(a: &ArrayRef, b: &ArrayRef, loop_vars: &[&str]) -> Option<DistVec> {
-    if a.array() != b.array() || a.dims().len() != b.dims().len() {
+pub fn pairwise_distance(a: &ArrayRef, b: &ArrayRef) -> Option<DistVec> {
+    let ((ha, ca), (hb, cb)) = (a.access_matrix(), b.access_matrix());
+    if a.array() != b.array() || ca.len() != cb.len() || ha.cols() != hb.cols() {
         return None;
     }
-    let mut dist: DistVec = vec![Dist::Any; loop_vars.len()];
-    for (da, db) in a.dims().iter().zip(b.dims()) {
-        let constraint = test_dimension(da, db, loop_vars)?;
+    let mut dist: DistVec = vec![Dist::Any; ha.cols()];
+    for r in 0..ca.len() {
+        let constraint = test_dimension((ha.row(r), ca[r]), (hb.row(r), cb[r]))?;
         for (slot, c) in dist.iter_mut().zip(constraint) {
             *slot = slot.meet(c)?;
         }
@@ -64,27 +67,22 @@ pub fn pairwise_distance(a: &ArrayRef, b: &ArrayRef, loop_vars: &[&str]) -> Opti
     Some(dist)
 }
 
-/// Tests one subscript dimension pair, yielding per-loop constraints.
-fn test_dimension(
-    da: &ujam_ir::AffineSub,
-    db: &ujam_ir::AffineSub,
-    loop_vars: &[&str],
-) -> Option<DistVec> {
-    let coefs: Vec<(i64, i64)> = loop_vars.iter().map(|v| (da.coef(v), db.coef(v))).collect();
-    let delta = db.constant_part() - da.constant_part();
-    let involved: Vec<usize> = (0..loop_vars.len())
-        .filter(|&i| coefs[i].0 != 0 || coefs[i].1 != 0)
-        .collect();
+/// Tests one subscript dimension pair, each a row of `H` with its
+/// constant, yielding per-loop constraints.
+fn test_dimension((ha, ca): (&[i64], i64), (hb, cb): (&[i64], i64)) -> Option<DistVec> {
+    let depth = ha.len();
+    let delta = cb - ca;
+    let involved: Vec<usize> = (0..depth).filter(|&i| ha[i] != 0 || hb[i] != 0).collect();
 
     // ZIV: no induction variable on either side.
     if involved.is_empty() {
-        return (delta == 0).then(|| vec![Dist::Any; loop_vars.len()]);
+        return (delta == 0).then(|| vec![Dist::Any; depth]);
     }
 
-    let mut out = vec![Dist::Any; loop_vars.len()];
+    let mut out = vec![Dist::Any; depth];
     if involved.len() == 1 {
         let l = involved[0];
-        let (ca, cb) = coefs[l];
+        let (ca, cb) = (ha[l], hb[l]);
         if ca == cb {
             // Strong SIV: a·i_a + c_a = a·i_b + c_b  =>  i_a − i_b = Δc / a
             // with Δc = c_b − c_a as computed above; d is from a to b:
@@ -114,8 +112,8 @@ fn test_dimension(
     // MIV: GCD test over every coefficient of both references.
     let mut g = 0;
     for &i in &involved {
-        g = gcd(g, coefs[i].0);
-        g = gcd(g, coefs[i].1);
+        g = gcd(g, ha[i]);
+        g = gcd(g, hb[i]);
     }
     if g != 0 && delta % g != 0 {
         return None;
@@ -126,56 +124,63 @@ fn test_dimension(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ujam_ir::{sub, sub_affine, sub_const, subs, ArrayRef};
+    use ujam_linalg::Mat;
 
-    const VARS: [&str; 2] = ["J", "I"];
-
-    fn r1(dim: ujam_ir::AffineSub) -> ArrayRef {
-        ArrayRef::new("A", subs(&[dim]))
+    /// `A(H·i + c)` in a `DO J / DO I` nest: one `(row, constant)` per
+    /// dimension, each row `[J, I]`.
+    fn a(dims: &[([i64; 2], i64)]) -> ArrayRef {
+        let rows: Vec<&[i64]> = dims.iter().map(|(row, _)| &row[..]).collect();
+        ArrayRef::new(
+            "A",
+            Mat::from_rows(&rows),
+            dims.iter().map(|d| d.1).collect(),
+        )
     }
+
+    const I: [i64; 2] = [0, 1];
+    const J: [i64; 2] = [1, 0];
+    const NONE: [i64; 2] = [0, 0];
 
     #[test]
     fn strong_siv_exact_distance() {
-        let a = r1(sub("I"));
-        let b = r1(sub("I").offset(-2));
+        let (x, y) = (a(&[(I, 0)]), a(&[(I, -2)]));
         // A(I-2) at iteration i touches element i-2, touched by A(I) at
         // iteration i-2: distance from a to b is +2.
         assert_eq!(
-            pairwise_distance(&a, &b, &VARS).unwrap(),
+            pairwise_distance(&x, &y).unwrap(),
             vec![Dist::Any, Dist::Exact(2)]
         );
         // And the reverse is −2.
         assert_eq!(
-            pairwise_distance(&b, &a, &VARS).unwrap(),
+            pairwise_distance(&y, &x).unwrap(),
             vec![Dist::Any, Dist::Exact(-2)]
         );
     }
 
     #[test]
     fn strong_siv_fractional_is_independent() {
-        let a = r1(sub_affine(&[(2, "I")], 0));
-        let b = r1(sub_affine(&[(2, "I")], -1));
-        assert_eq!(pairwise_distance(&a, &b, &VARS), None);
-        let c = r1(sub_affine(&[(2, "I")], -4));
-        assert_eq!(pairwise_distance(&a, &c, &VARS).unwrap()[1], Dist::Exact(2));
+        let x = a(&[([0, 2], 0)]);
+        let y = a(&[([0, 2], -1)]);
+        assert_eq!(pairwise_distance(&x, &y), None);
+        let z = a(&[([0, 2], -4)]);
+        assert_eq!(pairwise_distance(&x, &z).unwrap()[1], Dist::Exact(2));
     }
 
     #[test]
     fn ziv_dimension() {
-        let a = ArrayRef::new("A", subs(&[sub("I"), sub_const(1)]));
-        let b = ArrayRef::new("A", subs(&[sub("I"), sub_const(2)]));
-        assert_eq!(pairwise_distance(&a, &b, &VARS), None);
-        let c = ArrayRef::new("A", subs(&[sub("I"), sub_const(1)]));
-        assert!(pairwise_distance(&a, &c, &VARS).is_some());
+        let x = a(&[(I, 0), (NONE, 1)]);
+        let y = a(&[(I, 0), (NONE, 2)]);
+        assert_eq!(pairwise_distance(&x, &y), None);
+        assert!(pairwise_distance(&x, &x.clone()).is_some());
     }
 
     #[test]
     fn weak_siv_unconstrained_when_solvable() {
         // A(2I) vs A(I): intersects at even elements; distance varies.
-        let a = r1(sub_affine(&[(2, "I")], 0));
-        let b = r1(sub("I"));
+        let x = a(&[([0, 2], 0)]);
+        let y = a(&[(I, 0)]);
         assert_eq!(
-            pairwise_distance(&a, &b, &VARS).unwrap(),
+            pairwise_distance(&x, &y).unwrap(),
             vec![Dist::Any, Dist::Any]
         );
     }
@@ -183,34 +188,35 @@ mod tests {
     #[test]
     fn one_sided_variable() {
         // A(I) vs A(4): a single interior iteration collides; kept as Any.
-        let a = r1(sub("I"));
-        let b = r1(sub_const(4));
-        assert_eq!(pairwise_distance(&a, &b, &VARS).unwrap()[1], Dist::Any);
+        let x = a(&[(I, 0)]);
+        let y = a(&[(NONE, 4)]);
+        assert_eq!(pairwise_distance(&x, &y).unwrap()[1], Dist::Any);
     }
 
     #[test]
     fn miv_gcd_rejects() {
         // A(2I + 2J) vs A(2I + 2J + 1): parity never matches.
-        let a = r1(sub_affine(&[(2, "I"), (2, "J")], 0));
-        let b = r1(sub_affine(&[(2, "I"), (2, "J")], 1));
-        assert_eq!(pairwise_distance(&a, &b, &VARS), None);
-        let c = r1(sub_affine(&[(2, "I"), (2, "J")], 2));
-        assert!(pairwise_distance(&a, &c, &VARS).is_some());
+        let x = a(&[([2, 2], 0)]);
+        let y = a(&[([2, 2], 1)]);
+        assert_eq!(pairwise_distance(&x, &y), None);
+        let z = a(&[([2, 2], 2)]);
+        assert!(pairwise_distance(&x, &z).is_some());
     }
 
     #[test]
     fn different_arrays_never_depend() {
-        let a = ArrayRef::new("A", subs(&[sub("I")]));
-        let b = ArrayRef::new("B", subs(&[sub("I")]));
-        assert_eq!(pairwise_distance(&a, &b, &VARS), None);
+        let x = a(&[(I, 0)]);
+        let (h, c) = x.access_matrix();
+        let y = ArrayRef::new("B", h.clone(), c.to_vec());
+        assert_eq!(pairwise_distance(&x, &y), None);
     }
 
     #[test]
     fn multidim_constraints_intersect() {
-        let a = ArrayRef::new("A", subs(&[sub("I"), sub("J")]));
-        let b = ArrayRef::new("A", subs(&[sub("I").offset(-1), sub("J").offset(-2)]));
+        let x = a(&[(I, 0), (J, 0)]);
+        let y = a(&[(I, -1), (J, -2)]);
         assert_eq!(
-            pairwise_distance(&a, &b, &VARS).unwrap(),
+            pairwise_distance(&x, &y).unwrap(),
             vec![Dist::Exact(2), Dist::Exact(1)]
         );
     }
@@ -218,15 +224,15 @@ mod tests {
     #[test]
     fn conflicting_dimensions_prove_independence() {
         // Same variable constrained to two different distances.
-        let a = ArrayRef::new("A", subs(&[sub("I"), sub("I")]));
-        let b = ArrayRef::new("A", subs(&[sub("I").offset(-1), sub("I").offset(-2)]));
-        assert_eq!(pairwise_distance(&a, &b, &VARS), None);
+        let x = a(&[(I, 0), (I, 0)]);
+        let y = a(&[(I, -1), (I, -2)]);
+        assert_eq!(pairwise_distance(&x, &y), None);
     }
 
     #[test]
     fn invariant_ref_is_any_on_unused_loops() {
-        let a = r1(sub("I"));
-        let d = pairwise_distance(&a, &a, &VARS).unwrap();
+        let x = a(&[(I, 0)]);
+        let d = pairwise_distance(&x, &x).unwrap();
         assert_eq!(d, vec![Dist::Any, Dist::Exact(0)]);
     }
 }

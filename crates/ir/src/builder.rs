@@ -1,14 +1,16 @@
 //! A builder DSL (with a tiny Fortran-expression parser) for loop nests.
 
 use crate::expr::{BinOp, Expr};
-use crate::nest::{ArrayDecl, ArrayRef, Loop, LoopNest, Stmt};
-use crate::subscript::AffineSub;
+use crate::nest::{ArrayDecl, Loop, LoopNest, Stmt};
+use crate::subscript::ArrayRef;
+use ujam_linalg::Mat;
 
 /// Incremental builder for a [`LoopNest`].
 ///
-/// The builder accepts statements either as structured values or as Fortran
-/// flavoured strings (`"A(I,J) = A(I,J) + B(I)"`), which keeps kernel
-/// definitions close to the paper's listings.
+/// The builder reads statements as Fortran-flavoured strings
+/// (`"A(I,J) = A(I,J) + B(I)"`), which keeps kernel definitions close to
+/// the paper's listings.  A statement's subscripts are read against the
+/// loops declared before it, so declare the loops first.
 ///
 /// # Example
 ///
@@ -55,38 +57,17 @@ impl NestBuilder {
         self
     }
 
-    /// Adds a structured assignment statement.
-    #[must_use]
-    pub fn assign(mut self, lhs: ArrayRef, rhs: Expr) -> NestBuilder {
-        self.body.push(Stmt::assign(lhs, rhs));
-        self
-    }
-
-    /// Adds an assignment whose right-hand side is parsed from a string.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed expression (builder misuse is a programming
-    /// error; use [`parse_expr`] directly for fallible parsing).
-    #[must_use]
-    pub fn assign_expr(mut self, array: &str, dims: Vec<AffineSub>, rhs: &str) -> NestBuilder {
-        let rhs = parse_expr(rhs).unwrap_or_else(|e| panic!("bad expression {rhs:?}: {e}"));
-        self.body
-            .push(Stmt::assign(ArrayRef::new(array, dims), rhs));
-        self
-    }
-
     /// Adds a statement parsed from `"lhs = rhs"` form.  The left-hand side
-    /// may be an array reference or a bare scalar name.
+    /// may be an array reference or a bare scalar name; subscripts name
+    /// loops already declared.
     ///
     /// # Panics
     ///
     /// Panics on malformed input.
     #[must_use]
-    pub fn stmt(mut self, text: &str) -> NestBuilder {
-        self.body
-            .push(parse_stmt(text).unwrap_or_else(|e| panic!("bad statement {text:?}: {e}")));
-        self
+    pub fn stmt(self, text: &str) -> NestBuilder {
+        self.try_stmt(text)
+            .unwrap_or_else(|e| panic!("bad statement {text:?}: {e}"))
     }
 
     /// Fallible variant of [`NestBuilder::stmt`] for callers handling
@@ -94,9 +75,10 @@ impl NestBuilder {
     ///
     /// # Errors
     ///
-    /// Returns the statement parser's description of the syntax error.
+    /// Returns the statement parser's description of the syntax error,
+    /// or of the first subscript variable that names no declared loop.
     pub fn try_stmt(mut self, text: &str) -> Result<NestBuilder, String> {
-        self.body.push(parse_stmt(text)?);
+        self.body.push(parse_stmt(text, &self.loops)?);
         Ok(self)
     }
 
@@ -114,8 +96,8 @@ impl NestBuilder {
     ///
     /// # Errors
     ///
-    /// Returns the first inconsistency found (unbound variables, undeclared
-    /// arrays, rank mismatches, duplicate loop variables, empty nest).
+    /// Returns the first inconsistency found (empty nest, duplicate loop
+    /// variables, undeclared arrays, rank mismatches).
     pub fn try_build(self) -> Result<LoopNest, String> {
         if self.loops.is_empty() {
             return Err("nest has no loops".into());
@@ -129,56 +111,72 @@ impl NestBuilder {
     }
 }
 
-/// Parses a Fortran-flavoured floating-point expression.
+/// Parses a Fortran-flavoured floating-point expression over the loops
+/// `loops` (outermost first).
 ///
 /// Grammar: `+ - * /` with usual precedence, parentheses, numeric literals,
 /// scalar identifiers, and array references `NAME(dim, dim, ...)` whose
 /// dimensions are affine combinations of loop indices (`I`, `I+2`, `2*J-1`,
-/// `2J-1`, `4`).
+/// `2J-1`, `4`).  Each index names one of `loops`; a reference stores its
+/// coefficients by loop position.
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax error.
+/// Returns a description of the first syntax error, or of the first
+/// subscript variable that names none of `loops`.
 ///
 /// # Example
 ///
 /// ```
-/// use ujam_ir::parse_expr;
-/// let e = parse_expr("A(I,J) + 0.5 * (B(I) - C(2J-1))").unwrap();
+/// use ujam_ir::{parse_expr, Loop};
+/// let loops = [Loop::new("J", 1, 8), Loop::new("I", 1, 8)];
+/// let e = parse_expr("A(I,J) + 0.5 * (B(I) - C(2J-1))", &loops).unwrap();
 /// assert_eq!(e.flops(), 3);
+/// assert_eq!(e.refs()[2].access_matrix().0.row(0), &[2, 0]);
+/// assert!(parse_expr("A(K)", &loops).is_err());
 /// ```
-pub fn parse_expr(text: &str) -> Result<Expr, String> {
-    let mut p = Parser::new(text);
+pub fn parse_expr(text: &str, loops: &[Loop]) -> Result<Expr, String> {
+    let (e, unbound) = expr_of(text, loops)?;
+    unbound.map_or(Ok(e), Err)
+}
+
+/// The expression `text` parses to, and its first unbound subscript
+/// variable's description: syntax errors come first.
+fn expr_of(text: &str, loops: &[Loop]) -> Result<(Expr, Option<String>), String> {
+    let mut p = Parser::new(text, loops);
     let (e, _) = p.expr()?;
     p.skip_ws();
     if !p.at_end() {
         return Err(format!("trailing input at byte {}", p.pos));
     }
-    Ok(e)
+    Ok((e, p.unbound))
 }
 
-/// Parses a full `"lhs = rhs"` statement.
+/// Parses a full `"lhs = rhs"` statement over the loops `loops`.
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax error.
-pub(crate) fn parse_stmt(text: &str) -> Result<Stmt, String> {
+/// Returns a description of the first syntax error, or of the first
+/// subscript variable that names none of `loops`.
+fn parse_stmt(text: &str, loops: &[Loop]) -> Result<Stmt, String> {
     let eq = text.find('=').ok_or("statement missing '='")?;
     let (lhs_text, rhs_text) = (text[..eq].trim(), text[eq + 1..].trim());
-    let rhs = parse_expr(rhs_text)?;
-    let mut p = Parser::new(lhs_text);
+    let (rhs, rhs_unbound) = expr_of(rhs_text, loops)?;
+    let mut p = Parser::new(lhs_text, loops);
     p.skip_ws();
     let name = p.ident().ok_or("statement lhs must start with a name")?;
     p.skip_ws();
     if p.peek() == Some('(') {
-        let dims = p.subscripts()?;
+        let lhs = p.reference(name, 0)?;
         p.skip_ws();
         if !p.at_end() {
             return Err("trailing input after lhs reference".into());
         }
-        Ok(Stmt::assign(ArrayRef::new(&name, dims), rhs))
+        rhs_unbound
+            .or(p.unbound)
+            .map_or(Ok(Stmt::assign(lhs, rhs)), Err)
     } else if p.at_end() {
-        Ok(Stmt::assign_scalar(&name, rhs))
+        rhs_unbound.map_or(Ok(Stmt::assign_scalar(name, rhs)), Err)
     } else {
         Err("malformed lhs".into())
     }
@@ -213,14 +211,21 @@ struct Parser<'a> {
     /// Open parentheses and unary minuses around the current factor:
     /// the parser's own recursion depth.
     nesting: usize,
+    /// The loops subscripts may name, outermost first.
+    loops: &'a [Loop],
+    /// The first subscript variable that names none of `loops`, reported
+    /// once the text has parsed.
+    unbound: Option<String>,
 }
 
 impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
+    fn new(text: &'a str, loops: &'a [Loop]) -> Parser<'a> {
         Parser {
             text,
             pos: 0,
             nesting: 0,
+            loops,
+            unbound: None,
         }
     }
 
@@ -244,7 +249,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Option<String> {
+    fn ident(&mut self) -> Option<&'a str> {
         let start = self.pos;
         while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
             if self.pos == start && self.peek().is_some_and(|c| c.is_ascii_digit()) {
@@ -252,7 +257,7 @@ impl<'a> Parser<'a> {
             }
             self.bump();
         }
-        (self.pos > start).then(|| self.text[start..self.pos].to_string())
+        (self.pos > start).then(|| &self.text[start..self.pos])
     }
 
     fn number(&mut self) -> Option<f64> {
@@ -333,13 +338,13 @@ impl<'a> Parser<'a> {
                 .map(|k| (Expr::Const(k), 1))
                 .ok_or_else(|| "bad number".into()),
             Some(c) if c.is_ascii_alphabetic() || c == '_' => {
+                let start = self.pos;
                 let name = self.ident().ok_or("bad identifier")?;
                 self.skip_ws();
                 if self.peek() == Some('(') {
-                    let dims = self.subscripts()?;
-                    Ok((Expr::Ref(ArrayRef::new(&name, dims)), 1))
+                    Ok((Expr::Ref(self.reference(name, start)?), 1))
                 } else {
-                    Ok((Expr::Scalar(name), 1))
+                    Ok((Expr::Scalar(name.to_string()), 1))
                 }
             }
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
@@ -361,26 +366,39 @@ impl<'a> Parser<'a> {
         e
     }
 
-    /// Parses `(dim, dim, ...)` where each dim is an affine combination.
-    fn subscripts(&mut self) -> Result<Vec<AffineSub>, String> {
+    /// Parses the subscripts `(dim, dim, ...)` of the reference to `name`
+    /// that starts at byte `start`; each dim is an affine combination.
+    fn reference(&mut self, name: &str, start: usize) -> Result<ArrayRef, String> {
         if self.bump() != Some('(') {
             return Err("expected '('".into());
         }
-        let mut dims = Vec::new();
+        let depth = self.loops.len();
+        let (mut h, mut c) = (Vec::new(), Vec::new());
+        let first_unbound = self.unbound.is_none();
         loop {
-            dims.push(self.affine()?);
+            h.resize(h.len() + depth, 0);
+            let at = h.len() - depth;
+            c.push(self.affine(&mut h[at..])?);
             self.skip_ws();
             match self.bump() {
                 Some(',') => continue,
-                Some(')') => return Ok(dims),
+                Some(')') => break,
                 other => return Err(format!("expected ',' or ')', got {other:?}")),
             }
         }
+        if first_unbound {
+            if let Some(var) = self.unbound.take() {
+                let text = &self.text[start..self.pos];
+                self.unbound = Some(format!("unbound subscript variable {var} in {text}"));
+            }
+        }
+        Ok(ArrayRef::new(name, Mat::from_vec(c.len(), depth, h), c))
     }
 
-    /// Parses one affine dimension: signed terms `k`, `I`, `2I`, `2*I`.
-    fn affine(&mut self) -> Result<AffineSub, String> {
-        let mut terms: Vec<(i64, String)> = Vec::new();
+    /// Parses one affine dimension (signed terms `k`, `I`, `2I`, `2*I`),
+    /// adding each index's coefficient to its loop's entry of `row`, and
+    /// returns its constant.
+    fn affine(&mut self, row: &mut [i64]) -> Result<i64, String> {
         let mut offset = 0i64;
         let mut sign;
         let mut first = true;
@@ -409,13 +427,13 @@ impl<'a> Parser<'a> {
                 }
                 if matches!(self.peek(), Some(c) if c.is_ascii_alphabetic() || c == '_') {
                     let var = self.ident().ok_or("bad subscript identifier")?;
-                    terms.push((sign * k, var));
+                    self.add_term(row, sign * k, var);
                 } else {
                     offset += sign * k;
                 }
             } else if matches!(self.peek(), Some(c) if c.is_ascii_alphabetic() || c == '_') {
                 let var = self.ident().ok_or("bad subscript identifier")?;
-                terms.push((sign, var));
+                self.add_term(row, sign, var);
             } else {
                 return Err(format!("expected term in subscript at byte {}", self.pos));
             }
@@ -425,8 +443,17 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let term_refs: Vec<(i64, &str)> = terms.iter().map(|(c, v)| (*c, v.as_str())).collect();
-        Ok(AffineSub::from_terms(&term_refs, offset))
+        Ok(offset)
+    }
+
+    /// Adds `coef·var` to `row`, or notes `var` if it names no loop.
+    fn add_term(&mut self, row: &mut [i64], coef: i64, var: &str) {
+        match self.loops.iter().position(|l| l.var() == var) {
+            Some(k) => row[k] += coef,
+            None => {
+                self.unbound.get_or_insert_with(|| var.to_string());
+            }
+        }
     }
 }
 
@@ -434,37 +461,62 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use crate::nest::Lhs;
-    use crate::subscript::{sub, sub_affine};
+
+    /// `DO J / DO I`.
+    fn ji() -> [Loop; 2] {
+        [Loop::new("J", 1, 8), Loop::new("I", 1, 8)]
+    }
+
+    fn parse_expr(text: &str) -> Result<Expr, String> {
+        super::parse_expr(text, &ji())
+    }
+
+    fn parse_stmt(text: &str) -> Result<Stmt, String> {
+        super::parse_stmt(text, &ji())
+    }
 
     #[test]
     fn parses_simple_refs_and_scalars() {
         let e = parse_expr("A(I) + s").unwrap();
-        assert_eq!(e.to_string(), "A(I) + s");
+        assert_eq!(e.display(&ji()).to_string(), "A(I) + s");
         assert_eq!(e.refs().len(), 1);
     }
 
     #[test]
     fn parses_affine_subscripts() {
         let e = parse_expr("A(2J-1, I+2, 4)").unwrap();
-        let r = e.refs()[0];
-        assert_eq!(r.dims()[0], sub_affine(&[(2, "J")], -1));
-        assert_eq!(r.dims()[1], sub("I").offset(2));
-        assert_eq!(r.dims()[2].constant_part(), 4);
+        let (h, c) = e.refs()[0].access_matrix();
+        assert_eq!(*h, Mat::from_rows(&[&[2, 0], &[0, 1], &[0, 0]]));
+        assert_eq!(c, &[-1, 2, 4]);
     }
 
     #[test]
     fn parses_star_form_subscripts() {
-        let e = parse_expr("A(2*J - 1)").unwrap();
-        assert_eq!(e.refs()[0].dims()[0], sub_affine(&[(2, "J")], -1));
+        let e = parse_expr("A(2*J - 1 + I - I)").unwrap();
+        let (h, c) = e.refs()[0].access_matrix();
+        assert_eq!((h.row(0), c), (&[2, 0][..], &[-1][..]));
+    }
+
+    #[test]
+    fn unbound_subscript_variables_are_refused_after_syntax() {
+        let e = parse_expr("B(I) + A(I, K+1) + A(L)").unwrap_err();
+        assert_eq!(e, "unbound subscript variable K in A(I, K+1)");
+        assert!(parse_stmt("A(K) = 1.0")
+            .unwrap_err()
+            .contains("variable K in A(K)"));
+        // A syntax error anywhere in the statement is reported first.
+        assert!(parse_stmt("A(I) + = B(K)").unwrap_err().contains("lhs"));
+        // A scalar may share a loop's name; only subscripts resolve.
+        assert!(parse_stmt("K = I").is_ok());
     }
 
     #[test]
     fn precedence_and_parens() {
         let e = parse_expr("1.0 + 2.0 * 3.0").unwrap();
         assert_eq!(e.flops(), 2);
-        assert_eq!(e.to_string(), "1 + 2 * 3");
+        assert_eq!(e.display(&[]).to_string(), "1 + 2 * 3");
         let e = parse_expr("(1.0 + 2.0) * 3.0").unwrap();
-        assert_eq!(e.to_string(), "(1 + 2) * 3");
+        assert_eq!(e.display(&[]).to_string(), "(1 + 2) * 3");
     }
 
     #[test]

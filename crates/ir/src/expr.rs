@@ -1,6 +1,7 @@
 //! Floating-point expression trees.
 
-use crate::nest::ArrayRef;
+use crate::nest::Loop;
+use crate::subscript::ArrayRef;
 use std::fmt;
 
 /// A binary floating-point operator.
@@ -64,8 +65,8 @@ impl Expr {
     /// # Example
     ///
     /// ```
-    /// use ujam_ir::{parse_expr, Expr};
-    /// let e = parse_expr("A(I) * B(I) + 2.0").unwrap();
+    /// use ujam_ir::{parse_expr, Loop};
+    /// let e = parse_expr("A(I) * B(I) + 2.0", &[Loop::new("I", 1, 8)]).unwrap();
     /// assert_eq!(e.flops(), 2);
     /// ```
     pub fn flops(&self) -> usize {
@@ -96,16 +97,18 @@ impl Expr {
         }
     }
 
-    /// Visits every array reference mutably, in evaluation order.
-    pub fn visit_refs_mut(&mut self, f: &mut impl FnMut(&mut ArrayRef)) {
+    /// A copy with every array reference `r` replaced by `f(r)`, in
+    /// evaluation order.
+    pub(crate) fn map_refs(&self, f: &mut impl FnMut(&ArrayRef) -> ArrayRef) -> Expr {
         match self {
-            Expr::Ref(r) => f(r),
-            Expr::Scalar(_) | Expr::Const(_) => {}
-            Expr::Bin(_, l, r) => {
-                l.visit_refs_mut(f);
-                r.visit_refs_mut(f);
+            Expr::Ref(r) => Expr::Ref(f(r)),
+            Expr::Scalar(s) => Expr::Scalar(s.clone()),
+            Expr::Const(c) => Expr::Const(*c),
+            Expr::Bin(op, l, r) => {
+                let l = l.map_refs(f);
+                Expr::bin(*op, l, r.map_refs(f))
             }
-            Expr::Neg(e) => e.visit_refs_mut(f),
+            Expr::Neg(e) => Expr::Neg(Box::new(e.map_refs(f))),
         }
     }
 
@@ -128,10 +131,22 @@ impl Expr {
     }
 }
 
-impl fmt::Display for Expr {
+impl Expr {
+    /// The expression as source text, its references rendered through
+    /// the nest's loop names (`loops[k]` names loop `k`).
+    pub fn display<'a>(&'a self, loops: &'a [Loop]) -> impl fmt::Display + 'a {
+        Named(self, loops)
+    }
+}
+
+/// An expression rendered through its nest's loop names.
+struct Named<'a>(&'a Expr, &'a [Loop]);
+
+impl fmt::Display for Named<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Ref(r) => write!(f, "{r}"),
+        let Named(e, loops) = *self;
+        match e {
+            Expr::Ref(r) => write!(f, "{}", r.display(loops)),
             Expr::Scalar(s) => write!(f, "{s}"),
             Expr::Const(c) => write!(f, "{c}"),
             Expr::Bin(op, l, r) => {
@@ -140,6 +155,7 @@ impl fmt::Display for Expr {
                 let needs_r = matches!(**r, Expr::Bin(inner, _, _)
                     if precedence(inner) <= precedence(*op))
                     && matches!(op, BinOp::Sub | BinOp::Div | BinOp::Mul);
+                let (l, r) = (l.display(loops), r.display(loops));
                 if needs_l {
                     write!(f, "({l})")?;
                 } else {
@@ -152,7 +168,7 @@ impl fmt::Display for Expr {
                     write!(f, "{r}")
                 }
             }
-            Expr::Neg(e) => write!(f, "-({e})"),
+            Expr::Neg(e) => write!(f, "-({})", e.display(loops)),
         }
     }
 }
@@ -167,21 +183,18 @@ fn precedence(op: BinOp) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subscript::{sub, subs};
+    use ujam_linalg::Mat;
 
-    fn aref(name: &str, var: &str) -> ArrayRef {
-        ArrayRef::new(name, subs(&[sub(var)]))
+    /// `name(I)` in a one-deep nest over `I`.
+    fn aref(name: &str) -> ArrayRef {
+        ArrayRef::new(name, Mat::identity(1), vec![0])
     }
 
     #[test]
     fn flop_counting() {
         let e = Expr::bin(
             BinOp::Add,
-            Expr::bin(
-                BinOp::Mul,
-                Expr::Ref(aref("A", "I")),
-                Expr::Ref(aref("B", "I")),
-            ),
+            Expr::bin(BinOp::Mul, Expr::Ref(aref("A")), Expr::Ref(aref("B"))),
             Expr::Const(1.0),
         );
         assert_eq!(e.flops(), 2);
@@ -193,12 +206,8 @@ mod tests {
     fn ref_collection_is_in_eval_order() {
         let e = Expr::bin(
             BinOp::Sub,
-            Expr::Ref(aref("A", "I")),
-            Expr::bin(
-                BinOp::Mul,
-                Expr::Ref(aref("B", "I")),
-                Expr::Ref(aref("C", "I")),
-            ),
+            Expr::Ref(aref("A")),
+            Expr::bin(BinOp::Mul, Expr::Ref(aref("B")), Expr::Ref(aref("C"))),
         );
         let names: Vec<&str> = e.refs().iter().map(|r| r.array()).collect();
         assert_eq!(names, ["A", "B", "C"]);
@@ -206,13 +215,10 @@ mod tests {
 
     #[test]
     fn replace_refs_substitutes_scalars() {
-        let mut e = Expr::bin(
-            BinOp::Add,
-            Expr::Ref(aref("A", "I")),
-            Expr::Ref(aref("B", "I")),
-        );
+        let mut e = Expr::bin(BinOp::Add, Expr::Ref(aref("A")), Expr::Ref(aref("B")));
         e.replace_refs(&mut |r| (r.array() == "A").then(|| "t0".to_string()));
-        assert_eq!(e.to_string(), "t0 + B(I)");
+        let loops = [Loop::new("I", 1, 4)];
+        assert_eq!(e.display(&loops).to_string(), "t0 + B(I)");
         assert_eq!(e.refs().len(), 1);
     }
 
@@ -227,7 +233,7 @@ mod tests {
             ),
             Expr::Scalar("c".into()),
         );
-        assert_eq!(e.to_string(), "(a + b) * c");
+        assert_eq!(e.display(&[]).to_string(), "(a + b) * c");
         let e2 = Expr::bin(
             BinOp::Sub,
             Expr::Scalar("a".into()),
@@ -237,6 +243,6 @@ mod tests {
                 Expr::Scalar("c".into()),
             ),
         );
-        assert_eq!(e2.to_string(), "a - (b + c)");
+        assert_eq!(e2.display(&[]).to_string(), "a - (b + c)");
     }
 }

@@ -104,8 +104,8 @@ pub fn execute(nest: &LoopNest) -> ExecState {
 /// not reported — they have no well-defined flattened address.
 pub fn execute_with_tap<T: AccessTap + ?Sized>(nest: &LoopNest, tap: &mut T) -> ExecState {
     let mut state = ExecState::default();
-    let mut env: BTreeMap<&str, i64> = BTreeMap::new();
-    run_level(nest, 0, &mut env, &mut state, tap);
+    let mut iter = vec![0; nest.depth()];
+    run_level(nest, 0, &mut iter, &mut state, tap);
     state
 }
 
@@ -119,48 +119,48 @@ fn flat_addr(nest: &LoopNest, array: &str, sub: &[i64]) -> Option<i64> {
     Some(decl.linearize(sub))
 }
 
-fn run_level<'a, T: AccessTap + ?Sized>(
-    nest: &'a LoopNest,
+/// Runs loop `level` and everything inside it; `iter` holds the
+/// iteration vector, one index per loop, outermost first.
+fn run_level<T: AccessTap + ?Sized>(
+    nest: &LoopNest,
     level: usize,
-    env: &mut BTreeMap<&'a str, i64>,
+    iter: &mut [i64],
     state: &mut ExecState,
     tap: &mut T,
 ) {
     if level == nest.depth() {
-        exec_stmts(nest, nest.body(), env, state, tap);
+        exec_stmts(nest, nest.body(), iter, state, tap);
         return;
     }
     let l = &nest.loops()[level];
     // The prologue/epilogue bracket each *instance* of the innermost
-    // loop: they run with the outer induction variables bound but the
-    // innermost one out of scope (its iterations are pinned to
-    // constants by the transformation that emitted them).
+    // loop: they run outside its iterations, so the transformation that
+    // emitted them pinned the innermost index (its column of `H` is zero).
     let innermost = level + 1 == nest.depth();
     if innermost {
-        exec_stmts(nest, nest.prologue(), env, state, tap);
+        exec_stmts(nest, nest.prologue(), iter, state, tap);
     }
     for v in l.values() {
-        env.insert(l.var(), v);
-        run_level(nest, level + 1, env, state, tap);
+        iter[level] = v;
+        run_level(nest, level + 1, iter, state, tap);
     }
-    env.remove(l.var());
     if innermost {
-        exec_stmts(nest, nest.epilogue(), env, state, tap);
+        exec_stmts(nest, nest.epilogue(), iter, state, tap);
     }
 }
 
 fn exec_stmts<T: AccessTap + ?Sized>(
     nest: &LoopNest,
     stmts: &[crate::nest::Stmt],
-    env: &BTreeMap<&str, i64>,
+    iter: &[i64],
     state: &mut ExecState,
     tap: &mut T,
 ) {
     for stmt in stmts {
-        let value = eval(nest, stmt.rhs(), env, state, tap);
+        let value = eval(nest, stmt.rhs(), iter, state, tap);
         match stmt.lhs() {
             Lhs::Array(a) => {
-                let sub = a.eval(env);
+                let sub = a.eval(iter);
                 if let Some(flat) = flat_addr(nest, a.array(), &sub) {
                     tap.access(a.array(), flat, AccessKind::Write);
                 }
@@ -176,7 +176,7 @@ fn exec_stmts<T: AccessTap + ?Sized>(
 fn eval<T: AccessTap + ?Sized>(
     nest: &LoopNest,
     e: &Expr,
-    env: &BTreeMap<&str, i64>,
+    iter: &[i64],
     state: &ExecState,
     tap: &mut T,
 ) -> f64 {
@@ -184,7 +184,7 @@ fn eval<T: AccessTap + ?Sized>(
         Expr::Const(c) => *c,
         Expr::Scalar(s) => state.scalars.get(s).copied().unwrap_or(0.0),
         Expr::Ref(r) => {
-            let sub = r.eval(env);
+            let sub = r.eval(iter);
             if let Some(flat) = flat_addr(nest, r.array(), &sub) {
                 tap.access(r.array(), flat, AccessKind::Read);
             }
@@ -197,8 +197,8 @@ fn eval<T: AccessTap + ?Sized>(
         }
         Expr::Bin(op, l, rhs) => {
             let (a, b) = (
-                eval(nest, l, env, state, tap),
-                eval(nest, rhs, env, state, tap),
+                eval(nest, l, iter, state, tap),
+                eval(nest, rhs, iter, state, tap),
             );
             match op {
                 BinOp::Add => a + b,
@@ -207,7 +207,7 @@ fn eval<T: AccessTap + ?Sized>(
                 BinOp::Div => a / b,
             }
         }
-        Expr::Neg(inner) => -eval(nest, inner, env, state, tap),
+        Expr::Neg(inner) => -eval(nest, inner, iter, state, tap),
     }
 }
 

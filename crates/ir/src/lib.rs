@@ -5,15 +5,15 @@
 //! reproduction.  It models the programs the paper analyses: *perfect*
 //! Fortran-style loop nests whose statements assign floating-point
 //! expressions over array references with affine subscripts
-//! `A(H·i + c)`.  The IR keeps subscripts symbolic (per-dimension affine
-//! terms over loop index names) so that transformations are simple textual
-//! rewrites, and resolves them to the `(H, c)` access-matrix form of the
-//! Wolf–Lam reuse model on demand.
+//! `A(H·i + c)`.  Each [`ArrayRef`] stores exactly that: its access matrix
+//! `H` over the nest's loop positions and its offset `c`, the form the
+//! Wolf–Lam reuse model and every analysis consume.  Loop names live once,
+//! in the nest; text is read and printed through them.
 //!
 //! Provided here:
 //!
 //! * [`LoopNest`], [`Loop`], [`Stmt`], [`Expr`], [`ArrayRef`] — the IR,
-//! * [`NestBuilder`] and the [`sub`]/[`subs`] helpers — a builder DSL,
+//! * [`NestBuilder`] and [`parse_expr`] — a builder DSL over Fortran text,
 //! * a Fortran-flavoured pretty printer (`Display` on [`LoopNest`]),
 //! * [`transform::unroll_and_jam`] — the actual code transformation the
 //!   paper tunes (outer-loop unrolling + fusion of the copies),
@@ -24,7 +24,7 @@
 //! # Example
 //!
 //! ```
-//! use ujam_ir::{NestBuilder, sub, subs, transform};
+//! use ujam_ir::{NestBuilder, transform};
 //!
 //! // DO J = 1, 2N ; DO I = 1, M ; A(J) = A(J) + B(I)
 //! let nest = NestBuilder::new("intro")
@@ -32,8 +32,11 @@
 //!     .array("B", &[512])
 //!     .loop_("J", 1, 512)
 //!     .loop_("I", 1, 256)
-//!     .assign_expr("A", subs(&[sub("J")]), "A(J) + B(I)")
+//!     .stmt("A(J) = A(J) + B(I)")
 //!     .build();
+//! // A(J) is row [1, 0] of its access matrix: J is loop 0.
+//! let (h, c) = nest.refs()[0].aref.access_matrix();
+//! assert_eq!((h.row(0), c), (&[1, 0][..], &[0][..]));
 //! // Unroll-and-jam the J loop by 1 (two copies), as in §3.3 of the paper.
 //! let unrolled = transform::unroll_and_jam(&nest, &[1, 0]).unwrap();
 //! assert_eq!(unrolled.body().len(), 2);
@@ -52,5 +55,5 @@ pub mod transform;
 
 pub use builder::{parse_expr, NestBuilder};
 pub use expr::{BinOp, Expr};
-pub use nest::{ArrayDecl, ArrayRef, Lhs, Loop, LoopNest, RefId, RefInfo, Stmt};
-pub use subscript::{sub, sub_affine, sub_const, subs, AffineSub};
+pub use nest::{ArrayDecl, Lhs, Loop, LoopNest, RefId, RefInfo, Stmt};
+pub use subscript::ArrayRef;

@@ -1,10 +1,8 @@
-//! The loop-nest IR proper: arrays, references, statements, loops.
+//! The loop-nest IR proper: arrays, statements, loops.
 
 use crate::expr::Expr;
-use crate::subscript::{resolve, AffineSub};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt;
-use ujam_linalg::Mat;
+use crate::subscript::ArrayRef;
+use std::collections::{HashMap, HashSet};
 
 /// A declared array with its extents (Fortran column-major order: the first
 /// dimension is contiguous in memory).
@@ -69,80 +67,6 @@ impl ArrayDecl {
     }
 }
 
-/// A reference to an array with symbolic affine subscripts.
-///
-/// In an expression context the reference is a *use* (load); as the
-/// left-hand side of a [`Stmt`] it is a *def* (store).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct ArrayRef {
-    array: String,
-    dims: Vec<AffineSub>,
-}
-
-impl ArrayRef {
-    /// Creates a reference to `array` with the given subscript dimensions.
-    pub fn new(array: &str, dims: Vec<AffineSub>) -> ArrayRef {
-        ArrayRef {
-            array: array.to_string(),
-            dims,
-        }
-    }
-
-    /// The referenced array's name.
-    pub fn array(&self) -> &str {
-        &self.array
-    }
-
-    /// The subscript dimensions.
-    pub fn dims(&self) -> &[AffineSub] {
-        &self.dims
-    }
-
-    /// Mutable access to the subscript dimensions (used by transformations).
-    pub(crate) fn dims_mut(&mut self) -> &mut [AffineSub] {
-        &mut self.dims
-    }
-
-    /// Resolves the reference against an ordered loop-variable list
-    /// (outermost first), yielding the access matrix `H` and offset `c` of
-    /// the uniformly-generated form `A(H·i + c)`.
-    pub fn access_matrix(&self, loop_vars: &[&str]) -> (Mat, Vec<i64>) {
-        resolve(&self.dims, loop_vars)
-    }
-
-    /// Evaluates the subscript at concrete index values.
-    pub fn eval(&self, env: &BTreeMap<&str, i64>) -> Vec<i64> {
-        self.dims.iter().map(|d| d.eval(env)).collect()
-    }
-
-    /// `true` if every subscript dimension uses at most one induction
-    /// variable and no variable appears in two dimensions (§3.5 SIV,
-    /// separable).
-    pub fn is_siv_separable(&self, loop_vars: &[&str]) -> bool {
-        let (h, _) = self.access_matrix(loop_vars);
-        h.is_siv_separable() && self.dims.iter().all(|d| d.num_vars() <= 1)
-    }
-}
-
-impl fmt::Display for ArrayRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.array)?;
-        for (i, d) in self.dims.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{d}")?;
-        }
-        write!(f, ")")
-    }
-}
-
-impl fmt::Debug for ArrayRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ArrayRef({self})")
-    }
-}
-
 /// The assignment target of a statement.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Lhs {
@@ -191,9 +115,15 @@ impl Stmt {
         &mut self.rhs
     }
 
-    /// Mutable target (used by transformations).
-    pub fn lhs_mut(&mut self) -> &mut Lhs {
-        &mut self.lhs
+    /// A copy with every array reference `r` replaced by `f(r)`, in
+    /// evaluation order (used by transformations).
+    pub(crate) fn map_refs(&self, mut f: impl FnMut(&ArrayRef) -> ArrayRef) -> Stmt {
+        let rhs = self.rhs.map_refs(&mut f);
+        let lhs = match &self.lhs {
+            Lhs::Array(a) => Lhs::Array(f(a)),
+            Lhs::Scalar(s) => Lhs::Scalar(s.clone()),
+        };
+        Stmt { lhs, rhs }
     }
 
     /// Array references in evaluation order: RHS uses left-to-right, then
@@ -288,12 +218,12 @@ pub struct RefId {
 }
 
 /// A reference together with its identity and def/use role.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RefInfo {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RefInfo<'a> {
     /// Where the reference lives.
     pub id: RefId,
     /// The reference itself.
-    pub aref: ArrayRef,
+    pub aref: &'a ArrayRef,
     /// `true` for a store (LHS), `false` for a load.
     pub is_def: bool,
 }
@@ -350,11 +280,6 @@ impl LoopNest {
         &self.loops
     }
 
-    /// Mutable loops (used by transformations).
-    pub(crate) fn loops_mut(&mut self) -> &mut [Loop] {
-        &mut self.loops
-    }
-
     /// Nest depth.
     pub fn depth(&self) -> usize {
         self.loops.len()
@@ -398,13 +323,13 @@ impl LoopNest {
     }
 
     /// Every array reference in the body, in execution order.
-    pub fn refs(&self) -> Vec<RefInfo> {
+    pub fn refs(&self) -> Vec<RefInfo<'_>> {
         let mut out = Vec::new();
         for (s, stmt) in self.body.iter().enumerate() {
             for (pos, (aref, is_def)) in stmt.refs().into_iter().enumerate() {
                 out.push(RefInfo {
                     id: RefId { stmt: s, pos },
-                    aref: aref.clone(),
+                    aref,
                     is_def,
                 });
             }
@@ -425,8 +350,7 @@ impl LoopNest {
     /// `true` if every reference is separable SIV (§3.5), the class the
     /// Carr–Guan analysis targets.
     pub fn is_siv_separable(&self) -> bool {
-        let vars = self.loop_vars();
-        self.refs().iter().all(|r| r.aref.is_siv_separable(&vars))
+        self.refs().iter().all(|r| r.aref.is_siv_separable())
     }
 
     /// Checks internal consistency; returns a description of the first
@@ -434,8 +358,9 @@ impl LoopNest {
     ///
     /// # Errors
     ///
-    /// Reports unbound subscript variables, references to undeclared
-    /// arrays, rank mismatches, and duplicate loop variables.
+    /// Reports duplicate loop variables, references to undeclared arrays,
+    /// rank mismatches, and access matrices whose width is not the nest's
+    /// depth.
     ///
     /// Linear in the size of the nest (hashed lookups throughout): the
     /// Fortran front end validates untrusted text through this, so a
@@ -458,20 +383,21 @@ impl LoopNest {
                 let Some(decl) = decls.get(aref.array()) else {
                     return Err(format!("reference to undeclared array {}", aref.array()));
                 };
-                if decl.dims().len() != aref.dims().len() {
+                if decl.dims().len() != aref.rank() {
                     return Err(format!(
                         "rank mismatch on {}: declared {}, referenced {}",
                         aref.array(),
                         decl.dims().len(),
-                        aref.dims().len()
+                        aref.rank()
                     ));
                 }
-                for d in aref.dims() {
-                    for (var, _) in d.terms() {
-                        if !vars.contains(var) {
-                            return Err(format!("unbound subscript variable {var} in {aref}"));
-                        }
-                    }
+                let width = aref.access_matrix().0.cols();
+                if width != self.depth() {
+                    return Err(format!(
+                        "a subscript of {} spans {width} loops, the nest has {}",
+                        aref.array(),
+                        self.depth()
+                    ));
                 }
             }
         }
@@ -483,12 +409,17 @@ impl LoopNest {
 mod tests {
     use super::*;
     use crate::expr::{BinOp, Expr};
-    use crate::subscript::{sub, subs};
+    use ujam_linalg::Mat;
+
+    /// `array(H·i + c)` with one row per dimension.
+    fn aref(array: &str, rows: &[&[i64]]) -> ArrayRef {
+        ArrayRef::new(array, Mat::from_rows(rows), vec![0; rows.len()])
+    }
 
     fn two_deep() -> LoopNest {
         // DO J = 1,4 ; DO I = 1,8 ; A(J) = A(J) + B(I)
-        let a_j = ArrayRef::new("A", subs(&[sub("J")]));
-        let b_i = ArrayRef::new("B", subs(&[sub("I")]));
+        let a_j = aref("A", &[&[1, 0]]);
+        let b_i = aref("B", &[&[0, 1]]);
         let rhs = Expr::bin(BinOp::Add, Expr::Ref(a_j.clone()), Expr::Ref(b_i));
         LoopNest::new(
             "t",
@@ -508,15 +439,10 @@ mod tests {
         assert_eq!(refs[1].aref.array(), "B");
         assert!(refs[2].is_def);
         assert_eq!(refs[2].id, RefId { stmt: 0, pos: 2 });
-    }
-
-    #[test]
-    fn access_matrix_resolution() {
-        let n = two_deep();
-        let vars = n.loop_vars();
-        let (h, c) = n.refs()[0].aref.access_matrix(&vars);
-        assert_eq!(h.row(0), &[1, 0]); // A(J): J is outermost
-        assert_eq!(c, vec![0]);
+        assert_eq!(
+            n.to_string().lines().nth(2),
+            Some("      A(J) = A(J) + B(I)")
+        );
     }
 
     #[test]
@@ -548,34 +474,31 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_unbound_and_undeclared() {
-        let bad_ref = ArrayRef::new("Z", subs(&[sub("I")]));
+    fn validation_catches_undeclared_arrays_and_wrong_widths() {
         let n = LoopNest::new(
             "bad",
             vec![],
             vec![Loop::new("I", 1, 2)],
-            vec![Stmt::assign(bad_ref, Expr::Const(0.0))],
+            vec![Stmt::assign(aref("Z", &[&[1]]), Expr::Const(0.0))],
         );
         assert!(n.validate().unwrap_err().contains("undeclared"));
 
-        let unbound = ArrayRef::new("A", subs(&[sub("K")]));
         let n = LoopNest::new(
             "bad2",
             vec![ArrayDecl::new("A", &[4])],
             vec![Loop::new("I", 1, 2)],
-            vec![Stmt::assign(unbound, Expr::Const(0.0))],
+            vec![Stmt::assign(aref("A", &[&[0, 1]]), Expr::Const(0.0))],
         );
-        assert!(n.validate().unwrap_err().contains("unbound"));
+        assert!(n.validate().unwrap_err().contains("spans 2 loops"));
     }
 
     #[test]
     fn validation_catches_rank_mismatch_and_dup_vars() {
-        let r = ArrayRef::new("A", subs(&[sub("I"), sub("I")]));
         let n = LoopNest::new(
             "bad3",
             vec![ArrayDecl::new("A", &[4])],
             vec![Loop::new("I", 1, 2)],
-            vec![Stmt::assign(r, Expr::Const(0.0))],
+            vec![Stmt::assign(aref("A", &[&[1], &[1]]), Expr::Const(0.0))],
         );
         assert!(n.validate().unwrap_err().contains("rank mismatch"));
 

@@ -1,6 +1,6 @@
 //! Fortran-flavoured pretty printing of loop nests.
 
-use crate::nest::{Lhs, LoopNest, Stmt};
+use crate::nest::{Lhs, Loop, LoopNest, Stmt};
 use std::fmt;
 
 impl fmt::Display for LoopNest {
@@ -22,7 +22,7 @@ impl fmt::Display for LoopNest {
         for (depth, l) in self.loops().iter().enumerate() {
             if depth + 1 == self.depth() {
                 for stmt in self.prologue() {
-                    write_stmt(f, depth, stmt)?;
+                    write_stmt(f, depth, stmt, self.loops())?;
                 }
             }
             indent(f, depth)?;
@@ -40,14 +40,14 @@ impl fmt::Display for LoopNest {
             }
         }
         for stmt in self.body() {
-            write_stmt(f, self.depth(), stmt)?;
+            write_stmt(f, self.depth(), stmt, self.loops())?;
         }
         for depth in (0..self.depth()).rev() {
             indent(f, depth)?;
             writeln!(f, "ENDDO")?;
             if depth + 1 == self.depth() {
                 for stmt in self.epilogue() {
-                    write_stmt(f, depth, stmt)?;
+                    write_stmt(f, depth, stmt, self.loops())?;
                 }
             }
         }
@@ -55,11 +55,17 @@ impl fmt::Display for LoopNest {
     }
 }
 
-fn write_stmt(f: &mut fmt::Formatter<'_>, depth: usize, stmt: &Stmt) -> fmt::Result {
+fn write_stmt(
+    f: &mut fmt::Formatter<'_>,
+    depth: usize,
+    stmt: &Stmt,
+    loops: &[Loop],
+) -> fmt::Result {
     indent(f, depth)?;
+    let rhs = stmt.rhs().display(loops);
     match stmt.lhs() {
-        Lhs::Array(a) => writeln!(f, "{a} = {}", stmt.rhs()),
-        Lhs::Scalar(s) => writeln!(f, "{s} = {}", stmt.rhs()),
+        Lhs::Array(a) => writeln!(f, "{} = {rhs}", a.display(loops)),
+        Lhs::Scalar(s) => writeln!(f, "{s} = {rhs}"),
     }
 }
 

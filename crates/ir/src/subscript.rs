@@ -1,247 +1,229 @@
-//! Symbolic affine subscripts and their `(H, c)` resolution.
+//! Array references in the paper's form `A(H·i + c)`.
 
-use std::collections::BTreeMap;
+use crate::nest::Loop;
 use std::fmt;
 use ujam_linalg::Mat;
 
-/// One dimension of an array subscript: an affine function of loop indices,
-/// `Σ coef·index + offset`.
+/// A reference to an array, `A(H·i + c)`: row `r` of the access matrix
+/// `H` holds subscript dimension `r`'s coefficients over the nest's loops
+/// (column `k` for loop `k`, outermost first) and `c[r]` its constant.
 ///
-/// Subscripts are stored symbolically (index *names*, not positions) so that
-/// transformations such as unroll-and-jam can rewrite them without knowing
-/// the loop order; [`crate::ArrayRef::access_matrix`] resolves them against
-/// a concrete loop list.
+/// Loop names live once, in the nest: a reference is read from text
+/// against them ([`crate::NestBuilder::stmt`], [`crate::parse_expr`]) and
+/// rendered through them ([`ArrayRef::display`]).  In an expression the
+/// reference is a *use* (load); as the left-hand side of a
+/// [`crate::Stmt`] it is a *def* (store).
 ///
 /// # Example
 ///
 /// ```
-/// use ujam_ir::{sub, sub_affine};
-/// let simple = sub("I");                 // A(I)
-/// let shifted = sub("I").offset(2);      // A(I+2)
-/// let strided = sub_affine(&[(2, "J")], -1); // A(2J-1)
-/// assert_eq!(shifted.to_string(), "I+2");
-/// assert_eq!(strided.to_string(), "2J-1");
-/// # let _ = (simple, strided);
+/// use ujam_ir::{ArrayRef, Loop};
+/// use ujam_linalg::Mat;
+/// let loops = [Loop::new("J", 1, 8), Loop::new("I", 1, 8)];
+/// // A(I+2, 2J-1)
+/// let r = ArrayRef::new("A", Mat::from_rows(&[&[0, 1], &[2, 0]]), vec![2, -1]);
+/// assert_eq!(r.display(&loops).to_string(), "A(I+2,2J-1)");
+/// assert_eq!(r.eval(&[3, 5]), vec![7, 5]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct AffineSub {
-    /// Map from index name to coefficient; zero coefficients are dropped.
-    terms: BTreeMap<String, i64>,
-    /// Constant part of the subscript.
-    offset: i64,
+pub struct ArrayRef {
+    array: String,
+    h: Mat,
+    c: Vec<i64>,
 }
 
-impl AffineSub {
-    /// A constant subscript (e.g. the `1` in `A(I, 1)`).
-    pub fn constant(k: i64) -> AffineSub {
-        AffineSub {
-            terms: BTreeMap::new(),
-            offset: k,
-        }
-    }
-
-    /// Builds a subscript from `(coefficient, index-name)` terms plus offset.
-    pub fn from_terms(terms: &[(i64, &str)], offset: i64) -> AffineSub {
-        let mut map = BTreeMap::new();
-        for &(coef, var) in terms {
-            if coef != 0 {
-                *map.entry(var.to_string()).or_insert(0) += coef;
-            }
-        }
-        map.retain(|_, c| *c != 0);
-        AffineSub { terms: map, offset }
-    }
-
-    /// Returns a copy with `delta` added to the constant part.
-    pub fn offset(&self, delta: i64) -> AffineSub {
-        let mut s = self.clone();
-        s.offset += delta;
-        s
-    }
-
-    /// The coefficient of index `var` (zero if absent).
-    pub fn coef(&self, var: &str) -> i64 {
-        self.terms.get(var).copied().unwrap_or(0)
-    }
-
-    /// The constant part.
-    pub fn constant_part(&self) -> i64 {
-        self.offset
-    }
-
-    /// Iterator over `(index-name, coefficient)` terms.
-    pub fn terms(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.terms.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Number of distinct induction variables in this dimension.
-    pub fn num_vars(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Substitutes `var := var + delta`, folding the shift into the offset.
-    ///
-    /// This is the core rewrite of unroll-and-jam: a body copy at unroll
-    /// offset `delta` of loop `var` sees `coef·(var + delta)`.
-    pub fn shift_var(&mut self, var: &str, delta: i64) {
-        if let Some(&c) = self.terms.get(var) {
-            self.offset += c * delta;
-        }
-    }
-
-    /// Substitutes `var := value`, removing the term and folding its
-    /// contribution into the offset (no-op if `var` is absent).
-    ///
-    /// Scalar replacement uses this to materialise prologue loads: the
-    /// innermost induction variable is pinned to a concrete iteration
-    /// number, leaving a subscript valid outside the loop.
-    pub fn bind_var(&mut self, var: &str, value: i64) {
-        if let Some(c) = self.terms.remove(var) {
-            self.offset += c * value;
-        }
-    }
-
-    /// Evaluates the subscript at a concrete index assignment.
+impl ArrayRef {
+    /// The reference `array(H·i + c)`.
     ///
     /// # Panics
     ///
-    /// Panics if a referenced index is missing from `env`.
-    pub fn eval(&self, env: &BTreeMap<&str, i64>) -> i64 {
-        let mut v = self.offset;
-        for (var, coef) in self.terms() {
-            v += coef
-                * env
-                    .get(var)
-                    .unwrap_or_else(|| panic!("unbound index {var}"));
+    /// Panics if `h` and `c` disagree on the number of dimensions.
+    pub fn new(array: &str, h: Mat, c: Vec<i64>) -> ArrayRef {
+        assert_eq!(h.rows(), c.len(), "H and c of {array} disagree on rank");
+        ArrayRef {
+            array: array.to_string(),
+            h,
+            c,
         }
-        v
+    }
+
+    /// The referenced array's name.
+    pub fn array(&self) -> &str {
+        &self.array
+    }
+
+    /// Number of subscript dimensions.
+    pub fn rank(&self) -> usize {
+        self.c.len()
+    }
+
+    /// The access matrix `H` (`rank × depth`) and offset `c` of the
+    /// uniformly generated form `A(H·i + c)`.
+    pub fn access_matrix(&self) -> (&Mat, &[i64]) {
+        (&self.h, &self.c)
+    }
+
+    /// The subscript at iteration `i` (one index per loop, outermost
+    /// first): `H·i + c`.
+    pub fn eval(&self, i: &[i64]) -> Vec<i64> {
+        (0..self.rank())
+            .map(|r| self.c[r] + dot(self.h.row(r), i))
+            .collect()
+    }
+
+    /// `true` if every subscript dimension uses at most one induction
+    /// variable and no variable appears in two dimensions (§3.5 SIV,
+    /// separable).
+    pub fn is_siv_separable(&self) -> bool {
+        self.h.is_siv_separable()
+    }
+
+    /// The reference as source text, `A(I+2,2J-1)`: loop `k` is named by
+    /// `loops[k]`, and each dimension lists its terms by loop name, then
+    /// its constant.
+    pub fn display<'a>(&'a self, loops: &'a [Loop]) -> impl fmt::Display + 'a {
+        Named(self, loops)
+    }
+
+    /// This reference after renaming the nest's loops: new loop `k` runs
+    /// where old loop `cols[k]` ran (`None`: no old loop, so the column
+    /// is zero), and `bound = Some((j, v))` substitutes the value `v` for
+    /// old loop `j`, adding `H[:, j]·v` to `c`.  Several new loops may
+    /// share one old loop, whose index is then their sum.
+    pub(crate) fn remap(&self, cols: &[Option<usize>], bound: Option<(usize, i64)>) -> ArrayRef {
+        let mut h = Mat::zeros(self.rank(), cols.len());
+        let mut c = self.c.clone();
+        for r in 0..self.rank() {
+            for (k, col) in cols.iter().enumerate() {
+                if let Some(j) = *col {
+                    h[(r, k)] = self.h[(r, j)];
+                }
+            }
+            if let Some((j, v)) = bound {
+                c[r] += self.h[(r, j)] * v;
+            }
+        }
+        ArrayRef {
+            array: self.array.clone(),
+            h,
+            c,
+        }
     }
 }
 
-impl fmt::Display for AffineSub {
+/// `Σ a_k·b_k`.
+pub(crate) fn dot(a: &[i64], b: &[i64]) -> i64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// A reference rendered through its nest's loop names.
+struct Named<'a>(&'a ArrayRef, &'a [Loop]);
+
+impl fmt::Display for Named<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (var, coef) in self.terms() {
-            if first {
-                match coef {
-                    1 => write!(f, "{var}")?,
-                    -1 => write!(f, "-{var}")?,
-                    c => write!(f, "{c}{var}")?,
-                }
-                first = false;
-            } else {
-                match coef {
-                    1 => write!(f, "+{var}")?,
-                    -1 => write!(f, "-{var}")?,
-                    c if c > 0 => write!(f, "+{c}{var}")?,
-                    c => write!(f, "{c}{var}")?,
-                }
+        let Named(r, loops) = *self;
+        write!(f, "{}(", r.array)?;
+        for (d, &c) in r.c.iter().enumerate() {
+            if d > 0 {
+                write!(f, ",")?;
             }
+            write_dim(f, r.h.row(d), c, loops)?;
         }
-        if first {
-            write!(f, "{}", self.offset)?;
-        } else if self.offset > 0 {
-            write!(f, "+{}", self.offset)?;
-        } else if self.offset < 0 {
-            write!(f, "{}", self.offset)?;
+        write!(f, ")")
+    }
+}
+
+/// One subscript dimension: its terms in the byte order of the loop
+/// names, then its constant.
+fn write_dim(f: &mut fmt::Formatter<'_>, row: &[i64], c: i64, loops: &[Loop]) -> fmt::Result {
+    let name = |k: usize| loops.get(k).map_or("?", Loop::var);
+    let mut prev: Option<&str> = None;
+    loop {
+        let next = (0..row.len())
+            .filter(|&k| row[k] != 0 && prev.is_none_or(|p| name(k) > p))
+            .min_by_key(|&k| name(k));
+        let Some(k) = next else { break };
+        let (var, coef) = (name(k), row[k]);
+        match coef {
+            1 if prev.is_none() => write!(f, "{var}")?,
+            1 => write!(f, "+{var}")?,
+            -1 => write!(f, "-{var}")?,
+            c if c > 0 && prev.is_some() => write!(f, "+{c}{var}")?,
+            c => write!(f, "{c}{var}")?,
         }
+        prev = Some(var);
+    }
+    if prev.is_none() || c < 0 {
+        write!(f, "{c}")
+    } else if c > 0 {
+        write!(f, "+{c}")
+    } else {
         Ok(())
     }
 }
 
-impl fmt::Debug for AffineSub {
+impl fmt::Debug for ArrayRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "AffineSub({self})")
-    }
-}
-
-/// Shorthand for a plain one-variable subscript dimension `var`.
-pub fn sub(var: &str) -> AffineSub {
-    AffineSub::from_terms(&[(1, var)], 0)
-}
-
-/// Shorthand for a constant subscript dimension.
-pub fn sub_const(k: i64) -> AffineSub {
-    AffineSub::constant(k)
-}
-
-/// Shorthand for a general affine subscript dimension.
-pub fn sub_affine(terms: &[(i64, &str)], offset: i64) -> AffineSub {
-    AffineSub::from_terms(terms, offset)
-}
-
-/// Shorthand turning a slice of dimensions into the owned `Vec` the builder
-/// APIs take.
-pub fn subs(dims: &[AffineSub]) -> Vec<AffineSub> {
-    dims.to_vec()
-}
-
-/// Resolves symbolic subscripts to the access matrix `H` (`rank × depth`)
-/// and constant vector `c` against an ordered list of loop index names
-/// (outermost first).
-pub fn resolve(dims: &[AffineSub], loop_vars: &[&str]) -> (Mat, Vec<i64>) {
-    let mut h = Mat::zeros(dims.len(), loop_vars.len());
-    let mut c = Vec::with_capacity(dims.len());
-    for (r, d) in dims.iter().enumerate() {
-        for (var, coef) in d.terms() {
-            if let Some(col) = loop_vars.iter().position(|&v| v == var) {
-                h[(r, col)] = coef;
+        write!(f, "{}(", self.array)?;
+        for (d, c) in self.c.iter().enumerate() {
+            if d > 0 {
+                write!(f, ", ")?;
             }
-            // Indices not bound by the nest (e.g. parameters) fold into the
-            // constant conceptually; we treat them as zero here because the
-            // builder rejects unbound names up front.
+            write!(f, "{:?}·i{c:+}", self.h.row(d))?;
         }
-        c.push(d.constant_part());
+        write!(f, ")")
     }
-    (h, c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn display_forms() {
-        assert_eq!(sub("I").to_string(), "I");
-        assert_eq!(sub("I").offset(2).to_string(), "I+2");
-        assert_eq!(sub("I").offset(-2).to_string(), "I-2");
-        assert_eq!(sub_const(4).to_string(), "4");
-        assert_eq!(sub_affine(&[(2, "J")], -1).to_string(), "2J-1");
-        assert_eq!(sub_affine(&[(-1, "I")], 0).to_string(), "-I");
-        assert_eq!(sub_affine(&[(1, "I"), (1, "J")], 0).to_string(), "I+J");
+    fn loops(names: &[&str]) -> Vec<Loop> {
+        names.iter().map(|v| Loop::new(v, 1, 8)).collect()
+    }
+
+    fn one(row: &[i64], c: i64) -> ArrayRef {
+        ArrayRef::new("A", Mat::from_rows(&[row]), vec![c])
     }
 
     #[test]
-    fn zero_coefficients_are_dropped() {
-        let s = sub_affine(&[(0, "I"), (2, "J"), (-2, "J")], 3);
-        assert_eq!(s.num_vars(), 0);
-        assert_eq!(s, sub_const(3));
+    fn dimensions_render_in_name_order() {
+        let ji = loops(&["J", "I"]);
+        let shown = |row: &[i64], c| one(row, c).display(&ji).to_string();
+        assert_eq!(shown(&[0, 1], 0), "A(I)");
+        assert_eq!(shown(&[0, 1], 2), "A(I+2)");
+        assert_eq!(shown(&[0, 1], -2), "A(I-2)");
+        assert_eq!(shown(&[0, 0], 4), "A(4)");
+        assert_eq!(shown(&[0, 0], -4), "A(-4)");
+        assert_eq!(shown(&[2, 0], -1), "A(2J-1)");
+        assert_eq!(shown(&[0, -1], 0), "A(-I)");
+        // I sorts before J though J is the outer loop.
+        assert_eq!(shown(&[1, 1], 0), "A(I+J)");
+        assert_eq!(shown(&[-3, 2], 1), "A(2I-3J+1)");
     }
 
     #[test]
-    fn shift_var_folds_into_offset() {
-        let mut s = sub_affine(&[(3, "I")], 1);
-        s.shift_var("I", 2);
-        assert_eq!(s, sub_affine(&[(3, "I")], 7));
-        s.shift_var("J", 5); // absent: no-op
-        assert_eq!(s.constant_part(), 7);
+    fn eval_is_h_times_i_plus_c() {
+        let r = ArrayRef::new("A", Mat::from_rows(&[&[2, -1], &[0, 1]]), vec![4, 0]);
+        assert_eq!(r.eval(&[3, 1]), vec![9, 1]);
+        assert_eq!(r.rank(), 2);
     }
 
     #[test]
-    fn eval_uses_environment() {
-        let s = sub_affine(&[(2, "I"), (-1, "J")], 4);
-        let mut env = BTreeMap::new();
-        env.insert("I", 3);
-        env.insert("J", 1);
-        assert_eq!(s.eval(&env), 9);
-    }
-
-    #[test]
-    fn resolve_builds_h_and_c() {
-        let dims = [sub("I").offset(1), sub_affine(&[(2, "K")], -3)];
-        let (h, c) = resolve(&dims, &["J", "I", "K"]);
-        assert_eq!(h.row(0), &[0, 1, 0]);
-        assert_eq!(h.row(1), &[0, 0, 2]);
-        assert_eq!(c, vec![1, -3]);
+    fn remap_moves_columns_and_folds_bound_loops() {
+        let r = ArrayRef::new("A", Mat::from_rows(&[&[3, 1]]), vec![1]);
+        // Swap the loops.
+        let swapped = r.remap(&[Some(1), Some(0)], None);
+        assert_eq!(swapped.access_matrix().0.row(0), &[1, 3]);
+        // Strip loop 0: it and its strip loop both carry its column.
+        let stripped = r.remap(&[Some(0), Some(0), Some(1)], None);
+        assert_eq!(stripped.access_matrix().0.row(0), &[3, 3, 1]);
+        // Bind loop 0 to 2, keeping a zero column in its place.
+        let bound = r.remap(&[None, Some(1)], Some((0, 2)));
+        assert_eq!(
+            bound.access_matrix(),
+            (&Mat::from_rows(&[&[0, 1]]), &[7][..])
+        );
     }
 }

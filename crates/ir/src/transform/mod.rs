@@ -17,3 +17,15 @@ pub use permute::permute_loops;
 pub use scalarrep::{scalar_replacement, ReplacementStats, ScalarReplaced};
 pub use stripmine::{fully_unroll, strip_mine, tile};
 pub use unroll::{check_unroll, unroll_and_jam, TransformError};
+
+use crate::nest::Stmt;
+
+/// `body` over a new loop list: new loop `k` runs where old loop
+/// `cols[k]` ran, and `bound = Some((j, v))` fixes old loop `j` at `v`
+/// (see `ArrayRef::remap`).
+fn remap_body(body: &[Stmt], cols: &[usize], bound: Option<(usize, i64)>) -> Vec<Stmt> {
+    let cols: Vec<Option<usize>> = cols.iter().copied().map(Some).collect();
+    body.iter()
+        .map(|s| s.map_refs(|r| r.remap(&cols, bound)))
+        .collect()
+}

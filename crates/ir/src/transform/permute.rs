@@ -1,13 +1,11 @@
 //! Loop permutation (interchange generalized to any loop order).
 //!
-//! Because subscripts are stored symbolically (index *names*), permuting a
-//! nest's loops needs no subscript rewriting at all — the access matrices
-//! `H` simply resolve differently against the new loop order.  Legality is
-//! a dependence property and lives in `ujam-dep`
+//! Permuting a nest's loops permutes the columns of every access matrix
+//! `H` alike.  Legality is a dependence property and lives in `ujam-dep`
 //! (`legal_permutation`); this function performs the mechanical reorder.
 
 use crate::nest::LoopNest;
-use crate::transform::TransformError;
+use crate::transform::{remap_body, TransformError};
 
 /// Reorders the nest's loops: `perm[k]` is the *original* position of the
 /// loop that ends up at depth `k` (outermost = 0).
@@ -47,7 +45,7 @@ pub fn permute_loops(nest: &LoopNest, perm: &[usize]) -> Result<LoopNest, Transf
         nest.name(),
         nest.arrays().to_vec(),
         loops,
-        nest.body().to_vec(),
+        remap_body(nest.body(), perm, None),
     ))
 }
 
@@ -80,7 +78,12 @@ mod tests {
         let n = nest3();
         let p = permute_loops(&n, &[2, 0, 1]).unwrap();
         assert_eq!(p.loop_vars(), vec!["I", "J", "K"]);
-        assert_eq!(p.body(), n.body());
+        let body = |n: &LoopNest| n.to_string().lines().nth(3).map(str::to_string);
+        assert_eq!(body(&p), body(&n));
+        // C(I,J): I is now loop 0 and J loop 1.
+        let (h, _) = p.body()[0].refs()[3].0.access_matrix();
+        assert_eq!(h.row(0), &[1, 0, 0]);
+        assert_eq!(h.row(1), &[0, 1, 0]);
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //! [`ReplacementStats`]: their cost amortises to zero per iteration.
 
 use crate::expr::Expr;
-use crate::nest::{Lhs, LoopNest, RefId, Stmt};
+use crate::nest::{Lhs, LoopNest, RefId, RefInfo, Stmt};
+use crate::subscript::ArrayRef;
 use std::collections::{BTreeMap, HashMap};
-use ujam_linalg::Mat;
 
 /// Counts characterising a scalar-replaced innermost loop body.
 ///
@@ -132,14 +132,15 @@ pub fn scalar_replacement(nest: &LoopNest) -> ScalarReplaced {
             .find(|r| r.id == id)
             .expect("stream refs come from nest.refs()")
             .aref
-            .clone()
     };
-    let inner = &nest.loops()[nest.depth() - 1];
-    let inner_var = inner.var().to_string();
+    let depth = nest.depth();
+    let inner = &nest.loops()[depth - 1];
     let (inner_lo, inner_step) = (inner.lower(), inner.step());
-    // Statements bracketing each innermost-loop instance.  Subscripts pin
-    // the innermost variable to a constant via `bind_var`, so they are
-    // valid outside the loop.
+    // `aref` with the innermost index pinned to `value`: valid outside
+    // the innermost loop.
+    let keep_outer: Vec<Option<usize>> = (0..depth).map(|k| (k + 1 < depth).then_some(k)).collect();
+    let pinned = |aref: &ArrayRef, value: i64| aref.remap(&keep_outer, Some((depth - 1, value)));
+    // Statements bracketing each innermost-loop instance.
     let mut prologue: Vec<Stmt> = Vec::new();
     let mut epilogue: Vec<Stmt> = Vec::new();
 
@@ -179,10 +180,7 @@ pub fn scalar_replacement(nest: &LoopNest) -> ScalarReplaced {
             }
             // Prime the register before the loop and drain it after: the
             // invariant address is the same for every ref in the stream.
-            let mut aref = aref_of(stream.refs[0].id);
-            for d in aref.dims_mut() {
-                d.bind_var(&inner_var, inner_lo);
-            }
+            let aref = pinned(aref_of(stream.refs[0].id), inner_lo);
             prologue.push(Stmt::assign_scalar(&temp, Expr::Ref(aref.clone())));
             if stream.refs.iter().any(|r| r.is_def) {
                 epilogue.push(Stmt::assign(aref, Expr::Scalar(temp.clone())));
@@ -240,10 +238,7 @@ pub fn scalar_replacement(nest: &LoopNest) -> ScalarReplaced {
             // iterations before the loop starts — load it from memory.
             let leader_aref = aref_of(leader.id);
             for k in 1..=span {
-                let mut aref = leader_aref.clone();
-                for d in aref.dims_mut() {
-                    d.bind_var(&inner_var, inner_lo - k as i64 * inner_step);
-                }
+                let aref = pinned(leader_aref, inner_lo - k as i64 * inner_step);
                 prologue.push(Stmt::assign_scalar(&format!("{base}_{k}"), Expr::Ref(aref)));
             }
         }
@@ -303,63 +298,46 @@ pub fn scalar_replacement(nest: &LoopNest) -> ScalarReplaced {
 
 /// Groups the nest's references into innermost value streams.
 fn build_streams(nest: &LoopNest) -> Vec<Stream> {
-    let vars = nest.loop_vars();
     let depth = nest.depth();
     let refs = nest.refs();
 
     // Key streams by (array, H); then split by non-inner-column residue.
-    struct Raw {
-        id: RefId,
-        c: Vec<i64>,
-        is_def: bool,
-    }
-    let mut by_ugs: BTreeMap<(String, Vec<i64>), (Mat, Vec<Raw>)> = BTreeMap::new();
-    for r in &refs {
-        let (h, c) = r.aref.access_matrix(&vars);
-        let key = (
-            r.aref.array().to_string(),
-            h.iter_rows().flatten().copied().collect::<Vec<i64>>(),
-        );
-        by_ugs
-            .entry(key)
-            .or_insert_with(|| (h, Vec::new()))
-            .1
-            .push(Raw {
-                id: r.id,
-                c,
-                is_def: r.is_def,
-            });
+    let mut by_ugs: BTreeMap<(&str, &[i64]), Vec<RefInfo>> = BTreeMap::new();
+    for r in refs {
+        let key = (r.aref.array(), r.aref.access_matrix().0.as_slice());
+        by_ugs.entry(key).or_default().push(r);
     }
 
     let mut streams = Vec::new();
-    for ((array, _), (h, raws)) in by_ugs {
-        let inner_col: Vec<i64> = h.col(depth - 1);
+    for ((array, _), set) in by_ugs {
+        let inner_col: Vec<i64> = set[0].aref.access_matrix().0.col(depth - 1);
         let invariant = inner_col.iter().all(|&x| x == 0);
-        // Partition raws into streams: two refs are in the same stream iff
-        // c1 - c2 = d * inner_col for an integer d.
-        type StreamGroup = (Vec<i64>, Vec<(Raw, i64)>);
+        // Partition the set into streams: two refs are in the same stream
+        // iff c1 - c2 = d * inner_col for an integer d.
+        type StreamGroup<'a> = (&'a [i64], Vec<(RefInfo<'a>, i64)>);
         let mut groups: Vec<StreamGroup> = Vec::new();
-        'raws: for raw in raws {
+        'refs: for r in set {
+            let c = r.aref.access_matrix().1;
             for (base_c, members) in groups.iter_mut() {
-                if let Some(d) = inner_distance(&raw.c, base_c, &inner_col) {
-                    members.push((raw, d));
-                    continue 'raws;
+                if let Some(d) = inner_distance(c, base_c, &inner_col) {
+                    members.push((r, d));
+                    continue 'refs;
                 }
             }
-            groups.push((raw.c.clone(), vec![(raw, 0)]));
+            groups.push((c, vec![(r, 0)]));
         }
         for (_, mut members) in groups {
             // Sort by touch time: larger d touches a given cell earlier.
             members.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.id.cmp(&b.0.id)));
             streams.push(Stream {
-                array: array.clone(),
+                array: array.to_string(),
                 invariant,
                 refs: members
                     .into_iter()
-                    .map(|(raw, d)| StreamRef {
-                        id: raw.id,
+                    .map(|(r, d)| StreamRef {
+                        id: r.id,
                         dist: d,
-                        is_def: raw.is_def,
+                        is_def: r.is_def,
                     })
                     .collect(),
             });

@@ -10,14 +10,14 @@
 //! test suite verifies, tying this implementation to the transformation's
 //! textbook definition.
 
-use crate::nest::{Lhs, Loop, LoopNest, Stmt};
-use crate::subscript::AffineSub;
-use crate::transform::TransformError;
+use crate::nest::{Loop, LoopNest};
+use crate::transform::{remap_body, TransformError};
 
 /// Strip-mines loop `loop_idx` by `factor`: the loop's step becomes
 /// `factor` and a new unit-step strip loop `var§` over `0..factor-1` is
 /// inserted immediately inside it, with every subscript use of `var`
-/// rewritten to `var + var§`.
+/// rewritten to `var + var§` (the strip loop's column of `H` copies the
+/// stripped loop's).
 ///
 /// The strip variable is named by appending `_s` to the original.
 ///
@@ -70,8 +70,7 @@ pub fn strip_mine(
         });
     }
 
-    let var = target.var().to_string();
-    let strip_var = format!("{var}_s");
+    let strip_var = format!("{}_s", target.var());
 
     let mut loops: Vec<Loop> = Vec::with_capacity(nest.depth() + 1);
     for (i, l) in nest.loops().iter().enumerate() {
@@ -85,43 +84,14 @@ pub fn strip_mine(
         }
     }
 
-    let body = nest
-        .body()
-        .iter()
-        .map(|stmt| add_strip_var(stmt, &var, &strip_var))
-        .collect();
+    // Loop `loop_idx` and its strip loop both carry the old column.
+    let cols: Vec<usize> = (0..=loop_idx).chain(loop_idx..nest.depth()).collect();
     Ok(LoopNest::new(
         nest.name(),
         nest.arrays().to_vec(),
         loops,
-        body,
+        remap_body(nest.body(), &cols, None),
     ))
-}
-
-/// Rewrites every subscript term `a·var` into `a·var + a·strip`.
-fn add_strip_var(stmt: &Stmt, var: &str, strip: &str) -> Stmt {
-    let rewrite = |dim: &mut AffineSub| {
-        let coef = dim.coef(var);
-        if coef != 0 {
-            let mut terms: Vec<(i64, String)> =
-                dim.terms().map(|(v, c)| (c, v.to_string())).collect();
-            terms.push((coef, strip.to_string()));
-            let refs: Vec<(i64, &str)> = terms.iter().map(|(c, v)| (*c, v.as_str())).collect();
-            *dim = AffineSub::from_terms(&refs, dim.constant_part());
-        }
-    };
-    let mut s = stmt.clone();
-    s.rhs_mut().visit_refs_mut(&mut |r| {
-        for dim in r.dims_mut() {
-            rewrite(dim);
-        }
-    });
-    if let Lhs::Array(a) = s.lhs_mut() {
-        for dim in a.dims_mut() {
-            rewrite(dim);
-        }
-    }
-    s
 }
 
 /// Fully unrolls the loop at `loop_idx` (typically a strip loop): the loop
@@ -147,9 +117,6 @@ pub fn fully_unroll(nest: &LoopNest, loop_idx: usize) -> Result<LoopNest, Transf
             copies: 64,
         });
     }
-    let var = target.var().to_string();
-    let values: Vec<i64> = target.values().collect();
-
     let loops: Vec<Loop> = nest
         .loops()
         .iter()
@@ -157,12 +124,10 @@ pub fn fully_unroll(nest: &LoopNest, loop_idx: usize) -> Result<LoopNest, Transf
         .filter(|&(i, _)| i != loop_idx)
         .map(|(_, l)| l.clone())
         .collect();
-
-    let mut body = Vec::with_capacity(nest.body().len() * values.len());
-    for &v in &values {
-        for stmt in nest.body() {
-            body.push(substitute(stmt, &var, v));
-        }
+    let cols: Vec<usize> = (0..nest.depth()).filter(|&i| i != loop_idx).collect();
+    let mut body = Vec::with_capacity(nest.body().len() * target.trip_count() as usize);
+    for v in target.values() {
+        body.extend(remap_body(nest.body(), &cols, Some((loop_idx, v))));
     }
     Ok(LoopNest::new(
         nest.name(),
@@ -170,34 +135,6 @@ pub fn fully_unroll(nest: &LoopNest, loop_idx: usize) -> Result<LoopNest, Transf
         loops,
         body,
     ))
-}
-
-/// Substitutes `var := value` in every subscript.
-fn substitute(stmt: &Stmt, var: &str, value: i64) -> Stmt {
-    let rewrite = |dim: &mut AffineSub| {
-        let coef = dim.coef(var);
-        if coef != 0 {
-            let terms: Vec<(i64, String)> = dim
-                .terms()
-                .filter(|(v, _)| *v != var)
-                .map(|(v, c)| (c, v.to_string()))
-                .collect();
-            let refs: Vec<(i64, &str)> = terms.iter().map(|(c, v)| (*c, v.as_str())).collect();
-            *dim = AffineSub::from_terms(&refs, dim.constant_part() + coef * value);
-        }
-    };
-    let mut s = stmt.clone();
-    s.rhs_mut().visit_refs_mut(&mut |r| {
-        for dim in r.dims_mut() {
-            rewrite(dim);
-        }
-    });
-    if let Lhs::Array(a) = s.lhs_mut() {
-        for dim in a.dims_mut() {
-            rewrite(dim);
-        }
-    }
-    s
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Unroll-and-jam (outer-loop unrolling).
 
-use crate::expr::Expr;
-use crate::nest::{Lhs, LoopNest, Stmt};
+use crate::nest::LoopNest;
+use crate::subscript::{dot, ArrayRef};
 use std::fmt;
 
 /// Why a transformation request was rejected.
@@ -72,9 +72,9 @@ impl std::error::Error for TransformError {}
 ///
 /// `unroll[k]` is the *additional copies* of loop `k` (outermost first), so
 /// the paper's `u` — unrolling by `u` yields `u + 1` jammed copies of the
-/// body.  The innermost entry must be `0`.  Following §4.1, a copy at
-/// offset `u'` rewrites every subscript occurrence of loop index `i_k` to
-/// `i_k + u'_k`; the loop step becomes `u_k + 1`.
+/// body.  The innermost entry must be `0`.  Following §4.1, the copy at
+/// offset `u'` reads and writes `A(H·i + c + H·u')` wherever the body
+/// has `A(H·i + c)`; the loop step becomes `u_k + 1`.
 ///
 /// Copies are emitted in lexicographic offset order, each copy keeping the
 /// original statement order — the "jam" of unroll-and-jam.
@@ -103,29 +103,45 @@ impl std::error::Error for TransformError {}
 /// ```
 pub fn unroll_and_jam(nest: &LoopNest, unroll: &[u32]) -> Result<LoopNest, TransformError> {
     check_unroll(nest, unroll)?;
-    let mut out = nest.clone();
-    for (l, &u) in out.loops_mut().iter_mut().zip(unroll) {
+    let mut loops = nest.loops().to_vec();
+    for (l, &u) in loops.iter_mut().zip(unroll) {
         if u > 0 {
             l.set_step(u as i64 + 1);
         }
     }
-
-    let unrolled_vars: Vec<(String, u32)> = nest
-        .loops()
-        .iter()
-        .zip(unroll)
-        .filter(|(_, &u)| u > 0)
-        .map(|(l, &u)| (l.var().to_string(), u))
-        .collect();
-
-    let mut body = Vec::new();
-    for offset in offsets(&unrolled_vars) {
-        for stmt in nest.body() {
-            body.push(shift_stmt(stmt, &offset));
+    let copies: usize = unroll.iter().map(|&u| u as usize + 1).product();
+    let mut body = Vec::with_capacity(copies * nest.body().len());
+    // The copy offsets u' in lexicographic order: an odometer over 0..=u.
+    let mut offset = vec![0i64; unroll.len()];
+    for _ in 0..copies {
+        body.extend(
+            nest.body()
+                .iter()
+                .map(|s| s.map_refs(|r| shifted(r, &offset))),
+        );
+        for k in (0..offset.len()).rev() {
+            if offset[k] < unroll[k] as i64 {
+                offset[k] += 1;
+                break;
+            }
+            offset[k] = 0;
         }
     }
-    *out.body_mut() = body;
+    let mut out = LoopNest::new(nest.name(), nest.arrays().to_vec(), loops, body);
+    out.prologue_mut().extend_from_slice(nest.prologue());
+    out.epilogue_mut().extend_from_slice(nest.epilogue());
     Ok(out)
+}
+
+/// `A(H·i + c + H·u')`: the reference in the body copy at offset `u'`.
+fn shifted(r: &ArrayRef, offset: &[i64]) -> ArrayRef {
+    let (h, c) = r.access_matrix();
+    let c = c
+        .iter()
+        .zip(h.iter_rows())
+        .map(|(c, row)| c + dot(row, offset))
+        .collect();
+    ArrayRef::new(r.array(), h.clone(), c)
 }
 
 /// Checks that [`unroll_and_jam`] accepts `unroll` for `nest`, in
@@ -177,45 +193,6 @@ pub fn check_unroll(nest: &LoopNest, unroll: &[u32]) -> Result<(), TransformErro
         }
     }
     Ok(())
-}
-
-/// Lexicographic copy offsets `0..=u` per unrolled variable.
-fn offsets(vars: &[(String, u32)]) -> Vec<Vec<(String, i64)>> {
-    let mut all = vec![Vec::new()];
-    for (var, u) in vars {
-        let mut next = Vec::with_capacity(all.len() * (*u as usize + 1));
-        for prefix in &all {
-            for k in 0..=*u as i64 {
-                let mut o = prefix.clone();
-                o.push((var.clone(), k));
-                next.push(o);
-            }
-        }
-        all = next;
-    }
-    all
-}
-
-fn shift_stmt(stmt: &Stmt, offset: &[(String, i64)]) -> Stmt {
-    let mut s = stmt.clone();
-    let shift = |e: &mut Expr| {
-        e.visit_refs_mut(&mut |r| {
-            for dim in r.dims_mut() {
-                for (var, delta) in offset {
-                    dim.shift_var(var, *delta);
-                }
-            }
-        });
-    };
-    shift(s.rhs_mut());
-    if let Lhs::Array(a) = s.lhs_mut() {
-        for dim in a.dims_mut() {
-            for (var, delta) in offset {
-                dim.shift_var(var, *delta);
-            }
-        }
-    }
-    s
 }
 
 #[cfg(test)]
@@ -277,14 +254,30 @@ mod tests {
     }
 
     #[test]
-    fn offsets_are_lexicographic() {
-        let vars = vec![("J".to_string(), 1u32), ("K".to_string(), 1u32)];
-        let offs = offsets(&vars);
-        let flat: Vec<Vec<i64>> = offs
-            .iter()
-            .map(|o| o.iter().map(|(_, k)| *k).collect())
+    fn copies_are_lexicographic_in_the_offset() {
+        let nest = NestBuilder::new("three")
+            .array("A", &[10, 10, 10])
+            .loop_("J", 1, 4)
+            .loop_("K", 1, 4)
+            .loop_("I", 1, 4)
+            .stmt("A(I,J,K) = 1.0")
+            .build();
+        let t = unroll_and_jam(&nest, &[1, 1, 0]).unwrap();
+        let text = t.to_string();
+        let stmts: Vec<&str> = text
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("A("))
             .collect();
-        assert_eq!(flat, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
+        assert_eq!(
+            stmts,
+            [
+                "A(I,J,K) = 1",
+                "A(I,J,K+1) = 1",
+                "A(I,J+1,K) = 1",
+                "A(I,J+1,K+1) = 1"
+            ]
+        );
     }
 
     #[test]

@@ -88,6 +88,11 @@ impl Mat {
         self.cols
     }
 
+    /// The entries, row by row.
+    pub fn as_slice(&self) -> &[i64] {
+        &self.data
+    }
+
     /// Borrow of row `r`.
     ///
     /// # Panics

@@ -27,7 +27,6 @@ use ujam_ir::{LoopNest, RefId};
 /// line.
 pub fn dep_cache_cost(nest: &LoopNest, graph: &DepGraph, l: &Localized, line_elems: i64) -> f64 {
     let refs = nest.refs();
-    let vars = nest.loop_vars();
     let mut cost = 0.0;
     for r in &refs {
         if is_follower(graph, r.id, l) {
@@ -40,13 +39,13 @@ pub fn dep_cache_cost(nest: &LoopNest, graph: &DepGraph, l: &Localized, line_ele
             .edges()
             .iter()
             .any(|e| e.src == r.id && e.dst == r.id && localized_reuse(&e.dist, l, true))
-            || invariant_in_localized(nest, &r.aref, l, &vars);
+            || invariant_in_localized(r.aref, l);
         if self_temporal {
             continue;
         }
         // Self-spatial: unit stride in the contiguous dimension along some
         // localized loop, and no localized loop in the other dimensions.
-        cost += if spatial_leader(&r.aref, l, &vars) {
+        cost += if spatial_leader(r.aref, l) {
             1.0 / line_elems as f64
         } else {
             1.0
@@ -92,13 +91,8 @@ fn localized_reuse(dist: &[Dist], l: &Localized, require_nonzero: bool) -> bool 
 }
 
 /// `true` if the reference's address ignores every localized loop.
-fn invariant_in_localized(
-    _nest: &LoopNest,
-    aref: &ujam_ir::ArrayRef,
-    l: &Localized,
-    vars: &[&str],
-) -> bool {
-    let (h, _) = aref.access_matrix(vars);
+fn invariant_in_localized(aref: &ujam_ir::ArrayRef, l: &Localized) -> bool {
+    let (h, _) = aref.access_matrix();
     l.loops()
         .iter()
         .all(|&col| (0..h.rows()).all(|r| h[(r, col)] == 0))
@@ -106,8 +100,8 @@ fn invariant_in_localized(
 
 /// `true` if the reference walks the contiguous dimension with some
 /// localized loop while the other dimensions ignore the localized loops.
-fn spatial_leader(aref: &ujam_ir::ArrayRef, l: &Localized, vars: &[&str]) -> bool {
-    let (h, _) = aref.access_matrix(vars);
+fn spatial_leader(aref: &ujam_ir::ArrayRef, l: &Localized) -> bool {
+    let (h, _) = aref.access_matrix();
     if h.rows() == 0 {
         return false;
     }

@@ -51,24 +51,19 @@ impl UgsSet {
     /// assert_eq!(sets.iter().map(|s| s.members().len()).sum::<usize>(), 3);
     /// ```
     pub fn partition(nest: &LoopNest) -> Vec<UgsSet> {
-        let vars = nest.loop_vars();
-        let mut map: BTreeMap<(String, Vec<i64>), UgsSet> = BTreeMap::new();
+        let mut map: BTreeMap<(&str, &[i64]), UgsSet> = BTreeMap::new();
         for r in nest.refs() {
-            let (h, c) = r.aref.access_matrix(&vars);
-            let key = (
-                r.aref.array().to_string(),
-                h.iter_rows().flatten().copied().collect(),
-            );
-            map.entry(key)
+            let (h, c) = r.aref.access_matrix();
+            map.entry((r.aref.array(), h.as_slice()))
                 .or_insert_with(|| UgsSet {
                     array: r.aref.array().to_string(),
-                    h,
+                    h: h.clone(),
                     members: Vec::new(),
                 })
                 .members
                 .push(UgsMember {
                     id: r.id,
-                    c,
+                    c: c.to_vec(),
                     is_def: r.is_def,
                 });
         }

@@ -150,11 +150,11 @@ pub(crate) fn address_layout(nest: &LoopNest) -> BTreeMap<String, i64> {
 fn trace_cache(nest: &LoopNest, machine: &MachineModel) -> (u64, u64) {
     let bases = address_layout(nest);
     let mut cache = Cache::for_machine(machine);
-    let mut env: BTreeMap<&str, i64> = BTreeMap::new();
-    walk(nest, 0, &mut env, &mut |stmt, env| {
+    let mut iter = vec![0; nest.depth()];
+    walk(nest, 0, &mut iter, &mut |stmt, iter| {
         for (aref, _is_def) in stmt.refs() {
             let decl = nest.array(aref.array()).expect("validated nest");
-            let sub = aref.eval(env);
+            let sub = aref.eval(iter);
             let addr = bases[aref.array()] + decl.linearize(&sub) * ELEM_BYTES;
             cache.access(u64::try_from(addr.max(0)).expect("address fits"));
         }
@@ -162,25 +162,24 @@ fn trace_cache(nest: &LoopNest, machine: &MachineModel) -> (u64, u64) {
     (cache.misses(), cache.accesses())
 }
 
-/// Depth-first walk of the iteration space invoking `f` per statement.
+/// Depth-first walk of the iteration space invoking `f` per statement
+/// with the iteration vector (one index per loop, outermost first).
 fn walk<'a>(
     nest: &'a LoopNest,
     level: usize,
-    env: &mut BTreeMap<&'a str, i64>,
-    f: &mut impl FnMut(&'a Stmt, &BTreeMap<&'a str, i64>),
+    iter: &mut [i64],
+    f: &mut impl FnMut(&'a Stmt, &[i64]),
 ) {
     if level == nest.depth() {
         for stmt in nest.body() {
-            f(stmt, env);
+            f(stmt, iter);
         }
         return;
     }
-    let l = &nest.loops()[level];
-    for v in l.values() {
-        env.insert(l.var(), v);
-        walk(nest, level + 1, env, f);
+    for v in nest.loops()[level].values() {
+        iter[level] = v;
+        walk(nest, level + 1, iter, f);
     }
-    env.remove(l.var());
 }
 
 #[cfg(test)]

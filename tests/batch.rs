@@ -7,8 +7,9 @@ use ujam::core::{
     optimize_in_space, BalanceModel, CancelToken, CostModelKind, OptimizeError, SearchConfig,
     UnrollSpace,
 };
-use ujam::ir::{parse_expr, sub, subs, ArrayDecl, ArrayRef, Loop, LoopNest, Stmt};
+use ujam::ir::{parse_expr, ArrayDecl, ArrayRef, Loop, LoopNest, Stmt};
 use ujam::kernels::{kernels, optimize_suite};
+use ujam::linalg::Mat;
 use ujam::machine::MachineModel;
 use ujam::metrics::MetricsHandle;
 use ujam::trace::{null_sink, CollectingSink};
@@ -105,17 +106,18 @@ fn optimize_suite_agrees_with_direct_optimization() {
     }
 }
 
-/// A structurally invalid nest (reads undeclared `Z`), assembled with the
-/// raw constructor since `NestBuilder::build` refuses to produce one.
+/// A structurally invalid nest, `A(I) = Z(I) + 1.0` reading undeclared
+/// `Z`, assembled with the raw constructor since `NestBuilder::build`
+/// refuses to produce one.
 fn undeclared_array_nest() -> LoopNest {
+    let loops = vec![Loop::new("J", 1, 8), Loop::new("I", 1, 8)];
+    let rhs = parse_expr("Z(I) + 1.0", &loops).expect("parses");
+    let lhs = ArrayRef::new("A", Mat::from_rows(&[&[0, 1]]), vec![0]);
     LoopNest::new(
         "bad",
         vec![ArrayDecl::new("A", &[16])],
-        vec![Loop::new("J", 1, 8), Loop::new("I", 1, 8)],
-        vec![Stmt::assign(
-            ArrayRef::new("A", subs(&[sub("I")])),
-            parse_expr("Z(I) + 1.0").expect("parses"),
-        )],
+        loops,
+        vec![Stmt::assign(lhs, rhs)],
     )
 }
 
