@@ -16,7 +16,9 @@
 
 use crate::balance::{loop_balance, BalanceInputs};
 use crate::driver::{Optimized, Prediction};
-use crate::pipeline::{AnalysisCtx, ApplyTransform, BruteSearch, OptimizeError, Pass};
+use crate::pipeline::{
+    search_over, AnalysisCtx, ApplyTransform, BruteSearch, CancelToken, OptimizeError, Pass,
+};
 use crate::space::UnrollSpace;
 use ujam_ir::transform::{scalar_replacement, unroll_and_jam, TransformError};
 use ujam_ir::LoopNest;
@@ -113,52 +115,41 @@ pub fn optimize_depbased(
     machine: &MachineModel,
     space: &UnrollSpace,
 ) -> Result<(Optimized, usize), OptimizeError> {
-    // Validation mirrors `AnalysisCtx::new` so this comparator is as
-    // panic-free on bad input as the pipeline proper.
-    nest.validate().map_err(OptimizeError::InvalidNest)?;
-    if nest.depth() == 0 {
-        return Err(OptimizeError::EmptyNest);
-    }
+    // The same validation as every other entry point: structure, loop
+    // bounds and subscript entries within the exact analysis's range.
+    AnalysisCtx::new(nest, machine)?;
     if space.depth() != nest.depth() {
         return Err(OptimizeError::DepthMismatch {
             nest: nest.depth(),
             space: space.depth(),
         });
     }
-    let beta_m = machine.balance();
-    let regs = machine.registers_for_replacement() as i64;
-
     let zero = vec![0u32; space.dims()];
     let (original, mut graph_bytes) =
         measure_candidate_depbased(nest, &space.full_vector(&zero), machine)
             .map_err(OptimizeError::Transform)?;
-    let mut best = zero;
-    let mut best_inputs = original;
-    let mut best_score = (f64::INFINITY, usize::MAX);
     // One full-vector scratch for the whole walk, refilled in place per
     // candidate (the write is two tiny loops; the transform dominates).
     let mut full = vec![0u32; space.depth()];
-    space.for_each_offset(|u| {
-        space.write_full_vector(u, &mut full);
-        let Ok((inputs, bytes)) = measure_candidate_depbased(nest, &full, machine) else {
-            return;
-        };
-        graph_bytes += bytes;
-        if inputs.registers > regs {
-            return;
-        }
-        let beta = loop_balance(&inputs, machine);
-        let score = ((beta - beta_m).abs(), space.copies(u));
-        if score.0 < best_score.0 - 1e-12
-            || ((score.0 - best_score.0).abs() <= 1e-12 && score.1 < best_score.1)
-        {
-            best_score = score;
-            best = u.to_vec();
-            best_inputs = inputs;
-        }
-    });
-
-    let unroll = space.full_vector(&best);
+    let found = search_over(
+        machine,
+        space,
+        |u, _| {
+            space.write_full_vector(u, &mut full);
+            let (inputs, bytes) = measure_candidate_depbased(nest, &full, machine).ok()?;
+            graph_bytes += bytes;
+            Some(inputs)
+        },
+        |inputs| loop_balance(inputs, machine),
+        |_| true,
+        false,
+        None,
+        false,
+        None,
+        &CancelToken::never(),
+    );
+    let best_inputs = found.best_inputs.unwrap_or(original);
+    let unroll = space.full_vector(&found.best);
     let nest_out = unroll_and_jam(nest, &unroll).map_err(OptimizeError::Transform)?;
     Ok((
         Optimized {

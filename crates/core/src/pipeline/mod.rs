@@ -54,6 +54,7 @@ mod pass;
 pub use batch::{optimize_batch, optimize_batch_traced_with_workers};
 pub use cancel::CancelToken;
 pub use ctx::AnalysisCtx;
+pub(crate) use pass::search_over;
 pub use pass::{
     search_tables, ApplyTransform, BruteSearch, BuildTables, Pass, SearchOutcome, SearchSpace,
     SelectLoops,

@@ -219,7 +219,7 @@ pub struct SearchOutcome {
 /// One candidate's fate during a search, before it is stamped into an
 /// [`ExplainRecord`]: the space-offset, what was measured, and why it
 /// was kept or dropped.
-struct CandidateFate {
+pub(crate) struct CandidateFate {
     u: Vec<u32>,
     beta: Option<f64>,
     registers: Option<i64>,
@@ -231,11 +231,11 @@ struct CandidateFate {
 /// by monotone up-set pruning, and whether the walk was abandoned by a
 /// fired [`CancelToken`] (in which case the other fields are partial
 /// and the caller must surface [`OptimizeError::DeadlineExceeded`]).
-struct SearchResult {
-    best: Vec<u32>,
-    best_inputs: Option<BalanceInputs>,
-    pruned_upset: usize,
-    cancelled: bool,
+pub(crate) struct SearchResult {
+    pub(crate) best: Vec<u32>,
+    pub(crate) best_inputs: Option<BalanceInputs>,
+    pub(crate) pruned_upset: usize,
+    pub(crate) cancelled: bool,
 }
 
 /// Shared search objective (§3.3): minimize `|β − β_M|` subject to the
@@ -270,7 +270,7 @@ struct SearchResult {
 /// `pruned_code_size`, `pruned_upset`), or could not be measured
 /// (`infeasible`).
 #[allow(clippy::too_many_arguments)]
-fn search_over(
+pub(crate) fn search_over(
     machine: &MachineModel,
     space: &UnrollSpace,
     inputs_at: impl FnMut(&[u32], usize) -> Option<BalanceInputs>,

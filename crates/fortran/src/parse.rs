@@ -73,11 +73,12 @@ enum Line {
 pub fn parse(source: &str) -> Result<LoopNest, ParseError> {
     let mut name = "nest".to_string();
     let mut arrays: Vec<(String, Vec<i64>)> = Vec::new();
-    // Open DO loops: (label, var, lo, hi, step, line).
-    let mut open: Vec<(Option<String>, String, i64, i64, i64, usize)> = Vec::new();
+    // Every DO loop as it opens: (var, lo, hi), outermost first.
+    let mut loops: Vec<(String, i64, i64)> = Vec::new();
+    // Open DO loops: (label, line).
+    let mut open: Vec<(Option<String>, usize)> = Vec::new();
     let mut closed = 0usize; // loops fully closed so far
     let mut body: Vec<(String, usize)> = Vec::new();
-    let mut max_depth = 0usize;
 
     for (idx, raw) in source.lines().enumerate() {
         let lineno = idx + 1;
@@ -112,8 +113,8 @@ pub fn parse(source: &str) -> Result<LoopNest, ParseError> {
                         "imperfect nest: DO after statements or a closed loop",
                     ));
                 }
-                open.push((label, var, lo, hi, step, lineno));
-                max_depth = max_depth.max(open.len());
+                open.push((label, lineno));
+                loops.push((var, lo, hi));
             }
             Line::EndDo => {
                 let Some(_) = open.pop() else {
@@ -143,7 +144,7 @@ pub fn parse(source: &str) -> Result<LoopNest, ParseError> {
                 if open.is_empty() {
                     return Err(err(lineno, "assignment outside any DO loop"));
                 }
-                if open.len() != max_depth {
+                if open.len() != loops.len() {
                     return Err(err(
                         lineno,
                         "imperfect nest: statement above the innermost loop",
@@ -156,7 +157,7 @@ pub fn parse(source: &str) -> Result<LoopNest, ParseError> {
     }
     if !open.is_empty() {
         return Err(err(
-            open.last().expect("non-empty").5,
+            open.last().expect("non-empty").1,
             "unterminated DO loop",
         ));
     }
@@ -166,11 +167,9 @@ pub fn parse(source: &str) -> Result<LoopNest, ParseError> {
     for (arr, dims) in &arrays {
         b = b.array(arr, dims);
     }
-    // `open` has been drained; rebuild loop order from a second pass is
-    // unnecessary — we recorded loops as they opened.
-    b = rebuilt_loops(source)?
-        .into_iter()
-        .fold(b, |b, (var, lo, hi)| b.loop_(&var, lo, hi));
+    for (var, lo, hi) in &loops {
+        b = b.loop_(var, *lo, *hi);
+    }
     for (text, lineno) in &body {
         b = b
             .try_stmt(text)
@@ -178,18 +177,6 @@ pub fn parse(source: &str) -> Result<LoopNest, ParseError> {
     }
     b.try_build()
         .map_err(|e| err(0, format!("invalid nest: {e}")))
-}
-
-/// Second tiny pass extracting the loop headers in order (keeps the main
-/// pass simple).
-fn rebuilt_loops(source: &str) -> Result<Vec<(String, i64, i64)>, ParseError> {
-    let mut loops = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
-        if let Some(Line::Do { var, lo, hi, .. }) = classify(raw, idx + 1)? {
-            loops.push((var, lo, hi));
-        }
-    }
-    Ok(loops)
 }
 
 fn err(line: usize, message: impl Into<String>) -> ParseError {
@@ -419,6 +406,20 @@ C fixed comment
     fn rejects_undeclared_arrays_via_validation() {
         let e = parse("      DO I = 1, 4\n      A(I) = 1.0\n      ENDDO\n      END").unwrap_err();
         assert!(e.message.contains("undeclared"), "{e}");
+    }
+
+    #[test]
+    fn subscripts_name_the_loops_and_text_after_end_is_ignored() {
+        let src =
+            "      DIMENSION A(4)\n      DO I = 1, 4\n      A(K) = 1.0\n      ENDDO\n      END";
+        let e = parse(src).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(
+            e.message.contains("unbound subscript variable K in A(K)"),
+            "{e}"
+        );
+        let src = "      DIMENSION A(4)\n      DO I = 1, 4\n      A(I) = 1.0\n      ENDDO\n      END\n      DO K = 1, 4\n      CALL FOO";
+        assert_eq!(parse(src).unwrap().depth(), 1);
     }
 
     #[test]

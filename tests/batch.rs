@@ -7,7 +7,7 @@ use ujam::core::{
     optimize_in_space, BalanceModel, CancelToken, CostModelKind, OptimizeError, SearchConfig,
     UnrollSpace,
 };
-use ujam::ir::{parse_expr, ArrayDecl, ArrayRef, Loop, LoopNest, Stmt};
+use ujam::ir::{parse_expr, ArrayDecl, ArrayRef, Loop, LoopNest, NestBuilder, Stmt};
 use ujam::kernels::{kernels, optimize_suite};
 use ujam::linalg::Mat;
 use ujam::machine::MachineModel;
@@ -121,32 +121,45 @@ fn undeclared_array_nest() -> LoopNest {
     )
 }
 
+/// A nest whose subscript constant, 2^32, lies beyond the exact
+/// analysis's ±2^31 range.
+fn wide_subscript_nest() -> LoopNest {
+    NestBuilder::new("wide")
+        .array("A", &[16, 16])
+        .loop_("J", 1, 8)
+        .loop_("I", 1, 8)
+        .stmt("A(I,J) = A(I+4294967296,J) + 1.0")
+        .build()
+}
+
 /// Negative path: malformed input returns `Err` from every public
 /// `optimize*` entry point — none of them panic.
 #[test]
 fn malformed_nests_error_from_every_entry_point() {
     let machine = MachineModel::dec_alpha();
-    let bad = undeclared_array_nest();
     let space = UnrollSpace::new(2, &[0], 4);
-
-    assert!(matches!(
-        optimize(&bad, &machine),
-        Err(OptimizeError::InvalidNest(_))
-    ));
-    assert!(matches!(
-        optimize_in_space(&bad, &machine, &space),
-        Err(OptimizeError::InvalidNest(_))
-    ));
-    assert!(matches!(
-        optimize_brute(&bad, &machine, &space),
-        Err(OptimizeError::InvalidNest(_))
-    ));
-    assert!(matches!(
-        optimize_depbased(&bad, &machine, &space),
-        Err(OptimizeError::InvalidNest(_))
-    ));
-    let batch = optimize_batch(&[bad], &machine);
-    assert!(matches!(batch[0], Err(OptimizeError::InvalidNest(_))));
+    for bad in [undeclared_array_nest(), wide_subscript_nest()] {
+        let name = bad.name().to_string();
+        let invalid = |r: Result<_, OptimizeError>| matches!(r, Err(OptimizeError::InvalidNest(_)));
+        assert!(invalid(optimize(&bad, &machine).map(|_| ())), "{name}");
+        assert!(
+            invalid(optimize_in_space(&bad, &machine, &space).map(|_| ())),
+            "{name}"
+        );
+        assert!(
+            invalid(optimize_brute(&bad, &machine, &space).map(|_| ())),
+            "{name}"
+        );
+        assert!(
+            invalid(optimize_depbased(&bad, &machine, &space).map(|_| ())),
+            "{name}"
+        );
+        let batch = optimize_batch(&[bad], &machine);
+        assert!(
+            matches!(batch[0], Err(OptimizeError::InvalidNest(_))),
+            "{name}"
+        );
+    }
 }
 
 /// Negative path: a depth-mismatched space is an error, not a panic, for
