@@ -138,11 +138,6 @@ impl Exemplar {
         }
     }
 
-    /// The current `(value, tag)` maximum without ending the window.
-    pub fn peek(&self) -> Option<(u64, u64)> {
-        *self.slot.lock().expect("exemplar lock")
-    }
-
     /// Returns the window's `(value, tag)` maximum and starts a fresh
     /// window (`None` when nothing was offered since the last take).
     pub fn take(&self) -> Option<(u64, u64)> {
@@ -217,11 +212,6 @@ impl Histogram {
     pub fn observe_tagged(&self, value: u64, tag: u64) {
         self.observe(value);
         self.exemplar.offer(value, tag);
-    }
-
-    /// The current window's `(value, tag)` maximum without resetting it.
-    pub fn peek_exemplar(&self) -> Option<(u64, u64)> {
-        self.exemplar.peek()
     }
 
     /// Ends the exemplar window: the `(value, tag)` of the maximum
@@ -397,7 +387,6 @@ mod tests {
         h.observe_tagged(100, 1);
         h.observe_tagged(900, 2);
         h.observe_tagged(400, 3);
-        assert_eq!(h.peek_exemplar(), Some((900, 2)));
         assert_eq!(h.take_exemplar(), Some((900, 2)));
         // The window resets; observations are untouched.
         assert_eq!(h.take_exemplar(), None);

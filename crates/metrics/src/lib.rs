@@ -250,20 +250,6 @@ impl MetricsHandle {
         }
     }
 
-    /// Sets the gauge called `name`.
-    pub fn gauge_set(&self, name: &str, v: i64) {
-        if let Some(reg) = &self.0 {
-            reg.gauge(name).set(v);
-        }
-    }
-
-    /// Moves the gauge called `name` by `delta`.
-    pub fn gauge_add(&self, name: &str, delta: i64) {
-        if let Some(reg) = &self.0 {
-            reg.gauge(name).add(delta);
-        }
-    }
-
     /// Records one observation in the histogram called `name`.
     pub fn observe(&self, name: &str, value: u64) {
         if let Some(reg) = &self.0 {
@@ -339,7 +325,6 @@ mod tests {
         let h = MetricsHandle::disabled();
         assert!(!h.enabled());
         h.count("c", 1);
-        h.gauge_set("g", 9);
         h.observe("h", 42);
         let snap = h.snapshot();
         assert_eq!(snap.counter("c"), 0);
@@ -353,12 +338,10 @@ mod tests {
         let h = MetricsHandle::new(Arc::clone(&reg));
         assert!(h.enabled());
         h.count("serve.requests", 2);
-        h.gauge_add("serve.inflight", 1);
         h.observe("serve.request_ns", 100);
         h.observe("serve.request_ns", 200);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.requests"), 2);
-        assert_eq!(snap.gauge("serve.inflight"), 1);
         assert_eq!(snap.histogram("serve.request_ns").unwrap().count, 2);
         assert_eq!(snap.histogram("serve.request_ns").unwrap().sum, 300);
     }
