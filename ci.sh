@@ -19,6 +19,11 @@ cargo test -q --offline --workspace
 # against its oracle (BruteSearch, in-process optimize_costed).
 python3 perfbench/steady.py --self-test
 
+# Allocation ceilings: the mean heap allocations per compile_suite
+# compile, decision and unroll_and_jam of the winner may not exceed the
+# counts the example holds (it also prints the compile residue times).
+cargo run --release --offline --quiet --example alloc_count
+
 cargo fmt --all -- --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc: every intra-doc link must resolve to a documented item, so a

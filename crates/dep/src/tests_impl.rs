@@ -59,66 +59,57 @@ pub fn pairwise_distance(a: &ArrayRef, b: &ArrayRef) -> Option<DistVec> {
     }
     let mut dist: DistVec = vec![Dist::Any; ha.cols()];
     for r in 0..ca.len() {
-        let constraint = test_dimension((ha.row(r), ca[r]), (hb.row(r), cb[r]))?;
-        for (slot, c) in dist.iter_mut().zip(constraint) {
-            *slot = slot.meet(c)?;
-        }
+        meet_dimension(&mut dist, (ha.row(r), ca[r]), (hb.row(r), cb[r]))?;
     }
     Some(dist)
 }
 
 /// Tests one subscript dimension pair, each a row of `H` with its
-/// constant, yielding per-loop constraints.
-fn test_dimension((ha, ca): (&[i64], i64), (hb, cb): (&[i64], i64)) -> Option<DistVec> {
-    let depth = ha.len();
+/// constant, and intersects its per-loop constraint into `dist`; `None`
+/// when the dimension proves the pair independent.
+fn meet_dimension(
+    dist: &mut [Dist],
+    (ha, ca): (&[i64], i64),
+    (hb, cb): (&[i64], i64),
+) -> Option<()> {
     let delta = cb - ca;
-    let involved: Vec<usize> = (0..depth).filter(|&i| ha[i] != 0 || hb[i] != 0).collect();
+    let mut involved = (0..ha.len()).filter(|&i| ha[i] != 0 || hb[i] != 0);
 
     // ZIV: no induction variable on either side.
-    if involved.is_empty() {
-        return (delta == 0).then(|| vec![Dist::Any; depth]);
-    }
+    let Some(l) = involved.next() else {
+        return (delta == 0).then_some(());
+    };
 
-    let mut out = vec![Dist::Any; depth];
-    if involved.len() == 1 {
-        let l = involved[0];
+    if involved.next().is_none() {
         let (ca, cb) = (ha[l], hb[l]);
         if ca == cb {
-            // Strong SIV: a·i_a + c_a = a·i_b + c_b  =>  i_a − i_b = Δc / a
-            // with Δc = c_b − c_a as computed above; d is from a to b:
-            // b at iteration i touches what a touched at i − d, i.e.
-            // a·(i − d) + c_a = a·i + c_b  =>  d = −Δc / a ... solve:
-            // a·i_a + c_a = a·i_b + c_b with d = i_b − i_a = −Δc/a? Check:
-            // a·i_a + c_a = a·i_b + c_b => a(i_a − i_b) = Δc => i_b − i_a =
-            // −Δc/a.
+            // Strong SIV: a·i_a + c_a = a·i_b + c_b with Δc = c_b − c_a
+            // gives a(i_a − i_b) = Δc, so the distance from a to b is
+            // d = i_b − i_a = −Δc/a.
             if delta % ca != 0 {
                 return None;
             }
-            out[l] = Dist::Exact(-delta / ca);
+            dist[l] = dist[l].meet(Dist::Exact(-delta / ca))?;
         } else {
             // Weak SIV (zero / crossing / general): solvable iff
             // gcd(ca, cb) divides Δc (with the one-sided case demanding
-            // divisibility by the present coefficient).
+            // divisibility by the present coefficient).  The distance
+            // varies with the iteration: unconstrained.
             let g = gcd(ca, cb);
             if g != 0 && delta % g != 0 {
                 return None;
             }
-            // Distance varies with the iteration: unconstrained.
-            out[l] = Dist::Any;
         }
-        return Some(out);
+        return Some(());
     }
 
-    // MIV: GCD test over every coefficient of both references.
-    let mut g = 0;
-    for &i in &involved {
-        g = gcd(g, ha[i]);
-        g = gcd(g, hb[i]);
-    }
+    // MIV: GCD test over every coefficient of both references; the
+    // involved loops are left unconstrained.
+    let g = ha.iter().chain(hb).fold(0, |g, &x| gcd(g, x));
     if g != 0 && delta % g != 0 {
         return None;
     }
-    Some(out)
+    Some(())
 }
 
 #[cfg(test)]

@@ -129,12 +129,17 @@ impl Stmt {
     /// Array references in evaluation order: RHS uses left-to-right, then
     /// the LHS def (Fortran stores after evaluating the right-hand side).
     pub fn refs(&self) -> Vec<(&ArrayRef, bool)> {
-        let mut out: Vec<(&ArrayRef, bool)> =
-            self.rhs.refs().into_iter().map(|r| (r, false)).collect();
-        if let Lhs::Array(a) = &self.lhs {
-            out.push((a, true));
-        }
+        let mut out = Vec::new();
+        self.visit_refs(&mut |r, is_def| out.push((r, is_def)));
         out
+    }
+
+    /// Visits [`Stmt::refs`] in order without collecting them.
+    fn visit_refs<'a>(&'a self, f: &mut impl FnMut(&'a ArrayRef, bool)) {
+        self.rhs.visit_refs(&mut |r| f(r, false));
+        if let Lhs::Array(a) = &self.lhs {
+            f(a, true);
+        }
     }
 
     /// Floating-point operations executed by the statement.
@@ -326,13 +331,15 @@ impl LoopNest {
     pub fn refs(&self) -> Vec<RefInfo<'_>> {
         let mut out = Vec::new();
         for (s, stmt) in self.body.iter().enumerate() {
-            for (pos, (aref, is_def)) in stmt.refs().into_iter().enumerate() {
+            let mut pos = 0;
+            stmt.visit_refs(&mut |aref, is_def| {
                 out.push(RefInfo {
                     id: RefId { stmt: s, pos },
                     aref,
                     is_def,
                 });
-            }
+                pos += 1;
+            });
         }
         out
     }

@@ -2,6 +2,7 @@
 
 use crate::nest::Loop;
 use std::fmt;
+use std::sync::Arc;
 use ujam_linalg::Mat;
 
 /// A reference to an array, `A(H·i + c)`: row `r` of the access matrix
@@ -12,7 +13,9 @@ use ujam_linalg::Mat;
 /// against them ([`crate::NestBuilder::stmt`], [`crate::parse_expr`]) and
 /// rendered through them ([`ArrayRef::display`]).  In an expression the
 /// reference is a *use* (load); as the left-hand side of a
-/// [`crate::Stmt`] it is a *def* (store).
+/// [`crate::Stmt`] it is a *def* (store).  The copies unroll-and-jam
+/// makes of a reference are uniformly generated with it: they share its
+/// array name and `H`, and only `c` is their own.
 ///
 /// # Example
 ///
@@ -27,8 +30,8 @@ use ujam_linalg::Mat;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ArrayRef {
-    array: String,
-    h: Mat,
+    array: Arc<str>,
+    h: Arc<Mat>,
     c: Vec<i64>,
 }
 
@@ -41,8 +44,8 @@ impl ArrayRef {
     pub fn new(array: &str, h: Mat, c: Vec<i64>) -> ArrayRef {
         assert_eq!(h.rows(), c.len(), "H and c of {array} disagree on rank");
         ArrayRef {
-            array: array.to_string(),
-            h,
+            array: array.into(),
+            h: Arc::new(h),
             c,
         }
     }
@@ -104,15 +107,28 @@ impl ArrayRef {
             }
         }
         ArrayRef {
-            array: self.array.clone(),
-            h,
+            array: Arc::clone(&self.array),
+            h: Arc::new(h),
+            c,
+        }
+    }
+
+    /// `A(H·i + c + H·u)`: the reference in the body copy at unroll
+    /// offset `u`, sharing this one's array name and `H`.
+    pub(crate) fn shifted(&self, u: &[i64]) -> ArrayRef {
+        let c = (0..self.rank())
+            .map(|r| self.c[r] + dot(self.h.row(r), u))
+            .collect();
+        ArrayRef {
+            array: Arc::clone(&self.array),
+            h: Arc::clone(&self.h),
             c,
         }
     }
 }
 
 /// `Σ a_k·b_k`.
-pub(crate) fn dot(a: &[i64], b: &[i64]) -> i64 {
+fn dot(a: &[i64], b: &[i64]) -> i64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 

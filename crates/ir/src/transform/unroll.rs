@@ -1,7 +1,6 @@
 //! Unroll-and-jam (outer-loop unrolling).
 
 use crate::nest::LoopNest;
-use crate::subscript::{dot, ArrayRef};
 use std::fmt;
 
 /// Why a transformation request was rejected.
@@ -117,7 +116,7 @@ pub fn unroll_and_jam(nest: &LoopNest, unroll: &[u32]) -> Result<LoopNest, Trans
         body.extend(
             nest.body()
                 .iter()
-                .map(|s| s.map_refs(|r| shifted(r, &offset))),
+                .map(|s| s.map_refs(|r| r.shifted(&offset))),
         );
         for k in (0..offset.len()).rev() {
             if offset[k] < unroll[k] as i64 {
@@ -131,17 +130,6 @@ pub fn unroll_and_jam(nest: &LoopNest, unroll: &[u32]) -> Result<LoopNest, Trans
     out.prologue_mut().extend_from_slice(nest.prologue());
     out.epilogue_mut().extend_from_slice(nest.epilogue());
     Ok(out)
-}
-
-/// `A(H·i + c + H·u')`: the reference in the body copy at offset `u'`.
-fn shifted(r: &ArrayRef, offset: &[i64]) -> ArrayRef {
-    let (h, c) = r.access_matrix();
-    let c = c
-        .iter()
-        .zip(h.iter_rows())
-        .map(|(c, row)| c + dot(row, offset))
-        .collect();
-    ArrayRef::new(r.array(), h.clone(), c)
 }
 
 /// Checks that [`unroll_and_jam`] accepts `unroll` for `nest`, in
