@@ -108,8 +108,11 @@ pub fn unroll_and_jam(nest: &LoopNest, unroll: &[u32]) -> Result<LoopNest, Trans
             l.set_step(u as i64 + 1);
         }
     }
-    let copies: usize = unroll.iter().map(|&u| u as usize + 1).product();
-    let mut body = Vec::with_capacity(copies * nest.body().len());
+    let copies = unroll
+        .iter()
+        .try_fold(1usize, |n, &u| n.checked_mul(u as usize + 1))
+        .expect("the number of body copies fits in usize");
+    let mut body = Vec::with_capacity(copies.saturating_mul(nest.body().len()));
     // The copy offsets u' in lexicographic order: an odometer over 0..=u.
     let mut offset = vec![0i64; unroll.len()];
     for _ in 0..copies {
