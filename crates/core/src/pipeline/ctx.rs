@@ -498,6 +498,16 @@ mod tests {
         assert!(admitted(edge, 0) && admitted(-edge, 0) && admitted(1, edge) && admitted(1, -edge));
         assert!(!admitted(edge + 1, 0) && !admitted(-edge - 1, 0));
         assert!(!admitted(1, edge + 1) && !admitted(1, -edge - 1));
+        // The refusal names the subscript through the nest's loop names.
+        let nest = NestBuilder::new("wide")
+            .array("A", &[8, 8])
+            .loop_("J", 1, 4)
+            .loop_("I", 1, 4)
+            .stmt("A(I,J) = A(J+2I+4294967296,J) + 1.0")
+            .build();
+        let why = AnalysisCtx::new(&nest, &MachineModel::dec_alpha()).err();
+        let want = "subscript A(2I+J+4294967296,J) has an entry beyond ±2^31";
+        assert!(matches!(why, Some(OptimizeError::InvalidNest(w)) if w.starts_with(want)));
     }
 
     #[test]

@@ -374,11 +374,11 @@ impl<'a> Parser<'a> {
         }
         let depth = self.loops.len();
         let (mut h, mut c) = (Vec::new(), Vec::new());
-        let first_unbound = self.unbound.is_none();
+        let mut unbound = None;
         loop {
             h.resize(h.len() + depth, 0);
             let at = h.len() - depth;
-            c.push(self.affine(&mut h[at..])?);
+            c.push(self.affine(&mut h[at..], &mut unbound)?);
             self.skip_ws();
             match self.bump() {
                 Some(',') => continue,
@@ -386,19 +386,26 @@ impl<'a> Parser<'a> {
                 other => return Err(format!("expected ',' or ')', got {other:?}")),
             }
         }
-        if first_unbound {
-            if let Some(var) = self.unbound.take() {
-                let text = &self.text[start..self.pos];
-                self.unbound = Some(format!("unbound subscript variable {var} in {text}"));
-            }
+        if let Some(var) = unbound {
+            let text = &self.text[start..self.pos];
+            self.unbound
+                .get_or_insert_with(|| format!("unbound subscript variable {var} in {text}"));
         }
         Ok(ArrayRef::new(name, Mat::from_vec(c.len(), depth, h), c))
     }
 
     /// Parses one affine dimension (signed terms `k`, `I`, `2I`, `2*I`),
     /// adding each index's coefficient to its loop's entry of `row`, and
-    /// returns its constant.
-    fn affine(&mut self, row: &mut [i64]) -> Result<i64, String> {
+    /// returns its constant.  The first index that names no loop is
+    /// noted in `unbound`.
+    fn affine(&mut self, row: &mut [i64], unbound: &mut Option<&'a str>) -> Result<i64, String> {
+        let loops = self.loops;
+        let mut add = |coef: i64, var: &'a str| match loops.iter().position(|l| l.var() == var) {
+            Some(k) => row[k] += coef,
+            None => {
+                unbound.get_or_insert(var);
+            }
+        };
         let mut offset = 0i64;
         let mut sign;
         let mut first = true;
@@ -427,13 +434,13 @@ impl<'a> Parser<'a> {
                 }
                 if matches!(self.peek(), Some(c) if c.is_ascii_alphabetic() || c == '_') {
                     let var = self.ident().ok_or("bad subscript identifier")?;
-                    self.add_term(row, sign * k, var);
+                    add(sign * k, var);
                 } else {
                     offset += sign * k;
                 }
             } else if matches!(self.peek(), Some(c) if c.is_ascii_alphabetic() || c == '_') {
                 let var = self.ident().ok_or("bad subscript identifier")?;
-                self.add_term(row, sign, var);
+                add(sign, var);
             } else {
                 return Err(format!("expected term in subscript at byte {}", self.pos));
             }
@@ -444,16 +451,6 @@ impl<'a> Parser<'a> {
             }
         }
         Ok(offset)
-    }
-
-    /// Adds `coef·var` to `row`, or notes `var` if it names no loop.
-    fn add_term(&mut self, row: &mut [i64], coef: i64, var: &str) {
-        match self.loops.iter().position(|l| l.var() == var) {
-            Some(k) => row[k] += coef,
-            None => {
-                self.unbound.get_or_insert_with(|| var.to_string());
-            }
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Floating-point expression trees.
 
 use crate::nest::Loop;
-use crate::subscript::ArrayRef;
+use crate::subscript::{ArrayRef, Named};
 use std::fmt;
 
 /// A binary floating-point operator.
@@ -139,10 +139,7 @@ impl Expr {
     }
 }
 
-/// An expression rendered through its nest's loop names.
-struct Named<'a>(&'a Expr, &'a [Loop]);
-
-impl fmt::Display for Named<'_> {
+impl fmt::Display for Named<'_, Expr> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let Named(e, loops) = *self;
         match e {

@@ -132,10 +132,10 @@ fn dot(a: &[i64], b: &[i64]) -> i64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// A reference rendered through its nest's loop names.
-struct Named<'a>(&'a ArrayRef, &'a [Loop]);
+/// An IR value rendered through its nest's loop names.
+pub(crate) struct Named<'a, T>(pub(crate) &'a T, pub(crate) &'a [Loop]);
 
-impl fmt::Display for Named<'_> {
+impl fmt::Display for Named<'_, ArrayRef> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let Named(r, loops) = *self;
         write!(f, "{}(", r.array)?;

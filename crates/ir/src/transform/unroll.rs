@@ -271,6 +271,25 @@ mod tests {
         );
     }
 
+    /// Every copy of a reference is `A(H·i + c + H·u')`: it shares the
+    /// original's `H` and owns only its offset.
+    #[test]
+    fn copies_share_h_and_shift_c_by_h_times_the_offset() {
+        let nest = NestBuilder::new("skew")
+            .array("A", &[64, 64])
+            .loop_("J", 1, 8)
+            .loop_("I", 1, 8)
+            .stmt("A(I+2J,J-1) = 1.0")
+            .build();
+        let t = unroll_and_jam(&nest, &[3, 0]).unwrap();
+        let (h, c) = nest.body()[0].refs()[0].0.access_matrix();
+        for (k, stmt) in t.body().iter().enumerate() {
+            let (hk, ck) = stmt.refs()[0].0.access_matrix();
+            assert!(std::ptr::eq(h, hk), "copy {k} owns its own H");
+            assert_eq!(ck, [c[0] + 2 * k as i64, c[1] + k as i64]);
+        }
+    }
+
     #[test]
     fn rejects_innermost_unroll() {
         assert_eq!(
