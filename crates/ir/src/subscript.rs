@@ -70,7 +70,7 @@ impl ArrayRef {
     /// first): `H·i + c`.
     pub fn eval(&self, i: &[i64]) -> Vec<i64> {
         (0..self.rank())
-            .map(|r| self.c[r] + dot(self.h.row(r), i))
+            .map(|r| self.c[r] + self.h.row(r).iter().zip(i).map(|(h, i)| h * i).sum::<i64>())
             .collect()
     }
 
@@ -116,20 +116,12 @@ impl ArrayRef {
     /// `A(H·i + c + H·u)`: the reference in the body copy at unroll
     /// offset `u`, sharing this one's array name and `H`.
     pub(crate) fn shifted(&self, u: &[i64]) -> ArrayRef {
-        let c = (0..self.rank())
-            .map(|r| self.c[r] + dot(self.h.row(r), u))
-            .collect();
         ArrayRef {
             array: Arc::clone(&self.array),
             h: Arc::clone(&self.h),
-            c,
+            c: self.eval(u),
         }
     }
-}
-
-/// `Σ a_k·b_k`.
-fn dot(a: &[i64], b: &[i64]) -> i64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// An IR value rendered through its nest's loop names.
